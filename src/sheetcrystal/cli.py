@@ -5,18 +5,15 @@ CSV output uses 17 significant digits, '.' decimals, and '\\n' line endings,
 and is byte-identical across runs for identical inputs.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
-unknown or duplicate keys are rejected.  ``SHEETCRYSTAL_THREADS`` caps the
-worker count for sweeps (0 or absent means sequential); the output order is
-fixed by the parameter grid either way.
+unknown or duplicate keys are rejected.  Sweeps run their cells in the
+order of the parameter grid.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -368,17 +365,6 @@ def cmd_verify(args) -> int:
 # sweep
 # --------------------------------------------------------------------------
 
-def _thread_count() -> int:
-    raw = os.environ.get("SHEETCRYSTAL_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SHEETCRYSTAL_THREADS: not an integer: {raw!r}") from exc
-    return max(count, 0)
-
-
 def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
     n, alpha, a = cell
     p = CrystalParams(n, alpha, a, units)
@@ -414,12 +400,7 @@ def cmd_sweep(args) -> int:
     units = _load_units(args)
 
     cells = [(n, alpha, a) for n in n_list for alpha in alpha_list for a in a_list]
-    threads = _thread_count()
-    if threads >= 2:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(c, units), cells))
-    else:
-        rows = [_sweep_cell(cell, units) for cell in cells]
+    rows = [_sweep_cell(cell, units) for cell in cells]
 
     out = args.out or entries.get("out")
     _emit_csv(

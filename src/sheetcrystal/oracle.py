@@ -1,35 +1,42 @@
 """Independent bound-state solver for delta potentials with constant offsets.
 
-Nothing here reuses the exponential-map construction: for a trial energy
-E = -hbar^2*kappa^2/(2m) the solution decaying toward -inf is propagated
-across every region and delta site, and the coefficient of the growing tail
-at +inf is scanned for sign changes in kappa.  Each bracket is bisected to
-the requested tolerance and the state is rebuilt segment by segment, so the
-result is an exact piecewise closed form whose only approximation is the
-location of the root.
+Nothing here reuses the exponential-map construction.  For a trial energy
+E = -hbar^2*kappa^2/(2m) one left-to-right pass (:func:`_transfer`) carries
+the solution that decays toward -inf across every delta site and region and
+returns two things: the sign of the coefficient of the growing tail at +inf,
+whose roots in kappa are the bound states, and the number of nodes of that
+solution on the whole line.  By the Sturm oscillation theorem that node
+count is the number of bound states below E, i.e. with a decay rate larger
+than kappa, so the count stays exact however closely the states crowd.
+
+:func:`find_bound_states` counts, isolates, refines and reconstructs, and
+every step is the same vectorised pass over an array of kappas: the count at
+kappa = 0+ gives the number of states, batched bisection on the count
+isolates each one, the same loop then bisects on the sign of the tail
+coefficient, and the pass at the roots rebuilds each state segment by
+segment, so the result is an exact piecewise closed form whose only
+approximation is the location of the root.
 
 The propagated pair is rescaled between sites (and exponentials are factored
-as exp(-rate*width) forms), so scans cannot overflow no matter how wide or
-deep the regions are.  The scan is a fixed grid with a deterministic 8x
-refinement pass; identical inputs give identical output, bit for bit.
+as exp(-rate*width) forms), so nothing can overflow no matter how wide or
+deep the regions are.  Identical inputs give identical output, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .duality import DeltaPotentialProblem
 from .errors import BreakpointMismatchError, NoBoundStatesError
 from .units import UnitSystem
-from .wavefunction import PiecewiseExpWavefunction, Segment, _square_integral_finite
+from .wavefunction import PiecewiseExpWavefunction, Segment
 
 REGIME_SWITCH_RTOL = 1e-12
-DEFAULT_SCAN_POINTS = 2048
 DEFAULT_BISECTION_TOL = 1e-13
-REFINEMENT_FACTOR = 8
 
 
 @dataclass(frozen=True)
@@ -43,15 +50,20 @@ class BoundState:
 
 @dataclass(frozen=True, eq=False)
 class ScanMetadata:
-    """How the roots were found; kept for reproducibility and audits."""
+    """How the roots were found; kept for reproducibility and audits.
+
+    ``node_count`` is the number of bound states with decay rate above
+    ``tol``, counted from the nodes of the solution at kappa = ``tol``.
+    ``brackets`` holds each returned state's isolating interval, and
+    ``unresolved`` the intervals that still held more than one state when
+    bisection could not split them further.
+    """
 
     kappa_max: float
-    scan_points: int
-    refinement_factor: int
-    kappa_grid: np.ndarray
+    node_count: int
     brackets: tuple[tuple[float, float], ...]
     root_residuals: tuple[float, ...]
-    scan_too_coarse: bool
+    unresolved: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,164 +84,134 @@ class BoundStateList:
         return tuple(s.energy for s in self.states)
 
 
-def _regime_split(d, scale):
-    """Masks for the exponential / linear / oscillatory regimes of U - E."""
-    switch = REGIME_SWITCH_RTOL * scale
-    exp_mask = d > switch
-    osc_mask = d < -switch
-    return exp_mask, osc_mask
+class _Region(NamedTuple):
+    """Start of one finite region in a :func:`_transfer` pass, per kappa."""
+
+    exp_mask: np.ndarray
+    osc_mask: np.ndarray
+    rate: np.ndarray  # decay rate (exp) or wave number (osc); 1.0 where linear
+    psi: np.ndarray
+    dpsi: np.ndarray
+    renorm: np.ndarray  # positive factor the pair is divided by at the region's end
 
 
-def _growing_tail_coefficient(problem: DeltaPotentialProblem, kappas: np.ndarray) -> np.ndarray:
-    """Scaled coefficient of the +inf growing tail; roots are bound states.
+class _Pass(NamedTuple):
+    """Result of :func:`_transfer` at an array of kappas."""
 
-    The returned values share the sign (but not the magnitude) of the true
-    coefficient: the propagated pair is renormalized by a positive factor
-    after every region to keep everything in range.
+    tail: np.ndarray  # sign-preserving growing-tail coefficient
+    nodes: np.ndarray  # zeros of the left-decaying solution on the whole line
+    regions: list[_Region]
+    psi_last: np.ndarray  # pair just right of the last site
+    dpsi_last: np.ndarray
+
+
+def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
+    """Carry the solution decaying toward -inf across the potential, for each kappa.
+
+    The pair is divided by a positive factor after every region, so the tail
+    coefficient keeps its sign but not its magnitude.  Nodes are counted per
+    region: an exponential or linear region holds at most one, seen as a sign
+    change of psi across it; in an oscillatory region the Pruefer phase
+    theta = atan2(psi, psi'/k) advances by exactly k*width; the right tail
+    holds one when the tail coefficient and psi at the last site differ in
+    sign.  An exact zero of psi counts as positive; one landing exactly on a
+    site happens only on a measure-zero set of kappa.
     """
     units = problem.units
     half_h2_over_m = 0.5 * units.hbar**2 / units.mass
     jump_scale = 2.0 * units.mass / units.hbar**2
     positions = problem.positions
-    strengths = problem.strengths
     offsets = problem.region_offsets
 
     kappas = np.asarray(kappas, dtype=float)
     energies = -half_h2_over_m * kappas**2
+    energy_scale = np.maximum(1.0, np.abs(energies))
     psi = np.ones_like(kappas)
     dpsi = kappas.copy()
+    nodes = np.zeros_like(kappas)
+    regions = []
 
-    for i, (z, g) in enumerate(zip(positions, strengths)):
+    for i, g in enumerate(problem.strengths):
         dpsi = dpsi + jump_scale * g * psi
         if i == len(positions) - 1:
             break
-        width = positions[i + 1] - z
+        width = positions[i + 1] - positions[i]
         offset = offsets[i + 1]
         d = offset - energies
-        curvature = d / half_h2_over_m  # rate^2 = 2m(U - E)/hbar^2
-        scale = np.maximum(1.0, np.maximum(np.abs(energies), abs(offset)))
-        exp_mask, osc_mask = _regime_split(d, scale)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rate = np.sqrt(np.where(exp_mask, curvature, 1.0))
-            damp = np.exp(-2.0 * rate * width)
-            ch = 0.5 * (1.0 + damp)
-            sh = 0.5 * (1.0 - damp)
-            psi_exp = psi * ch + dpsi * sh / rate
-            dpsi_exp = psi * rate * sh + dpsi * ch
+        switch = REGIME_SWITCH_RTOL * np.maximum(energy_scale, abs(offset))
+        exp_mask = d > switch
+        osc_mask = d < -switch
+        # rate^2 = 2m|U - E|/hbar^2; 1.0 in the linear regime keeps the unused branches finite
+        rate = np.sqrt(np.where(exp_mask | osc_mask, np.abs(d / half_h2_over_m), 1.0))
+        phase = rate * width
+        damp = np.exp(-2.0 * phase)
+        ch = 0.5 * (1.0 + damp)
+        sh = 0.5 * (1.0 - damp)
+        cos_w = np.cos(phase)
+        sin_w = np.sin(phase)
+        # region transfer matrix [[diag, up], [down, diag]]; exp rows are scaled by exp(-phase)
+        diag = np.where(exp_mask, ch, np.where(osc_mask, cos_w, 1.0))
+        up = np.where(exp_mask, sh, np.where(osc_mask, sin_w, phase)) / rate
+        down = rate * np.where(exp_mask, sh, np.where(osc_mask, -sin_w, 0.0))
+        psi_new = diag * psi + up * dpsi
+        dpsi_new = down * psi + diag * dpsi
 
-            wave = np.sqrt(np.where(osc_mask, -curvature, 1.0))
-            cos_w = np.cos(wave * width)
-            sin_w = np.sin(wave * width)
-            psi_osc = psi * cos_w + dpsi * sin_w / wave
-            dpsi_osc = -psi * wave * sin_w + dpsi * cos_w
+        theta = np.arctan2(psi, dpsi / rate)
+        turns = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
+        nodes += np.where(osc_mask, turns, (psi < 0.0) != (psi_new < 0.0))
 
-            psi_lin = psi + dpsi * width
-        psi_new = np.where(exp_mask, psi_exp, np.where(osc_mask, psi_osc, psi_lin))
-        dpsi_new = np.where(exp_mask, dpsi_exp, np.where(osc_mask, dpsi_osc, dpsi))
-        norm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
-        norm = np.where(norm > 0.0, norm, 1.0)
-        psi = psi_new / norm
-        dpsi = dpsi_new / norm
+        renorm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
+        renorm = np.where(renorm > 0.0, renorm, 1.0)
+        regions.append(_Region(exp_mask, osc_mask, rate, psi, dpsi, renorm))
+        psi = psi_new / renorm
+        dpsi = dpsi_new / renorm
 
-    return dpsi + kappas * psi
-
-
-def _mismatch_scalar(problem: DeltaPotentialProblem, kappa: float) -> float:
-    return float(_growing_tail_coefficient(problem, np.array([kappa]))[0])
-
-
-def _bisect_root(problem: DeltaPotentialProblem, lo: float, hi: float, f_lo: float, tol: float) -> float:
-    sign_lo = math.copysign(1.0, f_lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = _mismatch_scalar(problem, mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    tail = dpsi + kappas * psi
+    nodes += (tail < 0.0) != (psi < 0.0)
+    return _Pass(tail, nodes.astype(np.int64), regions, psi, dpsi)
 
 
-def _reconstruct_state(problem: DeltaPotentialProblem, kappa: float) -> BoundState:
-    """Rebuild the normalized piecewise state at a located root.
+def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass) -> list[BoundState]:
+    """Rebuild the normalized piecewise state at each located root from its pass.
 
-    Coefficients are carried with a running log scale so deep tails cannot
-    underflow the bookkeeping; the residual growing-tail coefficient is
-    dropped (it is below the bisection tolerance by construction).
+    Each segment's coefficients carry the running log of the factors the
+    pass divided out, so deep tails cannot underflow the bookkeeping; the
+    residual growing-tail coefficient is dropped (it vanishes to the
+    bisection tolerance by construction).
     """
-    units = problem.units
-    half_h2_over_m = 0.5 * units.hbar**2 / units.mass
-    jump_scale = 2.0 * units.mass / units.hbar**2
     positions = problem.positions
-    strengths = problem.strengths
-    offsets = problem.region_offsets
-    energy = -half_h2_over_m * kappa**2
+    # one row per segment, one column per kappa
+    zero = np.zeros_like(kappas)
+    kinds, rates, c1s, c2s, logs = [np.full(kappas.shape, "exp")], [kappas], [zero], [zero + 1.0], [zero]
+    log_scale = zero
+    for region, z_next, z in zip(path.regions, positions[1:], positions):
+        exp_mask, osc_mask, rate, psi, dpsi, renorm = region
+        kinds.append(np.where(exp_mask, "exp", np.where(osc_mask, "osc", "lin")))
+        rates.append(np.where(exp_mask | osc_mask, rate, 0.0))
+        c1s.append(np.where(exp_mask, (rate * psi - dpsi) / (2.0 * rate), psi))
+        c2s.append(np.where(exp_mask, (rate * psi + dpsi) / (2.0 * rate), np.where(osc_mask, dpsi / rate, dpsi)))
+        logs.append(log_scale)
+        log_scale = log_scale + np.where(exp_mask, rate * (z_next - z), 0.0) + np.log(renorm)
+    kinds.append(np.full(kappas.shape, "exp"))
+    rates.append(kappas)
+    c1s.append((kappas * path.psi_last - path.dpsi_last) / (2.0 * kappas))
+    c2s.append(zero)
+    logs.append(log_scale)
 
-    segments = [Segment("exp", kappa, positions[0], 0.0, 1.0)]
-    scale_logs = [0.0]
-    psi, dpsi, log_scale = 1.0, kappa, 0.0
-
-    for i, (z, g) in enumerate(zip(positions, strengths)):
-        dpsi = dpsi + jump_scale * g * psi
-        if i == len(positions) - 1:
-            decay = (kappa * psi - dpsi) / (2.0 * kappa)
-            segments.append(Segment("exp", kappa, z, decay, 0.0))
-            scale_logs.append(log_scale)
-            break
-        width = positions[i + 1] - z
-        offset = offsets[i + 1]
-        d = offset - energy
-        switch = REGIME_SWITCH_RTOL * max(1.0, abs(energy), abs(offset))
-        if d > switch:
-            rate = math.sqrt(d / half_h2_over_m)
-            decay = (rate * psi - dpsi) / (2.0 * rate)
-            grow = (rate * psi + dpsi) / (2.0 * rate)
-            segments.append(Segment("exp", rate, z, decay, grow))
-            scale_logs.append(log_scale)
-            damp = math.exp(-2.0 * rate * width)
-            ch = 0.5 * (1.0 + damp)
-            sh = 0.5 * (1.0 - damp)
-            psi, dpsi = psi * ch + dpsi * sh / rate, psi * rate * sh + dpsi * ch
-            log_scale += rate * width
-        elif d < -switch:
-            wave = math.sqrt(-d / half_h2_over_m)
-            segments.append(Segment("osc", wave, z, psi, dpsi / wave))
-            scale_logs.append(log_scale)
-            cos_w, sin_w = math.cos(wave * width), math.sin(wave * width)
-            psi, dpsi = psi * cos_w + dpsi * sin_w / wave, -psi * wave * sin_w + dpsi * cos_w
-        else:
-            segments.append(Segment("lin", 0.0, z, psi, dpsi))
-            scale_logs.append(log_scale)
-            psi, dpsi = psi + dpsi * width, dpsi
-        renorm = max(abs(psi), abs(dpsi))
-        if renorm > 0.0:
-            psi /= renorm
-            dpsi /= renorm
-            log_scale += math.log(renorm)
-
-    # Norm accumulated with the per-segment scales factored back in.
-    raw_parts = [segments[0].c2 ** 2 / (2.0 * segments[0].rate)]
-    for idx in range(1, len(segments) - 1):
-        width = positions[idx] - positions[idx - 1]
-        raw_parts.append(_square_integral_finite(segments[idx], 0.0, width))
-    raw_parts.append(segments[-1].c1 ** 2 / (2.0 * segments[-1].rate))
-
-    top = max(scale_logs)
-    shifted = math.fsum(p * math.exp(2.0 * (s - top)) for p, s in zip(raw_parts, scale_logs))
-    log_norm = top + 0.5 * math.log(shifted)
-
-    final_segments = []
-    for seg, s in zip(segments, scale_logs):
-        factor = math.exp(s - log_norm)
-        final_segments.append(
-            Segment(seg.kind, seg.rate, seg.x0, factor * seg.c1, factor * seg.c2)
-        )
-    state = PiecewiseExpWavefunction(positions, tuple(final_segments), normalized=True)
-    return BoundState(energy=energy, kappa=kappa, wavefunction=state)
+    logs = np.array(logs)
+    factors = np.exp(logs - logs.max(axis=0))
+    columns = zip(
+        kappas.tolist(), np.array(kinds).T.tolist(), np.array(rates).T.tolist(),
+        (np.array(c1s) * factors).T.tolist(), (np.array(c2s) * factors).T.tolist(),
+    )
+    anchors = (positions[0], *positions)
+    half_h2_over_m = 0.5 * problem.units.hbar**2 / problem.units.mass
+    states = []
+    for kappa, kind_row, rate_row, c1_row, c2_row in columns:
+        segments = tuple(map(Segment, kind_row, rate_row, anchors, c1_row, c2_row))
+        raw = PiecewiseExpWavefunction(positions, segments, normalized=False)
+        states.append(BoundState(-half_h2_over_m * kappa**2, kappa, raw.normalized_copy()))
+    return states
 
 
 def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
@@ -247,93 +229,84 @@ def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
 def find_bound_states(
     problem: DeltaPotentialProblem,
     kappa_max: float | None = None,
-    scan_points: int = DEFAULT_SCAN_POINTS,
     tol: float = DEFAULT_BISECTION_TOL,
 ) -> BoundStateList:
-    """Locate every bound state with decay rate in (0, kappa_max].
+    """Locate every bound state with decay rate in (tol, kappa_max].
 
-    A fixed kappa grid of ``scan_points`` cells is refined 8x, sign changes
-    are bisected to ``tol`` in kappa, and the states come back sorted by
-    ascending energy.  ``scan_too_coarse`` is flagged in the metadata when
-    two roots land in one coarse cell.  Finding no states is an empty list,
-    not an error; kappa = 0 itself (a threshold state) is never scanned.
+    ``tol`` plays two parts: the node count taken at kappa = ``tol`` stands
+    for kappa = 0+ (exactly at 0 a threshold solution can end flat and lose
+    a node), and every root is bisected until its interval is at most
+    ``tol`` wide in kappa.  ``kappa_max`` only caps the search; the default
+    is four times the largest single-delta or single-region rate.
+
+    All states are isolated at once: batched bisection on the node count
+    narrows each state's interval until it holds that state alone, then the
+    same loop bisects on the sign of the tail coefficient.  An interval that
+    reaches ``tol`` or stops splitting in floating point while still holding
+    several states returns each of them at its midpoint and is listed in
+    ``metadata.unresolved``.  States come back sorted by ascending energy;
+    finding none is an empty list, not an error.
     """
-    if scan_points < 64:
-        raise ValueError(f"scan_points must be >= 64, got {scan_points!r}")
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if kappa_max is None:
         kappa_max = _default_kappa_max(problem)
     kappa_max = float(kappa_max)
 
-    coarse_grid = np.linspace(0.0, kappa_max, scan_points + 1)[1:]
-    if kappa_max <= 0.0:
-        metadata = ScanMetadata(
-            kappa_max=kappa_max,
-            scan_points=scan_points,
-            refinement_factor=REFINEMENT_FACTOR,
-            kappa_grid=coarse_grid,
-            brackets=(),
-            root_residuals=(),
-            scan_too_coarse=False,
-        )
-        return BoundStateList(states=(), metadata=metadata)
+    ends = _transfer(problem, np.array([tol, max(kappa_max, tol)]))
+    node_count = int(ends.nodes[0])
+    # state j (j = 0 is the ground state) lies in (lo, hi) when count(lo) > j >= count(hi)
+    j = np.arange(int(ends.nodes[1]), node_count)
+    lo = np.zeros(j.shape)  # 0 stands for 0+, where the count was taken
+    hi = np.full(j.shape, kappa_max)
+    count_lo = np.full(j.shape, node_count)
+    count_hi = np.full(j.shape, int(ends.nodes[1]))
+    tail_lo = np.full(j.shape, ends.tail[0])
+    isolated = (count_lo == j + 1) & (count_hi == j)
+    bracket_lo, bracket_hi = lo.copy(), hi.copy()
 
-    fine_count = REFINEMENT_FACTOR * scan_points
-    fine_grid = np.linspace(0.0, kappa_max, fine_count + 1)[1:]
-    values = _growing_tail_coefficient(problem, fine_grid)
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not active.any():
+            break
+        step = _transfer(problem, mid[active])
+        iso = isolated[active]
+        # an exact root of state j: count(mid) = j states lie above it
+        on_root = (step.tail == 0.0) & (iso | (step.nodes == j[active]))
+        to_lo = np.where(iso, (step.tail < 0.0) == (tail_lo[active] < 0.0), step.nodes > j[active])
+        move_lo, move_hi = to_lo | on_root, ~to_lo | on_root
+        idx = np.flatnonzero(active)
+        lo[idx[move_lo]] = mid[idx[move_lo]]
+        tail_lo[idx[move_lo]] = step.tail[move_lo]
+        hi[idx[move_hi]] = mid[idx[move_hi]]
+        counting = ~iso
+        count_lo[idx[counting & move_lo]] = step.nodes[counting & move_lo]
+        count_hi[idx[counting & move_hi]] = step.nodes[counting & move_hi]
+        newly = ~isolated & (((count_lo == j + 1) & (count_hi == j)) | (lo == hi))
+        bracket_lo[newly], bracket_hi[newly] = lo[newly], hi[newly]
+        isolated |= newly
 
-    brackets: list[tuple[float, float]] = []
-    roots: list[float] = []
-    residuals: list[float] = []
-    for i in range(fine_count - 1):
-        lo, hi = fine_grid[i], fine_grid[i + 1]
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo == 0.0:
-            if not roots or abs(roots[-1] - lo) > max(2.0 * tol, 1e-12 * kappa_max):
-                brackets.append((lo, lo))
-                roots.append(float(lo))
-                residuals.append(0.0)
-            continue
-        if f_lo * f_hi < 0.0:
-            root = _bisect_root(problem, float(lo), float(hi), float(f_lo), tol)
-            if roots and abs(roots[-1] - root) <= max(2.0 * tol, 1e-12 * kappa_max):
-                continue
-            brackets.append((float(lo), float(hi)))
-            roots.append(root)
-            residuals.append(abs(_mismatch_scalar(problem, root)))
-    if values[-1] == 0.0:
-        root = float(fine_grid[-1])
-        if not roots or abs(roots[-1] - root) > max(2.0 * tol, 1e-12 * kappa_max):
-            brackets.append((root, root))
-            roots.append(root)
-            residuals.append(0.0)
-
-    cell = kappa_max / scan_points
-    per_coarse_cell = np.floor_divide(np.asarray(roots), cell).astype(int) if roots else np.array([])
-    scan_too_coarse = bool(
-        len(per_coarse_cell) and np.any(np.bincount(per_coarse_cell) >= 2)
-    )
-
-    states = tuple(_reconstruct_state(problem, k) for k in sorted(roots, reverse=True))
+    roots = 0.5 * (lo + hi)
+    bracket_lo[~isolated], bracket_hi[~isolated] = lo[~isolated], hi[~isolated]
+    final = _transfer(problem, roots)
     metadata = ScanMetadata(
         kappa_max=kappa_max,
-        scan_points=scan_points,
-        refinement_factor=REFINEMENT_FACTOR,
-        kappa_grid=coarse_grid,
-        brackets=tuple(brackets),
-        root_residuals=tuple(residuals),
-        scan_too_coarse=scan_too_coarse,
+        node_count=node_count,
+        brackets=tuple(zip(bracket_lo.tolist(), bracket_hi.tolist())),
+        root_residuals=tuple(np.abs(final.tail).tolist()),
+        unresolved=tuple(sorted(set(zip(lo[~isolated].tolist(), hi[~isolated].tolist())), reverse=True)),
     )
-    return BoundStateList(states=states, metadata=metadata)
+    return BoundStateList(states=tuple(_reconstruct(problem, roots, final)), metadata=metadata)
 
 
 def ground_state(problem: DeltaPotentialProblem, **scan_options) -> BoundState:
     """Lowest-energy bound state; raises NoBoundStatesError if none exist."""
     found = find_bound_states(problem, **scan_options)
     if not found.states:
-        raise NoBoundStatesError("the potential binds no state in the scanned range")
+        raise NoBoundStatesError("the potential binds no state in the searched range")
     return found.states[0]
+
 
 
 def norm_squared(psi: PiecewiseExpWavefunction) -> float:

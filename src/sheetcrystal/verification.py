@@ -1,7 +1,7 @@
 """Self-contained verification suite behind the ``verify`` CLI command.
 
 Every check pits a closed form against an independent numerical route
-(fixed-order Gauss-Legendre panels, the scanning bound-state solver, or
+(fixed-order Gauss-Legendre panels, the node-counting bound-state solver, or
 brute-force lattice sums) and reports the measured residual next to its
 pinned tolerance.  Audit rows are informational: they record measured
 facts (bound-state counts, the deviation of the parity-factor variant of
@@ -186,7 +186,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     checks.append(CheckRow("norm_quadrature_equals_one", worst_quad, 1e-10, worst_quad <= 1e-10))
     checks.append(CheckRow("norm_constant_matches_map_path", worst_map, 1e-12, worst_map <= 1e-12))
 
-    # -- expectation values vs the scanning solver -------------------------
+    # -- expectation values vs the node-counting solver --------------------
     worst_match = 0.0
     worst_sum = 0.0
     for n in range(0, n_max + 1):

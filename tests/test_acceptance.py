@@ -3,8 +3,8 @@
 Each test measures one headline guarantee of the package, prints a single
 PASS/FAIL line with the observed residual, and asserts it against the pinned
 tolerance.  Expected values marked "pinned" were computed with the stated
-independent route (quadrature, brute-force sums, or the scanning solver) and
-frozen here.
+independent route (quadrature, brute-force sums, or the node-counting
+solver) and frozen here.
 """
 
 import math

@@ -231,11 +231,10 @@ def test_sweep_grid(tmp_path, capsys):
     assert np.all(data[:, 8] < 1e-8)
 
 
-def test_sweep_deterministic_and_threaded(tmp_path, capsys, monkeypatch):
+def test_sweep_is_deterministic(tmp_path, capsys):
     cfg = _write(tmp_path, "s.cfg", "N = 0,2\nalpha = 0.5,1\na = 1\n")
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out_a)]) == 0
-    monkeypatch.setenv("SHEETCRYSTAL_THREADS", "3")
     assert main(["sweep", "--config", cfg, "--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()

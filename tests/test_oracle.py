@@ -21,6 +21,7 @@ from sheetcrystal import (
     solve_sheets,
     to_quantum,
 )
+from sheetcrystal import oracle
 from sheetcrystal.wavefunction import PiecewiseExpWavefunction, Segment
 
 
@@ -129,9 +130,11 @@ def test_crystal_ground_state_matches_closed_form_pointwise(atomic):
 
 
 def test_crystal_counts_are_n_plus_one_at_unit_spacing(atomic):
-    # measured fact at alpha*a = 1; recorded as a regression pin
-    for n in range(0, 5):
-        assert len(find_bound_states(_crystal_problem(n))) == n + 1
+    # at alpha*a = 1 the N + 1 states bunch into a band that narrows as N grows
+    for n in [*range(0, 9), 20, 50, 100]:
+        found = find_bound_states(_crystal_problem(n))
+        assert len(found) == found.metadata.node_count == n + 1, n
+        assert not found.metadata.unresolved
 
 
 def test_all_states_satisfy_matching_conditions(atomic):
@@ -154,25 +157,97 @@ def test_scan_is_deterministic(atomic):
     second = find_bound_states(problem)
     assert first.energies == second.energies
     assert first.metadata.brackets == second.metadata.brackets
+    assert first.metadata.root_residuals == second.metadata.root_residuals
     assert [s.kappa for s in first] == [s.kappa for s in second]
 
 
 def test_scan_metadata_contents(atomic):
     found = find_bound_states(_crystal_problem(1))
     meta = found.metadata
-    assert meta.scan_points == 2048
     assert meta.kappa_max == pytest.approx(8.0)
-    assert len(meta.kappa_grid) == 2048
-    assert len(meta.brackets) == len(found)
-    assert not meta.scan_too_coarse
+    assert meta.node_count == len(found) == 2
+    assert meta.unresolved == ()
+    assert len(meta.brackets) == len(meta.root_residuals) == len(found)
+    for (lo, hi), state, residual in zip(meta.brackets, found, meta.root_residuals):
+        assert lo <= state.kappa <= hi
+        assert residual < 1e-12
+    # each bracket isolates its own state: the brackets do not overlap
+    assert meta.brackets[1][1] <= meta.brackets[0][0]
 
 
 def test_scan_parameter_validation(atomic):
     problem = _crystal_problem(0)
-    with pytest.raises(ValueError):
-        find_bound_states(problem, scan_points=32)
-    with pytest.raises(ValueError):
-        find_bound_states(problem, tol=0.0)
+    for tol in (0.0, -1e-13, math.nan):
+        with pytest.raises(ValueError):
+            find_bound_states(problem, tol=tol)
+
+
+def test_kappa_max_caps_the_search_but_not_the_count(atomic):
+    problem = _crystal_problem(4)
+    reference = find_bound_states(problem)
+    capped = find_bound_states(problem, kappa_max=6.0)
+    assert capped.energies == pytest.approx(reference.energies, abs=1e-10)
+    # kappa_max below the ground state's kappa = 1: it is left out, but the node count still sees it
+    below = find_bound_states(problem, kappa_max=0.99)
+    assert below.metadata.node_count == 5
+    assert below.energies == pytest.approx(reference.energies[1:], abs=1e-10)
+
+
+def test_far_apart_doublet_is_resolved(atomic):
+    # the two wells 12 apart split into kappa = 1 +- exp(-2*kappa*6), 1.2e-5
+    # apart, next to a lone state at kappa = 1.3
+    problem = DeltaPotentialProblem([(-6.0, -1.0), (6.0, -1.0), (24.0, -1.3)], [0.0] * 4, atomic)
+    found = find_bound_states(problem)
+    assert len(found) == found.metadata.node_count == 3
+    assert found.states[0].kappa == pytest.approx(1.3, abs=1e-9)
+    for sign, state in zip((1.0, -1.0), found.states[1:]):
+        kappa = 1.0
+        for _ in range(50):
+            kappa = 1.0 + sign * math.exp(-12.0 * kappa)
+        assert state.kappa == pytest.approx(kappa, abs=1e-9)
+
+
+def test_count_is_taken_just_above_threshold(atomic):
+    # N = 4 at alpha*a = 0.5: the kappa = 0 solution ends flat, so the tail
+    # sign there says nothing; the count at 0+ sees both states
+    problem = _crystal_problem(4, sigma=1.0)
+    assert oracle._transfer(problem, np.array([0.0])).tail[0] == 0.0
+    found = find_bound_states(problem)
+    assert len(found) == found.metadata.node_count == 2
+    assert [s.kappa for s in found] == pytest.approx([0.5, 0.4220863645701952], abs=1e-9)
+
+
+def test_unsplittable_cluster_is_returned_and_flagged(atomic):
+    # with tol = 1e-3 the doublet 1.2e-5 apart cannot be split: both states
+    # come back at the cluster's midpoint and the cluster is listed
+    problem = DeltaPotentialProblem([(-6.0, -1.0), (6.0, -1.0), (24.0, -1.3)], [0.0] * 4, atomic)
+    found = find_bound_states(problem, tol=1e-3)
+    meta = found.metadata
+    assert len(found) == meta.node_count == 3
+    assert found.states[0].kappa == pytest.approx(1.3, abs=1e-3)
+    assert len(meta.unresolved) == 1
+    lo, hi = meta.unresolved[0]
+    assert hi - lo <= 1e-3
+    assert lo < 1.0 - 1e-5 and 1.0 + 1e-5 < hi
+    assert meta.brackets[1:] == ((lo, hi), (lo, hi))
+    assert found.states[1].kappa == found.states[2].kappa == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [8, 50])
+def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
+    # about log2(kappa_max/tol) batched passes plus the two ends and the
+    # reconstruction, whatever N; bisecting roots one at a time grows with N
+    calls = []
+    real = oracle._transfer
+
+    def counted(problem, kappas):
+        calls.append(len(kappas))
+        return real(problem, kappas)
+
+    monkeypatch.setattr(oracle, "_transfer", counted)
+    found = find_bound_states(_crystal_problem(n))
+    assert len(found) == n + 1
+    assert len(calls) <= 64
 
 
 def test_degenerate_flat_problem_has_no_states(atomic):

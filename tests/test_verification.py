@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sheetcrystal import CanonicalCrystal, atomic_units, find_bound_states, solve_sheets, to_quantum
 from sheetcrystal import closedform
 from sheetcrystal.cli import main
 from sheetcrystal.verification import CheckRow, VerificationReport, crystal_figure_samples, run_verification
@@ -58,14 +57,3 @@ def test_figure_samples_validation():
     assert len(zs) == len(vals) == 501
     assert np.all(vals > 0)
 
-
-def test_coarse_scan_with_shared_cell_is_flagged():
-    units = atomic_units()
-    problem = to_quantum(solve_sheets(CanonicalCrystal(4, 2.0, 1.0).to_sheet_array(), units), units)
-    found = find_bound_states(problem, kappa_max=6.0, scan_points=64)
-    assert found.metadata.scan_too_coarse
-    assert len(found) == 5  # the refinement pass still separates the pair
-    reference = find_bound_states(problem)
-    assert not reference.metadata.scan_too_coarse
-    for coarse, fine in zip(found.energies, reference.energies):
-        assert coarse == pytest.approx(fine, abs=1e-10)
