@@ -459,6 +459,9 @@ def main(argv=None) -> int:
     except (SheetCrystalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc} (a result exceeds the float range)", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

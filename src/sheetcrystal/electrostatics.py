@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence, Union
 
 from .units import UnitSystem
@@ -120,30 +121,33 @@ class ElectrostaticSolution:
 def solve_sheets(array: SheetArray, units: UnitSystem) -> ElectrostaticSolution:
     """Solve a sheet array for its field, potential, and energy density.
 
-    The field in each region is the superposition of sigma/(2*eps0) half-space
-    contributions; the potential is evaluated in the fixed gauge at every
-    breakpoint and is linear in between with slope -field.
+    The field in region k is half the difference of the side sums,
+    (left_k - right_k)/(2*eps0) = (2*left_k - total)/(2*eps0), taken from
+    one running prefix sum and the total.  The potential is evaluated in the
+    fixed gauge once, at the first sheet, and continued across each region
+    by slope times width, V_k = V_{k-1} - E_k * (z_k - z_{k-1}): the same
+    piecewise-linear continuity that :func:`potential_at` assumes.  Both
+    passes are O(N).
     """
     eps0 = units.eps0
     positions = array.positions
     densities = array.densities
-    n = len(positions)
 
-    fields = []
-    for k in range(n + 1):
-        left = math.fsum(densities[:k])
-        right = math.fsum(densities[k:])
-        fields.append((left - right) / (2.0 * eps0))
+    # The last prefix is the total itself, so the end fields are exactly +-total/(2*eps0).
+    total = math.fsum(densities)
+    lefts = [*accumulate(densities[:-1], initial=0.0), total]
+    fields = [(2.0 * left - total) / (2.0 * eps0) for left in lefts]
 
-    potential = tuple(
-        -0.5 / eps0 * math.fsum(s * abs(z - zn) for zn, s in array.sheets) for z in positions
-    )
+    z0 = positions[0]
+    potential = [-0.5 / eps0 * math.fsum(s * abs(z0 - zn) for zn, s in array.sheets)]
+    for k in range(1, len(positions)):
+        potential.append(potential[-1] - fields[k] * (positions[k] - positions[k - 1]))
 
     return ElectrostaticSolution(
         breakpoints=positions,
         densities=densities,
         region_fields=tuple(fields),
-        potential_values=potential,
+        potential_values=tuple(potential),
         region_slopes=tuple(-f for f in fields),
         E_inf=abs(fields[-1]),
         region_energy_density=tuple(0.5 * eps0 * f * f for f in fields),

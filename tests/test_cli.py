@@ -150,6 +150,22 @@ def test_units_file_validation(tmp_path, capsys):
     assert "a0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("solve", "mode = canonical\nN = 400\nalpha = 1\na = 2\n"),
+        ("sweep", "N = 400\nalpha = 1\na = 2\n"),
+    ],
+)
+def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
+    cfg = _write(tmp_path, "big.cfg", text)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: numeric overflow")
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_is_input_error(capsys):
     assert main(["frobnicate"]) == 1
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sheetcrystal import (
     psi,
     segment_integral_closed,
 )
+from sheetcrystal.closedform import _log_normalization_constant
 
 # Pinned from exact evaluation, cross-checked against quadrature below.
 A_N1 = 1.9906463197512672
@@ -31,10 +33,22 @@ def _params(n, alpha=1.0, a=1.0, units=None):
     return CrystalParams(n, alpha, a, units or atomic_units())
 
 
-def _brute_exponent(p, z):
-    return math.fsum(
-        (-1.0) ** (n + p.N) * abs(z - n * p.a) for n in range(-p.N, p.N + 1)
-    )
+def _brute_exponents(p, zs):
+    """The 2N+1-term site sum S(z) = sum_n (-1)**(n+N) * |z - n*a| at each z.
+
+    Term n is s_n * (z - n*a) with s_n = (-1)**(n+N) * sign(z - n*a), so
+    S = C*z - M*a with the integer sums C = sum s_n and M = sum s_n*n.  That
+    is evaluated in rational arithmetic: summing rounded terms instead carries
+    the rounding of the site positions n*a, ~1e-12 of psi at N = 1000.
+    """
+    n = np.arange(-p.N, p.N + 1)
+    parity = np.where((n + p.N) % 2 == 0, 1, -1)
+    sums = []
+    for z in zs:
+        signed = parity * np.sign(z - n * p.a).astype(int)
+        c, m = int(signed.sum()), int((signed * n).sum())
+        sums.append(float(Fraction(float(z)) * c - Fraction(p.a) * m))
+    return np.array(sums)
 
 
 def _quad_norm(p):
@@ -136,7 +150,7 @@ def test_psi_pinned_values_n1():
     assert psi(p, 1.0) == pytest.approx(A_N1 * math.exp(-1.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 1000])
 def test_psi_is_even(n):
     p = _params(n)
     rng = np.random.default_rng(7)
@@ -144,15 +158,24 @@ def test_psi_is_even(n):
         assert psi(p, float(z)) == pytest.approx(psi(p, float(-z)), rel=1e-12)
 
 
-def test_psi_positive_and_matches_brute_force_exponent():
-    p = _params(3, alpha=0.7, a=1.3)
-    beta = 0.7
-    a_const = normalization_constant(p)
-    for z in np.linspace(-8.0, 8.0, 81):
-        value = psi(p, float(z))
-        assert value > 0.0
-        expected = a_const * math.exp(-beta * _brute_exponent(p, float(z)))
-        assert value == pytest.approx(expected, rel=1e-12)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 100, 1000])
+@pytest.mark.parametrize("alpha,a", [(1.0, 1.0), (0.7, 1.3), (2.0, 0.37)])
+def test_psi_positive_and_matches_brute_force_exponent(n, alpha, a):
+    p = _params(n, alpha=alpha, a=a)
+    beta = alpha  # m*alpha/hbar^2 in atomic units
+    # log A, since A itself overflows at N = 1000
+    log_a = _log_normalization_constant(p)
+    edge = n * a
+    sites = np.arange(-n, n + 1) * a
+    midpoints = (np.arange(-n, n) + 0.5) * a
+    beyond = np.array([0.3, 1.7, 5.0]) + edge
+    grid = np.concatenate(
+        [sites, midpoints, [-edge, edge], beyond, -beyond, np.linspace(-edge - 8.0, edge + 8.0, 81)]
+    )
+    values = np.array([psi(p, float(z)) for z in grid])
+    assert np.all(values > 0.0)
+    expected = np.exp(log_a - beta * _brute_exponents(p, grid))
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -177,6 +200,20 @@ def test_psi_outer_decay_rate_is_exact():
     for step in (0.3, 1.1, 2.9):
         ratio = psi(p, z0 + 1.0 + step) / psi(p, z0 + 1.0)
         assert math.log(ratio) == pytest.approx(-beta * step, rel=1e-12)
+
+
+def test_psi_is_constant_time_at_huge_n():
+    # 2*10**9 + 1 sites: a site sum would run for hours, the site identity answers at once
+    p = _params(10**9)  # m*alpha/hbar^2 = 1
+    big_n, log_a = p.N, _log_normalization_constant(p)
+    for site in (0, 1, 2, 12345, big_n - 1, big_n):
+        closed = math.exp(log_a - p.a * (big_n + (site + big_n) % 2))
+        assert psi(p, site * p.a) == pytest.approx(closed, rel=1e-12)
+        assert psi(p, -site * p.a) == pytest.approx(closed, rel=1e-12)
+    for cell in (0, 1, 12345, big_n - 1):
+        closed = math.exp(log_a - p.a * (big_n + 0.5))  # midway between a*N and a*(N+1)
+        assert psi(p, (cell + 0.5) * p.a) == pytest.approx(closed, rel=1e-12)
+        assert psi(p, -(cell + 0.5) * p.a) == pytest.approx(closed, rel=1e-12)
 
 
 def test_psi_survives_large_exponents_via_log_space():

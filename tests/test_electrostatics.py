@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -218,6 +219,60 @@ def test_energy_density_matches_fields(sheets):
     sol = solve_sheets(_sorted_array(sheets), atomic)
     for field, density in zip(sol.region_fields, sol.region_energy_density):
         assert density == 0.5 * atomic.eps0 * field * field
+
+
+def _superposition(array, eps0):
+    """O(K^2) definition: half the difference of the side sums per region,
+    and the gauge sum -(1/(2*eps0)) * sum_n sigma_n * |z - z_n| at each sheet."""
+    densities = list(array.densities)
+    zs, sigmas = np.array(array.positions), np.array(densities)
+    fields = [
+        (math.fsum(densities[:k]) - math.fsum(densities[k:])) / (2.0 * eps0)
+        for k in range(len(zs) + 1)
+    ]
+    potential = [-0.5 / eps0 * math.fsum((sigmas * np.abs(z - zs)).tolist()) for z in zs]
+    return tuple(fields), tuple(potential)
+
+
+@pytest.mark.parametrize("k", [3, 24, 201, 2001])
+def test_solve_sheets_matches_superposition_on_random_stacks(k, atomic):
+    rng = random.Random(k)
+    z, sheets = 0.0, []
+    for _ in range(k):
+        sheets.append((z, rng.uniform(-3.0, 3.0)))
+        z += rng.uniform(0.2, 2.0)
+    array = SheetArray(sheets)
+    sol = solve_sheets(array, atomic)
+    fields, potential = _superposition(array, atomic.eps0)
+    zs, sigmas = np.array(array.positions), np.abs(np.array(array.densities))
+    field_scale = sigmas.sum() / (2.0 * atomic.eps0)
+    assert np.max(np.abs(np.array(sol.region_fields) - fields)) <= 1e-13 * field_scale
+    scales = np.array([(sigmas * np.abs(z - zs)).sum() for z in zs]) / (2.0 * atomic.eps0)
+    assert np.all(np.abs(np.array(sol.potential_values) - potential) <= 1e-13 * scales)
+
+
+def _crystal_closed_form(n, sigma, a, eps0):
+    """Fields (-1)**(k+1) * sigma/(2*eps0) and site potentials -(sigma*a/(2*eps0))*(N + [n+N odd])."""
+    half = sigma / (2.0 * eps0)
+    fields = tuple(half if k % 2 else -half for k in range(2 * n + 2))
+    potential = tuple(-half * a * (n + (site + n) % 2) for site in range(-n, n + 1))
+    return fields, potential
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 100, 1000])
+def test_solve_sheets_is_exact_on_crystals(n, atomic):
+    sigma, a = 3.0, 0.5  # dyadic, so every sum below is exact
+    array = CanonicalCrystal(n, sigma, a).to_sheet_array()
+    sol = solve_sheets(array, atomic)
+    assert (sol.region_fields, sol.potential_values) == _superposition(array, atomic.eps0)
+    assert (sol.region_fields, sol.potential_values) == _crystal_closed_form(n, sigma, a, atomic.eps0)
+
+
+def test_solve_sheets_is_linear_at_20001_sheets(atomic):
+    # the O(K^2) superposition would take minutes here
+    n, sigma, a = 10_000, 3.0, 0.5
+    sol = solve_sheets(CanonicalCrystal(n, sigma, a).to_sheet_array(), atomic)
+    assert (sol.region_fields, sol.potential_values) == _crystal_closed_form(n, sigma, a, atomic.eps0)
 
 
 def test_potential_extrapolates_linearly_beyond_ends(atomic):
