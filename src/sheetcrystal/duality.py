@@ -272,10 +272,3 @@ def schrodinger_residuals(
 
     continuity = max(psi.continuity_residuals())
     return SchrodingerResidualReport(region, cusp, continuity)
-
-
-def verify_schrodinger_residual(
-    problem: DeltaPotentialProblem, state: GroundStateSolution
-) -> SchrodingerResidualReport:
-    """Residual report for a ground state against its problem."""
-    return schrodinger_residuals(problem, state.wavefunction, state.energy)

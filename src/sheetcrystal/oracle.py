@@ -17,6 +17,13 @@ coefficient, and the pass at the roots rebuilds each state segment by
 segment, so the result is an exact piecewise closed form whose only
 approximation is the location of the root.
 
+A pass is a batch and then a recurrence.  Everything that depends on kappa
+but not on the propagated solution (each region's regime, rate, phase and
+2x2 transfer matrix) is computed at once as (regions, kappas) arrays; the
+Python loop over the sites keeps only the sequential part, the delta jump,
+the 2x2 step and the rescaling, and stores one row per region.  The node
+count and the reconstruction then read those rows as whole arrays.
+
 The propagated pair is rescaled between sites (and exponentials are factored
 as exp(-rate*width) forms), so nothing can overflow no matter how wide or
 deep the regions are.  Identical inputs give identical output, bit for bit.
@@ -84,23 +91,22 @@ class BoundStateList:
         return tuple(s.energy for s in self.states)
 
 
-class _Region(NamedTuple):
-    """Start of one finite region in a :func:`_transfer` pass, per kappa."""
-
-    exp_mask: np.ndarray
-    osc_mask: np.ndarray
-    rate: np.ndarray  # decay rate (exp) or wave number (osc); 1.0 where linear
-    psi: np.ndarray
-    dpsi: np.ndarray
-    renorm: np.ndarray  # positive factor the pair is divided by at the region's end
-
-
 class _Pass(NamedTuple):
-    """Result of :func:`_transfer` at an array of kappas."""
+    """Result of :func:`_transfer` at an array of kappas.
+
+    The 2-D arrays have one row per finite region, the one right of site i
+    in row i, and one column per kappa.
+    """
 
     tail: np.ndarray  # sign-preserving growing-tail coefficient
     nodes: np.ndarray  # zeros of the left-decaying solution on the whole line
-    regions: list[_Region]
+    exp_mask: np.ndarray
+    osc_mask: np.ndarray
+    rate: np.ndarray  # decay rate (exp) or wave number (osc); 1.0 where linear
+    phase: np.ndarray  # rate * width
+    psi: np.ndarray  # pair at the region's left edge, after the site's jump
+    dpsi: np.ndarray
+    renorm: np.ndarray  # positive factor the pair is divided by at the region's end
     psi_last: np.ndarray  # pair just right of the last site
     dpsi_last: np.ndarray
 
@@ -108,67 +114,71 @@ class _Pass(NamedTuple):
 def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
     """Carry the solution decaying toward -inf across the potential, for each kappa.
 
-    The pair is divided by a positive factor after every region, so the tail
-    coefficient keeps its sign but not its magnitude.  Nodes are counted per
-    region: an exponential or linear region holds at most one, seen as a sign
-    change of psi across it; in an oscillatory region the Pruefer phase
-    theta = atan2(psi, psi'/k) advances by exactly k*width; the right tail
-    holds one when the tail coefficient and psi at the last site differ in
-    sign.  An exact zero of psi counts as positive; one landing exactly on a
-    site happens only on a measure-zero set of kappa.
+    The pass is a batch and a loop.  The batch computes every region's
+    regime, rate and transfer matrix at every kappa at once; the loop over
+    the sites keeps only what is sequential, the delta jump, the 2x2 step
+    and a division by a positive factor after every region, so the tail
+    coefficient keeps its sign but not its magnitude.
+
+    Nodes are then counted per region from the stored rows: an exponential
+    or linear region holds at most one, seen as a sign change of psi across
+    it; in an oscillatory region the Pruefer phase theta = atan2(psi, psi'/k)
+    advances by exactly k*width; the right tail holds one when the tail
+    coefficient and psi at the last site differ in sign.  An exact zero of
+    psi counts as positive; one landing exactly on a site happens only on a
+    measure-zero set of kappa.
     """
     units = problem.units
     half_h2_over_m = 0.5 * units.hbar**2 / units.mass
     jump_scale = 2.0 * units.mass / units.hbar**2
-    positions = problem.positions
-    offsets = problem.region_offsets
+    jumps = [jump_scale * g for g in problem.strengths]
+    offsets = np.array(problem.region_offsets[1:-1])[:, None]
+    positions = np.array(problem.positions)
+    widths = (positions[1:] - positions[:-1])[:, None]
 
     kappas = np.asarray(kappas, dtype=float)
     energies = -half_h2_over_m * kappas**2
-    energy_scale = np.maximum(1.0, np.abs(energies))
-    psi = np.ones_like(kappas)
-    dpsi = kappas.copy()
-    nodes = np.zeros_like(kappas)
-    regions = []
+    d = offsets - energies
+    switch = REGIME_SWITCH_RTOL * np.maximum(np.maximum(1.0, np.abs(energies)), np.abs(offsets))
+    exp_mask = d > switch
+    osc_mask = d < -switch
+    # rate^2 = 2m|U - E|/hbar^2; 1.0 in the linear regime keeps the unused branches finite
+    rate = np.sqrt(np.where(exp_mask | osc_mask, np.abs(d / half_h2_over_m), 1.0))
+    phase = rate * widths
+    damp = np.exp(-2.0 * phase)
+    ch = 0.5 * (1.0 + damp)
+    sh = 0.5 * (1.0 - damp)
+    sin_w = np.sin(phase)
+    # region transfer matrix [[diag, up], [down, diag]]; exp rows are scaled by exp(-phase)
+    diag = np.where(exp_mask, ch, np.where(osc_mask, np.cos(phase), 1.0))
+    up = np.where(exp_mask, sh, np.where(osc_mask, sin_w, phase)) / rate
+    down = rate * np.where(exp_mask, sh, np.where(osc_mask, -sin_w, 0.0))
 
-    for i, g in enumerate(problem.strengths):
-        dpsi = dpsi + jump_scale * g * psi
-        if i == len(positions) - 1:
-            break
-        width = positions[i + 1] - positions[i]
-        offset = offsets[i + 1]
-        d = offset - energies
-        switch = REGIME_SWITCH_RTOL * np.maximum(energy_scale, abs(offset))
-        exp_mask = d > switch
-        osc_mask = d < -switch
-        # rate^2 = 2m|U - E|/hbar^2; 1.0 in the linear regime keeps the unused branches finite
-        rate = np.sqrt(np.where(exp_mask | osc_mask, np.abs(d / half_h2_over_m), 1.0))
-        phase = rate * width
-        damp = np.exp(-2.0 * phase)
-        ch = 0.5 * (1.0 + damp)
-        sh = 0.5 * (1.0 - damp)
-        cos_w = np.cos(phase)
-        sin_w = np.sin(phase)
-        # region transfer matrix [[diag, up], [down, diag]]; exp rows are scaled by exp(-phase)
-        diag = np.where(exp_mask, ch, np.where(osc_mask, cos_w, 1.0))
-        up = np.where(exp_mask, sh, np.where(osc_mask, sin_w, phase)) / rate
-        down = rate * np.where(exp_mask, sh, np.where(osc_mask, -sin_w, 0.0))
-        psi_new = diag * psi + up * dpsi
-        dpsi_new = down * psi + diag * dpsi
-
-        theta = np.arctan2(psi, dpsi / rate)
-        turns = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
-        nodes += np.where(osc_mask, turns, (psi < 0.0) != (psi_new < 0.0))
-
+    # psi_end is psi before the division: dividing could flush a tiny negative
+    # value to -0.0 and hide the sign change the node count looks for
+    psi_at, dpsi_at, psi_end, renorm_at = np.empty((4, *d.shape))
+    psi = np.ones(kappas.shape)
+    dpsi = kappas
+    for i in range(len(d)):
+        dpsi = dpsi + jumps[i] * psi
+        psi_at[i], dpsi_at[i] = psi, dpsi
+        psi_new = psi_end[i] = diag[i] * psi + up[i] * dpsi
+        dpsi_new = down[i] * psi + diag[i] * dpsi
         renorm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
-        renorm = np.where(renorm > 0.0, renorm, 1.0)
-        regions.append(_Region(exp_mask, osc_mask, rate, psi, dpsi, renorm))
+        renorm = renorm_at[i] = np.where(renorm > 0.0, renorm, 1.0)
         psi = psi_new / renorm
         dpsi = dpsi_new / renorm
+    dpsi = dpsi + jumps[-1] * psi
 
+    theta = np.arctan2(psi_at, dpsi_at / rate)
+    turns = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
     tail = dpsi + kappas * psi
-    nodes += (tail < 0.0) != (psi < 0.0)
-    return _Pass(tail, nodes.astype(np.int64), regions, psi, dpsi)
+    nodes = np.where(osc_mask, turns, (psi_at < 0.0) != (psi_end < 0.0)).sum(axis=0)
+    nodes = nodes + ((tail < 0.0) != (psi < 0.0))
+    return _Pass(
+        tail, nodes.astype(np.int64), exp_mask, osc_mask, rate, phase,
+        psi_at, dpsi_at, renorm_at, psi, dpsi,
+    )
 
 
 def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass) -> list[BoundState]:
@@ -179,31 +189,35 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
     residual growing-tail coefficient is dropped (it vanishes to the
     bisection tolerance by construction).
     """
-    positions = problem.positions
-    # one row per segment, one column per kappa
-    zero = np.zeros_like(kappas)
-    kinds, rates, c1s, c2s, logs = [np.full(kappas.shape, "exp")], [kappas], [zero], [zero + 1.0], [zero]
-    log_scale = zero
-    for region, z_next, z in zip(path.regions, positions[1:], positions):
-        exp_mask, osc_mask, rate, psi, dpsi, renorm = region
-        kinds.append(np.where(exp_mask, "exp", np.where(osc_mask, "osc", "lin")))
-        rates.append(np.where(exp_mask | osc_mask, rate, 0.0))
-        c1s.append(np.where(exp_mask, (rate * psi - dpsi) / (2.0 * rate), psi))
-        c2s.append(np.where(exp_mask, (rate * psi + dpsi) / (2.0 * rate), np.where(osc_mask, dpsi / rate, dpsi)))
-        logs.append(log_scale)
-        log_scale = log_scale + np.where(exp_mask, rate * (z_next - z), 0.0) + np.log(renorm)
-    kinds.append(np.full(kappas.shape, "exp"))
-    rates.append(kappas)
-    c1s.append((kappas * path.psi_last - path.dpsi_last) / (2.0 * kappas))
-    c2s.append(zero)
-    logs.append(log_scale)
+    exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
+    # one row per segment (left tail, each region, right tail), one column per kappa
+    tail_kind = np.full((1, len(kappas)), "exp")
+    zero = np.zeros((1, len(kappas)))
+    kinds = np.vstack([tail_kind, np.where(exp_mask, "exp", np.where(osc_mask, "osc", "lin")), tail_kind])
+    rates = np.vstack([kappas, np.where(exp_mask | osc_mask, rate, 0.0), kappas])
+    c1s = np.vstack([
+        zero,
+        np.where(exp_mask, (rate * psi - dpsi) / (2.0 * rate), psi),
+        (kappas * path.psi_last - path.dpsi_last) / (2.0 * kappas),
+    ])
+    c2s = np.vstack([
+        zero + 1.0,
+        np.where(exp_mask, (rate * psi + dpsi) / (2.0 * rate), np.where(osc_mask, dpsi / rate, dpsi)),
+        zero,
+    ])
+    # log of what the pass divided out before each region, added in the pass's
+    # order: damping then renorm, region by region
+    steps = np.empty((2 * len(psi), len(kappas)))
+    steps[0::2] = np.where(exp_mask, path.phase, 0.0)
+    steps[1::2] = np.log(path.renorm)
+    logs = np.vstack([zero, zero, np.cumsum(steps, axis=0)[1::2]])
 
-    logs = np.array(logs)
     factors = np.exp(logs - logs.max(axis=0))
     columns = zip(
-        kappas.tolist(), np.array(kinds).T.tolist(), np.array(rates).T.tolist(),
-        (np.array(c1s) * factors).T.tolist(), (np.array(c2s) * factors).T.tolist(),
+        kappas.tolist(), kinds.T.tolist(), rates.T.tolist(),
+        (c1s * factors).T.tolist(), (c2s * factors).T.tolist(),
     )
+    positions = problem.positions
     anchors = (positions[0], *positions)
     half_h2_over_m = 0.5 * problem.units.hbar**2 / problem.units.mass
     states = []
@@ -306,12 +320,6 @@ def ground_state(problem: DeltaPotentialProblem, **scan_options) -> BoundState:
     if not found.states:
         raise NoBoundStatesError("the potential binds no state in the searched range")
     return found.states[0]
-
-
-
-def norm_squared(psi: PiecewiseExpWavefunction) -> float:
-    """Exact integral of psi^2; DivergentTailError if an end grows."""
-    return psi.norm_squared()
 
 
 def expectation_potential_numeric(

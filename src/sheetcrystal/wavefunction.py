@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,11 +57,12 @@ class Segment:
 
     def derivative_coefficients(self) -> "Segment":
         """Segment of the same kind/anchor representing d(psi)/dz."""
-        if self.kind == "exp":
-            return replace(self, c1=-self.rate * self.c1, c2=self.rate * self.c2)
-        if self.kind == "lin":
-            return replace(self, c1=self.c2, c2=0.0)
-        return replace(self, c1=self.rate * self.c2, c2=-self.rate * self.c1)
+        kind, rate, x0, c1, c2 = self.kind, self.rate, self.x0, self.c1, self.c2
+        if kind == "exp":
+            return Segment(kind, rate, x0, -rate * c1, rate * c2)
+        if kind == "lin":
+            return Segment(kind, rate, x0, c2, 0.0)
+        return Segment(kind, rate, x0, rate * c2, -rate * c1)
 
     def derivative(self, z: float) -> float:
         return self.derivative_coefficients().value(z)
@@ -206,5 +207,5 @@ class PiecewiseExpWavefunction:
 
     def normalized_copy(self) -> "PiecewiseExpWavefunction":
         scale = 1.0 / math.sqrt(self.norm_squared())
-        segs = tuple(replace(s, c1=scale * s.c1, c2=scale * s.c2) for s in self.segments)
+        segs = tuple(Segment(s.kind, s.rate, s.x0, scale * s.c1, scale * s.c2) for s in self.segments)
         return PiecewiseExpWavefunction(self.breakpoints, segs, normalized=True)

@@ -22,7 +22,6 @@ from sheetcrystal import (
     schrodinger_residuals,
     solve_sheets,
     to_quantum,
-    verify_schrodinger_residual,
 )
 
 # Pinned from the exact segment integral (cross-checked by quadrature below).
@@ -154,7 +153,8 @@ def test_ground_state_propagates_asymmetric_field_error(atomic):
 
 def test_single_delta_residuals_vanish(atomic):
     sol = _solution([(0.0, 2.0)], atomic)
-    report = verify_schrodinger_residual(to_quantum(sol, atomic), ground_state_from_electrostatics(sol, atomic))
+    gs = ground_state_from_electrostatics(sol, atomic)
+    report = schrodinger_residuals(to_quantum(sol, atomic), gs.wavefunction, gs.energy)
     assert report.max_residual() < 1e-12
 
 
@@ -162,7 +162,7 @@ def test_crystal_cusp_signs_and_residuals(atomic):
     sol = solve_sheets(CanonicalCrystal(1, 2.0, 1.0).to_sheet_array(), atomic)
     prob = to_quantum(sol, atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
-    report = verify_schrodinger_residual(prob, gs)
+    report = schrodinger_residuals(prob, gs.wavefunction, gs.energy)
     assert report.cusp_residual < 1e-12
     psi = gs.wavefunction
     jumps = [
@@ -179,7 +179,7 @@ def test_two_sheet_interior_region_relation(atomic):
     prob = to_quantum(sol, atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
     assert prob.region_offsets[1] == gs.energy  # flat region: U equals E exactly
-    assert verify_schrodinger_residual(prob, gs).region_residual == 0.0
+    assert schrodinger_residuals(prob, gs.wavefunction, gs.energy).region_residual == 0.0
 
 
 def test_breakpoint_mismatch_detected(atomic):
@@ -187,7 +187,7 @@ def test_breakpoint_mismatch_detected(atomic):
     sol_b = _solution([(0.5, 2.0)], atomic)
     state = ground_state_from_electrostatics(sol_a, atomic)
     with pytest.raises(BreakpointMismatchError):
-        verify_schrodinger_residual(to_quantum(sol_b, atomic), state)
+        schrodinger_residuals(to_quantum(sol_b, atomic), state.wavefunction, state.energy)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_round_trip_residuals_for_random_arrays(sheets):
     sol = solve_sheets(SheetArray(sorted(sheets)), atomic)
     prob = to_quantum(sol, atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
-    assert verify_schrodinger_residual(prob, gs).max_residual() < 1e-10
+    assert schrodinger_residuals(prob, gs.wavefunction, gs.energy).max_residual() < 1e-10
 
 
 @given(sheet_lists)
@@ -256,7 +256,7 @@ def test_round_trip_in_consistent_scaled_units():
     sol = solve_sheets(SheetArray([(-1.3, 1.0), (0.2, -0.4), (2.0, 1.7)]), u)
     gs = ground_state_from_electrostatics(sol, u)
     prob = to_quantum(sol, u)
-    assert verify_schrodinger_residual(prob, gs).max_residual() < 1e-10
+    assert schrodinger_residuals(prob, gs.wavefunction, gs.energy).max_residual() < 1e-10
     assert gs.wavefunction.norm_squared() == pytest.approx(1.0, abs=1e-12)
     assert gs.energy == -0.5 * u.eps0 * sol.E_inf**2 * u.a0**3
 

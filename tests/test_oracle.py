@@ -15,7 +15,6 @@ from sheetcrystal import (
     expectation_potential_numeric,
     find_bound_states,
     ground_state,
-    norm_squared,
     psi,
     schrodinger_residuals,
     solve_sheets,
@@ -148,7 +147,7 @@ def test_all_states_satisfy_matching_conditions(atomic):
             report = schrodinger_residuals(problem, state.wavefunction, state.energy)
             assert report.continuity_residual < 1e-12
             assert report.cusp_residual < 1e-9
-            assert norm_squared(state.wavefunction) == pytest.approx(1.0, abs=1e-10)
+            assert state.wavefunction.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scan_is_deterministic(atomic):
@@ -250,6 +249,130 @@ def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
     assert len(calls) <= 64
 
 
+def _transfer_reference(problem, kappas):
+    """The pass as a per-region loop: every quantity computed region by region.
+
+    Returns the tail coefficient, the node count, one (exp_mask, osc_mask,
+    rate, psi, dpsi, renorm) tuple per region and the pair after the last site.
+    """
+    units = problem.units
+    half_h2_over_m = 0.5 * units.hbar**2 / units.mass
+    jump_scale = 2.0 * units.mass / units.hbar**2
+    positions = problem.positions
+    offsets = problem.region_offsets
+
+    energies = -half_h2_over_m * kappas**2
+    energy_scale = np.maximum(1.0, np.abs(energies))
+    psi = np.ones_like(kappas)
+    dpsi = kappas.copy()
+    nodes = np.zeros_like(kappas)
+    regions = []
+
+    for i, g in enumerate(problem.strengths):
+        dpsi = dpsi + jump_scale * g * psi
+        if i == len(positions) - 1:
+            break
+        width = positions[i + 1] - positions[i]
+        offset = offsets[i + 1]
+        d = offset - energies
+        switch = oracle.REGIME_SWITCH_RTOL * np.maximum(energy_scale, abs(offset))
+        exp_mask = d > switch
+        osc_mask = d < -switch
+        rate = np.sqrt(np.where(exp_mask | osc_mask, np.abs(d / half_h2_over_m), 1.0))
+        phase = rate * width
+        damp = np.exp(-2.0 * phase)
+        ch = 0.5 * (1.0 + damp)
+        sh = 0.5 * (1.0 - damp)
+        cos_w = np.cos(phase)
+        sin_w = np.sin(phase)
+        diag = np.where(exp_mask, ch, np.where(osc_mask, cos_w, 1.0))
+        up = np.where(exp_mask, sh, np.where(osc_mask, sin_w, phase)) / rate
+        down = rate * np.where(exp_mask, sh, np.where(osc_mask, -sin_w, 0.0))
+        psi_new = diag * psi + up * dpsi
+        dpsi_new = down * psi + diag * dpsi
+
+        theta = np.arctan2(psi, dpsi / rate)
+        turns = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
+        nodes += np.where(osc_mask, turns, (psi < 0.0) != (psi_new < 0.0))
+
+        renorm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
+        renorm = np.where(renorm > 0.0, renorm, 1.0)
+        regions.append((exp_mask, osc_mask, rate, psi, dpsi, renorm))
+        psi = psi_new / renorm
+        dpsi = dpsi_new / renorm
+
+    tail = dpsi + kappas * psi
+    nodes += (tail < 0.0) != (psi < 0.0)
+    return tail, nodes.astype(np.int64), regions, psi, dpsi
+
+
+def _random_stack_problem(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 25))
+    positions = np.cumsum(rng.uniform(0.2, 2.0, k))
+    while True:
+        densities = rng.uniform(-3.0, 3.0, k)
+        if densities.sum() > 0.0:
+            break
+    units = atomic_units()
+    sheets = SheetArray(list(zip(positions.tolist(), densities.tolist())))
+    return to_quantum(solve_sheets(sheets, units), units)
+
+
+_RTOL = oracle.REGIME_SWITCH_RTOL
+_REFERENCE_PROBLEMS = {
+    **{f"crystal-{n}": _crystal_problem(n) for n in (0, 1, 8, 50)},
+    **{f"stack-{seed}": _random_stack_problem(seed) for seed in range(4)},
+    # a deep well (osc) between barriers (exp)
+    "osc-exp": DeltaPotentialProblem(
+        [(-1.0, 0.3), (0.5, -2.0), (2.0, 0.4)], [0.0, -5.0, 1.5, 0.0], atomic_units()
+    ),
+    # the interior offset -2 equals E at kappa = 2 (lin)
+    "lin": DeltaPotentialProblem([(-1.0, -1.0), (1.0, -1.0)], [0.0, -2.0, 0.0], atomic_units()),
+    # at kappa = 0 both interior regions sit exactly on the regime switch
+    "switch-boundary": DeltaPotentialProblem(
+        [(-1.0, -1.0), (0.0, 0.5), (1.0, -1.0)], [0.0, _RTOL, -_RTOL, 0.0], atomic_units()
+    ),
+    # exp(-2 * rate * width) underflows to 0
+    "wide-barrier": DeltaPotentialProblem([(0.0, -1.0), (400.0, -1.0)], [0.0, 2.0, 0.0], atomic_units()),
+}
+_REFERENCE_KAPPAS = {
+    "none": [],
+    "one": [0.7],
+    "many": [0.0, 1e-13, *np.linspace(0.01, 6.0, 40), 1.0, 2.0, 2.0 + 1e-12, 2.0 - 1e-12, 1e-6],
+}
+
+
+def _same_bits(new, reference):
+    new, reference = np.asarray(new), np.asarray(reference)
+    return new.dtype == reference.dtype and new.shape == reference.shape and new.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("kappas", _REFERENCE_KAPPAS.values(), ids=_REFERENCE_KAPPAS.keys())
+@pytest.mark.parametrize("problem", _REFERENCE_PROBLEMS.values(), ids=_REFERENCE_PROBLEMS.keys())
+def test_transfer_is_bit_identical_to_per_region_loop(problem, kappas):
+    kappas = np.array(kappas, dtype=float)
+    path = oracle._transfer(problem, kappas)
+    tail, nodes, regions, psi_last, dpsi_last = _transfer_reference(problem, kappas)
+    assert _same_bits(path.tail, tail)
+    assert _same_bits(path.nodes, nodes)
+    assert _same_bits(path.psi_last, psi_last)
+    assert _same_bits(path.dpsi_last, dpsi_last)
+    assert len(path.psi) == len(regions) == len(problem.deltas) - 1
+    names = ("exp_mask", "osc_mask", "rate", "psi", "dpsi", "renorm")
+    for i, region in enumerate(regions):
+        for name, expected in zip(names, region):
+            assert _same_bits(getattr(path, name)[i], expected), (name, i)
+
+
+def test_regime_switch_boundary_is_linear():
+    path = oracle._transfer(_REFERENCE_PROBLEMS["switch-boundary"], np.array([0.0, 1e-6]))
+    assert not path.exp_mask[:, 0].any() and not path.osc_mask[:, 0].any()
+    # just above kappa = 0 the barrier side turns exponential, the well side stays linear
+    assert path.exp_mask[:, 1].tolist() == [True, False]
+    assert not path.osc_mask[:, 1].any()
+
+
 def test_degenerate_flat_problem_has_no_states(atomic):
     problem = DeltaPotentialProblem([(0.0, 0.0)], [0.0, 0.0], atomic)
     assert len(find_bound_states(problem)) == 0
@@ -266,7 +389,7 @@ def test_norm_squared_textbook_case():
         segments=(Segment("exp", 1.0, 0.0, 0.0, 1.0), Segment("exp", 1.0, 0.0, 1.0, 0.0)),
         normalized=False,
     )
-    assert norm_squared(raw) == pytest.approx(1.0, abs=1e-15)
+    assert raw.norm_squared() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_single_delta_expectations(atomic):
