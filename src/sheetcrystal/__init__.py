@@ -16,9 +16,6 @@ from .closedform import (
 )
 from .duality import (
     DeltaPotentialProblem,
-    GroundStateSolution,
-    NormalizabilityReport,
-    SchrodingerResidualReport,
     check_normalizable,
     ground_state_from_electrostatics,
     schrodinger_residuals,
@@ -27,7 +24,6 @@ from .duality import (
 from .electrostatics import (
     BoundaryField,
     CanonicalCrystal,
-    ElectrostaticSolution,
     SheetArray,
     field_at,
     potential_at,
@@ -43,9 +39,6 @@ from .errors import (
     SheetCrystalError,
 )
 from .oracle import (
-    BoundState,
-    BoundStateList,
-    ScanMetadata,
     expectation_kinetic_numeric,
     expectation_potential_numeric,
     find_bound_states,
@@ -58,22 +51,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetricAsymptoticFieldError",
-    "BoundState",
-    "BoundStateList",
     "BoundaryField",
     "BreakpointMismatchError",
     "CanonicalCrystal",
     "CrystalParams",
     "DeltaPotentialProblem",
     "DivergentTailError",
-    "ElectrostaticSolution",
-    "GroundStateSolution",
     "NoBoundStatesError",
-    "NormalizabilityReport",
     "NotNormalizableError",
     "PiecewiseExpWavefunction",
-    "ScanMetadata",
-    "SchrodingerResidualReport",
     "Segment",
     "SheetArray",
     "SheetCrystalError",

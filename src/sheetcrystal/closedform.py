@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .electrostatics import _validate_crystal
 from .units import UnitSystem
 
 
@@ -36,15 +37,7 @@ class CrystalParams:
     units: UnitSystem
 
     def __post_init__(self) -> None:
-        if isinstance(self.N, bool) or not isinstance(self.N, int):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
-        if self.N < 0:
-            raise ValueError(f"N must be >= 0, got {self.N!r}")
-        for name in ("alpha", "a"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        _validate_crystal(self, "alpha", "a")
 
 
 def _decay_rate(p: CrystalParams) -> float:

@@ -61,6 +61,22 @@ class SheetArray:
         return math.fsum(s for _, s in self.sheets)
 
 
+def _validate_crystal(crystal, *positive: str) -> None:
+    """Check a frozen crystal's integer ``N >= 0`` and its ``positive`` fields.
+
+    Each named field must be finite and > 0; it is stored back as a float.
+    """
+    if isinstance(crystal.N, bool) or not isinstance(crystal.N, int):
+        raise ValueError(f"N must be an integer, got {crystal.N!r}")
+    if crystal.N < 0:
+        raise ValueError(f"N must be >= 0, got {crystal.N!r}")
+    for name in positive:
+        value = float(getattr(crystal, name))
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        object.__setattr__(crystal, name, value)
+
+
 @dataclass(frozen=True)
 class CanonicalCrystal:
     """Evenly spaced alternating stack with positive sheets at both ends.
@@ -76,15 +92,7 @@ class CanonicalCrystal:
     a: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.N, bool) or not isinstance(self.N, int):
-            raise ValueError(f"N must be an integer, got {self.N!r}")
-        if self.N < 0:
-            raise ValueError(f"N must be >= 0, got {self.N!r}")
-        for name in ("sigma", "a"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, value)
+        _validate_crystal(self, "sigma", "a")
 
     def to_sheet_array(self) -> SheetArray:
         return SheetArray(

@@ -84,6 +84,7 @@ def test_ground_energy_reference_values():
     assert ground_energy(_params(0)) == -0.5
     assert ground_energy(_params(3)) == -0.5  # independent of N
     assert ground_energy(_params(0, alpha=2.0)) == -2.0
+    assert ground_energy(_params(0, alpha=0.5)) == -0.125
 
 
 def test_ground_energy_uses_units():
@@ -178,7 +179,7 @@ def test_psi_positive_and_matches_brute_force_exponent(n, alpha, a):
     np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_psi_cusp_slope_jump_signs(n):
     p = _params(n)
     h = 1e-7

@@ -81,11 +81,13 @@ def test_negative_sheet_not_normalizable(atomic):
     verdict = check_normalizable(_solution([(0.0, -2.0)], atomic))
     assert not verdict
     assert "-inf" in verdict.reason and "+inf" in verdict.reason
+    assert "decay" in verdict.reason
 
 
 def test_zero_total_density_not_normalizable(atomic):
     verdict = check_normalizable(_solution([(-1.0, 1.0), (1.0, -1.0)], atomic))
     assert not verdict
+    assert "decay" in verdict.reason
 
 
 def test_alternating_with_negative_outer_sheets_rejected(atomic):
@@ -93,6 +95,7 @@ def test_alternating_with_negative_outer_sheets_rejected(atomic):
     sheets = [(-1.0, -2.0), (0.0, 2.0), (1.0, -2.0)]
     verdict = check_normalizable(_solution(sheets, atomic))
     assert not verdict
+    assert "decay" in verdict.reason
 
 
 # ---------------------------------------------------------------------------

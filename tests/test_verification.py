@@ -1,7 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sheetcrystal import closedform
+from sheetcrystal import closedform, oracle
 from sheetcrystal.cli import main
 from sheetcrystal.verification import CheckRow, VerificationReport, crystal_figure_samples, run_verification
 
@@ -39,6 +42,42 @@ def test_injected_sign_error_exits_2(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] expectations_match_solver" in out
     assert "CHECKS FAILED" in out
+
+
+def test_quick_battery_solves_each_configuration_once(monkeypatch):
+    # 3 single deltas, 5 crystals, the two-sheet well and the uneven stack,
+    # then one determinism rerun per crystal
+    real = oracle.find_bound_states
+    calls = []
+
+    def counted(problem, **options):
+        calls.append(problem)
+        return real(problem, **options)
+
+    monkeypatch.setattr(oracle, "find_bound_states", counted)
+    assert run_verification("quick").all_passed
+    assert len(calls) <= 15
+
+
+def test_determinism_check_catches_a_one_ulp_rerun(monkeypatch):
+    # the stored solves are shared by every section, so the rerun must still
+    # be compared with them, bit for bit
+    real = oracle.find_bound_states
+    seen = set()
+
+    def shifted_on_rerun(problem, **options):
+        found = real(problem, **options)
+        key = (problem.positions, problem.strengths)
+        if key not in seen:
+            seen.add(key)
+            return found
+        states = tuple(replace(s, energy=math.nextafter(s.energy, math.inf)) for s in found.states)
+        return replace(found, states=states)
+
+    monkeypatch.setattr(oracle, "find_bound_states", shifted_on_rerun)
+    report = run_verification("quick")
+    failing = {row.name for row in report.checks if not row.passed}
+    assert failing == {"bound_state_count_deterministic"}
 
 
 def test_report_formatting_of_failures():
