@@ -28,6 +28,16 @@ from .wavefunction import PiecewiseExpWavefunction, Segment
 ASYMPTOTIC_FIELD_RTOL = 1e-12
 
 
+def nan_max(*values: float) -> float:
+    """The largest value, or NaN when any value is NaN.
+
+    The builtin ``max`` drops a NaN that is not its first argument, because
+    every comparison with NaN is false, so a residual made NaN by a defect
+    would read as the largest finite one and pass its check.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 @dataclass(frozen=True)
 class DeltaPotentialProblem:
     """Delta potentials at ordered positions plus piecewise-constant offsets.
@@ -111,7 +121,7 @@ class SchrodingerResidualReport:
     continuity_residual: float
 
     def max_residual(self) -> float:
-        return max(self.region_residual, self.cusp_residual, self.continuity_residual)
+        return nan_max(self.region_residual, self.cusp_residual, self.continuity_residual)
 
 
 def _check_end_fields(sol: ElectrostaticSolution) -> None:
@@ -239,7 +249,8 @@ def schrodinger_residuals(
 
     Checks, per region, the curvature relation between the segment rate and
     offset ( -(hbar^2/2m)*psi''/psi + U_k == E ); at each delta, the slope
-    jump against (2m*g/hbar^2)*psi; and value continuity everywhere.
+    jump against (2m*g/hbar^2)*psi; and value continuity everywhere.  A NaN
+    defect anywhere makes its residual NaN, so no check can pass on it.
 
     Raises
     ------
@@ -254,7 +265,7 @@ def schrodinger_residuals(
     units = problem.units
     half_h2_over_m = 0.5 * units.hbar**2 / units.mass
 
-    region = 0.0
+    region = [0.0]
     for seg, offset in zip(psi.segments, problem.region_offsets):
         if seg.kind == "exp":
             local_energy = -half_h2_over_m * seg.rate**2 + offset
@@ -262,13 +273,12 @@ def schrodinger_residuals(
             local_energy = offset
         else:
             local_energy = half_h2_over_m * seg.rate**2 + offset
-        region = max(region, abs(local_energy - energy))
+        region.append(abs(local_energy - energy))
 
     jump_scale = 2.0 * units.mass / units.hbar**2
-    cusp = 0.0
+    cusp = [0.0]
     for z, g in problem.deltas:
         slope_jump = psi.derivative(z, side="right") - psi.derivative(z, side="left")
-        cusp = max(cusp, abs(slope_jump - jump_scale * g * psi.value(z)))
+        cusp.append(abs(slope_jump - jump_scale * g * psi.value(z)))
 
-    continuity = max(psi.continuity_residuals())
-    return SchrodingerResidualReport(region, cusp, continuity)
+    return SchrodingerResidualReport(nan_max(*region), nan_max(*cusp), nan_max(*psi.continuity_residuals()))

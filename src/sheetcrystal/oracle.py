@@ -12,10 +12,11 @@ than kappa, so the count stays exact however closely the states crowd.
 :func:`find_bound_states` counts, isolates, refines and reconstructs, and
 every step is the same vectorised pass over an array of kappas: the count at
 kappa = 0+ gives the number of states, batched bisection on the count
-isolates each one, the same loop then bisects on the sign of the tail
-coefficient, and the pass at the roots rebuilds each state segment by
-segment, so the result is an exact piecewise closed form whose only
-approximation is the location of the root.
+isolates each one, the same loop then refines each isolated state by
+regula falsi with the Illinois modification on the tail coefficient, and
+the pass at the roots rebuilds each state segment by segment, so the result
+is an exact piecewise closed form whose only approximation is the location
+of the root.
 
 A pass is a batch and then a recurrence.  Everything that depends on kappa
 but not on the propagated solution (each region's regime, rate, phase and
@@ -40,7 +41,7 @@ import numpy as np
 from .duality import DeltaPotentialProblem
 from .errors import BreakpointMismatchError, NoBoundStatesError
 from .units import UnitSystem
-from .wavefunction import PiecewiseExpWavefunction, Segment
+from .wavefunction import PiecewiseExpWavefunction, Segment, region_square_integrals
 
 REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
@@ -186,8 +187,10 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
 
     Each segment's coefficients carry the running log of the factors the
     pass divided out, so deep tails cannot underflow the bookkeeping; the
-    residual growing-tail coefficient is dropped (it vanishes to the
-    bisection tolerance by construction).
+    residual growing-tail coefficient is dropped (it vanishes to the root
+    tolerance by construction).  Each state's norm comes from its coefficient
+    rows, so every segment is built once, already scaled, with the bits
+    ``normalized_copy`` of the raw state would give.
     """
     exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
     # one row per segment (left tail, each region, right tail), one column per kappa
@@ -222,9 +225,13 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
     half_h2_over_m = 0.5 * problem.units.hbar**2 / problem.units.mass
     states = []
     for kappa, kind_row, rate_row, c1_row, c2_row in columns:
+        norm_squared = math.fsum(region_square_integrals(positions, zip(kind_row, rate_row, c1_row, c2_row)))
+        scale = 1.0 / math.sqrt(norm_squared)
+        c1_row = [scale * c for c in c1_row]
+        c2_row = [scale * c for c in c2_row]
         segments = tuple(map(Segment, kind_row, rate_row, anchors, c1_row, c2_row))
-        raw = PiecewiseExpWavefunction(positions, segments, normalized=False)
-        states.append(BoundState(-half_h2_over_m * kappa**2, kappa, raw.normalized_copy()))
+        wavefunction = PiecewiseExpWavefunction(positions, segments, normalized=True)
+        states.append(BoundState(-half_h2_over_m * kappa**2, kappa, wavefunction))
     return states
 
 
@@ -249,17 +256,25 @@ def find_bound_states(
 
     ``tol`` plays two parts: the node count taken at kappa = ``tol`` stands
     for kappa = 0+ (exactly at 0 a threshold solution can end flat and lose
-    a node), and every root is bisected until its interval is at most
-    ``tol`` wide in kappa.  ``kappa_max`` only caps the search; the default
-    is four times the largest single-delta or single-region rate.
+    a node), and every root's interval is narrowed until it is at most
+    ``tol`` wide in kappa; the root is its midpoint.  ``kappa_max`` only caps
+    the search; the default is four times the largest single-delta or
+    single-region rate.
 
     All states are isolated at once: batched bisection on the node count
-    narrows each state's interval until it holds that state alone, then the
-    same loop bisects on the sign of the tail coefficient.  An interval that
-    reaches ``tol`` or stops splitting in floating point while still holding
-    several states returns each of them at its midpoint and is listed in
-    ``metadata.unresolved``.  States come back sorted by ascending energy;
-    finding none is an empty list, not an error.
+    narrows each state's interval until it holds that state alone.  From
+    then on, in the same loop, the state steps to the regula falsi point of
+    the tail coefficient at its two ends, with the Illinois modification
+    (Dowell & Jarratt, BIT 11, 168 (1971)): an end kept twice in a row has
+    its weight halved.  The tail is the true coefficient divided by positive
+    factors continuous in kappa, so it serves as it is.  The point is kept
+    ``tol``/2 inside the interval, so once it lands next to the root the
+    interval closes; where it is not finite or the two ends agree in sign
+    the step bisects.  An interval that reaches ``tol`` or stops splitting
+    in floating point while still holding several states returns each of
+    them at its midpoint and is listed in ``metadata.unresolved``.  States
+    come back sorted by ascending energy; finding none is an empty list,
+    not an error.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
@@ -275,7 +290,10 @@ def find_bound_states(
     hi = np.full(j.shape, kappa_max)
     count_lo = np.full(j.shape, node_count)
     count_hi = np.full(j.shape, int(ends.nodes[1]))
+    # the tail at each end, the weight of regula falsi; an end kept twice in a row is halved
     tail_lo = np.full(j.shape, ends.tail[0])
+    tail_hi = np.full(j.shape, ends.tail[1])
+    last_move = np.zeros(j.shape, dtype=np.int8)  # +1 lo moved, -1 hi moved, 0 counting
     isolated = (count_lo == j + 1) & (count_hi == j)
     bracket_lo, bracket_hi = lo.copy(), hi.copy()
 
@@ -284,16 +302,31 @@ def find_bound_states(
         active = (hi - lo > tol) & (lo < mid) & (mid < hi)
         if not active.any():
             break
-        step = _transfer(problem, mid[active])
+        # an isolated state steps to the Illinois point, kept tol/2 inside its
+        # bracket so that a point landing next to the root closes the bracket;
+        # where tol/2 is below the float spacing the clamped point can sit on
+        # an end, and stepping there would make no progress
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            falsi = (lo * tail_hi - hi * tail_lo) / (tail_hi - tail_lo)
+        usable = isolated & np.isfinite(falsi) & ((tail_lo < 0.0) != (tail_hi < 0.0))
+        falsi = np.clip(falsi, lo + 0.5 * tol, hi - 0.5 * tol)
+        point = np.where(usable & (lo < falsi) & (falsi < hi), falsi, mid)
+        step = _transfer(problem, point[active])
         iso = isolated[active]
-        # an exact root of state j: count(mid) = j states lie above it
+        # an exact root of state j: count(point) = j states lie above it
         on_root = (step.tail == 0.0) & (iso | (step.nodes == j[active]))
         to_lo = np.where(iso, (step.tail < 0.0) == (tail_lo[active] < 0.0), step.nodes > j[active])
         move_lo, move_hi = to_lo | on_root, ~to_lo | on_root
         idx = np.flatnonzero(active)
-        lo[idx[move_lo]] = mid[idx[move_lo]]
+        moved = np.where(move_lo, 1, -1)
+        again = iso & (last_move[idx] == moved)
+        tail_hi[idx[again & move_lo]] *= 0.5
+        tail_lo[idx[again & move_hi]] *= 0.5
+        last_move[idx] = np.where(iso, moved, 0)
+        lo[idx[move_lo]] = point[idx[move_lo]]
         tail_lo[idx[move_lo]] = step.tail[move_lo]
-        hi[idx[move_hi]] = mid[idx[move_hi]]
+        hi[idx[move_hi]] = point[idx[move_hi]]
+        tail_hi[idx[move_hi]] = step.tail[move_hi]
         counting = ~iso
         count_lo[idx[counting & move_lo]] = step.nodes[counting & move_lo]
         count_hi[idx[counting & move_hi]] = step.nodes[counting & move_hi]

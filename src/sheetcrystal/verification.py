@@ -3,7 +3,8 @@
 Every check pits a closed form against an independent numerical route
 (fixed-order Gauss-Legendre panels, the node-counting bound-state solver, or
 brute-force lattice sums) and reports the measured residual next to its
-pinned tolerance.  Audit rows are informational: they record measured
+pinned tolerance; residuals are combined with ``nan_max``, so a NaN
+anywhere fails its row.  Audit rows are informational: they record measured
 facts (bound-state counts, the deviation of the parity-factor variant of
 the norm formula) without contributing to the pass/fail verdict.
 
@@ -29,6 +30,7 @@ from .duality import (
     GroundStateSolution,
     check_normalizable,
     ground_state_from_electrostatics,
+    nan_max,
     schrodinger_residuals,
     to_quantum,
 )
@@ -171,7 +173,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
         prob = to_quantum(solve_sheets(SheetArray([(0.0, 2.0 * alpha)]), units), units)
         state = oracle.ground_state(prob)
         p = CrystalParams(0, alpha, 1.0, units)
-        worst = max(
+        worst = nan_max(
             worst,
             abs(state.energy - expected),
             abs(closedform.ground_energy(p) - expected),
@@ -187,7 +189,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     # -- energy independent of crystal size --------------------------------
     worst = 0.0
     for p, c in zip(params, crystals):
-        worst = max(
+        worst = nan_max(
             worst,
             abs(c.found.states[0].energy + 0.5),
             abs(closedform.ground_energy(p) + 0.5),
@@ -199,10 +201,10 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     worst_quad = 0.0
     worst_map = 0.0
     for p, c, norm in zip(params, crystals, quad_norms):
-        worst_quad = max(worst_quad, abs(norm - 1.0))
+        worst_quad = nan_max(worst_quad, abs(norm - 1.0))
         a_map = c.dual.norm_constant
         a_closed = closedform.normalization_constant(p)
-        worst_map = max(worst_map, abs(a_closed - a_map) / a_map)
+        worst_map = nan_max(worst_map, abs(a_closed - a_map) / a_map)
     checks.append(CheckRow("norm_quadrature_equals_one", worst_quad, 1e-10, worst_quad <= 1e-10))
     checks.append(CheckRow("norm_constant_matches_map_path", worst_map, 1e-12, worst_map <= 1e-12))
 
@@ -215,9 +217,9 @@ def run_verification(depth: str = "quick") -> VerificationReport:
         t_closed = closedform.expectation_kinetic(p)
         u_num = oracle.expectation_potential_numeric(state.wavefunction, c.problem)
         t_num = oracle.expectation_kinetic_numeric(state.wavefunction, c.problem.units)
-        worst_match = max(worst_match, abs(u_closed - u_num), abs(t_closed - t_num))
-        worst_sum = max(worst_sum, abs(u_closed + t_closed - closedform.ground_energy(p)))
-    worst_spot = max(
+        worst_match = nan_max(worst_match, abs(u_closed - u_num), abs(t_closed - t_num))
+        worst_sum = nan_max(worst_sum, abs(u_closed + t_closed - closedform.ground_energy(p)))
+    worst_spot = nan_max(
         abs(closedform.expectation_potential(params[0]) + 1.0),
         abs(closedform.expectation_kinetic(params[0]) - 0.5),
     )
@@ -255,17 +257,17 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     for n_sites in range(0, identity_n_max + 1):
         for site in range(-n_sites, n_sites + 1):
             lhs, rhs = closedform.identity_abs_sum(site, n_sites)
-            worst_b5 = max(worst_b5, abs(lhs - rhs))
+            worst_b5 = nan_max(worst_b5, abs(lhs - rhs))
     xs = np.linspace(-5.0, 5.0, 21)
     worst_exp = 0.0
     worst_sinh = 0.0
     for n_sites in range(0, identity_n_max + 1):
         for x in xs:
             lhs, rhs = closedform.identity_alternating_exp(n_sites, float(x))
-            worst_exp = max(worst_exp, abs(lhs - rhs) / max(1.0, abs(rhs)))
+            worst_exp = nan_max(worst_exp, abs(lhs - rhs) / max(1.0, abs(rhs)))
             if n_sites >= 1:
                 lhs, rhs = closedform.identity_sinh_parity(n_sites, float(x))
-                worst_sinh = max(worst_sinh, abs(lhs - rhs) / max(1.0, abs(rhs)))
+                worst_sinh = nan_max(worst_sinh, abs(lhs - rhs) / max(1.0, abs(rhs)))
     checks.append(CheckRow("identity_site_distance_sum", worst_b5, 0.5, worst_b5 == 0))
     checks.append(CheckRow("identity_alternating_exp", worst_exp, 1e-13, worst_exp <= 1e-13))
     checks.append(CheckRow("identity_sinh_parity", worst_sinh, 1e-13, worst_sinh <= 1e-13))
@@ -275,7 +277,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
         for r in (-10.0, -2.0, -0.7, 0.5, 2.0, 10.0):
             closed = closedform.segment_integral_closed(n_sites, r, 1.0)
             numeric = _quad_core_exponential(n_sites, r, 1.0)
-            worst_core = max(worst_core, abs(closed - numeric) / max(1.0, abs(numeric)))
+            worst_core = nan_max(worst_core, abs(closed - numeric) / max(1.0, abs(numeric)))
     checks.append(CheckRow("core_integral_closed_vs_quadrature", worst_core, 1e-10, worst_core <= 1e-10))
 
     # -- boundary conditions on every solved configuration -----------------
@@ -290,12 +292,12 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             h = 0.25 * min(width_left, width_right)
             slope_right = (potential_at(sol, z + h) - potential_at(sol, z)) / h
             slope_left = (potential_at(sol, z) - potential_at(sol, z - h)) / h
-            worst_slope = max(worst_slope, abs((slope_right - slope_left) + sigma / units.eps0))
+            worst_slope = nan_max(worst_slope, abs((slope_right - slope_left) + sigma / units.eps0))
         states = solved.found.states if solved.dual is None else (solved.dual, *solved.found.states)
         for state in states:
             rep = schrodinger_residuals(solved.problem, state.wavefunction, state.energy)
-            worst_cusp = max(worst_cusp, rep.cusp_residual)
-            worst_cont = max(worst_cont, rep.continuity_residual)
+            worst_cusp = nan_max(worst_cusp, rep.cusp_residual)
+            worst_cont = nan_max(worst_cont, rep.continuity_residual)
     checks.append(CheckRow("wavefunction_continuity", worst_cont, 1e-12, worst_cont <= 1e-12))
     checks.append(CheckRow("delta_cusp_condition", worst_cusp, 1e-9, worst_cusp <= 1e-9))
     checks.append(CheckRow("potential_slope_jump", worst_slope, 1e-12, worst_slope <= 1e-12))
@@ -310,10 +312,10 @@ def run_verification(depth: str = "quick") -> VerificationReport:
         fig_ok &= bool(np.allclose(vals, vals[::-1], rtol=0, atol=1e-12))
         tail = zs > n + 1
         rates = np.diff(np.log(vals[tail])) / np.diff(zs[tail])
-        worst_fig = max(worst_fig, float(np.max(np.abs(rates + 1.0))))
+        worst_fig = nan_max(worst_fig, float(np.max(np.abs(rates + 1.0))))
         if n in spots:
             center, peak = spots[n]
-            worst_fig = max(
+            worst_fig = nan_max(
                 worst_fig,
                 abs(closedform.psi(params[n], 0.0) - center),
                 abs(closedform.psi(params[n], 1.0) - peak),

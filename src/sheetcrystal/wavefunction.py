@@ -68,11 +68,10 @@ class Segment:
         return self.derivative_coefficients().value(z)
 
 
-def _square_integral_finite(seg: Segment, u1: float, u2: float) -> float:
-    """Exact integral of seg(z)^2 over local coordinates [u1, u2]."""
-    c1, c2, r = seg.c1, seg.c2, seg.rate
+def _square_integral_finite(kind: str, r: float, c1: float, c2: float, u1: float, u2: float) -> float:
+    """Exact integral of psi(z)^2 over local coordinates [u1, u2] of one segment."""
     width = u2 - u1
-    if seg.kind == "exp":
+    if kind == "exp":
         # expm1 keeps the difference quotients exact as r*width -> 0
         total = 2.0 * c1 * c2 * width
         if c1 != 0.0:
@@ -80,7 +79,7 @@ def _square_integral_finite(seg: Segment, u1: float, u2: float) -> float:
         if c2 != 0.0:
             total += c2 * c2 * math.exp(2.0 * r * u1) * math.expm1(2.0 * r * width) / (2.0 * r)
         return total
-    if seg.kind == "lin":
+    if kind == "lin":
         return (
             c1 * c1 * width
             + c1 * c2 * (u2 * u2 - u1 * u1)
@@ -95,22 +94,38 @@ def _square_integral_finite(seg: Segment, u1: float, u2: float) -> float:
     )
 
 
-def _square_integral_left_tail(seg: Segment) -> float:
-    """Exact integral of seg(z)^2 over (-inf, x0]; the region must decay."""
-    if seg.kind != "exp" or seg.c1 != 0.0:
+def _square_integral_left_tail(kind: str, r: float, c1: float, c2: float) -> float:
+    """Exact integral of psi(z)^2 over (-inf, x0]; the region must decay."""
+    if kind != "exp" or c1 != 0.0:
         raise DivergentTailError(
             "left end segment must be a pure exponential decaying toward -inf"
         )
-    return seg.c2 * seg.c2 / (2.0 * seg.rate)
+    return c2 * c2 / (2.0 * r)
 
 
-def _square_integral_right_tail(seg: Segment) -> float:
-    """Exact integral of seg(z)^2 over [x0, inf); the region must decay."""
-    if seg.kind != "exp" or seg.c2 != 0.0:
+def _square_integral_right_tail(kind: str, r: float, c1: float, c2: float) -> float:
+    """Exact integral of psi(z)^2 over [x0, inf); the region must decay."""
+    if kind != "exp" or c2 != 0.0:
         raise DivergentTailError(
             "right end segment must be a pure exponential decaying toward +inf"
         )
-    return seg.c1 * seg.c1 / (2.0 * seg.rate)
+    return c1 * c1 / (2.0 * r)
+
+
+def region_square_integrals(breakpoints: tuple[float, ...], rows) -> list[float]:
+    """Exact integral of psi^2 over each region, ends included.
+
+    ``rows`` holds one ``(kind, rate, c1, c2)`` per segment in the forms of the
+    module docstring, so a state can be sized before any :class:`Segment` of
+    it is built.
+    """
+    rows = list(rows)
+    parts = [_square_integral_left_tail(*rows[0])]
+    for i in range(1, len(rows) - 1):
+        width = breakpoints[i] - breakpoints[i - 1]
+        parts.append(_square_integral_finite(*rows[i], 0.0, width))
+    parts.append(_square_integral_right_tail(*rows[-1]))
+    return parts
 
 
 @dataclass(frozen=True)
@@ -177,13 +192,7 @@ class PiecewiseExpWavefunction:
         return self.segments[idx].derivative(z)
 
     def _region_square_integrals(self, segments: tuple[Segment, ...]) -> list[float]:
-        parts = [_square_integral_left_tail(segments[0])]
-        for i in range(1, len(segments) - 1):
-            seg = segments[i]
-            width = self.breakpoints[i] - self.breakpoints[i - 1]
-            parts.append(_square_integral_finite(seg, 0.0, width))
-        parts.append(_square_integral_right_tail(segments[-1]))
-        return parts
+        return region_square_integrals(self.breakpoints, ((s.kind, s.rate, s.c1, s.c2) for s in segments))
 
     def segment_probability_integrals(self) -> tuple[float, ...]:
         """Exact integral of psi^2 over each region, ends included."""

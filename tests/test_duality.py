@@ -185,6 +185,16 @@ def test_two_sheet_interior_region_relation(atomic):
     assert schrodinger_residuals(prob, gs.wavefunction, gs.energy).region_residual == 0.0
 
 
+def test_nan_energy_cannot_pass_the_residuals(atomic):
+    # the builtin max drops a NaN unless it comes first: max(0.0, nan) is 0.0
+    sol = _solution([(-1.0, 2.0), (1.0, 2.0)], atomic)
+    gs = ground_state_from_electrostatics(sol, atomic)
+    report = schrodinger_residuals(to_quantum(sol, atomic), gs.wavefunction, math.nan)
+    assert math.isnan(report.region_residual)
+    assert math.isnan(report.max_residual())
+    assert math.isnan(dataclasses.replace(report, region_residual=0.0, cusp_residual=math.nan).max_residual())
+
+
 def test_breakpoint_mismatch_detected(atomic):
     sol_a = _solution([(0.0, 2.0)], atomic)
     sol_b = _solution([(0.5, 2.0)], atomic)

@@ -106,10 +106,11 @@ def test_two_sheet_spectrum_and_energy_balance(atomic):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize("n", [*range(0, 6), 8, 50])
 def test_crystal_lowest_state_energy(n, atomic):
     state = ground_state(_crystal_problem(n))
     assert state.energy == pytest.approx(-0.5, abs=1e-9)
+    assert state.kappa == 1.0  # the band edge at alpha*a = 1 is hit exactly
 
 
 def test_crystal_n1_excited_state_matches_independent_root(atomic):
@@ -232,21 +233,41 @@ def test_unsplittable_cluster_is_returned_and_flagged(atomic):
     assert found.states[1].kappa == found.states[2].kappa == 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("n", [8, 50])
-def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
-    # about log2(kappa_max/tol) batched passes plus the two ends and the
-    # reconstruction, whatever N; bisecting roots one at a time grows with N
+def _record_transfers(monkeypatch):
     calls = []
     real = oracle._transfer
 
-    def counted(problem, kappas):
-        calls.append(len(kappas))
+    def recorded(problem, kappas):
+        calls.append(np.asarray(kappas).tolist())
         return real(problem, kappas)
 
-    monkeypatch.setattr(oracle, "_transfer", counted)
+    monkeypatch.setattr(oracle, "_transfer", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 50, 100])
+def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
+    # the two ends, the isolating bisection passes, a few Illinois passes
+    # once every state is isolated, and the reconstruction: 20 to 30 passes
+    # whatever N, where refining the roots one at a time would grow with N
+    calls = _record_transfers(monkeypatch)
     found = find_bound_states(_crystal_problem(n))
     assert len(found) == n + 1
-    assert len(calls) <= 64
+    assert len(calls) <= 32
+
+
+def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
+    # the tail at kappa_max = 1e308 overflows to inf, so the regula falsi
+    # point of the single state's first bracket is NaN and the pass after the
+    # two ends bisects; the next point is regula falsi again, next to kappa = 1
+    problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
+    calls = _record_transfers(monkeypatch)
+    with np.errstate(over="ignore"):
+        found = find_bound_states(problem, kappa_max=1e308)
+    assert calls[0] == [1e-13, 1e308]
+    assert calls[1] == [0.5e308]
+    assert abs(calls[2][0] - 1.0) < 1e-12
+    assert found.states[0].kappa == pytest.approx(1.0, abs=1e-13)
 
 
 def _transfer_reference(problem, kappas):
@@ -363,6 +384,57 @@ def test_transfer_is_bit_identical_to_per_region_loop(problem, kappas):
     for i, region in enumerate(regions):
         for name, expected in zip(names, region):
             assert _same_bits(getattr(path, name)[i], expected), (name, i)
+
+
+_ROOT_PROBLEMS = {
+    **{f"crystal-{n}": _crystal_problem(n) for n in (0, 8, 50)},
+    **{f"stack-{seed}": _random_stack_problem(seed) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("problem", _ROOT_PROBLEMS.values(), ids=_ROOT_PROBLEMS.keys())
+def test_every_root_has_opposite_tail_signs_within_tol(problem):
+    # the returned kappa is a bracket's midpoint, the bracket at most tol wide
+    # and holding a sign change of the tail, so kappa -+ tol/2 straddle it
+    tol = oracle.DEFAULT_BISECTION_TOL
+    found = find_bound_states(problem, tol=tol)
+    assert found.metadata.unresolved == ()
+    kappas = np.array([s.kappa for s in found])
+    below = oracle._transfer(problem, kappas - 0.5 * tol).tail
+    above = oracle._transfer(problem, kappas + 0.5 * tol).tail
+    at = oracle._transfer(problem, kappas).tail
+    assert np.all(((below < 0.0) != (above < 0.0)) | (at == 0.0))
+
+
+def _bits(wavefunction):
+    return [(s.kind, *(float(x).hex() for x in (s.rate, s.x0, s.c1, s.c2))) for s in wavefunction.segments]
+
+
+@pytest.mark.parametrize("name", ["crystal-8", "stack-3", "osc-exp", "lin"])
+def test_reconstruct_builds_each_segment_once(name, monkeypatch):
+    problem = _REFERENCE_PROBLEMS[name]
+    kappas = np.array([s.kappa for s in find_bound_states(problem)])
+    path = oracle._transfer(problem, kappas)
+    built = []
+    real_segment = oracle.Segment
+
+    def counted(*fields):
+        built.append(fields)
+        return real_segment(*fields)
+
+    monkeypatch.setattr(oracle, "Segment", counted)
+    states = oracle._reconstruct(problem, kappas, path)
+    assert len(states) == len(kappas) > 0
+    assert len(built) == len(kappas) * (len(problem.deltas) + 1)
+    # with every norm forced to 1 the same pass yields the raw states; their
+    # normalized copies must be the states built above, bit for bit
+    monkeypatch.setattr(oracle, "region_square_integrals", lambda breakpoints, rows: [1.0])
+    raw = oracle._reconstruct(problem, kappas, path)
+    for state, unscaled in zip(states, raw):
+        segments = unscaled.wavefunction.segments
+        expected = PiecewiseExpWavefunction(problem.positions, segments, normalized=False).normalized_copy()
+        assert state.wavefunction.normalized
+        assert _bits(state.wavefunction) == _bits(expected)
 
 
 def test_regime_switch_boundary_is_linear():

@@ -44,6 +44,15 @@ def test_injected_sign_error_exits_2(monkeypatch, capsys):
     assert "CHECKS FAILED" in out
 
 
+def test_nan_expectation_fails_its_rows(monkeypatch):
+    # NaN is not the first argument of either row's accumulator
+    monkeypatch.setattr(closedform, "expectation_potential", lambda p: math.nan)
+    rows = {row.name: row for row in run_verification("quick").checks}
+    for name in ("expectations_match_solver", "kinetic_plus_potential_is_energy"):
+        assert math.isnan(rows[name].residual), name
+        assert not rows[name].passed, name
+
+
 def test_quick_battery_solves_each_configuration_once(monkeypatch):
     # 3 single deltas, 5 crystals, the two-sheet well and the uneven stack,
     # then one determinism rerun per crystal
