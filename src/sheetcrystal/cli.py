@@ -23,7 +23,7 @@ from . import closedform, oracle
 from .closedform import CrystalParams
 from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, to_quantum
 from .electrostatics import CanonicalCrystal, SheetArray, potential_at, solve_sheets
-from .errors import SheetCrystalError
+from .errors import NoBoundStatesError, SheetCrystalError
 from .units import UnitSystem, atomic_units, sigma_from_alpha
 from .verification import crystal_figure_samples, run_verification
 
@@ -291,6 +291,10 @@ def cmd_solve(args) -> int:
     window = scenario.window
     if window is None:
         rate = math.sqrt(-2.0 * units.mass * energy) / units.hbar
+        if rate == 0.0:
+            raise ConfigError(
+                f"ground energy {_fmt(energy)} gives no decay length for the default window; pass --window=lo,hi"
+            )
         lo = sol.breakpoints[0] - 8.0 / rate
         hi = sol.breakpoints[-1] + 8.0 / rate
         window = (lo, hi)
@@ -376,6 +380,10 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
     sigma = sigma_from_alpha(alpha, units)
     problem = to_quantum(solve_sheets(CanonicalCrystal(n, sigma, a).to_sheet_array(), units), units)
     found = oracle.find_bound_states(problem)
+    if not found.states:
+        raise NoBoundStatesError(
+            f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}: the solver finds no bound state in its search range"
+        )
     state = found.states[0]
     resid = max(
         abs(energy - state.energy),

@@ -4,7 +4,10 @@ Every check pits a closed form against an independent numerical route
 (fixed-order Gauss-Legendre panels, the node-counting bound-state solver, or
 brute-force lattice sums) and reports the measured residual next to its
 pinned tolerance; residuals are combined with ``nan_max``, so a NaN
-anywhere fails its row.  Audit rows are informational: they record measured
+anywhere fails its row.  The quadratures evaluate their integrands on
+arrays of nodes, but the core integral's exponent stays the brute-force
+site sum: all 2N+1 terms at every node, summed there exactly rounded by
+``math.fsum``.  Audit rows are informational: they record measured
 facts (bound-state counts, the deviation of the parity-factor variant of
 the norm formula) without contributing to the pass/fail verdict.
 
@@ -89,15 +92,28 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _gauss_integral(f, lo: float, hi: float, panels: int) -> float:
-    """Fixed-order Gauss-Legendre composite quadrature (deterministic)."""
-    edges = np.linspace(lo, hi, panels + 1)
-    total = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        total.append(half * math.fsum(w * f(mid + half * x) for x, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS)))
-    return math.fsum(total)
+def _gauss_integral(f, edges, panels) -> float:
+    """Fixed-order Gauss-Legendre composite quadrature (deterministic).
+
+    Integrates over the consecutive sub-intervals ``edges[i]..edges[i + 1]``,
+    sub-interval ``i`` split into ``panels[i]`` equal panels of 32 nodes.
+    ``f`` maps a 1-D array of nodes to an array of values and is called
+    once, on every node of every panel.  The sum is rounded at three levels,
+    each by ``math.fsum``: the weighted node values of a panel (then scaled by
+    its half-width), the panels of a sub-interval, and the sub-intervals.
+    """
+    halves = []
+    nodes = []
+    for lo, hi, count in zip(edges[:-1], edges[1:], panels):
+        cuts = np.linspace(lo, hi, count + 1)
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        half = 0.5 * (cuts[1:] - cuts[:-1])
+        halves.extend(half.tolist())
+        nodes.append(mid[:, None] + half[:, None] * _GAUSS_NODES)
+    weighted = (_GAUSS_WEIGHTS * f(np.concatenate(nodes).ravel()).reshape(-1, _GAUSS_NODES.size)).tolist()
+    per_panel = [h * math.fsum(row) for h, row in zip(halves, weighted)]
+    bounds = np.cumsum([0, *panels]).tolist()
+    return math.fsum(math.fsum(per_panel[i:j]) for i, j in zip(bounds[:-1], bounds[1:]))
 
 
 def _quad_psi_squared(p: CrystalParams) -> float:
@@ -106,26 +122,30 @@ def _quad_psi_squared(p: CrystalParams) -> float:
     reach = p.N * p.a + 40.0 / beta
     cuts = [n * p.a for n in range(-p.N, p.N + 1)]
     edges = [-reach] + cuts + [reach]
-    total = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panels = max(1, math.ceil((hi - lo) * beta / 2.0))
-        total.append(_gauss_integral(lambda z: closedform.psi(p, z) ** 2, lo, hi, panels))
-    return math.fsum(total)
+    panels = [max(1, math.ceil((hi - lo) * beta / 2.0)) for lo, hi in zip(edges[:-1], edges[1:])]
+    return _gauss_integral(lambda zs: np.array([closedform.psi(p, z) ** 2 for z in zs]), edges, panels)
 
 
 def _quad_core_exponential(N: int, r: float, a: float) -> float:
-    """Numerical version of the half-line core integral of the crystal norm."""
+    """Numerical version of the half-line core integral of the crystal norm.
 
-    def integrand(z: float) -> float:
-        first = math.fsum((-1.0) ** n * abs(z + n * a) for n in range(0, N + 1))
-        second = math.fsum((-1.0) ** n * abs(z - n * a) for n in range(1, N + 1))
-        return math.exp(-r * (first + second))
+    The exponent is the brute-force site sum: all 2N+1 signed distances
+    ``(-1)**n * |z +- n*a|`` are formed at every node and summed there by two
+    exactly rounded ``math.fsum`` calls, so the check uses no lattice-sum
+    identity and nothing from :mod:`closedform`.
+    """
+    n = np.arange(N + 1)
+    sign = 1.0 - 2.0 * (n % 2)  # (-1.0)**n, exactly
+    offsets = n * a
 
-    total = []
-    for k in range(N):
-        panels = max(1, math.ceil(abs(r) * a / 4.0))
-        total.append(_gauss_integral(integrand, k * a, (k + 1) * a, panels))
-    return math.fsum(total)
+    def integrand(zs: np.ndarray) -> np.ndarray:
+        z = zs[:, None]
+        first = map(math.fsum, (sign * np.abs(z + offsets)).tolist())
+        second = map(math.fsum, (sign[1:] * np.abs(z - offsets[1:])).tolist())
+        return np.array([math.exp(-r * (f + s)) for f, s in zip(first, second)])
+
+    panels = max(1, math.ceil(abs(r) * a / 4.0))
+    return _gauss_integral(integrand, [k * a for k in range(N + 1)], [panels] * N)
 
 
 def crystal_figure_samples(N: int, alpha_a: float, points: int = 2001) -> tuple[np.ndarray, np.ndarray]:

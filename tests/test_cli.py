@@ -166,6 +166,24 @@ def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("solve", "mode = canonical\nN = 3\nalpha = 1e-300\na = 1\n"),  # ground energy underflows to 0
+        ("sweep", "N = 3\nalpha = 1e-300\na = 1\n"),  # the solver binds no state
+        ("solve", "mode = canonical\nN = 3\nalpha = 1e200\na = 1\n"),
+        ("solve", "mode = sheets\nsheets = 0:1e300\n"),
+    ],
+)
+def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
+    cfg = _write(tmp_path, "extreme.cfg", text)
+    assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_unknown_subcommand_is_input_error(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -225,6 +243,11 @@ def test_verify_quick_passes(capsys):
     assert "all checks passed" in out
     assert "[FAIL]" not in out
     assert "bound_state_count_per_N" in out  # audit table present
+
+
+def test_verify_full_passes(capsys):
+    assert main(["verify", "--depth", "full"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("all checks passed")
 
 
 # ---------------------------------------------------------------------------

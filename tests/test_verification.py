@@ -1,11 +1,14 @@
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sheetcrystal import closedform, oracle
+from sheetcrystal import closedform, oracle, verification
 from sheetcrystal.cli import main
+from sheetcrystal.closedform import CrystalParams
+from sheetcrystal.units import atomic_units
 from sheetcrystal.verification import CheckRow, VerificationReport, crystal_figure_samples, run_verification
 
 
@@ -105,3 +108,87 @@ def test_figure_samples_validation():
     assert len(zs) == len(vals) == 501
     assert np.all(vals > 0)
 
+
+
+# ---------------------------------------------------------------------------
+# quadratures: node by node references, bit for bit
+# ---------------------------------------------------------------------------
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def _gauss_integral_reference(f, lo, hi, panels):
+    """Composite Gauss-Legendre with ``f`` called on one scalar node at a time."""
+    edges = np.linspace(lo, hi, panels + 1)
+    total = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        total.append(half * math.fsum(w * f(mid + half * x) for x, w in zip(_NODES, _WEIGHTS)))
+    return math.fsum(total)
+
+
+def _quad_psi_squared_reference(p):
+    beta = p.units.mass * p.alpha / p.units.hbar**2
+    reach = p.N * p.a + 40.0 / beta
+    cuts = [n * p.a for n in range(-p.N, p.N + 1)]
+    edges = [-reach] + cuts + [reach]
+    total = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        panels = max(1, math.ceil((hi - lo) * beta / 2.0))
+        total.append(_gauss_integral_reference(lambda z: closedform.psi(p, z) ** 2, lo, hi, panels))
+    return math.fsum(total)
+
+
+def _quad_core_exponential_reference(N, r, a):
+    def integrand(z):
+        first = math.fsum((-1.0) ** n * abs(z + n * a) for n in range(0, N + 1))
+        second = math.fsum((-1.0) ** n * abs(z - n * a) for n in range(1, N + 1))
+        return math.exp(-r * (first + second))
+
+    total = []
+    for k in range(N):
+        panels = max(1, math.ceil(abs(r) * a / 4.0))
+        total.append(_gauss_integral_reference(integrand, k * a, (k + 1) * a, panels))
+    return math.fsum(total)
+
+
+_RATES = (-10.0, -2.0, -0.7, 0.5, 2.0, 10.0)
+
+
+@pytest.mark.parametrize("a", [1.0, 0.37])
+def test_core_quadrature_is_bit_identical_to_node_loop(a):
+    for n_sites in range(1, 21):
+        for r in _RATES:
+            got = verification._quad_core_exponential(n_sites, r, a)
+            want = _quad_core_exponential_reference(n_sites, r, a)
+            assert got.hex() == want.hex(), (n_sites, r, a)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [CrystalParams(n, 1.0, 1.0, atomic_units()) for n in range(0, 9)] + [CrystalParams(3, 0.7, 1.3, atomic_units())],
+    ids=lambda p: f"N{p.N}-alpha{p.alpha}-a{p.a}",
+)
+def test_psi_quadrature_is_bit_identical_to_node_loop(p):
+    assert verification._quad_psi_squared(p).hex() == _quad_psi_squared_reference(p).hex()
+
+
+def test_core_quadrature_uses_nothing_from_closedform(monkeypatch):
+    expected = [verification._quad_core_exponential(n, r, 1.0) for n in (1, 4, 7) for r in _RATES]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature check called closedform")
+
+    for name, obj in vars(closedform).items():
+        if inspect.isfunction(obj) and obj.__module__ == closedform.__name__:
+            monkeypatch.setattr(closedform, name, refuse)
+    got = [verification._quad_core_exponential(n, r, 1.0) for n in (1, 4, 7) for r in _RATES]
+    assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+def test_core_check_catches_a_one_part_per_billion_error(monkeypatch):
+    real = closedform.segment_integral_closed
+    monkeypatch.setattr(closedform, "segment_integral_closed", lambda N, r, a: real(N, r, a) * (1.0 + 1e-9))
+    rows = {row.name: row for row in run_verification("quick").checks}
+    assert not rows["core_integral_closed_vs_quadrature"].passed
