@@ -280,6 +280,12 @@ def cmd_solve(args) -> int:
         ground = ground_state_from_electrostatics(sol, units)  # NotNormalizable -> exit 1
         problem = to_quantum(sol, units)
         found = oracle.find_bound_states(problem)
+        if not found.states:
+            raise SheetCrystalError(
+                f"the exponential map gives a ground state at energy {_fmt(ground.energy)}, "
+                f"but the oracle finds no bound state (node count {found.metadata.node_count}); "
+                "the two routes disagree"
+            )
         psi = ground.wavefunction
         energy = ground.energy
         norm_constant = ground.norm_constant

@@ -10,13 +10,16 @@ count is the number of bound states below E, i.e. with a decay rate larger
 than kappa, so the count stays exact however closely the states crowd.
 
 :func:`find_bound_states` counts, isolates, refines and reconstructs, and
-every step is the same vectorised pass over an array of kappas: the count at
-kappa = 0+ gives the number of states, batched bisection on the count
-isolates each one, the same loop then refines each isolated state by
-regula falsi with the Illinois modification on the tail coefficient, and
-the pass at the roots rebuilds each state segment by segment, so the result
-is an exact piecewise closed form whose only approximation is the location
-of the root.
+every step is the same vectorised pass over an array of kappas.  A pass costs
+about the same at one kappa as at a hundred, so the first one runs on a grid
+of :data:`GRID` cells from kappa = 0+ to the search cap: its count at 0+ gives
+the number of states, and the counts at the grid points hand each state the
+cell that holds it.  Batched bisection on the count then isolates each
+state, the same loop refines each isolated state by regula falsi with the
+Illinois modification on the tail coefficient, and the pass at the roots
+gives each state its coefficient rows, from which its wavefunction is built
+segment by segment when first read; the result is an exact piecewise closed
+form whose only approximation is the location of the root.
 
 A pass is a batch and then a recurrence.  Everything that depends on kappa
 but not on the propagated solution (each region's regime, rate, phase and
@@ -33,7 +36,8 @@ deep the regions are.  Identical inputs give identical output, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,15 +49,34 @@ from .wavefunction import PiecewiseExpWavefunction, Segment, region_square_integ
 
 REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
+GRID = 64  # cells of the counting pass that seeds every bracket
 
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound state: energy, its decay rate at infinity, and the state."""
+    """One bound state: energy, its decay rate at infinity, and the state.
+
+    ``_rows`` holds the breakpoints and the state's coefficient rows from
+    its pass (kinds, rates, c1s, c2s, one entry per segment).  The
+    normalized wavefunction is built from them the first time it is read,
+    and kept, so a caller that reads only the ground state builds only it.
+    """
 
     energy: float
     kappa: float
-    wavefunction: PiecewiseExpWavefunction
+    _rows: tuple = field(repr=False)
+
+    @cached_property
+    def wavefunction(self) -> PiecewiseExpWavefunction:
+        # the norm comes from the rows, so every segment is built once, already
+        # scaled, with the bits ``normalized_copy`` of the raw state would give
+        positions, kinds, rates, c1s, c2s = self._rows
+        norm_squared = math.fsum(region_square_integrals(positions, zip(kinds, rates, c1s, c2s)))
+        scale = 1.0 / math.sqrt(norm_squared)
+        c1s = [scale * c for c in c1s]
+        c2s = [scale * c for c in c2s]
+        segments = tuple(map(Segment, kinds, rates, (positions[0], *positions), c1s, c2s))
+        return PiecewiseExpWavefunction(positions, segments, normalized=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +206,14 @@ def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
 
 
 def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass) -> list[BoundState]:
-    """Rebuild the normalized piecewise state at each located root from its pass.
+    """Each located root as a state holding its coefficient rows from the pass.
 
-    Each segment's coefficients carry the running log of the factors the
-    pass divided out, so deep tails cannot underflow the bookkeeping; the
+    Every root's rows are formed at once as (segments, kappas) arrays.  Each
+    segment's coefficients carry the running log of the factors the pass
+    divided out, so deep tails cannot underflow the bookkeeping; the
     residual growing-tail coefficient is dropped (it vanishes to the root
-    tolerance by construction).  Each state's norm comes from its coefficient
-    rows, so every segment is built once, already scaled, with the bits
-    ``normalized_copy`` of the raw state would give.
+    tolerance by construction).  The normalized wavefunction is built from
+    the rows when :attr:`BoundState.wavefunction` is first read.
     """
     exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
     # one row per segment (left tail, each region, right tail), one column per kappa
@@ -217,22 +240,13 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
 
     factors = np.exp(logs - logs.max(axis=0))
     columns = zip(
-        kappas.tolist(), kinds.T.tolist(), rates.T.tolist(),
-        (c1s * factors).T.tolist(), (c2s * factors).T.tolist(),
+        kinds.T.tolist(), rates.T.tolist(), (c1s * factors).T.tolist(), (c2s * factors).T.tolist(),
     )
-    positions = problem.positions
-    anchors = (positions[0], *positions)
     half_h2_over_m = 0.5 * problem.units.hbar**2 / problem.units.mass
-    states = []
-    for kappa, kind_row, rate_row, c1_row, c2_row in columns:
-        norm_squared = math.fsum(region_square_integrals(positions, zip(kind_row, rate_row, c1_row, c2_row)))
-        scale = 1.0 / math.sqrt(norm_squared)
-        c1_row = [scale * c for c in c1_row]
-        c2_row = [scale * c for c in c2_row]
-        segments = tuple(map(Segment, kind_row, rate_row, anchors, c1_row, c2_row))
-        wavefunction = PiecewiseExpWavefunction(positions, segments, normalized=True)
-        states.append(BoundState(-half_h2_over_m * kappa**2, kappa, wavefunction))
-    return states
+    return [
+        BoundState(-half_h2_over_m * kappa**2, kappa, (problem.positions, *map(tuple, rows)))
+        for kappa, rows in zip(kappas.tolist(), columns)
+    ]
 
 
 def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
@@ -258,10 +272,15 @@ def find_bound_states(
     for kappa = 0+ (exactly at 0 a threshold solution can end flat and lose
     a node), and every root's interval is narrowed until it is at most
     ``tol`` wide in kappa; the root is its midpoint.  ``kappa_max`` only caps
-    the search; the default is four times the largest single-delta or
-    single-region rate.
+    the search and must be finite; the default is four times the largest
+    single-delta or single-region rate.
 
-    All states are isolated at once: batched bisection on the node count
+    One pass counts the nodes on a grid of ``GRID`` + 1 points, ``tol``
+    and ``kappa_max * k / GRID`` for k = 1..``GRID`` (held at or above
+    ``tol``).  Each state starts from the grid cell that holds it, between
+    the last point counting more states than its index and the next point;
+    a grid point that is an exact root closes its state's interval there.
+    All states are then isolated at once: batched bisection on the node count
     narrows each state's interval until it holds that state alone.  From
     then on, in the same loop, the state steps to the regula falsi point of
     the tail coefficient at its two ends, with the Illinois modification
@@ -274,27 +293,37 @@ def find_bound_states(
     in floating point while still holding several states returns each of
     them at its midpoint and is listed in ``metadata.unresolved``.  States
     come back sorted by ascending energy; finding none is an empty list,
-    not an error.
+    not an error.  Each state's wavefunction is built the first time it is
+    read, so a caller that reads only ``states[0]`` builds one state.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if kappa_max is None:
         kappa_max = _default_kappa_max(problem)
     kappa_max = float(kappa_max)
+    if not math.isfinite(kappa_max):
+        raise ValueError(f"kappa_max must be finite, got {kappa_max!r}")
 
-    ends = _transfer(problem, np.array([tol, max(kappa_max, tol)]))
-    node_count = int(ends.nodes[0])
-    # state j (j = 0 is the ground state) lies in (lo, hi) when count(lo) > j >= count(hi)
-    j = np.arange(int(ends.nodes[1]), node_count)
-    lo = np.zeros(j.shape)  # 0 stands for 0+, where the count was taken
-    hi = np.full(j.shape, kappa_max)
-    count_lo = np.full(j.shape, node_count)
-    count_hi = np.full(j.shape, int(ends.nodes[1]))
+    # one counting pass on a grid: [tol, kappa_max/GRID, ..., kappa_max], held at
+    # or above tol; kappa_max * (k / GRID) stays finite for kappa_max = 1e308
+    grid = np.concatenate(([tol], np.maximum(tol, kappa_max * (np.arange(1, GRID + 1) / GRID))))
+    cells = _transfer(problem, grid)
+    node_count = int(cells.nodes[0])
+    # state j (j = 0 is the ground state) lies in (lo, hi) when count(lo) > j >= count(hi);
+    # lo is the last grid point counting more than j states and hi the next one
+    j = np.arange(int(cells.nodes[-1]), node_count)
+    above = cells.nodes[None, :] > j[:, None]
+    last = GRID - np.argmax(above[:, ::-1], axis=1)
+    lo = np.where(grid[last] == tol, 0.0, grid[last])  # 0 stands for 0+, where the count was taken
+    hi = grid[last + 1]
+    count_lo, count_hi = cells.nodes[last], cells.nodes[last + 1]
     # the tail at each end, the weight of regula falsi; an end kept twice in a row is halved
-    tail_lo = np.full(j.shape, ends.tail[0])
-    tail_hi = np.full(j.shape, ends.tail[1])
+    tail_lo, tail_hi = cells.tail[last], cells.tail[last + 1]
+    # a grid point on the root of state j closes its bracket, as in the loop below
+    on_root = (tail_hi == 0.0) & (count_hi == j)
+    lo[on_root] = hi[on_root]
     last_move = np.zeros(j.shape, dtype=np.int8)  # +1 lo moved, -1 hi moved, 0 counting
-    isolated = (count_lo == j + 1) & (count_hi == j)
+    isolated = ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
     bracket_lo, bracket_hi = lo.copy(), hi.copy()
 
     while True:

@@ -359,7 +359,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     report.audits.append(
         AuditRow(
             "bound_state_count_per_N",
-            " ".join(count_lines) + "  (claim under audit: exactly one bound state for every N)",
+            " ".join(count_lines) + "  (states found by the oracle, alpha*a = 1)",
         )
     )
     checks.append(

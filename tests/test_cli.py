@@ -173,11 +173,13 @@ def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
         ("sweep", "N = 3\nalpha = 1e-300\na = 1\n"),  # the solver binds no state
         ("solve", "mode = canonical\nN = 3\nalpha = 1e200\na = 1\n"),
         ("solve", "mode = sheets\nsheets = 0:1e300\n"),
+        # the map emits a state at energy -0 where the oracle finds none
+        ("solve --window=-5,5", "mode = canonical\nN = 3\nalpha = 1e-300\na = 1\n"),
     ],
 )
 def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
     cfg = _write(tmp_path, "extreme.cfg", text)
-    assert main([command, "--config", cfg]) == 1
+    assert main([*command.split(), "--config", cfg]) == 1
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -180,6 +181,9 @@ def test_scan_parameter_validation(atomic):
     for tol in (0.0, -1e-13, math.nan):
         with pytest.raises(ValueError):
             find_bound_states(problem, tol=tol)
+    for kappa_max in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            find_bound_states(problem, kappa_max=kappa_max)
 
 
 def test_kappa_max_caps_the_search_but_not_the_count(atomic):
@@ -247,27 +251,43 @@ def _record_transfers(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 50, 100])
 def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
-    # the two ends, the isolating bisection passes, a few Illinois passes
-    # once every state is isolated, and the reconstruction: 20 to 30 passes
-    # whatever N, where refining the roots one at a time would grow with N
+    # the counting pass on the grid, the isolating bisection passes, a few
+    # Illinois passes once every state is isolated, and the reconstruction:
+    # 15 to 24 passes whatever N, where refining the roots one at a time
+    # would grow with N
     calls = _record_transfers(monkeypatch)
     found = find_bound_states(_crystal_problem(n))
     assert len(found) == n + 1
-    assert len(calls) <= 32
+    assert len(calls) <= 26
 
 
 def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
-    # the tail at kappa_max = 1e308 overflows to inf, so the regula falsi
-    # point of the single state's first bracket is NaN and the pass after the
-    # two ends bisects; the next point is regula falsi again, next to kappa = 1
-    problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
+    # the single state kappa = 100 lies in the grid's first cell, (0,
+    # 1e308/64); its tail at kappa = 0+ is about -200, so the regula falsi
+    # point overflows and the pass after the grid bisects the cell; the next
+    # point is regula falsi again, next to kappa = 100
+    problem = DeltaPotentialProblem([(0.0, -100.0)], [0.0, 0.0], atomic)
     calls = _record_transfers(monkeypatch)
     with np.errstate(over="ignore"):
         found = find_bound_states(problem, kappa_max=1e308)
-    assert calls[0] == [1e-13, 1e308]
-    assert calls[1] == [0.5e308]
-    assert abs(calls[2][0] - 1.0) < 1e-12
-    assert found.states[0].kappa == pytest.approx(1.0, abs=1e-13)
+    grid = [1e-13, *(1e308 * (k / oracle.GRID) for k in range(1, oracle.GRID + 1))]
+    assert calls[0] == grid
+    assert all(math.isfinite(kappa) for kappa in calls[0])
+    assert calls[1] == [0.5 * grid[1]]
+    assert abs(calls[2][0] - 100.0) < 1e-12
+    assert found.states[0].kappa == pytest.approx(100.0, abs=1e-13)
+
+
+def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):
+    # the grid is held at tol, so it stays sorted and no bracket opens; the
+    # count at 0+ still sees the state
+    problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
+    calls = _record_transfers(monkeypatch)
+    found = find_bound_states(problem, kappa_max=1e-14)
+    assert calls[0] == [1e-13] * (oracle.GRID + 1)
+    assert len(found) == 0
+    assert found.metadata.node_count == 1
+    assert found.metadata.unresolved == ()
 
 
 def _transfer_reference(problem, kappas):
@@ -413,8 +433,6 @@ def _bits(wavefunction):
 @pytest.mark.parametrize("name", ["crystal-8", "stack-3", "osc-exp", "lin"])
 def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     problem = _REFERENCE_PROBLEMS[name]
-    kappas = np.array([s.kappa for s in find_bound_states(problem)])
-    path = oracle._transfer(problem, kappas)
     built = []
     real_segment = oracle.Segment
 
@@ -423,18 +441,32 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
         return real_segment(*fields)
 
     monkeypatch.setattr(oracle, "Segment", counted)
+    # a solve builds nothing; reading the ground state twice builds it once
+    found = find_bound_states(problem)
+    assert built == []
+    assert found.states[0].wavefunction is found.states[0].wavefunction
+    assert len(built) == len(problem.deltas) + 1
+    # a replaced state keeps the rows and builds the same bits on first read
+    moved = dataclasses.replace(found.states[0], energy=0.0)
+    assert _bits(moved.wavefunction) == _bits(found.states[0].wavefunction)
+
+    built.clear()
+    kappas = np.array([s.kappa for s in found])
+    path = oracle._transfer(problem, kappas)
     states = oracle._reconstruct(problem, kappas, path)
     assert len(states) == len(kappas) > 0
+    wavefunctions = [state.wavefunction for state in states]
+    assert all(state.wavefunction is wavefunction for state, wavefunction in zip(states, wavefunctions))
     assert len(built) == len(kappas) * (len(problem.deltas) + 1)
     # with every norm forced to 1 the same pass yields the raw states; their
     # normalized copies must be the states built above, bit for bit
     monkeypatch.setattr(oracle, "region_square_integrals", lambda breakpoints, rows: [1.0])
     raw = oracle._reconstruct(problem, kappas, path)
-    for state, unscaled in zip(states, raw):
+    for wavefunction, unscaled in zip(wavefunctions, raw):
         segments = unscaled.wavefunction.segments
         expected = PiecewiseExpWavefunction(problem.positions, segments, normalized=False).normalized_copy()
-        assert state.wavefunction.normalized
-        assert _bits(state.wavefunction) == _bits(expected)
+        assert wavefunction.normalized
+        assert _bits(wavefunction) == _bits(expected)
 
 
 def test_regime_switch_boundary_is_linear():
