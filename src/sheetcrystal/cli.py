@@ -21,7 +21,7 @@ import numpy as np
 
 from . import closedform, oracle
 from .closedform import CrystalParams
-from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, to_quantum
+from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, nan_max, to_quantum
 from .electrostatics import CanonicalCrystal, SheetArray, potential_at, solve_sheets
 from .errors import NoBoundStatesError, SheetCrystalError
 from .units import UnitSystem, atomic_units, sigma_from_alpha
@@ -391,7 +391,7 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
             f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}: the solver finds no bound state in its search range"
         )
     state = found.states[0]
-    resid = max(
+    resid = nan_max(
         abs(energy - state.energy),
         abs(u_mean - oracle.expectation_potential_numeric(state.wavefunction, problem)),
         abs(t_mean - oracle.expectation_kinetic_numeric(state.wavefunction, units)),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .electrostatics import _validate_crystal
 from .units import UnitSystem
@@ -38,6 +39,10 @@ class CrystalParams:
 
     def __post_init__(self) -> None:
         _validate_crystal(self, "alpha", "a")
+
+    @cached_property
+    def _log_norm_constant(self) -> float:  # log A, read by psi at every point
+        return _log_normalization_constant(self)
 
 
 def _decay_rate(p: CrystalParams) -> float:
@@ -72,7 +77,7 @@ def normalization_constant(p: CrystalParams) -> float:
     the edge contributes the same amount to the norm integral, hence the
     factor N on the sinh term.
     """
-    return math.exp(_log_normalization_constant(p))
+    return math.exp(p._log_norm_constant)
 
 
 def psi(p: CrystalParams, z: float) -> float:
@@ -92,7 +97,7 @@ def psi(p: CrystalParams, z: float) -> float:
         exponent_sum = p.a * (p.N + odd) + (1 - 2 * odd) * (u - k * p.a)
     else:
         exponent_sum = u
-    return math.exp(_log_normalization_constant(p) - beta * exponent_sum)
+    return math.exp(p._log_norm_constant - beta * exponent_sum)
 
 
 def expectation_potential(p: CrystalParams) -> float:

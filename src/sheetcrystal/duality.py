@@ -276,9 +276,8 @@ def schrodinger_residuals(
         region.append(abs(local_energy - energy))
 
     jump_scale = 2.0 * units.mass / units.hbar**2
-    cusp = [0.0]
-    for z, g in problem.deltas:
-        slope_jump = psi.derivative(z, side="right") - psi.derivative(z, side="left")
-        cusp.append(abs(slope_jump - jump_scale * g * psi.value(z)))
+    left, right = psi.breakpoint_values()
+    slope_left, slope_right = psi.breakpoint_slopes()
+    cusp = abs(slope_right - slope_left - right * [jump_scale * g for g in problem.strengths])
 
-    return SchrodingerResidualReport(nan_max(*region), nan_max(*cusp), nan_max(*psi.continuity_residuals()))
+    return SchrodingerResidualReport(nan_max(*region), nan_max(*cusp.tolist()), nan_max(*abs(left - right).tolist()))

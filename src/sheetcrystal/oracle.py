@@ -395,7 +395,7 @@ def expectation_potential_numeric(
             f"wavefunction breakpoints {psi.breakpoints!r} do not match "
             f"delta positions {problem.positions!r}"
         )
-    site_part = math.fsum(g * psi.value(z) ** 2 for z, g in problem.deltas)
+    site_part = math.fsum(g * v**2 for g, v in zip(problem.strengths, psi.breakpoint_values()[1].tolist()))
     region_part = math.fsum(
         u * part for u, part in zip(problem.region_offsets, psi.segment_probability_integrals())
     )

@@ -11,13 +11,16 @@ Segment 0 covers the unbounded left region and is anchored at the first
 breakpoint; every other segment is anchored at the left edge of its region.
 All integrals (norm, per-region probability, derivative squared) come from
 antiderivatives, so nothing in the package accumulates sampling error.
+
+Point values have one evaluator, :func:`_evaluate`: the numpy forms at arrays
+of (segment index, z) pairs give the reference bits for every point value.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,19 +45,6 @@ class Segment:
         if self.kind in ("exp", "osc") and not self.rate > 0.0:
             raise ValueError(f"{self.kind} segments need rate > 0, got {self.rate!r}")
 
-    def value(self, z: float) -> float:
-        u = z - self.x0
-        if self.kind == "exp":
-            total = 0.0
-            if self.c1 != 0.0:
-                total += self.c1 * math.exp(-self.rate * u)
-            if self.c2 != 0.0:
-                total += self.c2 * math.exp(self.rate * u)
-            return total
-        if self.kind == "lin":
-            return self.c1 + self.c2 * u
-        return self.c1 * math.cos(self.rate * u) + self.c2 * math.sin(self.rate * u)
-
     def derivative_coefficients(self) -> "Segment":
         """Segment of the same kind/anchor representing d(psi)/dz."""
         kind, rate, x0, c1, c2 = self.kind, self.rate, self.x0, self.c1, self.c2
@@ -64,8 +54,21 @@ class Segment:
             return Segment(kind, rate, x0, c2, 0.0)
         return Segment(kind, rate, x0, rate * c2, -rate * c1)
 
-    def derivative(self, z: float) -> float:
-        return self.derivative_coefficients().value(z)
+
+def _evaluate(columns: tuple[np.ndarray, ...], idx: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The forms of the module docstring at each (segment index, z) pair."""
+    kind, rate, x0, c1, c2 = (column[idx] for column in columns)
+    u = zs - x0
+    out = np.zeros_like(u)
+    falling = (kind == "exp") & (c1 != 0.0)  # skip zero terms: far out, 0 * exp overflow is nan
+    out[falling] += c1[falling] * np.exp(-rate[falling] * u[falling])
+    rising = (kind == "exp") & (c2 != 0.0)
+    out[rising] += c2[rising] * np.exp(rate[rising] * u[rising])
+    lin = kind == "lin"
+    out[lin] = c1[lin] + c2[lin] * u[lin]
+    osc = kind == "osc"
+    out[osc] = c1[osc] * np.cos(rate[osc] * u[osc]) + c2[osc] * np.sin(rate[osc] * u[osc])
+    return out
 
 
 def _square_integral_finite(kind: str, r: float, c1: float, c2: float, u1: float, u2: float) -> float:
@@ -149,54 +152,47 @@ class PiecewiseExpWavefunction:
         if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
 
-    def _segment_index(self, z: float) -> int:
-        return bisect_right(self.breakpoints, z)
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """(kind, rate, x0, c1, c2) arrays, one entry per segment, for :func:`_evaluate`."""
+        rate, x0, c1, c2 = np.array([(s.rate, s.x0, s.c1, s.c2) for s in self.segments], dtype=float).T
+        return np.array([s.kind for s in self.segments]), rate, x0, c1, c2
+
+    @cached_property
+    def _derivative(self) -> "PiecewiseExpWavefunction":
+        segments = tuple(s.derivative_coefficients() for s in self.segments)
+        return PiecewiseExpWavefunction(self.breakpoints, segments, normalized=False)
 
     def value(self, z: float) -> float:
-        return self.segments[self._segment_index(float(z))].value(float(z))
-
-    def __call__(self, z: float) -> float:
-        return self.value(z)
+        zs = np.asarray(float(z))
+        return float(_evaluate(self._columns, np.searchsorted(self.breakpoints, zs, side="right"), zs))
 
     def values(self, zs) -> np.ndarray:
         """Vectorized :meth:`value` over an array of positions."""
         zs = np.asarray(zs, dtype=float)
-        idx = np.searchsorted(self.breakpoints, zs, side="right")
-        out = np.empty_like(zs)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if not mask.any():
-                continue
-            u = zs[mask] - seg.x0
-            if seg.kind == "exp":
-                vals = np.zeros_like(u)
-                if seg.c1 != 0.0:
-                    vals += seg.c1 * np.exp(-seg.rate * u)
-                if seg.c2 != 0.0:
-                    vals += seg.c2 * np.exp(seg.rate * u)
-            elif seg.kind == "lin":
-                vals = seg.c1 + seg.c2 * u
-            else:
-                vals = seg.c1 * np.cos(seg.rate * u) + seg.c2 * np.sin(seg.rate * u)
-            out[mask] = vals
-        return out
+        return _evaluate(self._columns, np.searchsorted(self.breakpoints, zs, side="right"), zs)
 
     def derivative(self, z: float, side: str = "right") -> float:
         """One-sided derivative; ``side`` only matters exactly at a breakpoint."""
-        z = float(z)
-        idx = self._segment_index(z)
-        if side == "left" and idx > 0 and self.breakpoints[idx - 1] == z:
-            idx -= 1
-        elif side not in ("left", "right"):
+        if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        return self.segments[idx].derivative(z)
+        zs = np.asarray(float(z))
+        return float(_evaluate(self._derivative._columns, np.searchsorted(self.breakpoints, zs, side=side), zs))
 
-    def _region_square_integrals(self, segments: tuple[Segment, ...]) -> list[float]:
-        return region_square_integrals(self.breakpoints, ((s.kind, s.rate, s.c1, s.c2) for s in segments))
+    def breakpoint_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """psi(b-) and psi(b+) at every breakpoint b, as arrays."""
+        n = len(self.breakpoints)
+        segment = np.concatenate([np.arange(n), np.arange(1, n + 1)])  # left of each b, then right
+        both = _evaluate(self._columns, segment, np.concatenate([self.breakpoints, self.breakpoints]))
+        return both[:n], both[n:]
+
+    def breakpoint_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """psi'(b-) and psi'(b+) at every breakpoint b, as arrays."""
+        return self._derivative.breakpoint_values()
 
     def segment_probability_integrals(self) -> tuple[float, ...]:
         """Exact integral of psi^2 over each region, ends included."""
-        return tuple(self._region_square_integrals(self.segments))
+        return tuple(region_square_integrals(self.breakpoints, ((s.kind, s.rate, s.c1, s.c2) for s in self.segments)))
 
     def norm_squared(self) -> float:
         """Exact integral of psi^2 over the whole line."""
@@ -204,15 +200,12 @@ class PiecewiseExpWavefunction:
 
     def derivative_squared_integral(self) -> float:
         """Exact integral of (d psi/dz)^2 over the whole line."""
-        derivative_segments = tuple(s.derivative_coefficients() for s in self.segments)
-        return math.fsum(self._region_square_integrals(derivative_segments))
+        return self._derivative.norm_squared()
 
     def continuity_residuals(self) -> tuple[float, ...]:
         """|psi(b-) - psi(b+)| at every breakpoint."""
-        out = []
-        for i, b in enumerate(self.breakpoints):
-            out.append(abs(self.segments[i].value(b) - self.segments[i + 1].value(b)))
-        return tuple(out)
+        left, right = self.breakpoint_values()
+        return tuple(np.abs(left - right).tolist())
 
     def normalized_copy(self) -> "PiecewiseExpWavefunction":
         scale = 1.0 / math.sqrt(self.norm_squared())

@@ -272,6 +272,17 @@ def test_sweep_grid(tmp_path, capsys):
     assert np.all(data[:, 8] < 1e-8)
 
 
+def test_sweep_residual_reads_nan_when_any_part_is_nan(tmp_path, capsys, monkeypatch):
+    from sheetcrystal import oracle
+
+    monkeypatch.setattr(oracle, "expectation_potential_numeric", lambda psi, problem: math.nan)
+    cfg = _write(tmp_path, "s.cfg", "N = 1\nalpha = 1\na = 1\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().splitlines()[1].split(",")[-1] == "nan"
+
+
 def test_sweep_is_deterministic(tmp_path, capsys):
     cfg = _write(tmp_path, "s.cfg", "N = 0,2\nalpha = 0.5,1\na = 1\n")
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -194,6 +194,19 @@ def test_psi_cusp_slope_jump_signs(n):
         assert abs(jump) == pytest.approx(2.0 * psi(p, z), rel=1e-6)
 
 
+def test_log_normalization_constant_computed_once_per_params(monkeypatch):
+    from sheetcrystal import closedform
+
+    calls = []
+    original = closedform._log_normalization_constant
+    monkeypatch.setattr(closedform, "_log_normalization_constant", lambda p: calls.append(p) or original(p))
+    p = _params(8)
+    for z in np.linspace(-12.0, 12.0, 101):
+        psi(p, float(z))
+    normalization_constant(p)
+    assert calls == [p]
+
+
 def test_psi_outer_decay_rate_is_exact():
     p = _params(2, alpha=1.5, a=0.8)
     beta = 1.5
