@@ -45,7 +45,7 @@ from .oracle import (
     ground_state,
 )
 from .units import UnitSystem, alpha_from_sigma, atomic_units, sigma_from_alpha
-from .wavefunction import PiecewiseExpWavefunction, Segment
+from .wavefunction import PiecewiseExpWavefunction
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "NoBoundStatesError",
     "NotNormalizableError",
     "PiecewiseExpWavefunction",
-    "Segment",
     "SheetArray",
     "SheetCrystalError",
     "UnitSystem",

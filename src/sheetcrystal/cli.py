@@ -467,9 +467,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (SheetCrystalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

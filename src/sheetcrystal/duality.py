@@ -23,7 +23,7 @@ from .errors import (
     NotNormalizableError,
 )
 from .units import UnitSystem
-from .wavefunction import PiecewiseExpWavefunction, Segment
+from .wavefunction import PiecewiseExpWavefunction
 
 ASYMPTOTIC_FIELD_RTOL = 1e-12
 
@@ -221,19 +221,19 @@ def ground_state_from_electrostatics(
 
     log_norm_constant = -0.5 * math.log(math.fsum(parts)) - v_max / v0
 
-    segments = []
+    # segment k is anchored at breakpoints[max(k - 1, 0)], where V is values[max(k - 1, 0)]
+    rows = []
     for k, slope in enumerate(slopes):
-        anchor = max(k - 1, 0)
-        amplitude = math.exp(log_norm_constant + values[anchor] / v0)
+        amplitude = math.exp(log_norm_constant + values[max(k - 1, 0)] / v0)
         rate = abs(slope) / v0
         if slope > 0.0:
-            segments.append(Segment("exp", rate, breakpoints[anchor], 0.0, amplitude))
+            rows.append(("exp", rate, 0.0, amplitude))
         elif slope < 0.0:
-            segments.append(Segment("exp", rate, breakpoints[anchor], amplitude, 0.0))
+            rows.append(("exp", rate, amplitude, 0.0))
         else:
-            segments.append(Segment("lin", 0.0, breakpoints[anchor], amplitude, 0.0))
+            rows.append(("lin", 0.0, amplitude, 0.0))
 
-    psi = PiecewiseExpWavefunction(breakpoints, tuple(segments), normalized=True)
+    psi = PiecewiseExpWavefunction(breakpoints, *zip(*rows), normalized=True)
     energy = -0.5 * units.eps0 * sol.E_inf**2 * units.a0**3
     return GroundStateSolution(
         energy=energy, wavefunction=psi, norm_constant=math.exp(log_norm_constant)
@@ -266,13 +266,13 @@ def schrodinger_residuals(
     half_h2_over_m = 0.5 * units.hbar**2 / units.mass
 
     region = [0.0]
-    for seg, offset in zip(psi.segments, problem.region_offsets):
-        if seg.kind == "exp":
-            local_energy = -half_h2_over_m * seg.rate**2 + offset
-        elif seg.kind == "lin":
+    for kind, rate, offset in zip(psi.kinds, psi.rates, problem.region_offsets):
+        if kind == "exp":
+            local_energy = -half_h2_over_m * rate**2 + offset
+        elif kind == "lin":
             local_energy = offset
         else:
-            local_energy = half_h2_over_m * seg.rate**2 + offset
+            local_energy = half_h2_over_m * rate**2 + offset
         region.append(abs(local_energy - energy))
 
     jump_scale = 2.0 * units.mass / units.hbar**2

@@ -17,8 +17,8 @@ the number of states, and the counts at the grid points hand each state the
 cell that holds it.  Batched bisection on the count then isolates each
 state, the same loop refines each isolated state by regula falsi with the
 Illinois modification on the tail coefficient, and the pass at the roots
-gives each state its coefficient rows, from which its wavefunction is built
-segment by segment when first read; the result is an exact piecewise closed
+gives each state its coefficient columns, from which its wavefunction is
+built when first read; the result is an exact piecewise closed
 form whose only approximation is the location of the root.
 
 A pass is a batch and then a recurrence.  Everything that depends on kappa
@@ -45,7 +45,7 @@ import numpy as np
 from .duality import DeltaPotentialProblem
 from .errors import BreakpointMismatchError, NoBoundStatesError
 from .units import UnitSystem
-from .wavefunction import PiecewiseExpWavefunction, Segment, region_square_integrals
+from .wavefunction import PiecewiseExpWavefunction
 
 REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
@@ -56,27 +56,20 @@ GRID = 64  # cells of the counting pass that seeds every bracket
 class BoundState:
     """One bound state: energy, its decay rate at infinity, and the state.
 
-    ``_rows`` holds the breakpoints and the state's coefficient rows from
-    its pass (kinds, rates, c1s, c2s, one entry per segment).  The
-    normalized wavefunction is built from them the first time it is read,
-    and kept, so a caller that reads only the ground state builds only it.
+    ``_rows`` holds the breakpoints and views of the state's columns in
+    its pass (kinds, rates, c1s, c2s, one entry per segment); it takes no
+    part in comparisons.  The normalized wavefunction is built from them the
+    first time it is read, and kept, so a caller that reads only the ground
+    state converts and builds only it.
     """
 
     energy: float
     kappa: float
-    _rows: tuple = field(repr=False)
+    _rows: tuple = field(repr=False, compare=False)
 
     @cached_property
     def wavefunction(self) -> PiecewiseExpWavefunction:
-        # the norm comes from the rows, so every segment is built once, already
-        # scaled, with the bits ``normalized_copy`` of the raw state would give
-        positions, kinds, rates, c1s, c2s = self._rows
-        norm_squared = math.fsum(region_square_integrals(positions, zip(kinds, rates, c1s, c2s)))
-        scale = 1.0 / math.sqrt(norm_squared)
-        c1s = [scale * c for c in c1s]
-        c2s = [scale * c for c in c2s]
-        segments = tuple(map(Segment, kinds, rates, (positions[0], *positions), c1s, c2s))
-        return PiecewiseExpWavefunction(positions, segments, normalized=True)
+        return PiecewiseExpWavefunction(*self._rows, normalized=False).normalized_copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,6 +192,12 @@ def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
     tail = dpsi + kappas * psi
     nodes = np.where(osc_mask, turns, (psi_at < 0.0) != (psi_end < 0.0)).sum(axis=0)
     nodes = nodes + ((tail < 0.0) != (psi < 0.0))
+    uncountable = ~(nodes < 2.0**63)  # NaN or past int64, which the cast would wrap
+    if uncountable.any():
+        raise ValueError(
+            f"cannot count the bound states: a pass found {float(nodes[uncountable][0])!r} nodes; "
+            "a region is too wide or too deep for the node count"
+        )
     return _Pass(
         tail, nodes.astype(np.int64), exp_mask, osc_mask, rate, phase,
         psi_at, dpsi_at, renorm_at, psi, dpsi,
@@ -212,8 +211,9 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
     segment's coefficients carry the running log of the factors the pass
     divided out, so deep tails cannot underflow the bookkeeping; the
     residual growing-tail coefficient is dropped (it vanishes to the root
-    tolerance by construction).  The normalized wavefunction is built from
-    the rows when :attr:`BoundState.wavefunction` is first read.
+    tolerance by construction).  Each state keeps views of its own column of
+    those arrays; the normalized wavefunction is built from them when
+    :attr:`BoundState.wavefunction` is first read.
     """
     exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
     # one row per segment (left tail, each region, right tail), one column per kappa
@@ -239,13 +239,13 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
     logs = np.vstack([zero, zero, np.cumsum(steps, axis=0)[1::2]])
 
     factors = np.exp(logs - logs.max(axis=0))
-    columns = zip(
-        kinds.T.tolist(), rates.T.tolist(), (c1s * factors).T.tolist(), (c2s * factors).T.tolist(),
-    )
+    c1s, c2s = c1s * factors, c2s * factors
     half_h2_over_m = 0.5 * problem.units.hbar**2 / problem.units.mass
     return [
-        BoundState(-half_h2_over_m * kappa**2, kappa, (problem.positions, *map(tuple, rows)))
-        for kappa, rows in zip(kappas.tolist(), columns)
+        BoundState(
+            -half_h2_over_m * kappa**2, kappa, (problem.positions, kinds[:, j], rates[:, j], c1s[:, j], c2s[:, j])
+        )
+        for j, kappa in enumerate(kappas.tolist())
     ]
 
 
@@ -273,7 +273,8 @@ def find_bound_states(
     a node), and every root's interval is narrowed until it is at most
     ``tol`` wide in kappa; the root is its midpoint.  ``kappa_max`` only caps
     the search and must be finite; the default is four times the largest
-    single-delta or single-region rate.
+    single-delta or single-region rate, and a problem whose default stands
+    for an energy beyond the float range is rejected before the first pass.
 
     One pass counts the nodes on a grid of ``GRID`` + 1 points, ``tol``
     and ``kappa_max * k / GRID`` for k = 1..``GRID`` (held at or above
@@ -300,6 +301,11 @@ def find_bound_states(
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if kappa_max is None:
         kappa_max = _default_kappa_max(problem)
+        if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (kappa_max * kappa_max)):
+            raise ValueError(
+                f"the default search cap kappa_max = {kappa_max!r} stands for an energy "
+                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
+            )
     kappa_max = float(kappa_max)
     if not math.isfinite(kappa_max):
         raise ValueError(f"kappa_max must be finite, got {kappa_max!r}")
@@ -395,7 +401,7 @@ def expectation_potential_numeric(
             f"wavefunction breakpoints {psi.breakpoints!r} do not match "
             f"delta positions {problem.positions!r}"
         )
-    site_part = math.fsum(g * v**2 for g, v in zip(problem.strengths, psi.breakpoint_values()[1].tolist()))
+    site_part = math.fsum(g * v**2 for g, v in zip(problem.strengths, psi.values(problem.positions).tolist()))
     region_part = math.fsum(
         u * part for u, part in zip(problem.region_offsets, psi.segment_probability_integrals())
     )

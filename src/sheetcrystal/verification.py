@@ -250,8 +250,8 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     # -- two same-sign sheets: induced constant well -----------------------
     state_two = two_sheet.found.states[0]
     resid_two = abs(state_two.energy + 2.0)
-    interior = state_two.wavefunction.segments[1]
-    flat = interior.kind == "lin" and abs(interior.c2) <= 1e-8 * abs(interior.c1)
+    two = state_two.wavefunction
+    flat = two.kinds[1] == "lin" and abs(two.c2s[1]) <= 1e-8 * abs(two.c1s[1])
     checks.append(
         CheckRow(
             "two_sheet_well_ground_energy",

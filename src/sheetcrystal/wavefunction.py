@@ -7,8 +7,11 @@ coefficient second-order equation:
 * ``lin``  -- c1 + c2*(z-x0)                     (degenerate rate == 0)
 * ``osc``  -- c1*cos(rate*(z-x0)) + c2*sin(rate*(z-x0)), rate > 0
 
-Segment 0 covers the unbounded left region and is anchored at the first
-breakpoint; every other segment is anchored at the left edge of its region.
+A wavefunction is its breakpoints plus one column per field, ``kinds``,
+``rates``, ``c1s`` and ``c2s``, with one entry per segment.  Anchors are not
+stored: segment k is anchored at ``breakpoints[max(k - 1, 0)]``, so the
+unbounded left region and the first finite region share the first
+breakpoint and every other segment sits at the left edge of its region.
 All integrals (norm, per-region probability, derivative squared) come from
 antiderivatives, so nothing in the package accumulates sampling error.
 
@@ -19,7 +22,7 @@ of (segment index, z) pairs give the reference bits for every point value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -27,32 +30,6 @@ import numpy as np
 from .errors import DivergentTailError
 
 VALID_KINDS = ("exp", "lin", "osc")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One region's basis coefficients; see the module docstring for forms."""
-
-    kind: str
-    rate: float
-    x0: float
-    c1: float
-    c2: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in VALID_KINDS:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.kind in ("exp", "osc") and not self.rate > 0.0:
-            raise ValueError(f"{self.kind} segments need rate > 0, got {self.rate!r}")
-
-    def derivative_coefficients(self) -> "Segment":
-        """Segment of the same kind/anchor representing d(psi)/dz."""
-        kind, rate, x0, c1, c2 = self.kind, self.rate, self.x0, self.c1, self.c2
-        if kind == "exp":
-            return Segment(kind, rate, x0, -rate * c1, rate * c2)
-        if kind == "lin":
-            return Segment(kind, rate, x0, c2, 0.0)
-        return Segment(kind, rate, x0, rate * c2, -rate * c1)
 
 
 def _evaluate(columns: tuple[np.ndarray, ...], idx: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -115,53 +92,60 @@ def _square_integral_right_tail(kind: str, r: float, c1: float, c2: float) -> fl
     return c1 * c1 / (2.0 * r)
 
 
-def region_square_integrals(breakpoints: tuple[float, ...], rows) -> list[float]:
-    """Exact integral of psi^2 over each region, ends included.
-
-    ``rows`` holds one ``(kind, rate, c1, c2)`` per segment in the forms of the
-    module docstring, so a state can be sized before any :class:`Segment` of
-    it is built.
-    """
-    rows = list(rows)
-    parts = [_square_integral_left_tail(*rows[0])]
-    for i in range(1, len(rows) - 1):
-        width = breakpoints[i] - breakpoints[i - 1]
-        parts.append(_square_integral_finite(*rows[i], 0.0, width))
-    parts.append(_square_integral_right_tail(*rows[-1]))
-    return parts
+def _derivative_row(kind: str, r: float, c1: float, c2: float) -> tuple[float, float]:
+    """(c1, c2) of d(psi)/dz in the same form, with the same rate and anchor."""
+    if kind == "exp":
+        return -r * c1, r * c2
+    if kind == "lin":
+        return c2, 0.0
+    return r * c2, -r * c1
 
 
 @dataclass(frozen=True)
 class PiecewiseExpWavefunction:
-    """Wavefunction stitched from per-region closed-form segments.
+    """Wavefunction stitched from per-region closed forms, held as columns.
 
-    ``segments`` has one more entry than ``breakpoints``; ``normalized`` is
-    a promise made by the constructor path, not re-derived here.
+    ``kinds``, ``rates``, ``c1s`` and ``c2s`` have one entry per segment,
+    one more than ``breakpoints``, and are stored as tuples of Python
+    floats (and strings); segment k is anchored at
+    ``breakpoints[max(k - 1, 0)]``.  ``normalized`` is a promise made by the
+    constructor path, not re-derived here.
     """
 
     breakpoints: tuple[float, ...]
-    segments: tuple[Segment, ...]
+    kinds: tuple[str, ...]
+    rates: tuple[float, ...]
+    c1s: tuple[float, ...]
+    c2s: tuple[float, ...]
     normalized: bool
 
     def __post_init__(self) -> None:
-        if len(self.segments) != len(self.breakpoints) + 1:
-            raise ValueError(
-                f"{len(self.breakpoints)} breakpoints need "
-                f"{len(self.breakpoints) + 1} segments, got {len(self.segments)}"
-            )
+        n = len(self.breakpoints)
+        for name in ("breakpoints", "kinds", "rates", "c1s", "c2s"):
+            column = tuple(np.asarray(getattr(self, name), dtype=str if name == "kinds" else float).tolist())
+            if name != "breakpoints" and len(column) != n + 1:
+                raise ValueError(f"{n} breakpoints need {n + 1} segments, got {len(column)} {name}")
+            object.__setattr__(self, name, column)
+        if n == 0:
+            raise ValueError("a piecewise wavefunction needs at least one breakpoint")
         if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        for kind, rate in zip(self.kinds, self.rates):
+            if kind not in VALID_KINDS:
+                raise ValueError(f"unknown segment kind {kind!r}")
+            if kind != "lin" and not rate > 0.0:
+                raise ValueError(f"{kind} segments need rate > 0, got {rate!r}")
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, ...]:
         """(kind, rate, x0, c1, c2) arrays, one entry per segment, for :func:`_evaluate`."""
-        rate, x0, c1, c2 = np.array([(s.rate, s.x0, s.c1, s.c2) for s in self.segments], dtype=float).T
-        return np.array([s.kind for s in self.segments]), rate, x0, c1, c2
+        anchors = (self.breakpoints[0], *self.breakpoints)
+        return (np.array(self.kinds), *map(np.array, (self.rates, anchors, self.c1s, self.c2s)))
 
     @cached_property
     def _derivative(self) -> "PiecewiseExpWavefunction":
-        segments = tuple(s.derivative_coefficients() for s in self.segments)
-        return PiecewiseExpWavefunction(self.breakpoints, segments, normalized=False)
+        d1s, d2s = zip(*map(_derivative_row, self.kinds, self.rates, self.c1s, self.c2s))
+        return replace(self, c1s=d1s, c2s=d2s, normalized=False)
 
     def value(self, z: float) -> float:
         zs = np.asarray(float(z))
@@ -192,7 +176,13 @@ class PiecewiseExpWavefunction:
 
     def segment_probability_integrals(self) -> tuple[float, ...]:
         """Exact integral of psi^2 over each region, ends included."""
-        return tuple(region_square_integrals(self.breakpoints, ((s.kind, s.rate, s.c1, s.c2) for s in self.segments)))
+        rows = list(zip(self.kinds, self.rates, self.c1s, self.c2s))
+        parts = [_square_integral_left_tail(*rows[0])]
+        for i in range(1, len(rows) - 1):
+            width = self.breakpoints[i] - self.breakpoints[i - 1]
+            parts.append(_square_integral_finite(*rows[i], 0.0, width))
+        parts.append(_square_integral_right_tail(*rows[-1]))
+        return tuple(parts)
 
     def norm_squared(self) -> float:
         """Exact integral of psi^2 over the whole line."""
@@ -202,12 +192,8 @@ class PiecewiseExpWavefunction:
         """Exact integral of (d psi/dz)^2 over the whole line."""
         return self._derivative.norm_squared()
 
-    def continuity_residuals(self) -> tuple[float, ...]:
-        """|psi(b-) - psi(b+)| at every breakpoint."""
-        left, right = self.breakpoint_values()
-        return tuple(np.abs(left - right).tolist())
-
     def normalized_copy(self) -> "PiecewiseExpWavefunction":
         scale = 1.0 / math.sqrt(self.norm_squared())
-        segs = tuple(Segment(s.kind, s.rate, s.x0, scale * s.c1, scale * s.c2) for s in self.segments)
-        return PiecewiseExpWavefunction(self.breakpoints, segs, normalized=True)
+        return replace(
+            self, c1s=[scale * c for c in self.c1s], c2s=[scale * c for c in self.c2s], normalized=True
+        )

@@ -175,6 +175,11 @@ def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
         ("solve", "mode = sheets\nsheets = 0:1e300\n"),
         # the map emits a state at energy -0 where the oracle finds none
         ("solve --window=-5,5", "mode = canonical\nN = 3\nalpha = 1e-300\na = 1\n"),
+        # node counts past int64 (~1e200 and ~1e150 states) must not wrap to "no states"
+        ("solve", "mode = quantum\ndeltas = -1e200:-1, 1e200:-1\noffsets = 0, -1, 0\n"),
+        ("solve", "mode = quantum\ndeltas = -1:0, 1:0\noffsets = 0, -1e300, 0\n"),
+        # the default search cap 8e200 is finite, its energy is not
+        ("solve", "mode = quantum\ndeltas = 0:-1e200\noffsets = 0, 0\n"),
     ],
 )
 def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):

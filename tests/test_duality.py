@@ -127,8 +127,8 @@ def test_two_sheet_ground_state(atomic):
     sol = _solution([(-1.0, 2.0), (1.0, 2.0)], atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
     assert gs.energy == -2.0
-    interior = gs.wavefunction.segments[1]
-    assert interior.kind == "lin" and interior.c2 == 0.0
+    psi = gs.wavefunction
+    assert psi.kinds[1] == "lin" and psi.c2s[1] == 0.0
     assert gs.wavefunction.derivative(2.0) == pytest.approx(
         -2.0 * gs.wavefunction.value(2.0), rel=1e-13
     )

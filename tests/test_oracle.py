@@ -22,7 +22,7 @@ from sheetcrystal import (
     to_quantum,
 )
 from sheetcrystal import oracle
-from sheetcrystal.wavefunction import PiecewiseExpWavefunction, Segment
+from sheetcrystal.wavefunction import PiecewiseExpWavefunction
 
 
 def _crystal_problem(n, sigma=2.0, a=1.0, units=None):
@@ -85,9 +85,9 @@ def test_two_sheet_ground_state(atomic):
     found = find_bound_states(_two_sheet_problem())
     state = found.states[0]
     assert state.energy == pytest.approx(-2.0, abs=1e-8)
-    interior = state.wavefunction.segments[1]
-    assert interior.kind == "lin"
-    assert abs(interior.c2) <= 1e-8 * abs(interior.c1)  # constant inner segment
+    psi = state.wavefunction
+    assert psi.kinds[1] == "lin"
+    assert abs(psi.c2s[1]) <= 1e-8 * abs(psi.c1s[1])  # constant inner segment
 
 
 def test_two_sheet_spectrum_and_energy_balance(atomic):
@@ -427,25 +427,27 @@ def test_every_root_has_opposite_tail_signs_within_tol(problem):
 
 
 def _bits(wavefunction):
-    return [(s.kind, *(float(x).hex() for x in (s.rate, s.x0, s.c1, s.c2))) for s in wavefunction.segments]
+    columns = (wavefunction.rates, wavefunction.c1s, wavefunction.c2s)
+    return wavefunction.breakpoints, wavefunction.kinds, [[x.hex() for x in column] for column in columns]
 
 
 @pytest.mark.parametrize("name", ["crystal-8", "stack-3", "osc-exp", "lin"])
 def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     problem = _REFERENCE_PROBLEMS[name]
     built = []
-    real_segment = oracle.Segment
 
-    def counted(*fields):
-        built.append(fields)
-        return real_segment(*fields)
+    class Counted(PiecewiseExpWavefunction):
+        def __post_init__(self):
+            built.append(self.normalized)
+            super().__post_init__()
 
-    monkeypatch.setattr(oracle, "Segment", counted)
-    # a solve builds nothing; reading the ground state twice builds it once
+    monkeypatch.setattr(oracle, "PiecewiseExpWavefunction", Counted)
+    # a solve builds nothing; reading the ground state twice builds it once:
+    # its raw columns, then their normalized copy
     found = find_bound_states(problem)
     assert built == []
     assert found.states[0].wavefunction is found.states[0].wavefunction
-    assert len(built) == len(problem.deltas) + 1
+    assert built == [False, True]
     # a replaced state keeps the rows and builds the same bits on first read
     moved = dataclasses.replace(found.states[0], energy=0.0)
     assert _bits(moved.wavefunction) == _bits(found.states[0].wavefunction)
@@ -455,18 +457,20 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     path = oracle._transfer(problem, kappas)
     states = oracle._reconstruct(problem, kappas, path)
     assert len(states) == len(kappas) > 0
+    # each state holds views of its own column of the pass's arrays, unconverted
+    for state in states:
+        assert state._rows[0] == problem.positions
+        assert all(isinstance(column, np.ndarray) and column.base is not None for column in state._rows[1:])
+    assert built == []
     wavefunctions = [state.wavefunction for state in states]
     assert all(state.wavefunction is wavefunction for state, wavefunction in zip(states, wavefunctions))
-    assert len(built) == len(kappas) * (len(problem.deltas) + 1)
-    # with every norm forced to 1 the same pass yields the raw states; their
-    # normalized copies must be the states built above, bit for bit
-    monkeypatch.setattr(oracle, "region_square_integrals", lambda breakpoints, rows: [1.0])
-    raw = oracle._reconstruct(problem, kappas, path)
-    for wavefunction, unscaled in zip(wavefunctions, raw):
-        segments = unscaled.wavefunction.segments
-        expected = PiecewiseExpWavefunction(problem.positions, segments, normalized=False).normalized_copy()
-        assert wavefunction.normalized
-        assert _bits(wavefunction) == _bits(expected)
+    assert built == [False, True] * len(kappas)
+    # each state is the normalized copy of the raw state its columns describe
+    for wavefunction, state in zip(wavefunctions, states):
+        raw = PiecewiseExpWavefunction(*(np.asarray(column).tolist() for column in state._rows), normalized=False)
+        assert wavefunction.normalized and not raw.normalized
+        assert _bits(wavefunction) == _bits(raw.normalized_copy())
+        assert wavefunction.norm_squared() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_regime_switch_boundary_is_linear():
@@ -488,11 +492,7 @@ def test_degenerate_flat_problem_has_no_states(atomic):
 
 
 def test_norm_squared_textbook_case():
-    raw = PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(Segment("exp", 1.0, 0.0, 0.0, 1.0), Segment("exp", 1.0, 0.0, 1.0, 0.0)),
-        normalized=False,
-    )
+    raw = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), normalized=False)
     assert raw.norm_squared() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -521,11 +521,7 @@ def test_crystal_expectations_match_closed_forms(n, atomic):
 
 def test_expectations_require_normalized_state(atomic):
     problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
-    raw = PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(Segment("exp", 1.0, 0.0, 0.0, 2.0), Segment("exp", 1.0, 0.0, 2.0, 0.0)),
-        normalized=False,
-    )
+    raw = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (1.0, 1.0), (0.0, 2.0), (2.0, 0.0), normalized=False)
     with pytest.raises(ValueError, match="normalized"):
         expectation_potential_numeric(raw, problem)
     with pytest.raises(ValueError, match="normalized"):
@@ -541,8 +537,9 @@ def test_expectation_breakpoint_mismatch(atomic):
 
 def test_constant_segment_contributes_no_kinetic_energy(atomic):
     state = ground_state(_two_sheet_problem())
-    interior = state.wavefunction.segments[1].derivative_coefficients()
-    assert interior.c1 == 0.0 and interior.c2 == 0.0
+    psi = state.wavefunction
+    assert psi.kinds[1] == "lin"
+    assert psi.derivative(0.0) == 0.0  # the constant inner segment's slope
 
 
 # ---------------------------------------------------------------------------
@@ -598,3 +595,18 @@ def test_ground_wavefunction_pointwise_off_defaults(atomic):
     zs = np.linspace(-(n + 3) * a, (n + 3) * a, 200)
     worst = max(abs(psi(p, float(z)) - state.wavefunction.value(float(z))) for z in zs)
     assert worst < 1e-8
+
+
+@pytest.mark.parametrize(
+    "deltas,offsets,cause",
+    [
+        ([(-1e200, -1.0), (1e200, -1.0)], [0.0, -1.0, 0.0], "cannot count the bound states"),  # ~1e200 states
+        ([(-1.0, 0.0), (1.0, 0.0)], [0.0, -1e300, 0.0], "cannot count the bound states"),  # ~1e150 states
+        ([(0.0, -1e200)], [0.0, 0.0], "default search cap"),  # kappa = 1e200, energy -5e399
+    ],
+)
+def test_problem_beyond_float_range_names_the_cause(deltas, offsets, cause, atomic):
+    # the counts used to wrap to -2**63 and read as "no states"; the cap's
+    # energy used to overflow in the first pass
+    with pytest.raises(ValueError, match=cause):
+        find_bound_states(DeltaPotentialProblem(deltas, offsets, atomic))

@@ -9,7 +9,6 @@ from sheetcrystal import (
     DeltaPotentialProblem,
     DivergentTailError,
     PiecewiseExpWavefunction,
-    Segment,
     SheetArray,
     ground_state_from_electrostatics,
     schrodinger_residuals,
@@ -22,26 +21,17 @@ from sheetcrystal.duality import nan_max
 
 def _double_exponential():
     """exp(-|z|): one breakpoint at 0, pure decay on both sides."""
-    return PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(
-            Segment("exp", 1.0, 0.0, 0.0, 1.0),
-            Segment("exp", 1.0, 0.0, 1.0, 0.0),
-        ),
-        normalized=False,
-    )
+    return PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0), normalized=False)
 
 
 def _mixed_profile():
     """exp left tail, lin + osc interior pieces, exp right tail (not continuous)."""
     return PiecewiseExpWavefunction(
         breakpoints=(-1.0, 0.5, 2.0),
-        segments=(
-            Segment("exp", 1.3, -1.0, 0.0, 0.7),
-            Segment("lin", 0.0, -1.0, 0.4, -0.2),
-            Segment("osc", 2.1, 0.5, 0.3, 0.5),
-            Segment("exp", 0.8, 2.0, 0.6, 0.0),
-        ),
+        kinds=("exp", "lin", "osc", "exp"),
+        rates=(1.3, 0.0, 2.1, 0.8),
+        c1s=(0.0, 0.4, 0.3, 0.6),
+        c2s=(0.7, -0.2, 0.5, 0.0),
         normalized=False,
     )
 
@@ -65,8 +55,9 @@ def test_one_sided_derivatives_at_cusp():
         psi.derivative(0.0, side="middle")
 
 
-def test_continuity_residuals_zero_for_continuous_profile():
-    assert _double_exponential().continuity_residuals() == (0.0,)
+def test_continuity_residuals_zero_for_continuous_profile(atomic):
+    problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
+    assert schrodinger_residuals(problem, _double_exponential(), -0.5).continuity_residual == 0.0
 
 
 def test_segment_integrals_match_quadrature():
@@ -90,75 +81,73 @@ def test_derivative_squared_integral_matches_quadrature():
 
 
 def test_growing_left_tail_is_divergent():
-    psi = PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(
-            Segment("exp", 1.0, 0.0, 0.5, 1.0),  # decaying part toward -inf grows
-            Segment("exp", 1.0, 0.0, 1.0, 0.0),
-        ),
-        normalized=False,
-    )
+    # the c1 part of the left tail grows toward -inf
+    psi = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (1.0, 1.0), (0.5, 1.0), (1.0, 0.0), normalized=False)
     with pytest.raises(DivergentTailError):
         psi.norm_squared()
 
 
 def test_growing_right_tail_is_divergent():
-    psi = PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(
-            Segment("exp", 1.0, 0.0, 0.0, 1.0),
-            Segment("exp", 1.0, 0.0, 1.0, 1e-30),
-        ),
-        normalized=False,
-    )
+    psi = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (1.0, 1.0), (0.0, 1.0), (1.0, 1e-30), normalized=False)
     with pytest.raises(DivergentTailError):
         psi.norm_squared()
 
 
 def test_linear_end_segment_is_divergent():
-    psi = PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(
-            Segment("lin", 0.0, 0.0, 1.0, 0.0),
-            Segment("exp", 1.0, 0.0, 1.0, 0.0),
-        ),
-        normalized=False,
-    )
+    psi = PiecewiseExpWavefunction((0.0,), ("lin", "exp"), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0), normalized=False)
     with pytest.raises(DivergentTailError):
         psi.norm_squared()
 
 
 def test_normalized_copy_has_unit_norm():
-    raw = PiecewiseExpWavefunction(
-        breakpoints=(0.0,),
-        segments=(
-            Segment("exp", 2.0, 0.0, 0.0, 3.0),
-            Segment("exp", 2.0, 0.0, 3.0, 0.0),
-        ),
-        normalized=False,
-    )
+    raw = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (2.0, 2.0), (0.0, 3.0), (3.0, 0.0), normalized=False)
     psi = raw.normalized_copy()
     assert psi.normalized
     assert psi.norm_squared() == pytest.approx(1.0, rel=1e-15)
     assert psi.value(0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
+_VALID_COLUMNS = {"kinds": ("exp", "lin", "exp"), "rates": (1.0, 0.0, 1.0), "c1s": (0.0, 1.0, 1.0), "c2s": (1.0, 0.0, 0.0)}
+
+
+def _with(column, bad):
+    return PiecewiseExpWavefunction((0.0, 1.0), **{**_VALID_COLUMNS, column: bad}, normalized=False)
+
+
 def test_segment_count_must_match_breakpoints():
-    with pytest.raises(ValueError, match="segments"):
-        PiecewiseExpWavefunction(
-            breakpoints=(0.0, 1.0),
-            segments=(Segment("exp", 1.0, 0.0, 0.0, 1.0), Segment("exp", 1.0, 0.0, 1.0, 0.0)),
-            normalized=False,
-        )
+    for column, bad in [
+        ("kinds", ("exp", "exp")),
+        ("rates", (1.0, 0.0, 1.0, 1.0)),
+        ("c1s", (0.0, 1.0)),
+        ("c2s", ()),
+    ]:
+        with pytest.raises(ValueError, match=f"2 breakpoints need 3 segments, got {len(bad)} {column}"):
+            _with(column, bad)
+    with pytest.raises(ValueError, match="at least one breakpoint"):
+        PiecewiseExpWavefunction((), ("exp",), (1.0,), (0.0,), (0.0,), normalized=False)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseExpWavefunction((1.0, 1.0), **_VALID_COLUMNS, normalized=False)
 
 
 def test_segment_kind_and_rate_validation():
-    with pytest.raises(ValueError):
-        Segment("wiggle", 1.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Segment("exp", 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Segment("osc", -2.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="unknown segment kind 'wiggle'"):
+        _with("kinds", ("exp", "wiggle", "exp"))
+    for kind, rate in [("exp", 0.0), ("exp", -2.0), ("exp", math.nan), ("osc", 0.0), ("osc", -2.0), ("osc", math.nan)]:
+        with pytest.raises(ValueError, match=f"{kind} segments need rate > 0"):
+            PiecewiseExpWavefunction((0.0, 1.0), ("exp", kind, "exp"), (1.0, rate, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0), normalized=False)
+    with pytest.raises(ValueError, match="exp segments need rate > 0"):
+        _with("rates", (-0.5, 0.0, 1.0))  # an end segment too
+
+
+def test_constructor_stores_python_floats_and_a_linear_rate_is_free():
+    psi = PiecewiseExpWavefunction(
+        np.array([0.0, 1.0]), np.array(["exp", "lin", "exp"]), np.array([1.0, -3.0, 1.0]),
+        [0, 1, 1], np.array([1.0, 0.0, 0.0]), normalized=False,
+    )
+    for column in (psi.breakpoints, psi.kinds, psi.rates, psi.c1s, psi.c2s):
+        assert type(column) is tuple and {type(x) for x in column} <= {float, str}
+    assert psi.c1s == (0.0, 1.0, 1.0) and psi.rates[1] == -3.0
+    assert psi == PiecewiseExpWavefunction((0.0, 1.0), **{**_VALID_COLUMNS, "rates": (1.0, -3.0, 1.0)}, normalized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -175,28 +164,37 @@ def _values_reference(psi, zs, side="right"):
     zs = np.asarray(zs, dtype=float)
     idx = np.searchsorted(psi.breakpoints, zs, side=side)
     out = np.empty_like(zs)
-    for i, seg in enumerate(psi.segments):
+    for i, (kind, rate, c1, c2) in enumerate(zip(psi.kinds, psi.rates, psi.c1s, psi.c2s)):
         mask = idx == i
         if not mask.any():
             continue
-        u = zs[mask] - seg.x0
-        if seg.kind == "exp":
+        x0 = psi.breakpoints[max(i - 1, 0)]  # the left tail shares the first region's anchor
+        u = zs[mask] - x0
+        if kind == "exp":
             vals = np.zeros_like(u)
-            if seg.c1 != 0.0:
-                vals += seg.c1 * np.exp(-seg.rate * u)
-            if seg.c2 != 0.0:
-                vals += seg.c2 * np.exp(seg.rate * u)
-        elif seg.kind == "lin":
-            vals = seg.c1 + seg.c2 * u
+            if c1 != 0.0:
+                vals += c1 * np.exp(-rate * u)
+            if c2 != 0.0:
+                vals += c2 * np.exp(rate * u)
+        elif kind == "lin":
+            vals = c1 + c2 * u
         else:
-            vals = seg.c1 * np.cos(seg.rate * u) + seg.c2 * np.sin(seg.rate * u)
+            vals = c1 * np.cos(rate * u) + c2 * np.sin(rate * u)
         out[mask] = vals
     return out
 
 
+_DERIVATIVE_ROWS = {
+    "exp": lambda r, c1, c2: (-r * c1, r * c2),
+    "lin": lambda r, c1, c2: (c2, 0.0),
+    "osc": lambda r, c1, c2: (r * c2, -r * c1),
+}
+
+
 def _derivative_of(psi):
-    segments = tuple(s.derivative_coefficients() for s in psi.segments)
-    return PiecewiseExpWavefunction(psi.breakpoints, segments, normalized=False)
+    """d(psi)/dz in the same forms, differentiated row by row."""
+    d1s, d2s = zip(*(_DERIVATIVE_ROWS[k](r, c1, c2) for k, r, c1, c2 in zip(psi.kinds, psi.rates, psi.c1s, psi.c2s)))
+    return PiecewiseExpWavefunction(psi.breakpoints, psi.kinds, psi.rates, d1s, d2s, normalized=False)
 
 
 def _hexes(values):
@@ -223,7 +221,7 @@ def _assert_evaluator_bits(psi, problem):
 
     edges = np.asarray(psi.breakpoints)
     left, right = _values_reference(psi, edges, "left"), _values_reference(psi, edges)
-    assert _hexes(psi.continuity_residuals()) == _hexes(np.abs(left - right))
+    assert (_hexes(psi.breakpoint_values()[0]), _hexes(psi.breakpoint_values()[1])) == (_hexes(left), _hexes(right))
 
     jump = _values_reference(slope, edges) - _values_reference(slope, edges, "left")
     scale = 2.0 * problem.units.mass / problem.units.hbar**2
