@@ -4,6 +4,13 @@ Exit codes: 0 success, 1 input/validation problem, 2 verification failure.
 CSV output uses 17 significant digits, '.' decimals, and '\\n' line endings,
 and is byte-identical across runs for identical inputs.
 
+``solve`` and ``sweep`` read only the ground state, so they ask the oracle
+for that state alone (``lowest=1``); their ``bound_state_count`` and
+``count`` are the oracle's count of every state in its search range
+(``metadata.state_count``).  The normalization constant is carried as its
+logarithm: ``solve`` prints ``norm_constant`` while the constant is a finite
+float and ``log_norm_constant`` (its natural log) on that line otherwise.
+
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
 unknown or duplicate keys are rejected.  Sweeps run their cells in the
 order of the parameter grid.
@@ -251,7 +258,7 @@ def cmd_solve(args) -> int:
 
     if scenario.mode == "quantum":
         problem = DeltaPotentialProblem(scenario.deltas, scenario.offsets, units)
-        found = oracle.find_bound_states(problem)
+        found = oracle.find_bound_states(problem, lowest=1)
         if not found.states:
             raise SheetCrystalError("the potential binds no state; nothing to solve")
         state = found.states[0]
@@ -264,8 +271,8 @@ def cmd_solve(args) -> int:
         )
         sol = solve_sheets(dual, units)
         z_last = sol.breakpoints[-1]
-        norm_constant = psi.value(z_last) * math.exp(-potential_at(sol, z_last) / units.V0)
-        count = len(found)
+        # norm_constant = psi(z_last) * exp(-V(z_last)/V0), kept as the two factors
+        scale, log_factor = psi.value(z_last), -potential_at(sol, z_last) / units.V0
     else:
         if scenario.mode == "canonical":
             sigma = sigma_from_alpha(scenario.alpha, units)
@@ -279,7 +286,7 @@ def cmd_solve(args) -> int:
         sol = solve_sheets(array, units)
         ground = ground_state_from_electrostatics(sol, units)  # NotNormalizable -> exit 1
         problem = to_quantum(sol, units)
-        found = oracle.find_bound_states(problem)
+        found = oracle.find_bound_states(problem, lowest=1)
         if not found.states:
             raise SheetCrystalError(
                 f"the exponential map gives a ground state at energy {_fmt(ground.energy)}, "
@@ -288,8 +295,7 @@ def cmd_solve(args) -> int:
             )
         psi = ground.wavefunction
         energy = ground.energy
-        norm_constant = ground.norm_constant
-        count = len(found)
+        scale, log_factor = 1.0, ground.log_norm_constant
 
     u_mean = oracle.expectation_potential_numeric(psi, problem)
     t_mean = oracle.expectation_kinetic_numeric(psi, units)
@@ -313,11 +319,19 @@ def cmd_solve(args) -> int:
     )
     _emit_csv("z,V,psi,U_region", rows, scenario.out, sys.stdout)
 
+    # the constant while it is a finite float, else its log (see the module docstring)
+    try:
+        norm_constant = scale * math.exp(log_factor)
+    except OverflowError:
+        norm_constant = math.inf
     print(f"energy: {_fmt(energy)}")
-    print(f"norm_constant: {_fmt(norm_constant)}")
+    if math.isfinite(norm_constant):
+        print(f"norm_constant: {_fmt(norm_constant)}")
+    else:
+        print(f"log_norm_constant: {_fmt(math.log(scale) + log_factor)}")
     print(f"expectation_potential: {_fmt(u_mean)}")
     print(f"expectation_kinetic: {_fmt(t_mean)}")
-    print(f"bound_state_count: {count}")
+    print(f"bound_state_count: {found.metadata.state_count}")
     return 0
 
 
@@ -385,7 +399,7 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
 
     sigma = sigma_from_alpha(alpha, units)
     problem = to_quantum(solve_sheets(CanonicalCrystal(n, sigma, a).to_sheet_array(), units), units)
-    found = oracle.find_bound_states(problem)
+    found = oracle.find_bound_states(problem, lowest=1)
     if not found.states:
         raise NoBoundStatesError(
             f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}: the solver finds no bound state in its search range"
@@ -397,7 +411,7 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
         abs(t_mean - oracle.expectation_kinetic_numeric(state.wavefunction, units)),
         abs(closedform.psi(p, 0.0) - state.wavefunction.value(0.0)),
     )
-    return (n, alpha, a, energy, norm, u_mean, t_mean, len(found), resid)
+    return (n, alpha, a, energy, norm, u_mean, t_mean, found.metadata.state_count, resid)
 
 
 def cmd_sweep(args) -> int:

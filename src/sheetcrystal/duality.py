@@ -94,11 +94,21 @@ class DeltaPotentialProblem:
 
 @dataclass(frozen=True)
 class GroundStateSolution:
-    """Normalized nodeless ground state produced by the exponential map."""
+    """Normalized nodeless ground state produced by the exponential map.
+
+    The state is ``norm_constant * exp(V/V0)``.  Its constant is kept as
+    ``log_norm_constant``, which stays finite where the constant itself
+    exceeds the float range (long crystals); reading ``norm_constant`` then
+    raises OverflowError.
+    """
 
     energy: float
     wavefunction: PiecewiseExpWavefunction
-    norm_constant: float
+    log_norm_constant: float
+
+    @property
+    def norm_constant(self) -> float:
+        return math.exp(self.log_norm_constant)
 
 
 @dataclass(frozen=True)
@@ -235,9 +245,7 @@ def ground_state_from_electrostatics(
 
     psi = PiecewiseExpWavefunction(breakpoints, *zip(*rows), normalized=True)
     energy = -0.5 * units.eps0 * sol.E_inf**2 * units.a0**3
-    return GroundStateSolution(
-        energy=energy, wavefunction=psi, norm_constant=math.exp(log_norm_constant)
-    )
+    return GroundStateSolution(energy=energy, wavefunction=psi, log_norm_constant=log_norm_constant)
 
 
 def schrodinger_residuals(

@@ -14,12 +14,16 @@ every step is the same vectorised pass over an array of kappas.  A pass costs
 about the same at one kappa as at a hundred, so the first one runs on a grid
 of :data:`GRID` cells from kappa = 0+ to the search cap: its count at 0+ gives
 the number of states, and the counts at the grid points hand each state the
-cell that holds it.  Batched bisection on the count then isolates each
-state, the same loop refines each isolated state by regula falsi with the
+cell that holds it.  The search counts every state but isolates and refines
+only the lowest ones its caller asks for (``lowest``; all by default, one for
+:func:`ground_state`).  Batched bisection on the count isolates each of
+them, the same loop refines each isolated state by regula falsi with the
 Illinois modification on the tail coefficient, and the pass at the roots
 gives each state its coefficient columns, from which its wavefunction is
 built when first read; the result is an exact piecewise closed
-form whose only approximation is the location of the root.
+form whose only approximation is the location of the root.  Every column of
+a pass is computed on its own kappa alone, so a state comes out with the
+same bits whether it is refined alone or with the others.
 
 A pass is a batch and then a recurrence.  Everything that depends on kappa
 but not on the propagated solution (each region's regime, rate, phase and
@@ -77,14 +81,20 @@ class ScanMetadata:
     """How the roots were found; kept for reproducibility and audits.
 
     ``node_count`` is the number of bound states with decay rate above
-    ``tol``, counted from the nodes of the solution at kappa = ``tol``.
-    ``brackets`` holds each returned state's isolating interval, and
-    ``unresolved`` the intervals that still held more than one state when
-    bisection could not split them further.
+    ``tol``, counted from the nodes of the solution at kappa = ``tol``, and
+    ``state_count`` the number with decay rate in (``tol``, ``kappa_max``]:
+    ``node_count`` less the count at ``kappa_max``.  Both come from the
+    counting pass, so they count every state in range even when only the
+    ``lowest`` were refined; without ``lowest``, ``state_count`` is the
+    number of states returned.  ``brackets`` and ``root_residuals`` hold one
+    entry per returned state (its isolating interval and |tail| at its
+    root), and ``unresolved`` the intervals among them that still held more
+    than one state when bisection could not split them further.
     """
 
     kappa_max: float
     node_count: int
+    state_count: int
     brackets: tuple[tuple[float, float], ...]
     root_residuals: tuple[float, ...]
     unresolved: tuple[tuple[float, float], ...]
@@ -265,8 +275,16 @@ def find_bound_states(
     problem: DeltaPotentialProblem,
     kappa_max: float | None = None,
     tol: float = DEFAULT_BISECTION_TOL,
+    lowest: int | None = None,
 ) -> BoundStateList:
-    """Locate every bound state with decay rate in (tol, kappa_max].
+    """Locate the bound states with decay rate in (tol, kappa_max], lowest first.
+
+    ``lowest`` = k returns only the k lowest-energy states in range (fewer
+    if fewer exist); ``None`` returns all of them.  The count is taken for
+    all of them either way (``metadata.state_count``), and only the states
+    returned are isolated, refined and reconstructed, so asking for the
+    ground state alone costs the counting pass, its own refinement and one
+    pass at its root, whatever the number of states.
 
     ``tol`` plays two parts: the node count taken at kappa = ``tol`` stands
     for kappa = 0+ (exactly at 0 a threshold solution can end flat and lose
@@ -295,10 +313,12 @@ def find_bound_states(
     them at its midpoint and is listed in ``metadata.unresolved``.  States
     come back sorted by ascending energy; finding none is an empty list,
     not an error.  Each state's wavefunction is built the first time it is
-    read, so a caller that reads only ``states[0]`` builds one state.
+    read.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
+    if lowest is not None and not lowest >= 0:
+        raise ValueError(f"lowest must be >= 0 or None, got {lowest!r}")
     if kappa_max is None:
         kappa_max = _default_kappa_max(problem)
         if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (kappa_max * kappa_max)):
@@ -316,8 +336,11 @@ def find_bound_states(
     cells = _transfer(problem, grid)
     node_count = int(cells.nodes[0])
     # state j (j = 0 is the ground state) lies in (lo, hi) when count(lo) > j >= count(hi);
-    # lo is the last grid point counting more than j states and hi the next one
+    # lo is the last grid point counting more than j states and hi the next one;
+    # every state in range is counted, only the lowest asked for are refined
     j = np.arange(int(cells.nodes[-1]), node_count)
+    state_count = len(j)
+    j = j[:lowest]
     above = cells.nodes[None, :] > j[:, None]
     last = GRID - np.argmax(above[:, ::-1], axis=1)
     lo = np.where(grid[last] == tol, 0.0, grid[last])  # 0 stands for 0+, where the count was taken
@@ -375,6 +398,7 @@ def find_bound_states(
     metadata = ScanMetadata(
         kappa_max=kappa_max,
         node_count=node_count,
+        state_count=state_count,
         brackets=tuple(zip(bracket_lo.tolist(), bracket_hi.tolist())),
         root_residuals=tuple(np.abs(final.tail).tolist()),
         unresolved=tuple(sorted(set(zip(lo[~isolated].tolist(), hi[~isolated].tolist())), reverse=True)),
@@ -383,8 +407,11 @@ def find_bound_states(
 
 
 def ground_state(problem: DeltaPotentialProblem, **scan_options) -> BoundState:
-    """Lowest-energy bound state; raises NoBoundStatesError if none exist."""
-    found = find_bound_states(problem, **scan_options)
+    """Lowest-energy bound state; raises NoBoundStatesError if none exist.
+
+    Only this state is isolated, refined and reconstructed (``lowest=1``).
+    """
+    found = find_bound_states(problem, lowest=1, **scan_options)
     if not found.states:
         raise NoBoundStatesError("the potential binds no state in the searched range")
     return found.states[0]

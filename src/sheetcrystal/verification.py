@@ -126,25 +126,32 @@ def _quad_psi_squared(p: CrystalParams) -> float:
     return _gauss_integral(lambda zs: np.array([closedform.psi(p, z) ** 2 for z in zs]), edges, panels)
 
 
-def _quad_core_exponential(N: int, r: float, a: float) -> float:
+def _quad_core_exponential(N: int, r: float, a: float, site_sums: dict | None = None) -> float:
     """Numerical version of the half-line core integral of the crystal norm.
 
     The exponent is the brute-force site sum: all 2N+1 signed distances
     ``(-1)**n * |z +- n*a|`` are formed at every node and summed there by two
     exactly rounded ``math.fsum`` calls, so the check uses no lattice-sum
-    identity and nothing from :mod:`closedform`.
+    identity and nothing from :mod:`closedform`.  The nodes depend on the
+    rate only through the panel count, so a caller integrating several rates
+    passes one ``site_sums`` dict to every call: the sums are formed once per
+    (N, a, panel count) and every rate's exponential is taken on them.
     """
-    n = np.arange(N + 1)
-    sign = 1.0 - 2.0 * (n % 2)  # (-1.0)**n, exactly
-    offsets = n * a
+    panels = max(1, math.ceil(abs(r) * a / 4.0))
+    key = (N, a, panels)
+    site_sums = {} if site_sums is None else site_sums
 
     def integrand(zs: np.ndarray) -> np.ndarray:
-        z = zs[:, None]
-        first = map(math.fsum, (sign * np.abs(z + offsets)).tolist())
-        second = map(math.fsum, (sign[1:] * np.abs(z - offsets[1:])).tolist())
-        return np.array([math.exp(-r * (f + s)) for f, s in zip(first, second)])
+        if key not in site_sums:
+            n = np.arange(N + 1)
+            sign = 1.0 - 2.0 * (n % 2)  # (-1.0)**n, exactly
+            offsets = n * a
+            z = zs[:, None]
+            first = map(math.fsum, (sign * np.abs(z + offsets)).tolist())
+            second = map(math.fsum, (sign[1:] * np.abs(z - offsets[1:])).tolist())
+            site_sums[key] = [f + s for f, s in zip(first, second)]
+        return np.array([math.exp(-r * total) for total in site_sums[key]])
 
-    panels = max(1, math.ceil(abs(r) * a / 4.0))
     return _gauss_integral(integrand, [k * a for k in range(N + 1)], [panels] * N)
 
 
@@ -293,10 +300,11 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     checks.append(CheckRow("identity_sinh_parity", worst_sinh, 1e-13, worst_sinh <= 1e-13))
 
     worst_core = 0.0
+    site_sums = {}
     for n_sites in range(1, identity_n_max + 1):
         for r in (-10.0, -2.0, -0.7, 0.5, 2.0, 10.0):
             closed = closedform.segment_integral_closed(n_sites, r, 1.0)
-            numeric = _quad_core_exponential(n_sites, r, 1.0)
+            numeric = _quad_core_exponential(n_sites, r, 1.0, site_sums)
             worst_core = nan_max(worst_core, abs(closed - numeric) / max(1.0, abs(numeric)))
     checks.append(CheckRow("core_integral_closed_vs_quadrature", worst_core, 1e-10, worst_core <= 1e-10))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sheetcrystal import CrystalParams, atomic_units, closedform
 from sheetcrystal.cli import main
 
 A_N1 = 1.9906463197512672
@@ -153,7 +154,7 @@ def test_units_file_validation(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command,text",
     [
-        ("solve", "mode = canonical\nN = 400\nalpha = 1\na = 2\n"),
+        # the closed-form normalization constant in the A column exceeds the float range
         ("sweep", "N = 400\nalpha = 1\na = 2\n"),
     ],
 )
@@ -164,6 +165,31 @@ def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: numeric overflow")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "n,alpha,a,count",
+    [(400, 1.0, 2.0, 401), (1000, 1.0, 1.0, 1001), (1000, 0.7, 1.3, 729)],
+    ids=["N400-a2", "N1000-a1", "N1000-alpha0.7-a1.3"],
+)
+def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_path, capsys):
+    # exp(N*m*alpha*a/hbar^2) exceeds the float range: the summary prints the
+    # log of the normalization constant on its line instead
+    cfg = _write(tmp_path, "big.cfg", f"mode = canonical\nN = {n}\nalpha = {alpha}\na = {a}\n")
+    out = tmp_path / "big.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = _summary(capsys)
+    assert list(summary) == [
+        "energy", "log_norm_constant", "expectation_potential", "expectation_kinetic", "bound_state_count"
+    ]
+    p = CrystalParams(n, alpha, a, atomic_units())
+    assert float(summary["energy"]) == pytest.approx(closedform.ground_energy(p), rel=1e-14)
+    assert float(summary["log_norm_constant"]) == pytest.approx(p._log_norm_constant, rel=1e-13)
+    assert float(summary["expectation_potential"]) == pytest.approx(closedform.expectation_potential(p), abs=1e-10)
+    assert float(summary["expectation_kinetic"]) == pytest.approx(closedform.expectation_kinetic(p), abs=1e-10)
+    assert int(summary["bound_state_count"]) == count
+    _, data = _read_csv(out)
+    assert np.all(np.isfinite(data)) and np.all(data[:, 2] >= 0.0)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,85 @@
+"""Golden digests of the CLI's deterministic outputs.
+
+Each case runs ``cli.main`` in-process and pins the SHA-256 of what it
+writes: the CSV file and the summary on stdout for ``solve``, the CSV for
+``sweep``, the four CSVs for ``figure`` and the table for ``verify``.  A
+change that claims to keep the outputs "byte-identical" proves it here; a
+change that moves any bit on purpose updates the digest and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from sheetcrystal.cli import main
+
+SWEEP = "N = 0..8\nalpha = 0.5, 1, 2, 0.7\na = 0.5, 1, 1.3\n"
+SOLVE = {
+    "canonical": "mode = canonical\nN = 8\nalpha = 1\na = 1\n",
+    "uneven": "mode = sheets\nsheets = -1.7:2.2, -0.3:-0.8, 0.9:1.4\n",
+    "quantum": "mode = quantum\ndeltas = -1:-1, 1:-1\noffsets = 0, -2, 0\n",
+}
+
+DIGESTS = {
+    "sweep": {
+        "csv": "001064bcb7bfd9be3e0ef59e11c4ccf3542d4acef056c3a3adcfb4091535f8a4",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "solve-canonical": {
+        "csv": "7b11ebb642c8e52c3a6245d617f8b9d6750075435a53fc00d816a1bc8c8f223b",
+        "stdout": "0ccc35ef759adc103f9669718698535091a6ed5992205f02c34356c7e5216e35",
+    },
+    "solve-uneven": {
+        "csv": "eb85681db7a67da1c34131335a8cbecce010dfa9be67575ad88423afbf1b224b",
+        "stdout": "d5806d817086c4e27987fd48b6a5cd79ccd2e8bb12c797d6d4ee7729661b5ab5",
+    },
+    "solve-quantum": {
+        "csv": "52e6c6711f43b472da6363a0a9829ead92f2f37bc133a00a65fbcbf1f7d18a42",
+        "stdout": "b4b5b0ac78eec740ef774169c909eaf12b83f233867313f5e2faeb6ae77b4099",
+    },
+    "figure": {
+        "N1": "a9b5cb3f612e887a7144ada4ab07d64c0d317e7bc0374a6f4285bdb216fe9ac3",
+        "N2": "f4c1919ff91600f30c22d2928052e992e6cb960d0440157376b89356fbff8f3c",
+        "N3": "a98144a62115e20d048deb5bde3e46e06b22a91b7860aaae6aacbdb15543cf36",
+        "N4": "fa7c42bf10ea6bfc8895343fd05b4102be45f3774715050f9b318d8ff4be9c02",
+        "stdout": "2a15cb53902b7da8b1317ee153268400bef4986b07c3644eda993410f0a4adf1",
+    },
+    "verify-quick": {"stdout": "4911d60df9586dfa02308102dc8f3c0a73ce2c4ce97cff44072f2705f2ea42d7"},
+    "verify-full": {"stdout": "9b16fb369afe42ed911a133de4333b67b5bd9593921d7c6997fd40122c4d6bad"},
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _outputs(name, tmp_path, capsys):
+    """(exit code, {part: bytes}) of one golden case."""
+    if name == "sweep":
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        cfg.write_text(SWEEP)
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        return code, {"csv": out.read_bytes(), "stdout": capsys.readouterr().out.encode()}
+    if name.startswith("solve-"):
+        cfg, out = tmp_path / "solve.cfg", tmp_path / "solve.csv"
+        cfg.write_text(SOLVE[name.removeprefix("solve-")])
+        code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        return code, {"csv": out.read_bytes(), "stdout": capsys.readouterr().out.encode()}
+    if name == "figure":
+        code = main(["figure", "--out", str(tmp_path)])
+        parts = {f"N{n}": (tmp_path / f"crystal_psi_N{n}.csv").read_bytes() for n in (1, 2, 3, 4)}
+        parts["stdout"] = capsys.readouterr().out.replace(str(tmp_path), "<out>").encode()
+        return code, parts
+    depth = name.removeprefix("verify-")
+    code = main(["verify", "--depth", depth])
+    return code, {"stdout": capsys.readouterr().out.encode()}
+
+
+CASES = ["sweep", *(f"solve-{key}" for key in SOLVE), "figure", "verify-quick", "verify-full"]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_cli_output_digest(name, tmp_path, capsys):
+    code, parts = _outputs(name, tmp_path, capsys)
+    assert code == 0
+    assert {part: _sha(data) for part, data in parts.items()} == DIGESTS[name]

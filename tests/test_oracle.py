@@ -610,3 +610,68 @@ def test_problem_beyond_float_range_names_the_cause(deltas, offsets, cause, atom
     # energy used to overflow in the first pass
     with pytest.raises(ValueError, match=cause):
         find_bound_states(DeltaPotentialProblem(deltas, offsets, atomic))
+
+
+# ---------------------------------------------------------------------------
+# ground state first: only the states asked for are refined
+# ---------------------------------------------------------------------------
+
+_GROUND_FIRST_PROBLEMS = {
+    "crystals": lambda: [_crystal_problem(n) for n in range(0, 51)],
+    "stacks": lambda: [_random_stack_problem(seed) for seed in range(200)],
+    "reference": lambda: list(_REFERENCE_PROBLEMS.values()),
+}
+
+
+@pytest.mark.parametrize("group", _GROUND_FIRST_PROBLEMS)
+def test_ground_first_keeps_the_ground_state_bits_and_the_count(group):
+    # each kappa column of a pass is computed on its own, so refining the
+    # ground state alone reaches the same points and the same root
+    for problem in _GROUND_FIRST_PROBLEMS[group]():
+        full = find_bound_states(problem)
+        first = find_bound_states(problem, lowest=1)
+        assert first.metadata.state_count == full.metadata.state_count == len(full)
+        assert first.metadata.node_count == full.metadata.node_count
+        assert len(first) == min(1, len(full))
+        if not full.states:
+            continue
+        want, got = full.states[0], first.states[0]
+        assert got.kappa.hex() == want.kappa.hex()
+        assert got.energy.hex() == want.energy.hex()
+        assert got._rows[0] == want._rows[0]
+        assert all(_same_bits(g, w) for g, w in zip(got._rows[1:], want._rows[1:]))
+        assert first.metadata.brackets == full.metadata.brackets[:1]
+        assert first.metadata.root_residuals == full.metadata.root_residuals[:1]
+
+
+@pytest.mark.parametrize("n", [8, 100, 1000])
+def test_unit_crystal_ground_state_closes_in_two_passes(n, monkeypatch):
+    # at alpha*a = 1 the ground state sits on the grid point kappa = 1: the
+    # counting pass closes its bracket and the pass at the root rebuilds it
+    problem = _crystal_problem(n)
+    calls = _record_transfers(monkeypatch)
+    state = ground_state(problem)
+    assert len(calls) == 2
+    assert calls[1] == [1.0]
+    assert state.kappa == 1.0
+    assert state.energy == -0.5
+
+
+def test_lowest_bounds_the_states_returned(atomic):
+    problem = _crystal_problem(4)
+    full = find_bound_states(problem)
+    assert len(full) == full.metadata.state_count == 5
+    for lowest in (0, 1, 3, 5, 6, 100):
+        found = find_bound_states(problem, lowest=lowest)
+        assert found.metadata.state_count == 5
+        assert [s.kappa.hex() for s in found] == [s.kappa.hex() for s in full.states[:lowest]]
+        assert len(found.metadata.brackets) == len(found.metadata.root_residuals) == min(lowest, 5)
+    # a cap below the ground state leaves it out of the range, and of lowest
+    capped = find_bound_states(problem, kappa_max=0.99)
+    first = find_bound_states(problem, kappa_max=0.99, lowest=1)
+    assert first.metadata.node_count == 5 and first.metadata.state_count == len(capped) == 4
+    assert first.states[0].kappa.hex() == capped.states[0].kappa.hex()
+    assert first.states[0].kappa == pytest.approx(full.states[1].kappa, abs=1e-10)
+    for lowest in (-1, math.nan):
+        with pytest.raises(ValueError):
+            find_bound_states(problem, lowest=lowest)
