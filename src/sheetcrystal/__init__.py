@@ -22,13 +22,9 @@ from .duality import (
     to_quantum,
 )
 from .electrostatics import (
-    BoundaryField,
-    CanonicalCrystal,
     SheetArray,
-    field_at,
     potential_at,
     solve_sheets,
-    uniform_field_magnitude,
 )
 from .errors import (
     AsymmetricAsymptoticFieldError,
@@ -51,9 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymmetricAsymptoticFieldError",
-    "BoundaryField",
     "BreakpointMismatchError",
-    "CanonicalCrystal",
     "CrystalParams",
     "DeltaPotentialProblem",
     "DivergentTailError",
@@ -70,7 +64,6 @@ __all__ = [
     "expectation_kinetic_numeric",
     "expectation_potential",
     "expectation_potential_numeric",
-    "field_at",
     "find_bound_states",
     "ground_energy",
     "ground_state",
@@ -86,5 +79,4 @@ __all__ = [
     "sigma_from_alpha",
     "solve_sheets",
     "to_quantum",
-    "uniform_field_magnitude",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 from . import closedform, oracle
 from .closedform import CrystalParams
 from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, nan_max, to_quantum
-from .electrostatics import CanonicalCrystal, SheetArray, potential_at, solve_sheets
+from .electrostatics import SheetArray, potential_at, solve_sheets
 from .errors import NoBoundStatesError, SheetCrystalError
 from .units import UnitSystem, atomic_units, sigma_from_alpha
 from .verification import crystal_figure_samples, run_verification
@@ -275,12 +275,7 @@ def cmd_solve(args) -> int:
         scale, log_factor = psi.value(z_last), -potential_at(sol, z_last) / units.V0
     else:
         if scenario.mode == "canonical":
-            sigma = sigma_from_alpha(scenario.alpha, units)
-            try:
-                crystal = CanonicalCrystal(scenario.n, sigma, scenario.a)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            array = crystal.to_sheet_array()
+            array = CrystalParams(scenario.n, scenario.alpha, scenario.a, units).to_sheet_array()
         else:
             array = SheetArray(scenario.sheets)
         sol = solve_sheets(array, units)
@@ -397,8 +392,7 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
     u_mean = closedform.expectation_potential(p)
     t_mean = closedform.expectation_kinetic(p)
 
-    sigma = sigma_from_alpha(alpha, units)
-    problem = to_quantum(solve_sheets(CanonicalCrystal(n, sigma, a).to_sheet_array(), units), units)
+    problem = to_quantum(solve_sheets(p.to_sheet_array(), units), units)
     found = oracle.find_bound_states(problem, lowest=1)
     if not found.states:
         raise NoBoundStatesError(

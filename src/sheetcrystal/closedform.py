@@ -24,13 +24,17 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .electrostatics import _validate_crystal
-from .units import UnitSystem
+from .electrostatics import SheetArray
+from .units import UnitSystem, sigma_from_alpha
 
 
 @dataclass(frozen=True)
 class CrystalParams:
-    """Crystal half-width N, attraction strength alpha > 0, spacing a > 0."""
+    """Crystal half-width N, attraction strength alpha > 0, spacing a > 0.
+
+    This is the only crystal type: the electrostatic side reads the same
+    crystal through :meth:`to_sheet_array`.
+    """
 
     N: int
     alpha: float
@@ -38,7 +42,27 @@ class CrystalParams:
     units: UnitSystem
 
     def __post_init__(self) -> None:
-        _validate_crystal(self, "alpha", "a")
+        if isinstance(self.N, bool) or not isinstance(self.N, int):
+            raise ValueError(f"N must be an integer, got {self.N!r}")
+        if self.N < 0:
+            raise ValueError(f"N must be >= 0, got {self.N!r}")
+        for name in ("alpha", "a"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            object.__setattr__(self, name, value)
+
+    def to_sheet_array(self) -> SheetArray:
+        """The dual stack: 2N+1 sheets at z = n*a, densities sigma * (-1)**(n + N).
+
+        sigma = sigma_from_alpha(alpha, units), so the outermost (and, for
+        even N, the central) sheets are positive.  That end-positivity is
+        what keeps the dual wavefunction normalizable.
+        """
+        sigma = sigma_from_alpha(self.alpha, self.units)
+        if not math.isfinite(sigma):
+            raise OverflowError(f"alpha = {self.alpha!r} gives an infinite sheet density")
+        return SheetArray([(n * self.a, sigma * (-1.0) ** (n + self.N)) for n in range(-self.N, self.N + 1)])
 
     @cached_property
     def _log_norm_constant(self) -> float:  # log A, read by psi at every point

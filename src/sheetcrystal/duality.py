@@ -170,11 +170,12 @@ def check_normalizable(sol: ElectrostaticSolution) -> NormalizabilityReport:
     """Whether exp(V/V0) decays at both ends, with the failing side named.
 
     Decay requires the potential to fall toward -inf on both sides, i.e.
-    a negative slope in the rightmost region and a positive slope in the
-    leftmost one.  For a sheet array both reduce to total density > 0.
+    a negative slope -E in the rightmost region and a positive one in the
+    leftmost, so the field points outward at both ends.  For a sheet array
+    both reduce to total density > 0.
     """
-    left_ok = sol.region_slopes[0] > 0.0
-    right_ok = sol.region_slopes[-1] < 0.0
+    left_ok = sol.region_fields[0] < 0.0
+    right_ok = sol.region_fields[-1] > 0.0
     if left_ok and right_ok:
         return NormalizabilityReport(True, "potential falls toward -inf on both sides")
     sides = []
@@ -212,7 +213,7 @@ def ground_state_from_electrostatics(
     v0 = units.V0
     breakpoints = sol.breakpoints
     values = sol.potential_values
-    slopes = sol.region_slopes
+    slopes = [-field for field in sol.region_fields]  # dV/dz per region; negation is exact
     v_max = max(values)
 
     # Shifted norm: integral of exp(2*(V - v_max)/V0), assembled per region;

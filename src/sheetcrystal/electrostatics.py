@@ -1,4 +1,4 @@
-"""Exact fields, potentials, and energy densities of parallel charged sheets.
+"""Exact fields and potentials of parallel charged sheets.
 
 These are the only charge configurations whose field magnitude is piecewise
 constant, which is what the exponential map onto bound states requires.
@@ -8,6 +8,9 @@ potential is piecewise linear and continuous, and the gauge is fixed to
     V(z) = -(1/(2*eps0)) * sum_n sigma_n * |z - z_n|
 
 so that downstream wavefunction formulas come out without stray constants.
+The potential's slope in region k is -region_fields[k]; the solution stores
+the fields only.  The alternating crystal's stack comes from
+``closedform.CrystalParams.to_sheet_array``.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence
 
 from .units import UnitSystem
-
-UNIFORM_FIELD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,52 +62,6 @@ class SheetArray:
         return math.fsum(s for _, s in self.sheets)
 
 
-def _validate_crystal(crystal, *positive: str) -> None:
-    """Check a frozen crystal's integer ``N >= 0`` and its ``positive`` fields.
-
-    Each named field must be finite and > 0; it is stored back as a float.
-    """
-    if isinstance(crystal.N, bool) or not isinstance(crystal.N, int):
-        raise ValueError(f"N must be an integer, got {crystal.N!r}")
-    if crystal.N < 0:
-        raise ValueError(f"N must be >= 0, got {crystal.N!r}")
-    for name in positive:
-        value = float(getattr(crystal, name))
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        object.__setattr__(crystal, name, value)
-
-
-@dataclass(frozen=True)
-class CanonicalCrystal:
-    """Evenly spaced alternating stack with positive sheets at both ends.
-
-    Expands to 2N+1 sheets at z = n*a for n in [-N, N] with densities
-    sigma * (-1)**(n + N), so the outermost (and, for even N, the central)
-    sheets are positive.  That end-positivity is what keeps the dual
-    wavefunction normalizable.
-    """
-
-    N: int
-    sigma: float
-    a: float
-
-    def __post_init__(self) -> None:
-        _validate_crystal(self, "sigma", "a")
-
-    def to_sheet_array(self) -> SheetArray:
-        return SheetArray(
-            [(n * self.a, self.sigma * (-1.0) ** (n + self.N)) for n in range(-self.N, self.N + 1)]
-        )
-
-
-class BoundaryField(NamedTuple):
-    """Two one-sided field values at a sheet position (the field jumps there)."""
-
-    left: float
-    right: float
-
-
 @dataclass(frozen=True)
 class ElectrostaticSolution:
     """Piecewise description of the field and potential of a sheet array.
@@ -121,13 +76,11 @@ class ElectrostaticSolution:
     densities: tuple[float, ...]
     region_fields: tuple[float, ...]
     potential_values: tuple[float, ...]
-    region_slopes: tuple[float, ...]
     E_inf: float
-    region_energy_density: tuple[float, ...]
 
 
 def solve_sheets(array: SheetArray, units: UnitSystem) -> ElectrostaticSolution:
-    """Solve a sheet array for its field, potential, and energy density.
+    """Solve a sheet array for its field and potential.
 
     The field in region k is half the difference of the side sums,
     (left_k - right_k)/(2*eps0) = (2*left_k - total)/(2*eps0), taken from
@@ -156,24 +109,8 @@ def solve_sheets(array: SheetArray, units: UnitSystem) -> ElectrostaticSolution:
         densities=densities,
         region_fields=tuple(fields),
         potential_values=tuple(potential),
-        region_slopes=tuple(-f for f in fields),
         E_inf=abs(fields[-1]),
-        region_energy_density=tuple(0.5 * eps0 * f * f for f in fields),
     )
-
-
-def field_at(sol: ElectrostaticSolution, z: float) -> Union[float, BoundaryField]:
-    """Field at ``z``; at a sheet position, both one-sided values.
-
-    The field is discontinuous exactly at the sheets, so querying a
-    breakpoint returns a :class:`BoundaryField` instead of silently picking
-    (or averaging) a side.
-    """
-    z = float(z)
-    idx = bisect_right(sol.breakpoints, z)
-    if idx > 0 and sol.breakpoints[idx - 1] == z:
-        return BoundaryField(left=sol.region_fields[idx - 1], right=sol.region_fields[idx])
-    return sol.region_fields[idx]
 
 
 def potential_at(sol: ElectrostaticSolution, z: float) -> float:
@@ -181,16 +118,4 @@ def potential_at(sol: ElectrostaticSolution, z: float) -> float:
     z = float(z)
     idx = bisect_right(sol.breakpoints, z)
     anchor = idx - 1 if idx > 0 else 0
-    return sol.potential_values[anchor] + sol.region_slopes[idx] * (z - sol.breakpoints[anchor])
-
-
-def uniform_field_magnitude(sol: ElectrostaticSolution) -> Union[float, None]:
-    """The common |field| if every region shares one, else ``None``.
-
-    Magnitudes are compared with a relative tolerance of 1e-12.
-    """
-    mags = [abs(f) for f in sol.region_fields]
-    top = max(mags)
-    if top - min(mags) <= UNIFORM_FIELD_RTOL * top:
-        return sol.E_inf
-    return None
+    return sol.potential_values[anchor] - sol.region_fields[idx] * (z - sol.breakpoints[anchor])

@@ -37,7 +37,7 @@ from .duality import (
     schrodinger_residuals,
     to_quantum,
 )
-from .electrostatics import CanonicalCrystal, ElectrostaticSolution, SheetArray, potential_at, solve_sheets
+from .electrostatics import ElectrostaticSolution, SheetArray, potential_at, solve_sheets
 from .units import UnitSystem, atomic_units
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -209,7 +209,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
 
     # -- every configuration, solved once -----------------------------------
     params = [CrystalParams(n, 1.0, 1.0, units) for n in range(0, n_max + 1)]
-    crystals = [_solve(CanonicalCrystal(n, 2.0, 1.0).to_sheet_array(), units) for n in range(0, n_max + 1)]
+    crystals = [_solve(p.to_sheet_array(), units) for p in params]
     two_sheet = _solve(SheetArray([(-1.0, 2.0), (1.0, 2.0)]), units)
     uneven = _solve(SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)]), units)
 

@@ -206,6 +206,10 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
         ("solve", "mode = quantum\ndeltas = -1:0, 1:0\noffsets = 0, -1e300, 0\n"),
         # the default search cap 8e200 is finite, its energy is not
         ("solve", "mode = quantum\ndeltas = 0:-1e200\noffsets = 0, 0\n"),
+        # one input, one message: both commands name alpha, not the sheet density
+        ("solve", "mode = canonical\nN = 3\nalpha = -1\na = 1\n"),
+        ("sweep", "N = 3\nalpha = -1\na = 1\n"),
+        ("solve", "mode = canonical\nN = 3\nalpha = 1e308\na = 1\n"),  # its sheet density overflows
     ],
 )
 def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
@@ -215,6 +219,8 @@ def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
+    if "alpha = -1\n" in text:
+        assert captured.err == "error: alpha must be finite and > 0, got -1.0\n"
 
 
 def test_unknown_subcommand_is_input_error(capsys):

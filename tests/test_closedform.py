@@ -67,7 +67,7 @@ def _quad_norm(p):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [dict(N=-1), dict(N=2.0), dict(alpha=0.0), dict(a=-1.0)])
+@pytest.mark.parametrize("bad", [dict(N=-1), dict(N=2.0), dict(alpha=0.0), dict(a=-1.0), dict(N=1.5)])
 def test_params_validation(bad):
     values = dict(N=1, alpha=1.0, a=1.0, units=atomic_units())
     values.update(bad)

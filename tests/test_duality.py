@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from sheetcrystal import (
     AsymmetricAsymptoticFieldError,
     BreakpointMismatchError,
-    CanonicalCrystal,
+    CrystalParams,
     DeltaPotentialProblem,
     NotNormalizableError,
     SheetArray,
@@ -50,7 +50,7 @@ def test_two_sheet_map_induces_interior_well(atomic):
 
 
 def test_crystal_map_strength_pattern(atomic):
-    sol = solve_sheets(CanonicalCrystal(2, 2.0, 1.0).to_sheet_array(), atomic)
+    sol = solve_sheets(CrystalParams(2, 1.0, 1.0, atomic).to_sheet_array(), atomic)
     prob = to_quantum(sol, atomic)
     assert prob.positions == (-2.0, -1.0, 0.0, 1.0, 2.0)
     assert prob.strengths == (-1.0, 1.0, -1.0, 1.0, -1.0)
@@ -71,7 +71,7 @@ def test_asymmetric_end_fields_rejected(atomic):
 
 @pytest.mark.parametrize("n", range(0, 9))
 def test_crystals_are_normalizable(n, atomic):
-    sol = solve_sheets(CanonicalCrystal(n, 2.0, 1.0).to_sheet_array(), atomic)
+    sol = solve_sheets(CrystalParams(n, 1.0, 1.0, atomic).to_sheet_array(), atomic)
     verdict = check_normalizable(sol)
     assert verdict
     assert verdict.normalizable
@@ -112,7 +112,7 @@ def test_single_sheet_ground_state(atomic):
 
 
 def test_crystal_n1_ground_state(atomic):
-    sol = solve_sheets(CanonicalCrystal(1, 2.0, 1.0).to_sheet_array(), atomic)
+    sol = solve_sheets(CrystalParams(1, 1.0, 1.0, atomic).to_sheet_array(), atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
     assert gs.energy == -0.5
     assert gs.norm_constant == pytest.approx(A_N1, rel=1e-14)
@@ -144,7 +144,7 @@ def test_not_normalizable_raises(atomic):
 
 def test_ground_state_propagates_asymmetric_field_error(atomic):
     sol = _solution([(0.0, 2.0)], atomic)
-    doctored = dataclasses.replace(sol, region_fields=(-1.0, 2.0), region_slopes=(1.0, -2.0))
+    doctored = dataclasses.replace(sol, region_fields=(-1.0, 2.0))
     with pytest.raises(AsymmetricAsymptoticFieldError):
         ground_state_from_electrostatics(doctored, atomic)
 
@@ -162,7 +162,7 @@ def test_single_delta_residuals_vanish(atomic):
 
 
 def test_crystal_cusp_signs_and_residuals(atomic):
-    sol = solve_sheets(CanonicalCrystal(1, 2.0, 1.0).to_sheet_array(), atomic)
+    sol = solve_sheets(CrystalParams(1, 1.0, 1.0, atomic).to_sheet_array(), atomic)
     prob = to_quantum(sol, atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
     report = schrodinger_residuals(prob, gs.wavefunction, gs.energy)
@@ -247,7 +247,7 @@ def test_log_of_state_reproduces_potential(sheets):
 def test_energy_is_minus_asymptotic_energy_density(atomic):
     sol = _solution([(-0.7, 1.0), (0.4, 2.0)], atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
-    assert gs.energy == -sol.region_energy_density[-1]
+    assert gs.energy == -(0.5 * atomic.eps0 * sol.region_fields[-1] ** 2)
 
 
 def test_gauge_shift_leaves_normalized_state_unchanged(atomic):

@@ -7,15 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sheetcrystal import (
-    BoundaryField,
-    CanonicalCrystal,
+    CrystalParams,
     SheetArray,
+    UnitSystem,
     atomic_units,
-    field_at,
     potential_at,
+    sigma_from_alpha,
     solve_sheets,
-    uniform_field_magnitude,
 )
+
+
+def _crystal(n, sigma, a):
+    """The alternating crystal of sheet density ``sigma`` in atomic units (alpha = sigma/2)."""
+    return CrystalParams(n, 0.5 * sigma, a, atomic_units()).to_sheet_array()
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -45,23 +49,23 @@ def test_non_finite_entries_rejected():
 
 
 def test_crystal_expansion_sign_pattern():
-    crystal = CanonicalCrystal(2, 2.0, 1.0)
-    array = crystal.to_sheet_array()
+    array = _crystal(2, 2.0, 1.0)
     assert array.positions == (-2.0, -1.0, 0.0, 1.0, 2.0)
     assert array.densities == (2.0, -2.0, 2.0, -2.0, 2.0)
 
 
 def test_crystal_n0_is_single_sheet():
-    array = CanonicalCrystal(0, 2.0, 1.0).to_sheet_array()
-    assert array.sheets == ((0.0, 2.0),)
+    assert _crystal(0, 2.0, 1.0).sheets == ((0.0, 2.0),)
 
 
-@pytest.mark.parametrize("bad", [dict(N=-1), dict(sigma=0.0), dict(a=-1.0), dict(N=1.5)])
-def test_crystal_validation(bad):
-    params = dict(N=1, sigma=2.0, a=1.0)
-    params.update(bad)
-    with pytest.raises(ValueError):
-        CanonicalCrystal(**params)
+def test_crystal_densities_in_scaled_units():
+    u = UnitSystem(hbar=2.0, mass=0.5, eps0=4.0, V0=4.0, a0=0.5)
+    alpha = 0.7
+    sigma = sigma_from_alpha(alpha, u)
+    assert sigma != 2.0 * alpha  # V0 * a0**3 = 0.5, so the units matter here
+    array = CrystalParams(3, alpha, 1.3, u).to_sheet_array()
+    assert array.densities == (sigma, -sigma, sigma, -sigma, sigma, -sigma, sigma)
+    assert array.positions == tuple(n * 1.3 for n in range(-3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +77,8 @@ def test_single_sheet_potential_and_field(atomic):
     sol = solve_sheets(SheetArray([(0.0, 2.0)]), atomic)
     assert potential_at(sol, 3.0) == -3.0
     assert potential_at(sol, 0.0) == 0.0  # gauge anchor
-    assert field_at(sol, 1.0) == 1.0
-    assert field_at(sol, -4.0) == -1.0
-    assert sol.region_energy_density == (0.5, 0.5)
+    assert sol.region_fields == (-1.0, 1.0)  # left of the sheet, right of it
     assert sol.E_inf == 1.0
-
-
-def test_field_at_sheet_position_reports_both_sides(atomic):
-    sol = solve_sheets(SheetArray([(0.0, 2.0)]), atomic)
-    boundary = field_at(sol, 0.0)
-    assert isinstance(boundary, BoundaryField)
-    assert boundary == BoundaryField(left=-1.0, right=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +88,7 @@ def test_field_at_sheet_position_reports_both_sides(atomic):
 
 def test_two_sheet_fields(atomic):
     sol = solve_sheets(SheetArray([(-1.0, 2.0), (1.0, 2.0)]), atomic)
-    assert field_at(sol, 0.0) == 0.0
-    assert field_at(sol, 5.0) == 2.0
-    assert field_at(sol, -5.0) == -2.0
-    assert uniform_field_magnitude(sol) is None
+    assert sol.region_fields == (-2.0, 0.0, 2.0)
 
 
 def test_two_sheet_potential(atomic):
@@ -112,7 +104,7 @@ def test_two_sheet_potential(atomic):
 
 
 def test_crystal_n1_potential_values(atomic):
-    sol = solve_sheets(CanonicalCrystal(1, 2.0, 1.0).to_sheet_array(), atomic)
+    sol = solve_sheets(_crystal(1, 2.0, 1.0), atomic)
     assert potential_at(sol, 0.0) == -2.0
     assert potential_at(sol, 1.0) == -1.0
     assert potential_at(sol, -1.0) == -1.0
@@ -120,14 +112,9 @@ def test_crystal_n1_potential_values(atomic):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_crystal_uniform_field_magnitude(n, atomic):
-    sol = solve_sheets(CanonicalCrystal(n, 2.0, 1.0).to_sheet_array(), atomic)
-    assert uniform_field_magnitude(sol) == 1.0  # sigma / (2 eps0)
+    sol = solve_sheets(_crystal(n, 2.0, 1.0), atomic)
+    assert sol.E_inf == 1.0  # sigma / (2 eps0)
     assert all(abs(f) == 1.0 for f in sol.region_fields)
-
-
-def test_single_sheet_uniform_magnitude(atomic):
-    sol = solve_sheets(SheetArray([(0.0, 2.0)]), atomic)
-    assert uniform_field_magnitude(sol) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +147,7 @@ def test_slope_jump_equals_minus_density(sheets):
     array = _sorted_array(sheets)
     sol = solve_sheets(array, atomic)
     v_max = max(abs(v) for v in sol.potential_values)
-    slope_max = max(abs(s) for s in sol.region_slopes)
+    slope_max = max(abs(f) for f in sol.region_fields)
     for i, (z, sigma) in enumerate(array.sheets):
         width_left = z - array.positions[i - 1] if i > 0 else 1.0
         width_right = array.positions[i + 1] - z if i + 1 < len(array.positions) else 1.0
@@ -172,8 +159,8 @@ def test_slope_jump_equals_minus_density(sheets):
         # the two, and the difference quotients resolve no finer than that over h
         resolution = math.ulp(v_max + slope_max * (abs(z) + h)) / h
         assert slope_right - slope_left == pytest.approx(-sigma / atomic.eps0, abs=8 * resolution)
-        jump = field_at(sol, z)
-        assert jump.right - jump.left == pytest.approx(sigma / atomic.eps0, abs=1e-12)
+        jump = sol.region_fields[i + 1] - sol.region_fields[i]  # right of sheet i minus left of it
+        assert jump == pytest.approx(sigma / atomic.eps0, abs=1e-12)
 
 
 @given(finite_arrays)
@@ -188,7 +175,8 @@ def test_region_field_is_half_difference_of_side_sums(sheets):
             continue
         left = sum(s for p, s in array.sheets if p < z)
         right = sum(s for p, s in array.sheets if p > z)
-        assert field_at(sol, float(z)) == pytest.approx(
+        region = sum(p < z for p in array.positions)
+        assert sol.region_fields[region] == pytest.approx(
             (left - right) / (2.0 * atomic.eps0), abs=1e-12
         )
 
@@ -211,21 +199,12 @@ def test_superposition_of_potentials(sheets_a, sheets_b):
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_symmetric_array_potential_is_even(n, atomic):
-    sol = solve_sheets(CanonicalCrystal(n, 2.0, 1.0).to_sheet_array(), atomic)
+    sol = solve_sheets(_crystal(n, 2.0, 1.0), atomic)
     rng = np.random.default_rng(42)
     for z in rng.uniform(-10.0, 10.0, size=1000):
         assert potential_at(sol, float(z)) == pytest.approx(
             potential_at(sol, float(-z)), abs=1e-12
         )
-
-
-@given(finite_arrays)
-@settings(max_examples=40, deadline=None)
-def test_energy_density_matches_fields(sheets):
-    atomic = atomic_units()
-    sol = solve_sheets(_sorted_array(sheets), atomic)
-    for field, density in zip(sol.region_fields, sol.region_energy_density):
-        assert density == 0.5 * atomic.eps0 * field * field
 
 
 def _superposition(array, eps0):
@@ -269,7 +248,7 @@ def _crystal_closed_form(n, sigma, a, eps0):
 @pytest.mark.parametrize("n", [0, 1, 7, 100, 1000])
 def test_solve_sheets_is_exact_on_crystals(n, atomic):
     sigma, a = 3.0, 0.5  # dyadic, so every sum below is exact
-    array = CanonicalCrystal(n, sigma, a).to_sheet_array()
+    array = _crystal(n, sigma, a)
     sol = solve_sheets(array, atomic)
     assert (sol.region_fields, sol.potential_values) == _superposition(array, atomic.eps0)
     assert (sol.region_fields, sol.potential_values) == _crystal_closed_form(n, sigma, a, atomic.eps0)
@@ -278,7 +257,7 @@ def test_solve_sheets_is_exact_on_crystals(n, atomic):
 def test_solve_sheets_is_linear_at_20001_sheets(atomic):
     # the O(K^2) superposition would take minutes here
     n, sigma, a = 10_000, 3.0, 0.5
-    sol = solve_sheets(CanonicalCrystal(n, sigma, a).to_sheet_array(), atomic)
+    sol = solve_sheets(_crystal(n, sigma, a), atomic)
     assert (sol.region_fields, sol.potential_values) == _crystal_closed_form(n, sigma, a, atomic.eps0)
 
 

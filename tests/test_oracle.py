@@ -6,7 +6,6 @@ import pytest
 
 from sheetcrystal import (
     BreakpointMismatchError,
-    CanonicalCrystal,
     CrystalParams,
     DeltaPotentialProblem,
     NoBoundStatesError,
@@ -25,9 +24,9 @@ from sheetcrystal import oracle
 from sheetcrystal.wavefunction import PiecewiseExpWavefunction
 
 
-def _crystal_problem(n, sigma=2.0, a=1.0, units=None):
-    units = units or atomic_units()
-    return to_quantum(solve_sheets(CanonicalCrystal(n, sigma, a).to_sheet_array(), units), units)
+def _crystal_problem(n, alpha=1.0, a=1.0):
+    units = atomic_units()
+    return to_quantum(solve_sheets(CrystalParams(n, alpha, a, units).to_sheet_array(), units), units)
 
 
 def _two_sheet_problem(units=None):
@@ -214,7 +213,7 @@ def test_far_apart_doublet_is_resolved(atomic):
 def test_count_is_taken_just_above_threshold(atomic):
     # N = 4 at alpha*a = 0.5: the kappa = 0 solution ends flat, so the tail
     # sign there says nothing; the count at 0+ sees both states
-    problem = _crystal_problem(4, sigma=1.0)
+    problem = _crystal_problem(4, alpha=0.5)
     assert oracle._transfer(problem, np.array([0.0])).tail[0] == 0.0
     found = find_bound_states(problem)
     assert len(found) == found.metadata.node_count == 2
@@ -572,7 +571,7 @@ def test_closed_forms_match_solver_across_grid(n, atomic):
 
     for alpha in (0.5, 1.0, 2.0):
         for a in (0.5, 1.0, 2.0):
-            problem = _crystal_problem(n, sigma=2.0 * alpha, a=a)
+            problem = _crystal_problem(n, alpha=alpha, a=a)
             state = ground_state(problem)
             p = CrystalParams(n, alpha, a, atomic)
             assert state.energy == pytest.approx(ground_energy(p), abs=1e-9)
@@ -589,7 +588,7 @@ def test_closed_forms_match_solver_across_grid(n, atomic):
 
 def test_ground_wavefunction_pointwise_off_defaults(atomic):
     n, alpha, a = 3, 2.0, 0.5
-    problem = _crystal_problem(n, sigma=2.0 * alpha, a=a)
+    problem = _crystal_problem(n, alpha=alpha, a=a)
     state = ground_state(problem)
     p = CrystalParams(n, alpha, a, atomic)
     zs = np.linspace(-(n + 3) * a, (n + 3) * a, 200)

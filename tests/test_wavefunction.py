@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from sheetcrystal import (
-    CanonicalCrystal,
+    CrystalParams,
     DeltaPotentialProblem,
     DivergentTailError,
     PiecewiseExpWavefunction,
     SheetArray,
+    atomic_units,
     ground_state_from_electrostatics,
     schrodinger_residuals,
     solve_sheets,
@@ -246,7 +247,7 @@ def test_zero_coefficient_tails_skip_their_overflowing_exp(atomic):
     _assert_evaluator_bits(psi, problem)
 
 
-_STACKS = {f"crystal-{n}": CanonicalCrystal(n, 2.0, 1.0).to_sheet_array() for n in (0, 8, 50, 100)}
+_STACKS = {f"crystal-{n}": CrystalParams(n, 1.0, 1.0, atomic_units()).to_sheet_array() for n in (0, 8, 50, 100)}
 _STACKS["uneven"] = SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)])
 
 
