@@ -13,7 +13,8 @@ float and ``log_norm_constant`` (its natural log) on that line otherwise.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment and
 unknown or duplicate keys are rejected.  Sweeps run their cells in the
-order of the parameter grid.
+order of the parameter grid: every cell's closed forms and problem first,
+then one oracle search for all of them, which serves many problems at once.
 """
 
 from __future__ import annotations
@@ -235,8 +236,10 @@ def _load_scenario(args) -> Scenario:
 
 
 def _emit_csv(header: str, rows, out: Path | None, stream) -> None:
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
-    payload = "\n".join(lines) + "\n"
+    # one %-format over every cell; "%.17g" % x is format(float(x), ".17g")
+    rows = list(rows)
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    payload = header + "\n" + (line * len(rows)) % tuple(v for row in rows for v in row)
     if out is None:
         stream.write(payload)
         stream.write("\n")
@@ -385,15 +388,21 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------------------
 
 def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
+    """One cell's crystal, the start of its row (N, alpha, a, the closed forms) and its problem."""
     n, alpha, a = cell
     p = CrystalParams(n, alpha, a, units)
-    energy = closedform.ground_energy(p)
-    norm = closedform.normalization_constant(p)
-    u_mean = closedform.expectation_potential(p)
-    t_mean = closedform.expectation_kinetic(p)
+    closed = (
+        closedform.ground_energy(p),
+        closedform.normalization_constant(p),
+        closedform.expectation_potential(p),
+        closedform.expectation_kinetic(p),
+    )
+    return p, (*cell, *closed), to_quantum(solve_sheets(p.to_sheet_array(), units), units)
 
-    problem = to_quantum(solve_sheets(p.to_sheet_array(), units), units)
-    found = oracle.find_bound_states(problem, lowest=1)
+
+def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, found: oracle.BoundStateList) -> tuple:
+    """The cell's whole CSV row, once the search has found its states."""
+    n, alpha, a, energy, _, u_mean, t_mean = start
     if not found.states:
         raise NoBoundStatesError(
             f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}: the solver finds no bound state in its search range"
@@ -402,10 +411,10 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
     resid = nan_max(
         abs(energy - state.energy),
         abs(u_mean - oracle.expectation_potential_numeric(state.wavefunction, problem)),
-        abs(t_mean - oracle.expectation_kinetic_numeric(state.wavefunction, units)),
+        abs(t_mean - oracle.expectation_kinetic_numeric(state.wavefunction, problem.units)),
         abs(closedform.psi(p, 0.0) - state.wavefunction.value(0.0)),
     )
-    return (n, alpha, a, energy, norm, u_mean, t_mean, found.metadata.state_count, resid)
+    return (*start, found.metadata.state_count, resid)
 
 
 def cmd_sweep(args) -> int:
@@ -421,8 +430,10 @@ def cmd_sweep(args) -> int:
     a_list = _parse_float_list("a", entries["a"])
     units = _load_units(args)
 
+    # every cell's closed forms and problem, in grid order, then one search for all
     cells = [(n, alpha, a) for n in n_list for alpha in alpha_list for a in a_list]
-    rows = [_sweep_cell(cell, units) for cell in cells]
+    params, starts, problems = zip(*(_sweep_cell(cell, units) for cell in cells))
+    rows = map(_sweep_row, params, starts, problems, oracle.find_bound_states(problems, lowest=1))
 
     out = args.out or entries.get("out")
     _emit_csv(

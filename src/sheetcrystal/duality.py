@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .electrostatics import ElectrostaticSolution
@@ -83,11 +84,13 @@ class DeltaPotentialProblem:
         object.__setattr__(self, "region_offsets", offsets)
         object.__setattr__(self, "units", units)
 
-    @property
+    # computed once per problem, so its states share one tuple; not fields,
+    # so equality and hashing still see the deltas, offsets and units alone
+    @cached_property
     def positions(self) -> tuple[float, ...]:
         return tuple(z for z, _ in self.deltas)
 
-    @property
+    @cached_property
     def strengths(self) -> tuple[float, ...]:
         return tuple(g for _, g in self.deltas)
 

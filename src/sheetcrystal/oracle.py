@@ -25,9 +25,18 @@ form whose only approximation is the location of the root.  Every column of
 a pass is computed on its own kappa alone, so a state comes out with the
 same bits whether it is refined alone or with the others.
 
+One search serves many problems.  :func:`find_bound_states` takes one
+problem or a sequence of them, and every pass carries the columns of all of
+them, each column tagged with its problem.  The kappa-independent arrays
+(offsets, widths, jumps) are laid out once per search, one column per
+problem, each chain padded at its start to the longest with identity steps:
+zero width, zero jump, the linear regime, never rescaled.  A pass over a
+batch then costs about what a pass over its longest problem costs, and each
+problem's states carry the same bits as a search of that problem alone.
+
 A pass is a batch and then a recurrence.  Everything that depends on kappa
 but not on the propagated solution (each region's regime, rate, phase and
-2x2 transfer matrix) is computed at once as (regions, kappas) arrays; the
+2x2 transfer matrix) is computed at once as (regions, columns) arrays; the
 Python loop over the sites keeps only the sequential part, the delta jump,
 the 2x2 step and the rescaling, and stores one row per region.  The node
 count and the reconstruction then read those rows as whole arrays.
@@ -42,7 +51,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from .wavefunction import PiecewiseExpWavefunction
 REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
 GRID = 64  # cells of the counting pass that seeds every bracket
+_GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k / GRID), held at or above tol
 
 
 @dataclass(frozen=True)
@@ -118,11 +129,51 @@ class BoundStateList:
         return tuple(s.energy for s in self.states)
 
 
+class _Chain(NamedTuple):
+    """The kappa-independent arrays of a batch of problems, one column each.
+
+    Each problem's chain is padded at its start to the longest one.  A padded
+    region has zero width, zero jump, an infinite offset, which puts it in
+    the linear regime whatever kappa, and a renorm floor of +inf, so it is
+    never rescaled: it carries the starting pair (1, kappa) through unchanged,
+    bit for bit, and every column gets exactly the operations its problem
+    alone would get.
+    """
+
+    half_h2_over_m: np.ndarray  # (problems,)
+    offsets: np.ndarray  # (regions, problems)
+    widths: np.ndarray  # (regions, problems)
+    jumps: np.ndarray  # (regions + 1, problems); row i is the site left of region i
+    floor: np.ndarray  # (regions, problems); renorm at or below it is not divided out
+    first: tuple[int, ...]  # each problem's first real region row
+
+
+def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
+    regions = max((len(p.deltas) for p in problems), default=1) - 1
+    shape = (regions, len(problems))
+    offsets, floor = np.full((2, *shape), np.inf)
+    widths = np.zeros(shape)
+    jumps = np.zeros((regions + 1, len(problems)))
+    half_h2_over_m, first = [], []
+    for k, problem in enumerate(problems):
+        units = problem.units
+        jump_scale = 2.0 * units.mass / units.hbar**2
+        start = regions + 1 - len(problem.deltas)
+        positions = np.array(problem.positions)
+        offsets[start:, k] = problem.region_offsets[1:-1]
+        widths[start:, k] = positions[1:] - positions[:-1]
+        jumps[start:, k] = [jump_scale * g for g in problem.strengths]
+        floor[start:, k] = 0.0
+        half_h2_over_m.append(0.5 * units.hbar**2 / units.mass)
+        first.append(start)
+    return _Chain(np.array(half_h2_over_m), offsets, widths, jumps, floor, tuple(first))
+
+
 class _Pass(NamedTuple):
     """Result of :func:`_transfer` at an array of kappas.
 
-    The 2-D arrays have one row per finite region, the one right of site i
-    in row i, and one column per kappa.
+    The 2-D arrays have one row per finite region of the batch's padded
+    chain, the one right of site i in row i, and one column per kappa.
     """
 
     tail: np.ndarray  # sign-preserving growing-tail coefficient
@@ -137,14 +188,19 @@ class _Pass(NamedTuple):
     psi_last: np.ndarray  # pair just right of the last site
     dpsi_last: np.ndarray
 
+    def part(self, first: int, columns) -> _Pass:
+        """The given columns, with the rows of their problem's own regions."""
+        return _Pass(*(a[columns] if a.ndim == 1 else a[first:, columns] for a in self))
 
-def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
+
+def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     """Carry the solution decaying toward -inf across the potential, for each kappa.
 
-    The pass is a batch and a loop.  The batch computes every region's
-    regime, rate and transfer matrix at every kappa at once; the loop over
-    the sites keeps only what is sequential, the delta jump, the 2x2 step
-    and a division by a positive factor after every region, so the tail
+    Column k runs at ``kappas[k]`` on problem ``which[k]`` of the chain.  The
+    pass is a batch and a loop.  The batch computes every region's regime,
+    rate and transfer matrix at every column at once; the loop over the
+    sites keeps only what is sequential, the delta jump, the 2x2 step and a
+    division by a positive factor after every region, so the tail
     coefficient keeps its sign but not its magnitude.
 
     Nodes are then counted per region from the stored rows: an exponential
@@ -155,13 +211,9 @@ def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
     psi counts as positive; one landing exactly on a site happens only on a
     measure-zero set of kappa.
     """
-    units = problem.units
-    half_h2_over_m = 0.5 * units.hbar**2 / units.mass
-    jump_scale = 2.0 * units.mass / units.hbar**2
-    jumps = [jump_scale * g for g in problem.strengths]
-    offsets = np.array(problem.region_offsets[1:-1])[:, None]
-    positions = np.array(problem.positions)
-    widths = (positions[1:] - positions[:-1])[:, None]
+    half_h2_over_m = chain.half_h2_over_m[which]
+    offsets, widths = chain.offsets[:, which], chain.widths[:, which]
+    jumps, floor = chain.jumps[:, which], chain.floor[:, which]
 
     kappas = np.asarray(kappas, dtype=float)
     energies = -half_h2_over_m * kappas**2
@@ -192,7 +244,7 @@ def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
         psi_new = psi_end[i] = diag[i] * psi + up[i] * dpsi
         dpsi_new = down[i] * psi + diag[i] * dpsi
         renorm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
-        renorm = renorm_at[i] = np.where(renorm > 0.0, renorm, 1.0)
+        renorm = renorm_at[i] = np.where(renorm > floor[i], renorm, 1.0)
         psi = psi_new / renorm
         dpsi = dpsi_new / renorm
     dpsi = dpsi + jumps[-1] * psi
@@ -217,13 +269,15 @@ def _transfer(problem: DeltaPotentialProblem, kappas: np.ndarray) -> _Pass:
 def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass) -> list[BoundState]:
     """Each located root as a state holding its coefficient rows from the pass.
 
-    Every root's rows are formed at once as (segments, kappas) arrays.  Each
-    segment's coefficients carry the running log of the factors the pass
-    divided out, so deep tails cannot underflow the bookkeeping; the
-    residual growing-tail coefficient is dropped (it vanishes to the root
-    tolerance by construction).  Each state keeps views of its own column of
-    those arrays; the normalized wavefunction is built from them when
-    :attr:`BoundState.wavefunction` is first read.
+    ``path`` holds this problem's columns and regions alone (see
+    :meth:`_Pass.part`).  Every root's rows are formed at once as
+    (segments, kappas) arrays.  Each segment's coefficients carry the
+    running log of the factors the pass divided out, so deep tails cannot
+    underflow the bookkeeping; the residual growing-tail coefficient is
+    dropped (it vanishes to the root tolerance by construction).  Each state
+    keeps views of its own column of those arrays; the normalized
+    wavefunction is built from them when :attr:`BoundState.wavefunction` is
+    first read.
     """
     exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
     # one row per segment (left tail, each region, right tail), one column per kappa
@@ -272,12 +326,21 @@ def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
 
 
 def find_bound_states(
-    problem: DeltaPotentialProblem,
+    problems: DeltaPotentialProblem | Sequence[DeltaPotentialProblem],
     kappa_max: float | None = None,
     tol: float = DEFAULT_BISECTION_TOL,
     lowest: int | None = None,
-) -> BoundStateList:
+) -> BoundStateList | list[BoundStateList]:
     """Locate the bound states with decay rate in (tol, kappa_max], lowest first.
+
+    ``problems`` is one problem, answered by one list, or a sequence of
+    them, answered by one list per problem in order.  Either way it is one
+    search: every pass carries the columns of every problem through one
+    :func:`_transfer`, which costs about what a pass over the longest
+    problem alone costs, and every column gets the operations its problem
+    alone would get, so each state comes out with the same bits whatever
+    the batch.  ``kappa_max``, ``tol`` and ``lowest`` apply to each problem;
+    the default cap is each problem's own.
 
     ``lowest`` = k returns only the k lowest-energy states in range (fewer
     if fewer exist); ``None`` returns all of them.  The count is taken for
@@ -315,36 +378,47 @@ def find_bound_states(
     not an error.  Each state's wavefunction is built the first time it is
     read.
     """
+    single = isinstance(problems, DeltaPotentialProblem)
+    batch = [problems] if single else list(problems)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
     if lowest is not None and not lowest >= 0:
         raise ValueError(f"lowest must be >= 0 or None, got {lowest!r}")
     if kappa_max is None:
-        kappa_max = _default_kappa_max(problem)
-        if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (kappa_max * kappa_max)):
-            raise ValueError(
-                f"the default search cap kappa_max = {kappa_max!r} stands for an energy "
-                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
-            )
-    kappa_max = float(kappa_max)
-    if not math.isfinite(kappa_max):
-        raise ValueError(f"kappa_max must be finite, got {kappa_max!r}")
+        caps = [_default_kappa_max(problem) for problem in batch]
+        for problem, cap in zip(batch, caps):
+            if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
+                raise ValueError(
+                    f"the default search cap kappa_max = {cap!r} stands for an energy "
+                    "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
+                )
+    else:
+        kappa_max = float(kappa_max)
+        if not math.isfinite(kappa_max):
+            raise ValueError(f"kappa_max must be finite, got {kappa_max!r}")
+        caps = [kappa_max] * len(batch)
+    chain = _chain(batch)
 
-    # one counting pass on a grid: [tol, kappa_max/GRID, ..., kappa_max], held at
-    # or above tol; kappa_max * (k / GRID) stays finite for kappa_max = 1e308
-    grid = np.concatenate(([tol], np.maximum(tol, kappa_max * (np.arange(1, GRID + 1) / GRID))))
-    cells = _transfer(problem, grid)
-    node_count = int(cells.nodes[0])
-    # state j (j = 0 is the ground state) lies in (lo, hi) when count(lo) > j >= count(hi);
-    # lo is the last grid point counting more than j states and hi the next one;
-    # every state in range is counted, only the lowest asked for are refined
-    j = np.arange(int(cells.nodes[-1]), node_count)
-    state_count = len(j)
-    j = j[:lowest]
-    above = cells.nodes[None, :] > j[:, None]
-    last = GRID - np.argmax(above[:, ::-1], axis=1)
-    lo = np.where(grid[last] == tol, 0.0, grid[last])  # 0 stands for 0+, where the count was taken
-    hi = grid[last + 1]
+    # one counting pass on a grid per problem: [tol, kappa_max/GRID, ..., kappa_max],
+    # held at or above tol (k = 0 gives tol); kappa_max * (k / GRID) stays finite
+    # for kappa_max = 1e308
+    grid = np.maximum(tol, np.array(caps)[:, None] * _GRID_FRACTIONS)
+    cells = _transfer(chain, grid.ravel(), np.repeat(np.arange(len(batch)), GRID + 1))
+    nodes = cells.nodes.reshape(grid.shape)
+    # state j (j = 0 is the ground state) of a problem lies in (lo, hi) when
+    # count(lo) > j >= count(hi); lo is the last grid point counting more than
+    # j states and hi the next one; every state in range is counted, only the
+    # lowest asked for are refined; owner holds each state's problem
+    node_counts, tops = nodes[:, 0].tolist(), nodes[:, -1].tolist()
+    state_counts = [max(n - top, 0) for n, top in zip(node_counts, tops)]
+    refined = state_counts if lowest is None else [min(n, lowest) for n in state_counts]
+    owner = np.repeat(np.arange(len(batch)), refined)
+    j = np.array([top + k for top, n in zip(tops, refined) for k in range(n)], dtype=np.int64)
+    above = nodes[owner] > j[:, None]
+    # flat index into the grid pass of each state's lo point; hi is the next one
+    last = owner * (GRID + 1) + GRID - np.argmax(above[:, ::-1], axis=1)
+    lo, hi = grid.ravel()[last], grid.ravel()[last + 1]
+    lo[lo == tol] = 0.0  # 0 stands for 0+, where the count was taken
     count_lo, count_hi = cells.nodes[last], cells.nodes[last + 1]
     # the tail at each end, the weight of regula falsi; an end kept twice in a row is halved
     tail_lo, tail_hi = cells.tail[last], cells.tail[last + 1]
@@ -369,7 +443,7 @@ def find_bound_states(
         usable = isolated & np.isfinite(falsi) & ((tail_lo < 0.0) != (tail_hi < 0.0))
         falsi = np.clip(falsi, lo + 0.5 * tol, hi - 0.5 * tol)
         point = np.where(usable & (lo < falsi) & (falsi < hi), falsi, mid)
-        step = _transfer(problem, point[active])
+        step = _transfer(chain, point[active], owner[active])
         iso = isolated[active]
         # an exact root of state j: count(point) = j states lie above it
         on_root = (step.tail == 0.0) & (iso | (step.nodes == j[active]))
@@ -393,17 +467,29 @@ def find_bound_states(
         isolated |= newly
 
     roots = 0.5 * (lo + hi)
-    bracket_lo[~isolated], bracket_hi[~isolated] = lo[~isolated], hi[~isolated]
-    final = _transfer(problem, roots)
-    metadata = ScanMetadata(
-        kappa_max=kappa_max,
-        node_count=node_count,
-        state_count=state_count,
-        brackets=tuple(zip(bracket_lo.tolist(), bracket_hi.tolist())),
-        root_residuals=tuple(np.abs(final.tail).tolist()),
-        unresolved=tuple(sorted(set(zip(lo[~isolated].tolist(), hi[~isolated].tolist())), reverse=True)),
-    )
-    return BoundStateList(states=tuple(_reconstruct(problem, roots, final)), metadata=metadata)
+    stuck = ~isolated
+    bracket_lo[stuck], bracket_hi[stuck] = lo[stuck], hi[stuck]
+    final = _transfer(chain, roots, owner)
+    brackets = list(zip(bracket_lo.tolist(), bracket_hi.tolist()))
+    residuals = np.abs(final.tail).tolist()
+    unresolved = [set() for _ in batch]
+    for p, pair in zip(owner[stuck].tolist(), zip(lo[stuck].tolist(), hi[stuck].tolist())):
+        unresolved[p].add(pair)
+    found = []
+    bounds = [0, *accumulate(refined)]
+    for p, (problem, start, stop) in enumerate(zip(batch, bounds[:-1], bounds[1:])):
+        metadata = ScanMetadata(
+            kappa_max=caps[p],
+            node_count=node_counts[p],
+            state_count=state_counts[p],
+            brackets=tuple(brackets[start:stop]),
+            root_residuals=tuple(residuals[start:stop]),
+            unresolved=tuple(sorted(unresolved[p], reverse=True)),
+        )
+        columns = slice(start, stop)
+        states = _reconstruct(problem, roots[columns], final.part(chain.first[p], columns))
+        found.append(BoundStateList(states=tuple(states), metadata=metadata))
+    return found[0] if single else found
 
 
 def ground_state(problem: DeltaPotentialProblem, **scan_options) -> BoundState:

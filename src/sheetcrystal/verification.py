@@ -14,8 +14,11 @@ the norm formula) without contributing to the pass/fail verdict.
 Each configuration (the crystals, the two-sheet well, the uneven stack) is
 solved once at the top of :func:`run_verification`, and every section reads
 those results; only the determinism check solves the crystals again, to
-compare.  This module is the only implementation of the checks: the
-acceptance tests assert on its rows and pinned tolerances.
+compare.  The oracle serves many problems in one search, so the battery
+makes three searches: the three single deltas (ground states only), every
+configuration, and the determinism rerun of the crystals.  This module is
+the only implementation of the checks: the acceptance tests assert on its
+rows and pinned tolerances.
 """
 
 from __future__ import annotations
@@ -97,22 +100,27 @@ def _gauss_integral(f, edges, panels) -> float:
 
     Integrates over the consecutive sub-intervals ``edges[i]..edges[i + 1]``,
     sub-interval ``i`` split into ``panels[i]`` equal panels of 32 nodes.
-    ``f`` maps a 1-D array of nodes to an array of values and is called
-    once, on every node of every panel.  The sum is rounded at three levels,
-    each by ``math.fsum``: the weighted node values of a panel (then scaled by
-    its half-width), the panels of a sub-interval, and the sub-intervals.
+    The panels are laid out by one ``np.linspace`` over the sub-intervals of
+    each distinct panel count, which gives each sub-interval the bits of its
+    own ``linspace``.  ``f`` maps a 1-D array of nodes to an array of values
+    and is called once, on every node of every panel.  The sum is rounded at
+    three levels, each by ``math.fsum``: the weighted node values of a panel
+    (then scaled by its half-width), the panels of a sub-interval, and the
+    sub-intervals.
     """
-    halves = []
-    nodes = []
-    for lo, hi, count in zip(edges[:-1], edges[1:], panels):
-        cuts = np.linspace(lo, hi, count + 1)
-        mid = 0.5 * (cuts[:-1] + cuts[1:])
-        half = 0.5 * (cuts[1:] - cuts[:-1])
-        halves.extend(half.tolist())
-        nodes.append(mid[:, None] + half[:, None] * _GAUSS_NODES)
-    weighted = (_GAUSS_WEIGHTS * f(np.concatenate(nodes).ravel()).reshape(-1, _GAUSS_NODES.size)).tolist()
-    per_panel = [h * math.fsum(row) for h, row in zip(halves, weighted)]
-    bounds = np.cumsum([0, *panels]).tolist()
+    edges, panels = np.asarray(edges, dtype=float), np.asarray(panels)
+    bounds = np.concatenate(([0], np.cumsum(panels)))
+    mids, halves = np.empty((2, bounds[-1]))
+    for count in np.unique(panels).tolist():
+        rows = np.flatnonzero(panels == count)
+        cuts = np.linspace(edges[rows], edges[rows + 1], count + 1, axis=1)
+        slots = bounds[rows, None] + np.arange(count)
+        mids[slots] = 0.5 * (cuts[:, :-1] + cuts[:, 1:])
+        halves[slots] = 0.5 * (cuts[:, 1:] - cuts[:, :-1])
+    nodes = mids[:, None] + halves[:, None] * _GAUSS_NODES
+    weighted = (_GAUSS_WEIGHTS * f(nodes.ravel()).reshape(-1, _GAUSS_NODES.size)).tolist()
+    per_panel = [h * math.fsum(row) for h, row in zip(halves.tolist(), weighted)]
+    bounds = bounds.tolist()
     return math.fsum(math.fsum(per_panel[i:j]) for i, j in zip(bounds[:-1], bounds[1:]))
 
 
@@ -175,11 +183,12 @@ class _Solved(NamedTuple):
     dual: GroundStateSolution | None  # the map's ground state; None if not normalizable
 
 
-def _solve(array: SheetArray, units: UnitSystem) -> _Solved:
-    sol = solve_sheets(array, units)
-    problem = to_quantum(sol, units)
-    dual = ground_state_from_electrostatics(sol, units) if check_normalizable(sol) else None
-    return _Solved(sol, problem, oracle.find_bound_states(problem), dual)
+def _solve_all(arrays: list[SheetArray], units: UnitSystem) -> list[_Solved]:
+    """Every configuration by every route, with one oracle search for all of them."""
+    sols = [solve_sheets(array, units) for array in arrays]
+    problems = [to_quantum(sol, units) for sol in sols]
+    duals = [ground_state_from_electrostatics(sol, units) if check_normalizable(sol) else None for sol in sols]
+    return list(map(_Solved, sols, problems, oracle.find_bound_states(problems), duals))
 
 
 def run_verification(depth: str = "quick") -> VerificationReport:
@@ -195,10 +204,11 @@ def run_verification(depth: str = "quick") -> VerificationReport:
 
     # -- single attractive delta at three strengths ------------------------
     worst = 0.0
-    for alpha in (0.5, 1.0, 2.0):
+    alphas = (0.5, 1.0, 2.0)
+    singles = [to_quantum(solve_sheets(SheetArray([(0.0, 2.0 * alpha)]), units), units) for alpha in alphas]
+    for alpha, found in zip(alphas, oracle.find_bound_states(singles, lowest=1)):
         expected = -0.5 * alpha**2
-        prob = to_quantum(solve_sheets(SheetArray([(0.0, 2.0 * alpha)]), units), units)
-        state = oracle.ground_state(prob)
+        state = found.states[0]
         p = CrystalParams(0, alpha, 1.0, units)
         worst = nan_max(
             worst,
@@ -209,9 +219,14 @@ def run_verification(depth: str = "quick") -> VerificationReport:
 
     # -- every configuration, solved once -----------------------------------
     params = [CrystalParams(n, 1.0, 1.0, units) for n in range(0, n_max + 1)]
-    crystals = [_solve(p.to_sheet_array(), units) for p in params]
-    two_sheet = _solve(SheetArray([(-1.0, 2.0), (1.0, 2.0)]), units)
-    uneven = _solve(SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)]), units)
+    *crystals, two_sheet, uneven = _solve_all(
+        [
+            *(p.to_sheet_array() for p in params),
+            SheetArray([(-1.0, 2.0), (1.0, 2.0)]),
+            SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)]),
+        ],
+        units,
+    )
 
     # -- energy independent of crystal size --------------------------------
     worst = 0.0
@@ -361,8 +376,9 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     # -- audits -------------------------------------------------------------
     count_lines = []
     deterministic = True
-    for n, c in enumerate(crystals):
-        deterministic &= oracle.find_bound_states(c.problem).energies == c.found.energies
+    rerun = oracle.find_bound_states([c.problem for c in crystals])
+    for n, (c, again) in enumerate(zip(crystals, rerun)):
+        deterministic &= again.energies == c.found.energies
         count_lines.append(f"N={n}:{len(c.found)}")
     report.audits.append(
         AuditRow(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sheetcrystal import CrystalParams, atomic_units, closedform
+from sheetcrystal import cli
 from sheetcrystal.cli import main
 
 A_N1 = 1.9906463197512672
@@ -27,6 +28,24 @@ def _read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, data
+
+
+# ---------------------------------------------------------------------------
+# CSV cells
+# ---------------------------------------------------------------------------
+
+
+def test_csv_cells_are_formatted_like_the_summary_lines(tmp_path):
+    # the CSV payload is one %-format of "%.17g" cells; every cell must read
+    # as _fmt prints it, on the values a row can hold
+    rng = np.random.default_rng(5)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, 3, -7]
+    values = [*specials, np.float64(-1.5), np.int64(12), np.int32(-3), *rng.normal(scale=1e3, size=40)]
+    rows = [values[i:i + 3] for i in range(0, len(values) - len(values) % 3, 3)]
+    out = tmp_path / "cells.csv"
+    cli._emit_csv("a,b,c", rows, out, None)
+    expected = ["a,b,c", *(",".join(cli._fmt(v) for v in row) for row in rows)]
+    assert out.read_text() == "\n".join(expected) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,17 @@ def test_crystal_map_strength_pattern(atomic):
     assert prob.region_offsets == (0.0,) * 6
 
 
+def test_problem_accessors_are_computed_once(atomic):
+    prob = DeltaPotentialProblem([(-1.0, -1.0), (1.0, 0.5)], [0.0, -2.0, 0.0], atomic)
+    fresh = DeltaPotentialProblem([(-1.0, -1.0), (1.0, 0.5)], [0.0, -2.0, 0.0], atomic)
+    assert prob.positions is prob.positions == (-1.0, 1.0)
+    assert prob.strengths is prob.strengths == (-1.0, 0.5)
+    # the cached tuples are not fields: equality, hashing and repr ignore them
+    assert prob == fresh and hash(prob) == hash(fresh) and repr(prob) == repr(fresh)
+    assert prob != DeltaPotentialProblem([(-1.0, -1.0), (1.0, 0.5)], [0.0, -1.0, 0.0], atomic)
+    assert [f.name for f in dataclasses.fields(prob)] == ["deltas", "region_offsets", "units"]
+
+
 def test_asymmetric_end_fields_rejected(atomic):
     sol = _solution([(0.0, 2.0)], atomic)
     doctored = dataclasses.replace(sol, region_fields=(-1.0, 2.0), E_inf=2.0)

@@ -10,6 +10,7 @@ from sheetcrystal import (
     DeltaPotentialProblem,
     NoBoundStatesError,
     SheetArray,
+    UnitSystem,
     atomic_units,
     expectation_kinetic_numeric,
     expectation_potential_numeric,
@@ -32,6 +33,12 @@ def _crystal_problem(n, alpha=1.0, a=1.0):
 def _two_sheet_problem(units=None):
     units = units or atomic_units()
     return to_quantum(solve_sheets(SheetArray([(-1.0, 2.0), (1.0, 2.0)]), units), units)
+
+
+def _pass(problem, kappas):
+    """One pass over ``problem`` alone: a chain of one problem, every column on it."""
+    kappas = np.asarray(kappas, dtype=float)
+    return oracle._transfer(oracle._chain([problem]), kappas, np.zeros(kappas.shape, dtype=int))
 
 
 def _odd_state_rate_n1():
@@ -214,7 +221,7 @@ def test_count_is_taken_just_above_threshold(atomic):
     # N = 4 at alpha*a = 0.5: the kappa = 0 solution ends flat, so the tail
     # sign there says nothing; the count at 0+ sees both states
     problem = _crystal_problem(4, alpha=0.5)
-    assert oracle._transfer(problem, np.array([0.0])).tail[0] == 0.0
+    assert _pass(problem, [0.0]).tail[0] == 0.0
     found = find_bound_states(problem)
     assert len(found) == found.metadata.node_count == 2
     assert [s.kappa for s in found] == pytest.approx([0.5, 0.4220863645701952], abs=1e-9)
@@ -240,9 +247,9 @@ def _record_transfers(monkeypatch):
     calls = []
     real = oracle._transfer
 
-    def recorded(problem, kappas):
+    def recorded(chain, kappas, which):
         calls.append(np.asarray(kappas).tolist())
-        return real(problem, kappas)
+        return real(chain, kappas, which)
 
     monkeypatch.setattr(oracle, "_transfer", recorded)
     return calls
@@ -388,21 +395,36 @@ def _same_bits(new, reference):
     return new.dtype == reference.dtype and new.shape == reference.shape and new.tobytes() == reference.tobytes()
 
 
+# each reference problem alone, and all of them in one chain: crystal-0 has a
+# single site, crystal-50 the longest chain, so every other problem is padded
+_TRANSFER_INPUTS = {
+    **{name: [problem] for name, problem in _REFERENCE_PROBLEMS.items()},
+    "mixed-batch": list(_REFERENCE_PROBLEMS.values()),
+}
+
+
 @pytest.mark.parametrize("kappas", _REFERENCE_KAPPAS.values(), ids=_REFERENCE_KAPPAS.keys())
-@pytest.mark.parametrize("problem", _REFERENCE_PROBLEMS.values(), ids=_REFERENCE_PROBLEMS.keys())
-def test_transfer_is_bit_identical_to_per_region_loop(problem, kappas):
+@pytest.mark.parametrize("problems", _TRANSFER_INPUTS.values(), ids=_TRANSFER_INPUTS.keys())
+def test_transfer_is_bit_identical_to_per_region_loop(problems, kappas):
+    # every problem runs at every kappa, its columns interleaved with the
+    # other problems' ones, and each problem's columns and regions must be
+    # its own per-region reference, bit for bit
     kappas = np.array(kappas, dtype=float)
-    path = oracle._transfer(problem, kappas)
-    tail, nodes, regions, psi_last, dpsi_last = _transfer_reference(problem, kappas)
-    assert _same_bits(path.tail, tail)
-    assert _same_bits(path.nodes, nodes)
-    assert _same_bits(path.psi_last, psi_last)
-    assert _same_bits(path.dpsi_last, dpsi_last)
-    assert len(path.psi) == len(regions) == len(problem.deltas) - 1
-    names = ("exp_mask", "osc_mask", "rate", "psi", "dpsi", "renorm")
-    for i, region in enumerate(regions):
-        for name, expected in zip(names, region):
-            assert _same_bits(getattr(path, name)[i], expected), (name, i)
+    which = np.tile(np.arange(len(problems)), len(kappas))
+    chain = oracle._chain(problems)
+    batch = oracle._transfer(chain, np.repeat(kappas, len(problems)), which)
+    for k, problem in enumerate(problems):
+        path = batch.part(chain.first[k], which == k)
+        tail, nodes, regions, psi_last, dpsi_last = _transfer_reference(problem, kappas)
+        assert _same_bits(path.tail, tail)
+        assert _same_bits(path.nodes, nodes)
+        assert _same_bits(path.psi_last, psi_last)
+        assert _same_bits(path.dpsi_last, dpsi_last)
+        assert len(path.psi) == len(regions) == len(problem.deltas) - 1
+        names = ("exp_mask", "osc_mask", "rate", "psi", "dpsi", "renorm")
+        for i, region in enumerate(regions):
+            for name, expected in zip(names, region):
+                assert _same_bits(getattr(path, name)[i], expected), (name, i)
 
 
 _ROOT_PROBLEMS = {
@@ -419,9 +441,9 @@ def test_every_root_has_opposite_tail_signs_within_tol(problem):
     found = find_bound_states(problem, tol=tol)
     assert found.metadata.unresolved == ()
     kappas = np.array([s.kappa for s in found])
-    below = oracle._transfer(problem, kappas - 0.5 * tol).tail
-    above = oracle._transfer(problem, kappas + 0.5 * tol).tail
-    at = oracle._transfer(problem, kappas).tail
+    below = _pass(problem, kappas - 0.5 * tol).tail
+    above = _pass(problem, kappas + 0.5 * tol).tail
+    at = _pass(problem, kappas).tail
     assert np.all(((below < 0.0) != (above < 0.0)) | (at == 0.0))
 
 
@@ -453,7 +475,7 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
 
     built.clear()
     kappas = np.array([s.kappa for s in found])
-    path = oracle._transfer(problem, kappas)
+    path = _pass(problem, kappas)
     states = oracle._reconstruct(problem, kappas, path)
     assert len(states) == len(kappas) > 0
     # each state holds views of its own column of the pass's arrays, unconverted
@@ -473,7 +495,7 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
 
 
 def test_regime_switch_boundary_is_linear():
-    path = oracle._transfer(_REFERENCE_PROBLEMS["switch-boundary"], np.array([0.0, 1e-6]))
+    path = _pass(_REFERENCE_PROBLEMS["switch-boundary"], [0.0, 1e-6])
     assert not path.exp_mask[:, 0].any() and not path.osc_mask[:, 0].any()
     # just above kappa = 0 the barrier side turns exponential, the well side stays linear
     assert path.exp_mask[:, 1].tolist() == [True, False]
@@ -674,3 +696,70 @@ def test_lowest_bounds_the_states_returned(atomic):
     for lowest in (-1, math.nan):
         with pytest.raises(ValueError):
             find_bound_states(problem, lowest=lowest)
+
+
+# ---------------------------------------------------------------------------
+# one search for many problems
+# ---------------------------------------------------------------------------
+
+
+def _hex_list(found):
+    """Every number a search returns, as float.hex: states, rows and metadata."""
+    meta = found.metadata
+    states = [
+        (s.kappa.hex(), s.energy.hex(), s._rows[0], s._rows[1].tolist(), [[x.hex() for x in c] for c in s._rows[2:]])
+        for s in found.states
+    ]
+    return (
+        states,
+        meta.kappa_max.hex(),
+        meta.node_count,
+        meta.state_count,
+        [(lo.hex(), hi.hex()) for lo, hi in meta.brackets],
+        [r.hex() for r in meta.root_residuals],
+        [(lo.hex(), hi.hex()) for lo, hi in meta.unresolved],
+    )
+
+
+def _batch_problems():
+    scaled = UnitSystem(hbar=2.0, mass=0.5, eps0=4.0, V0=4.0, a0=0.5)
+    return [
+        *(_crystal_problem(n) for n in range(0, 21)),
+        *_REFERENCE_PROBLEMS.values(),
+        *(_random_stack_problem(seed) for seed in range(200)),
+        to_quantum(solve_sheets(SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)]), scaled), scaled),
+    ]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"lowest": 1}, {"lowest": 3}, {"kappa_max": 6.0}],
+    ids=["all", "lowest1", "lowest3", "kappa_max6"],
+)
+def test_batch_equals_one_search_per_problem(options, monkeypatch):
+    # a state's columns meet only its own problem's arrays, so a batch gives
+    # every problem the bits its own search gives, in as many passes as the
+    # problem that needs the most
+    problems = _batch_problems()
+    calls = _record_transfers(monkeypatch)
+    alone, passes = [], []
+    for problem in problems:
+        calls.clear()
+        alone.append(find_bound_states(problem, **options))
+        passes.append(len(calls))
+    calls.clear()
+    batch = find_bound_states(problems, **options)
+    assert isinstance(batch, list) and len(batch) == len(problems)
+    assert len(calls) == max(passes)
+    for got, want in zip(batch, alone):
+        assert _hex_list(got) == _hex_list(want)
+
+
+def test_batch_of_none_and_of_one():
+    problem = _crystal_problem(3)
+    assert find_bound_states([]) == []
+    (one,) = find_bound_states((problem,), lowest=2)
+    assert _hex_list(one) == _hex_list(find_bound_states(problem, lowest=2))
+    # a problem whose default cap overflows rejects the whole batch
+    with pytest.raises(ValueError, match="default search cap"):
+        find_bound_states([problem, DeltaPotentialProblem([(0.0, -1e200)], [0.0, 0.0], atomic_units())])

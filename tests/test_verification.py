@@ -8,6 +8,7 @@ import pytest
 from sheetcrystal import closedform, oracle, verification
 from sheetcrystal.cli import main
 from sheetcrystal.closedform import CrystalParams
+from sheetcrystal.duality import DeltaPotentialProblem
 from sheetcrystal.units import atomic_units
 from sheetcrystal.verification import CheckRow, VerificationReport, crystal_figure_samples, run_verification
 
@@ -56,19 +57,30 @@ def test_nan_expectation_fails_its_rows(monkeypatch):
         assert not rows[name].passed, name
 
 
-def test_quick_battery_solves_each_configuration_once(monkeypatch):
-    # 3 single deltas, 5 crystals, the two-sheet well and the uneven stack,
-    # then one determinism rerun per crystal
+def _searches(monkeypatch, depth):
+    """(problems, options) of every oracle search one battery makes."""
     real = oracle.find_bound_states
     calls = []
 
-    def counted(problem, **options):
-        calls.append(problem)
-        return real(problem, **options)
+    def counted(problems, **options):
+        calls.append((len(problems), options))
+        return real(problems, **options)
 
     monkeypatch.setattr(oracle, "find_bound_states", counted)
-    assert run_verification("quick").all_passed
-    assert len(calls) <= 15
+    assert run_verification(depth).all_passed
+    return calls
+
+
+def test_quick_battery_solves_each_configuration_once(monkeypatch):
+    # one search for the 3 single deltas (ground states only), one for the 5
+    # crystals, the two-sheet well and the uneven stack, and one determinism
+    # rerun of the crystals
+    assert _searches(monkeypatch, "quick") == [(3, {"lowest": 1}), (7, {}), (5, {})]
+
+
+def test_full_battery_solves_each_configuration_once(monkeypatch):
+    # as at quick depth, with the crystals N = 0..8
+    assert _searches(monkeypatch, "full") == [(3, {"lowest": 1}), (11, {}), (9, {})]
 
 
 def test_determinism_check_catches_a_one_ulp_rerun(monkeypatch):
@@ -77,14 +89,19 @@ def test_determinism_check_catches_a_one_ulp_rerun(monkeypatch):
     real = oracle.find_bound_states
     seen = set()
 
-    def shifted_on_rerun(problem, **options):
-        found = real(problem, **options)
+    def shift_on_rerun(problem, found):
         key = (problem.positions, problem.strengths)
         if key not in seen:
             seen.add(key)
             return found
         states = tuple(replace(s, energy=math.nextafter(s.energy, math.inf)) for s in found.states)
         return replace(found, states=states)
+
+    def shifted_on_rerun(problems, **options):
+        found = real(problems, **options)
+        if isinstance(problems, DeltaPotentialProblem):
+            return shift_on_rerun(problems, found)
+        return [shift_on_rerun(problem, one) for problem, one in zip(problems, found)]
 
     monkeypatch.setattr(oracle, "find_bound_states", shifted_on_rerun)
     report = run_verification("quick")
