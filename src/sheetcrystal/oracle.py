@@ -32,7 +32,8 @@ them, each column tagged with its problem.  The kappa-independent arrays
 problem, each chain padded at its start to the longest with identity steps:
 zero width, zero jump, the linear regime, never rescaled.  A pass over a
 batch then costs about what a pass over its longest problem costs, and each
-problem's states carry the same bits as a search of that problem alone.
+problem's states carry the same bits as a search of that problem alone.  A
+batch too large for one pass's memory bound is searched in halves.
 
 A pass is a batch and then a recurrence.  Everything that depends on kappa
 but not on the propagated solution (each region's regime, rate, phase and
@@ -65,6 +66,10 @@ REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
 GRID = 64  # cells of the counting pass that seeds every bracket
 _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k / GRID), held at or above tol
+# a batch whose grid pass would exceed this many (region, column) cells is
+# searched in halves: a pass holds about twenty float arrays of that size,
+# ~40 MB here, and the cells of a crystal sweep grow as its largest N squared
+_SEARCH_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -340,7 +345,10 @@ def find_bound_states(
     problem alone costs, and every column gets the operations its problem
     alone would get, so each state comes out with the same bits whatever
     the batch.  ``kappa_max``, ``tol`` and ``lowest`` apply to each problem;
-    the default cap is each problem's own.
+    the default cap is each problem's own.  Every chain is padded to the
+    longest, so a batch whose grid pass would hold more than
+    ``_SEARCH_CELLS`` (region, column) cells is searched in halves, which
+    bounds the memory of a pass; a single problem is never split.
 
     ``lowest`` = k returns only the k lowest-energy states in range (fewer
     if fewer exist); ``None`` returns all of them.  The count is taken for
@@ -397,6 +405,13 @@ def find_bound_states(
         if not math.isfinite(kappa_max):
             raise ValueError(f"kappa_max must be finite, got {kappa_max!r}")
         caps = [kappa_max] * len(batch)
+    longest = max((len(problem.deltas) for problem in batch), default=1)
+    if len(batch) > 1 and len(batch) * (GRID + 1) * longest > _SEARCH_CELLS:
+        half = len(batch) // 2
+        return [
+            *find_bound_states(batch[:half], kappa_max, tol, lowest),
+            *find_bound_states(batch[half:], kappa_max, tol, lowest),
+        ]
     chain = _chain(batch)
 
     # one counting pass on a grid per problem: [tol, kappa_max/GRID, ..., kappa_max],

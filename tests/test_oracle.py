@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -738,21 +739,37 @@ def _batch_problems():
 )
 def test_batch_equals_one_search_per_problem(options, monkeypatch):
     # a state's columns meet only its own problem's arrays, so a batch gives
-    # every problem the bits its own search gives, in as many passes as the
-    # problem that needs the most
+    # every problem the bits its own search gives; the batch is too large
+    # for one grid pass and is searched in parts, each in as many passes as
+    # its problem that needs the most
     problems = _batch_problems()
-    calls = _record_transfers(monkeypatch)
+    chains = []
+    real = oracle._transfer
+
+    def recorded(chain, kappas, which):
+        chains.append(chain)
+        return real(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_transfer", recorded)
     alone, passes = [], []
     for problem in problems:
-        calls.clear()
+        chains.clear()
         alone.append(find_bound_states(problem, **options))
-        passes.append(len(calls))
-    calls.clear()
+        passes.append(len(chains))
+    chains.clear()
     batch = find_bound_states(problems, **options)
     assert isinstance(batch, list) and len(batch) == len(problems)
-    assert len(calls) == max(passes)
     for got, want in zip(batch, alone):
         assert _hex_list(got) == _hex_list(want)
+    # each search lays out one chain, which every one of its passes reads
+    searches = [list(calls) for _, calls in itertools.groupby(chains, key=id)]
+    assert len(searches) > 1 and sum(len(calls[0].first) for calls in searches) == len(problems)
+    start = 0
+    for calls in searches:
+        size, longest = len(calls[0].first), len(calls[0].jumps)
+        assert size * (oracle.GRID + 1) * longest <= oracle._SEARCH_CELLS
+        assert len(calls) == max(passes[start:start + size])
+        start += size
 
 
 def test_batch_of_none_and_of_one():
