@@ -339,16 +339,17 @@ def find_bound_states(
     """Locate the bound states with decay rate in (tol, kappa_max], lowest first.
 
     ``problems`` is one problem, answered by one list, or a sequence of
-    them, answered by one list per problem in order.  Either way it is one
-    search: every pass carries the columns of every problem through one
-    :func:`_transfer`, which costs about what a pass over the longest
+    them, answered by one list per problem in order.  One search serves the
+    whole sequence: every pass carries the columns of every problem through
+    one :func:`_transfer`, which costs about what a pass over the longest
     problem alone costs, and every column gets the operations its problem
     alone would get, so each state comes out with the same bits whatever
     the batch.  ``kappa_max``, ``tol`` and ``lowest`` apply to each problem;
     the default cap is each problem's own.  Every chain is padded to the
-    longest, so a batch whose grid pass would hold more than
-    ``_SEARCH_CELLS`` (region, column) cells is searched in halves, which
-    bounds the memory of a pass; a single problem is never split.
+    longest, so a sequence whose grid pass would hold more than
+    ``_SEARCH_CELLS`` (region, column) cells is split in halves, each
+    searched the same way, which bounds the memory of a pass; a single
+    problem is never split.
 
     ``lowest`` = k returns only the k lowest-energy states in range (fewer
     if fewer exist); ``None`` returns all of them.  The count is taken for
