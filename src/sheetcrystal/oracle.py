@@ -38,13 +38,21 @@ batch too large for one pass's memory bound is searched in halves.
 A pass is a batch and then a recurrence.  Everything that depends on kappa
 but not on the propagated solution (each region's regime, rate, phase and
 2x2 transfer matrix) is computed at once as (regions, columns) arrays; the
-Python loop over the sites keeps only the sequential part, the delta jump,
-the 2x2 step and the rescaling, and stores one row per region.  The node
-count and the reconstruction then read those rows as whole arrays.
+sines, cosines and Pruefer turns are taken on the oscillatory cells alone,
+so a pass without any does none of that work.  The Python loop over the
+sites keeps only the sequential part, the delta jump, the 2x2 step and the
+rescaling, and writes its rows in place, one per region.  The node count
+and the reconstruction then read those rows as whole arrays.
 
 The propagated pair is rescaled between sites (and exponentials are factored
 as exp(-rate*width) forms), so nothing can overflow no matter how wide or
-deep the regions are.  Identical inputs give identical output, bit for bit.
+deep the regions are.  It is divided by the larger of |psi| and |psi'|,
+except where that is not above a floor, and there by 1.0.  The guard has two
+jobs: padded steps (floor +inf) pass unchanged, and a pair that is exactly
+zero or NaN is left as it is.  A decaying solution carried across a region
+where exp(-2*phase) underflows can come out as exactly (0, 0); the guard
+keeps it there, so its tail is exactly 0, an exact root, not 0/0.
+Identical inputs give identical output, bit for bit.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
+from numbers import Integral
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -149,7 +158,9 @@ class _Chain(NamedTuple):
     offsets: np.ndarray  # (regions, problems)
     widths: np.ndarray  # (regions, problems)
     jumps: np.ndarray  # (regions + 1, problems); row i is the site left of region i
-    floor: np.ndarray  # (regions, problems); renorm at or below it is not divided out
+    # (regions, problems); renorm at or below it (or NaN) is not divided out:
+    # +inf on padded steps, 0.0 elsewhere, so an exactly zero pair stays (0, 0)
+    floor: np.ndarray
     first: tuple[int, ...]  # each problem's first real region row
 
 
@@ -203,18 +214,23 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
 
     Column k runs at ``kappas[k]`` on problem ``which[k]`` of the chain.  The
     pass is a batch and a loop.  The batch computes every region's regime,
-    rate and transfer matrix at every column at once; the loop over the
-    sites keeps only what is sequential, the delta jump, the 2x2 step and a
-    division by a positive factor after every region, so the tail
-    coefficient keeps its sign but not its magnitude.
+    rate and transfer matrix at every column at once, the sine and cosine
+    entries on the oscillatory cells alone; the loop over the sites keeps
+    only what is sequential, the delta jump, the 2x2 step and a division by
+    a positive factor after every region, so the tail coefficient keeps its
+    sign but not its magnitude.  It writes each site's rows in place.  The
+    factor is max(|psi|, |psi'|) where that is above the chain's floor and
+    1.0 elsewhere: on padded steps, and on a pair that is exactly zero or
+    NaN, so that a decaying solution whose pair underflowed to (0, 0) ends
+    in a tail of exactly 0, an exact root.
 
     Nodes are then counted per region from the stored rows: an exponential
     or linear region holds at most one, seen as a sign change of psi across
-    it; in an oscillatory region the Pruefer phase theta = atan2(psi, psi'/k)
-    advances by exactly k*width; the right tail holds one when the tail
-    coefficient and psi at the last site differ in sign.  An exact zero of
-    psi counts as positive; one landing exactly on a site happens only on a
-    measure-zero set of kappa.
+    it; in an oscillatory region the Pruefer phase theta = atan2(psi, psi'/k),
+    taken on those cells alone, advances by exactly k*width; the right tail
+    holds one when the tail coefficient and psi at the last site differ in
+    sign.  An exact zero of psi counts as positive; one landing exactly on a
+    site happens only on a measure-zero set of kappa.
     """
     half_h2_over_m = chain.half_h2_over_m[which]
     offsets, widths = chain.offsets[:, which], chain.widths[:, which]
@@ -230,34 +246,50 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     rate = np.sqrt(np.where(exp_mask | osc_mask, np.abs(d / half_h2_over_m), 1.0))
     phase = rate * widths
     damp = np.exp(-2.0 * phase)
-    ch = 0.5 * (1.0 + damp)
     sh = 0.5 * (1.0 - damp)
-    sin_w = np.sin(phase)
-    # region transfer matrix [[diag, up], [down, diag]]; exp rows are scaled by exp(-phase)
-    diag = np.where(exp_mask, ch, np.where(osc_mask, np.cos(phase), 1.0))
-    up = np.where(exp_mask, sh, np.where(osc_mask, sin_w, phase)) / rate
-    down = rate * np.where(exp_mask, sh, np.where(osc_mask, -sin_w, 0.0))
+    # region transfer matrix [[diag, up], [down, diag]]; exp rows are scaled by
+    # exp(-phase); the trigonometric entries are taken on the osc cells alone
+    diag = np.where(exp_mask, 0.5 * (1.0 + damp), 1.0)
+    up = np.where(exp_mask, sh, phase)
+    down = np.where(exp_mask, sh, 0.0)
+    osc_phase = phase[osc_mask]
+    sin_w = np.sin(osc_phase)
+    diag[osc_mask] = np.cos(osc_phase)
+    up[osc_mask] = sin_w
+    down[osc_mask] = -sin_w
+    up /= rate
+    down *= rate
 
-    # psi_end is psi before the division: dividing could flush a tiny negative
-    # value to -0.0 and hide the sign change the node count looks for
-    psi_at, dpsi_at, psi_end, renorm_at = np.empty((4, *d.shape))
-    psi = np.ones(kappas.shape)
+    # row i of psi_rows/dpsi_rows is the pair just right of site i, the last
+    # row the pair after the last site; every row is written through out=,
+    # never into an array the same call reads, which numpy does more slowly.
+    # psi_end is psi before the division: dividing could flush a tiny
+    # negative value to -0.0 and hide the sign change the node count looks for
+    psi_rows, dpsi_rows = np.empty((2, len(d) + 1, len(kappas)))
+    psi_end = np.empty(d.shape)
+    renorm_at = np.ones(d.shape)
+    psi_rows[0] = 1.0
     dpsi = kappas
-    for i in range(len(d)):
-        dpsi = dpsi + jumps[i] * psi
-        psi_at[i], dpsi_at[i] = psi, dpsi
-        psi_new = psi_end[i] = diag[i] * psi + up[i] * dpsi
-        dpsi_new = down[i] * psi + diag[i] * dpsi
-        renorm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
-        renorm = renorm_at[i] = np.where(renorm > floor[i], renorm, 1.0)
-        psi = psi_new / renorm
-        dpsi = dpsi_new / renorm
-    dpsi = dpsi + jumps[-1] * psi
+    for psi, psi_next, dpsi_row, end_row, renorm_row, jump, diag_row, up_row, down_row, floor_row in zip(
+        psi_rows, psi_rows[1:], dpsi_rows, psi_end, renorm_at, jumps, diag, up, down, floor
+    ):
+        np.add(dpsi, jump * psi, out=dpsi_row)
+        np.add(diag_row * psi, up_row * dpsi_row, out=end_row)
+        dpsi = down_row * psi + diag_row * dpsi_row
+        renorm = np.maximum(abs(end_row), abs(dpsi))
+        np.copyto(renorm_row, renorm, where=renorm > floor_row)
+        np.divide(end_row, renorm_row, out=psi_next)
+        dpsi = dpsi / renorm_row
+    psi, dpsi_last = psi_rows[-1], dpsi_rows[-1]
+    np.add(dpsi, jumps[-1] * psi, out=dpsi_last)
+    psi_at, dpsi_at = psi_rows[:-1], dpsi_rows[:-1]
 
-    theta = np.arctan2(psi_at, dpsi_at / rate)
-    turns = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
-    tail = dpsi + kappas * psi
-    nodes = np.where(osc_mask, turns, (psi_at < 0.0) != (psi_end < 0.0)).sum(axis=0)
+    tail = dpsi_last + kappas * psi
+    # per region: a sign change of psi across it, or in an osc region the Pruefer turns
+    region_nodes = ((psi_at < 0.0) != (psi_end < 0.0)).astype(float)
+    theta = np.arctan2(psi_at[osc_mask], dpsi_at[osc_mask] / rate[osc_mask])
+    region_nodes[osc_mask] = np.floor((theta + osc_phase) / math.pi) - np.floor(theta / math.pi)
+    nodes = region_nodes.sum(axis=0)
     nodes = nodes + ((tail < 0.0) != (psi < 0.0))
     uncountable = ~(nodes < 2.0**63)  # NaN or past int64, which the cast would wrap
     if uncountable.any():
@@ -267,7 +299,7 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
         )
     return _Pass(
         tail, nodes.astype(np.int64), exp_mask, osc_mask, rate, phase,
-        psi_at, dpsi_at, renorm_at, psi, dpsi,
+        psi_at, dpsi_at, renorm_at, psi, dpsi_last,
     )
 
 
@@ -389,10 +421,11 @@ def find_bound_states(
     """
     single = isinstance(problems, DeltaPotentialProblem)
     batch = [problems] if single else list(problems)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    if lowest is not None and not lowest >= 0:
-        raise ValueError(f"lowest must be >= 0 or None, got {lowest!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    # a bool is an Integral too, but True for a count is a slip, not a count of 1
+    if lowest is not None and (isinstance(lowest, bool) or not isinstance(lowest, Integral) or lowest < 0):
+        raise ValueError(f"lowest must be an integer >= 0 or None, got {lowest!r}")
     if kappa_max is None:
         caps = [_default_kappa_max(problem) for problem in batch]
         for problem, cap in zip(batch, caps):

@@ -185,12 +185,18 @@ def test_scan_metadata_contents(atomic):
 
 def test_scan_parameter_validation(atomic):
     problem = _crystal_problem(0)
-    for tol in (0.0, -1e-13, math.nan):
+    for tol in (0.0, -1e-13, math.nan, math.inf):
         with pytest.raises(ValueError):
             find_bound_states(problem, tol=tol)
     for kappa_max in (math.inf, math.nan):
         with pytest.raises(ValueError):
             find_bound_states(problem, kappa_max=kappa_max)
+    # on a crystal with states to return, a fractional or bool count is rejected, not read as a count
+    crystal = _crystal_problem(4)
+    for lowest in (2.5, True, False):
+        with pytest.raises(ValueError, match="lowest must be an integer"):
+            find_bound_states(crystal, lowest=lowest)
+    assert len(find_bound_states(crystal, lowest=np.int64(2))) == 2
 
 
 def test_kappa_max_caps_the_search_but_not_the_count(atomic):
@@ -301,7 +307,8 @@ def _transfer_reference(problem, kappas):
     """The pass as a per-region loop: every quantity computed region by region.
 
     Returns the tail coefficient, the node count, one (exp_mask, osc_mask,
-    rate, psi, dpsi, renorm) tuple per region and the pair after the last site.
+    rate, phase, psi, dpsi, renorm) tuple per region and the pair after the
+    last site.
     """
     units = problem.units
     half_h2_over_m = 0.5 * units.hbar**2 / units.mass
@@ -345,7 +352,7 @@ def _transfer_reference(problem, kappas):
 
         renorm = np.maximum(np.abs(psi_new), np.abs(dpsi_new))
         renorm = np.where(renorm > 0.0, renorm, 1.0)
-        regions.append((exp_mask, osc_mask, rate, psi, dpsi, renorm))
+        regions.append((exp_mask, osc_mask, rate, phase, psi, dpsi, renorm))
         psi = psi_new / renorm
         dpsi = dpsi_new / renorm
 
@@ -404,13 +411,10 @@ _TRANSFER_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kappas", _REFERENCE_KAPPAS.values(), ids=_REFERENCE_KAPPAS.keys())
-@pytest.mark.parametrize("problems", _TRANSFER_INPUTS.values(), ids=_TRANSFER_INPUTS.keys())
-def test_transfer_is_bit_identical_to_per_region_loop(problems, kappas):
+def _assert_transfer_matches_reference(problems, kappas):
     # every problem runs at every kappa, its columns interleaved with the
     # other problems' ones, and each problem's columns and regions must be
     # its own per-region reference, bit for bit
-    kappas = np.array(kappas, dtype=float)
     which = np.tile(np.arange(len(problems)), len(kappas))
     chain = oracle._chain(problems)
     batch = oracle._transfer(chain, np.repeat(kappas, len(problems)), which)
@@ -422,10 +426,45 @@ def test_transfer_is_bit_identical_to_per_region_loop(problems, kappas):
         assert _same_bits(path.psi_last, psi_last)
         assert _same_bits(path.dpsi_last, dpsi_last)
         assert len(path.psi) == len(regions) == len(problem.deltas) - 1
-        names = ("exp_mask", "osc_mask", "rate", "psi", "dpsi", "renorm")
+        names = ("exp_mask", "osc_mask", "rate", "phase", "psi", "dpsi", "renorm")
         for i, region in enumerate(regions):
             for name, expected in zip(names, region):
                 assert _same_bits(getattr(path, name)[i], expected), (name, i)
+
+
+@pytest.mark.parametrize("kappas", _REFERENCE_KAPPAS.values(), ids=_REFERENCE_KAPPAS.keys())
+@pytest.mark.parametrize("problems", _TRANSFER_INPUTS.values(), ids=_TRANSFER_INPUTS.keys())
+def test_transfer_is_bit_identical_to_per_region_loop(problems, kappas):
+    _assert_transfer_matches_reference(problems, np.array(kappas, dtype=float))
+
+
+# inputs on the renorm guard's edges, each at its own kappas
+_GUARD_INPUTS = {
+    # exp(-2 * phase) underflows across the 1001 wide gap: at kappa = 1 the
+    # propagated pair is exactly (0, 0), divided by 1.0, and the tail is exactly 0
+    "zero-pair": (
+        DeltaPotentialProblem([(-1.0, -1.0), (1000.0, -1.0)], [0.0, 0.0, 0.0], atomic_units()),
+        [1.0, 0.5, 2.0],
+    ),
+    # the energy overflows to -inf at the top two kappas, and the tail to inf at the last
+    "non-finite": (
+        DeltaPotentialProblem([(0.0, -100.0)], [0.0, 0.0], atomic_units()),
+        [1e-13, 100.0, 1e308 / 64, 1e308],
+    ),
+}
+
+
+@pytest.mark.parametrize("problem, kappas", _GUARD_INPUTS.values(), ids=_GUARD_INPUTS.keys())
+def test_transfer_guard_cases_match_the_reference(problem, kappas):
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_transfer_matches_reference([problem], np.array(kappas))
+
+
+def test_exactly_zero_pair_ends_in_an_exact_root():
+    problem, kappas = _GUARD_INPUTS["zero-pair"]
+    path = _pass(problem, kappas)
+    assert path.psi_last[0] == path.dpsi_last[0] == path.tail[0] == 0.0
+    assert path.renorm[0, 0] == 1.0
 
 
 _ROOT_PROBLEMS = {
