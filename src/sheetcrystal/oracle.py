@@ -383,17 +383,18 @@ def find_bound_states(
     searched the same way, which bounds the memory of a pass; a single
     problem is never split.
 
-    ``lowest`` = k returns only the k lowest-energy states in range (fewer
-    if fewer exist); ``None`` returns all of them.  The count is taken for
-    all of them either way (``metadata.state_count``), and only the states
-    returned are isolated, refined and reconstructed, so asking for the
-    ground state alone costs the counting pass, its own refinement and one
-    pass at its root, whatever the number of states.
+    ``lowest`` = k, an integer >= 0 (not a bool), returns only the k
+    lowest-energy states in range (fewer if fewer exist); ``None`` returns
+    all of them.  The count is taken for all of them either way
+    (``metadata.state_count``), and only the states returned are isolated,
+    refined and reconstructed, so asking for the ground state alone costs
+    the counting pass, its own refinement and one pass at its root, whatever
+    the number of states.
 
-    ``tol`` plays two parts: the node count taken at kappa = ``tol`` stands
-    for kappa = 0+ (exactly at 0 a threshold solution can end flat and lose
-    a node), and every root's interval is narrowed until it is at most
-    ``tol`` wide in kappa; the root is its midpoint.  ``kappa_max`` only caps
+    ``tol``, finite and > 0, plays two parts: the node count taken at kappa
+    = ``tol`` stands for kappa = 0+ (exactly at 0 a threshold solution can
+    end flat and lose a node), and every root's interval is narrowed until
+    it is at most ``tol`` wide in kappa; the root is its midpoint.  ``kappa_max`` only caps
     the search and must be finite; the default is four times the largest
     single-delta or single-region rate, and a problem whose default stands
     for an energy beyond the float range is rejected before the first pass.
