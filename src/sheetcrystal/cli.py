@@ -359,14 +359,15 @@ def cmd_figure(args) -> int:
     if points < 2:
         raise ConfigError(f"field 'points': need at least 2 sample points, got {points}")
 
+    # every panel is sampled (and its window checked) before anything is written
+    samples = [crystal_figure_samples(n, alpha_a, points) for n in n_values]
     out_dir = Path(args.out) if args.out else Path(".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    for n in n_values:
-        zs, vals = crystal_figure_samples(n, alpha_a, points)
+    for n, (zs, vals) in zip(n_values, samples):
         target = out_dir / f"crystal_psi_N{n}.csv"
         _emit_csv("z,psi", zip(zs, vals), target, sys.stdout)
         print(f"wrote {target}")

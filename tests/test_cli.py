@@ -229,6 +229,8 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
         ("solve", "mode = canonical\nN = 3\nalpha = -1\na = 1\n"),
         ("sweep", "N = 3\nalpha = -1\na = 1\n"),
         ("solve", "mode = canonical\nN = 3\nalpha = 1e308\na = 1\n"),  # its sheet density overflows
+        ("figure", "alpha_a = 5e307\n"),  # the window (N+4)*a overflows
+        ("figure", "alpha_a = 3e307\n"),  # (N+4)*a is finite, the window's width is not
     ],
 )
 def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
@@ -288,6 +290,11 @@ def test_figure_config_and_validation(tmp_path, capsys):
     bad = _write(tmp_path, "g.cfg", "n_values = 0\n")
     assert main(["figure", "--config", bad, "--out", str(tmp_path)]) == 1
     assert "n_values" in capsys.readouterr().err
+    # only the N = 40 window overflows, and no panel is written
+    wide = _write(tmp_path, "h.cfg", "n_values = 1, 40\nalpha_a = 5e306\n")
+    assert main(["figure", "--config", wide, "--out", str(tmp_path / "e")]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -197,14 +198,19 @@ def test_psi_cusp_slope_jump_signs(n):
 def test_log_normalization_constant_computed_once_per_params(monkeypatch):
     from sheetcrystal import closedform
 
-    calls = []
-    original = closedform._log_normalization_constant
+    calls, rates = [], []
+    original, decay_rate = closedform._log_normalization_constant, closedform._decay_rate
     monkeypatch.setattr(closedform, "_log_normalization_constant", lambda p: calls.append(p) or original(p))
+    monkeypatch.setattr(closedform, "_decay_rate", lambda p: rates.append(p) or decay_rate(p))
     p = _params(8)
-    for z in np.linspace(-12.0, 12.0, 101):
+    zs = np.linspace(-12.0, 12.0, 101)
+    for z in zs:
         psi(p, float(z))
+    psi(p, zs)
+    psi(p, zs.reshape(1, -1))
     normalization_constant(p)
     assert calls == [p]
+    assert rates == [p]
 
 
 def test_psi_outer_decay_rate_is_exact():
@@ -228,6 +234,32 @@ def test_psi_is_constant_time_at_huge_n():
         closed = math.exp(log_a - p.a * (big_n + 0.5))  # midway between a*N and a*(N+1)
         assert psi(p, (cell + 0.5) * p.a) == pytest.approx(closed, rel=1e-12)
         assert psi(p, -(cell + 0.5) * p.a) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,alpha,a", [(0, 1.0, 1.0), (1, 1.0, 1.0), (4, 0.7, 1.3), (7, 2.0, 0.37), (10**9, 1.0, 1.0)]
+)
+def test_array_psi_is_bit_identical_to_scalar_psi(n, alpha, a):
+    p = _params(n, alpha, a)
+    edge = n * a
+    sites = [s * a for s in (0, 1, 2, 12345, n - 1, n) if 0 <= s <= n]
+    cells = [(s + f) * a for s in (0, 1, 12345, n - 1) if 0 <= s < n for f in (0.25, 0.5, 0.75)]
+    points = [0.0, -0.0, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 1e300, *sites, *cells]
+    if n < 100:
+        points += np.linspace(-(n + 4) * a, (n + 4) * a, 2001).tolist()
+    zs = np.array([*points, *(-z for z in points), math.inf, -math.inf, math.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = psi(p, zs)
+        square = psi(p, zs[:-1].reshape(2, -1))
+        single = psi(p, np.array(0.5 * a))
+    want = [psi(p, z).hex() for z in zs.tolist()]
+    assert type(got) is np.ndarray and got.shape == zs.shape
+    assert [v.hex() for v in got.tolist()] == want
+    assert square.shape == (2, zs.size // 2)
+    assert [v.hex() for v in square.ravel().tolist()] == want[:-1]
+    assert single.shape == () and single.item().hex() == psi(p, 0.5 * a).hex()
+    assert type(psi(p, np.float64(0.5 * a))) is float  # a numpy scalar takes the scalar branch
 
 
 def test_psi_survives_large_exponents_via_log_space():

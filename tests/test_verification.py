@@ -175,24 +175,48 @@ _RATES = (-10.0, -2.0, -0.7, 0.5, 2.0, 10.0)
 
 @pytest.mark.parametrize("a", [1.0, 0.37])
 def test_core_quadrature_is_bit_identical_to_node_loop(a):
+    table = verification._quad_core_exponential(20, _RATES, a)
     for n_sites in range(1, 21):
         for r in _RATES:
-            got = verification._quad_core_exponential(n_sites, r, a)
+            got = table[n_sites, r]
             want = _quad_core_exponential_reference(n_sites, r, a)
             assert got.hex() == want.hex(), (n_sites, r, a)
 
 
-@pytest.mark.parametrize(
+_PSI_PARAMS = pytest.mark.parametrize(
     "p",
     [CrystalParams(n, 1.0, 1.0, atomic_units()) for n in range(0, 9)] + [CrystalParams(3, 0.7, 1.3, atomic_units())],
     ids=lambda p: f"N{p.N}-alpha{p.alpha}-a{p.a}",
 )
+
+
+@_PSI_PARAMS
 def test_psi_quadrature_is_bit_identical_to_node_loop(p):
     assert verification._quad_psi_squared(p).hex() == _quad_psi_squared_reference(p).hex()
 
 
+@_PSI_PARAMS
+def test_psi_quadrature_integrand_is_bit_identical_at_every_node(p, monkeypatch):
+    # psi is called once, on every node, and each value is the node loop's psi(p, z) ** 2
+    real_psi, real_sum = closedform.psi, verification._gauss_sum
+    nodes, values = [], []
+    monkeypatch.setattr(closedform, "psi", lambda p, z: nodes.append(z) or real_psi(p, z))
+    monkeypatch.setattr(verification, "_gauss_sum", lambda v, *rest: values.append(v) or real_sum(v, *rest))
+    verification._quad_psi_squared(p)
+    [zs], [got] = nodes, values
+    assert [v.hex() for v in got] == [(real_psi(p, z) ** 2).hex() for z in zs.ravel().tolist()]
+
+
+@pytest.mark.parametrize("alpha_a", [1.0, 0.37])
+def test_figure_samples_are_bit_identical_to_scalar_psi(alpha_a):
+    for n in (1, 2, 3, 4):
+        p = CrystalParams(n, 1.0, alpha_a, atomic_units())
+        zs, vals = crystal_figure_samples(n, alpha_a)
+        assert [v.hex() for v in vals.tolist()] == [closedform.psi(p, z).hex() for z in zs.tolist()]
+
+
 def test_core_quadrature_uses_nothing_from_closedform(monkeypatch):
-    expected = [verification._quad_core_exponential(n, r, 1.0) for n in (1, 4, 7) for r in _RATES]
+    expected = list(verification._quad_core_exponential(7, _RATES, 1.0).values())
 
     def refuse(*args, **kwargs):
         raise AssertionError("the quadrature check called closedform")
@@ -200,7 +224,7 @@ def test_core_quadrature_uses_nothing_from_closedform(monkeypatch):
     for name, obj in vars(closedform).items():
         if inspect.isfunction(obj) and obj.__module__ == closedform.__name__:
             monkeypatch.setattr(closedform, name, refuse)
-    got = [verification._quad_core_exponential(n, r, 1.0) for n in (1, 4, 7) for r in _RATES]
+    got = list(verification._quad_core_exponential(7, _RATES, 1.0).values())
     assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
