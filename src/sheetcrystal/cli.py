@@ -288,7 +288,7 @@ def cmd_solve(args) -> int:
         if not found.states:
             raise SheetCrystalError(
                 f"the exponential map gives a ground state at energy {_fmt(ground.energy)}, "
-                f"but the oracle finds no bound state (node count {found.metadata.node_count}); "
+                f"but the oracle finds no bound state (state count {found.metadata.state_count}); "
                 "the two routes disagree"
             )
         psi = ground.wavefunction

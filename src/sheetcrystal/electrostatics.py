@@ -57,10 +57,6 @@ class SheetArray:
     def densities(self) -> tuple[float, ...]:
         return tuple(s for _, s in self.sheets)
 
-    @property
-    def total_density(self) -> float:
-        return math.fsum(s for _, s in self.sheets)
-
 
 @dataclass(frozen=True)
 class ElectrostaticSolution:

@@ -14,16 +14,20 @@ every step is the same vectorised pass over an array of kappas.  A pass costs
 about the same at one kappa as at a hundred, so the first one runs on a grid
 of :data:`GRID` cells from kappa = 0+ to the search cap: its count at 0+ gives
 the number of states, and the counts at the grid points hand each state the
-cell that holds it.  The search counts every state but isolates and refines
-only the lowest ones its caller asks for (``lowest``; all by default, one for
-:func:`ground_state`).  Batched bisection on the count isolates each of
-them, the same loop refines each isolated state by regula falsi with the
-Illinois modification on the tail coefficient, and the pass at the roots
-gives each state its coefficient columns, from which its wavefunction is
-built when first read; the result is an exact piecewise closed
-form whose only approximation is the location of the root.  Every column of
-a pass is computed on its own kappa alone, so a state comes out with the
-same bits whether it is refined alone or with the others.
+cell that holds it.  The cap is four times the largest single-delta or
+single-region rate of the problem, and a state above it is an error; every
+root is located to :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa, which
+also stands for 0+.  The search's one setting, ``lowest``, is how many of the
+lowest states to return (all by default, one for :func:`ground_state`): it
+counts every state but isolates and refines only those.  Batched bisection
+on the count isolates each of them, the same loop refines each isolated
+state by regula falsi with the Illinois modification on the tail
+coefficient, and the pass at the roots gives each state its coefficient
+columns, from which its wavefunction is built when first read; the result
+is an exact piecewise closed form whose only approximation is the location
+of the root.  Every column of a pass is computed on its own kappa alone, so
+a state comes out with the same bits whether it is refined alone or with
+the others.
 
 One search serves many problems.  :func:`find_bound_states` takes one
 problem or a sequence of them, and every pass carries the columns of all of
@@ -103,25 +107,20 @@ class BoundState:
 
 @dataclass(frozen=True, eq=False)
 class ScanMetadata:
-    """How the roots were found; kept for reproducibility and audits.
+    """The search's cap and count; kept for reproducibility and audits.
 
-    ``node_count`` is the number of bound states with decay rate above
-    ``tol``, counted from the nodes of the solution at kappa = ``tol``, and
-    ``state_count`` the number with decay rate in (``tol``, ``kappa_max``]:
-    ``node_count`` less the count at ``kappa_max``.  Both come from the
-    counting pass, so they count every state in range even when only the
-    ``lowest`` were refined; without ``lowest``, ``state_count`` is the
-    number of states returned.  ``brackets`` and ``root_residuals`` hold one
-    entry per returned state (its isolating interval and |tail| at its
-    root), and ``unresolved`` the intervals among them that still held more
-    than one state when bisection could not split them further.
+    ``kappa_max`` is the cap of the search, four times the problem's largest
+    single-delta or single-region rate.  ``state_count`` is the number of
+    bound states with decay rate above :data:`DEFAULT_BISECTION_TOL`,
+    counted from the nodes of the solution there; it counts every state even
+    when only the ``lowest`` were refined, and without ``lowest`` it is the
+    number of states returned.  ``unresolved`` holds the intervals among the
+    returned states that still held more than one state when bisection could
+    not split them further: a fault flag, empty on a clean search.
     """
 
     kappa_max: float
-    node_count: int
     state_count: int
-    brackets: tuple[tuple[float, float], ...]
-    root_residuals: tuple[float, ...]
     unresolved: tuple[tuple[float, float], ...]
 
 
@@ -364,11 +363,9 @@ def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
 
 def find_bound_states(
     problems: DeltaPotentialProblem | Sequence[DeltaPotentialProblem],
-    kappa_max: float | None = None,
-    tol: float = DEFAULT_BISECTION_TOL,
     lowest: int | None = None,
 ) -> BoundStateList | list[BoundStateList]:
-    """Locate the bound states with decay rate in (tol, kappa_max], lowest first.
+    """Locate the bound states of each problem, lowest energy first.
 
     ``problems`` is one problem, answered by one list, or a sequence of
     them, answered by one list per problem in order.  One search serves the
@@ -376,28 +373,29 @@ def find_bound_states(
     one :func:`_transfer`, which costs about what a pass over the longest
     problem alone costs, and every column gets the operations its problem
     alone would get, so each state comes out with the same bits whatever
-    the batch.  ``kappa_max``, ``tol`` and ``lowest`` apply to each problem;
-    the default cap is each problem's own.  Every chain is padded to the
-    longest, so a sequence whose grid pass would hold more than
-    ``_SEARCH_CELLS`` (region, column) cells is split in halves, each
-    searched the same way, which bounds the memory of a pass; a single
-    problem is never split.
+    the batch.  Every chain is padded to the longest, so a sequence whose
+    grid pass would hold more than ``_SEARCH_CELLS`` (region, column) cells
+    is split in halves, each searched the same way, which bounds the memory
+    of a pass; a single problem is never split.
 
     ``lowest`` = k, an integer >= 0 (not a bool), returns only the k
-    lowest-energy states in range (fewer if fewer exist); ``None`` returns
-    all of them.  The count is taken for all of them either way
+    lowest-energy states (fewer if fewer exist); ``None`` returns all of
+    them.  The count is taken for all of them either way
     (``metadata.state_count``), and only the states returned are isolated,
     refined and reconstructed, so asking for the ground state alone costs
     the counting pass, its own refinement and one pass at its root, whatever
     the number of states.
 
-    ``tol``, finite and > 0, plays two parts: the node count taken at kappa
-    = ``tol`` stands for kappa = 0+ (exactly at 0 a threshold solution can
-    end flat and lose a node), and every root's interval is narrowed until
-    it is at most ``tol`` wide in kappa; the root is its midpoint.  ``kappa_max`` only caps
-    the search and must be finite; the default is four times the largest
-    single-delta or single-region rate, and a problem whose default stands
-    for an energy beyond the float range is rejected before the first pass.
+    The search has no other setting.  Each problem's cap ``kappa_max`` is
+    four times its largest single-delta or single-region rate; a problem
+    whose cap stands for an energy beyond the float range is rejected before
+    the first pass, and one with a state above its cap (a node count at the
+    cap) is rejected after the grid pass, so no state in range is missed in
+    silence.  ``tol`` = :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa plays
+    two parts: the node count taken at kappa = ``tol`` stands for kappa = 0+
+    (exactly at 0 a threshold solution can end flat and lose a node), so a
+    state closer to threshold is not counted, and every root's interval is
+    narrowed until it is at most ``tol`` wide; the root is its midpoint.
 
     One pass counts the nodes on a grid of ``GRID`` + 1 points, ``tol``
     and ``kappa_max * k / GRID`` for k = 1..``GRID`` (held at or above
@@ -422,48 +420,42 @@ def find_bound_states(
     """
     single = isinstance(problems, DeltaPotentialProblem)
     batch = [problems] if single else list(problems)
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     # a bool is an Integral too, but True for a count is a slip, not a count of 1
     if lowest is not None and (isinstance(lowest, bool) or not isinstance(lowest, Integral) or lowest < 0):
         raise ValueError(f"lowest must be an integer >= 0 or None, got {lowest!r}")
-    if kappa_max is None:
-        caps = [_default_kappa_max(problem) for problem in batch]
-        for problem, cap in zip(batch, caps):
-            if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
-                raise ValueError(
-                    f"the default search cap kappa_max = {cap!r} stands for an energy "
-                    "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
-                )
-    else:
-        kappa_max = float(kappa_max)
-        if not math.isfinite(kappa_max):
-            raise ValueError(f"kappa_max must be finite, got {kappa_max!r}")
-        caps = [kappa_max] * len(batch)
+    caps = [_default_kappa_max(problem) for problem in batch]
+    for problem, cap in zip(batch, caps):
+        if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
+            raise ValueError(
+                f"the default search cap kappa_max = {cap!r} stands for an energy "
+                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
+            )
     longest = max((len(problem.deltas) for problem in batch), default=1)
     if len(batch) > 1 and len(batch) * (GRID + 1) * longest > _SEARCH_CELLS:
         half = len(batch) // 2
-        return [
-            *find_bound_states(batch[:half], kappa_max, tol, lowest),
-            *find_bound_states(batch[half:], kappa_max, tol, lowest),
-        ]
+        return [*find_bound_states(batch[:half], lowest), *find_bound_states(batch[half:], lowest)]
     chain = _chain(batch)
+    tol = DEFAULT_BISECTION_TOL
 
     # one counting pass on a grid per problem: [tol, kappa_max/GRID, ..., kappa_max],
-    # held at or above tol (k = 0 gives tol); kappa_max * (k / GRID) stays finite
-    # for kappa_max = 1e308
+    # held at or above tol (k = 0 gives tol)
     grid = np.maximum(tol, np.array(caps)[:, None] * _GRID_FRACTIONS)
     cells = _transfer(chain, grid.ravel(), np.repeat(np.arange(len(batch)), GRID + 1))
     nodes = cells.nodes.reshape(grid.shape)
+    for cap, top in zip(caps, nodes[:, -1].tolist()):
+        if top:
+            raise ValueError(
+                f"{top} bound state(s) lie above the search cap kappa_max = {cap!r}: "
+                "the deltas or regions bind more strongly together than the cap allows"
+            )
     # state j (j = 0 is the ground state) of a problem lies in (lo, hi) when
     # count(lo) > j >= count(hi); lo is the last grid point counting more than
-    # j states and hi the next one; every state in range is counted, only the
-    # lowest asked for are refined; owner holds each state's problem
-    node_counts, tops = nodes[:, 0].tolist(), nodes[:, -1].tolist()
-    state_counts = [max(n - top, 0) for n, top in zip(node_counts, tops)]
+    # j states and hi the next one; every state is counted, only the lowest
+    # asked for are refined; owner holds each state's problem
+    state_counts = nodes[:, 0].tolist()
     refined = state_counts if lowest is None else [min(n, lowest) for n in state_counts]
     owner = np.repeat(np.arange(len(batch)), refined)
-    j = np.array([top + k for top, n in zip(tops, refined) for k in range(n)], dtype=np.int64)
+    j = np.array([k for n in refined for k in range(n)], dtype=np.int64)
     above = nodes[owner] > j[:, None]
     # flat index into the grid pass of each state's lo point; hi is the next one
     last = owner * (GRID + 1) + GRID - np.argmax(above[:, ::-1], axis=1)
@@ -477,7 +469,6 @@ def find_bound_states(
     lo[on_root] = hi[on_root]
     last_move = np.zeros(j.shape, dtype=np.int8)  # +1 lo moved, -1 hi moved, 0 counting
     isolated = ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
-    bracket_lo, bracket_hi = lo.copy(), hi.copy()
 
     while True:
         mid = 0.5 * (lo + hi)
@@ -512,16 +503,11 @@ def find_bound_states(
         counting = ~iso
         count_lo[idx[counting & move_lo]] = step.nodes[counting & move_lo]
         count_hi[idx[counting & move_hi]] = step.nodes[counting & move_hi]
-        newly = ~isolated & (((count_lo == j + 1) & (count_hi == j)) | (lo == hi))
-        bracket_lo[newly], bracket_hi[newly] = lo[newly], hi[newly]
-        isolated |= newly
+        isolated |= ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
 
     roots = 0.5 * (lo + hi)
     stuck = ~isolated
-    bracket_lo[stuck], bracket_hi[stuck] = lo[stuck], hi[stuck]
     final = _transfer(chain, roots, owner)
-    brackets = list(zip(bracket_lo.tolist(), bracket_hi.tolist()))
-    residuals = np.abs(final.tail).tolist()
     unresolved = [set() for _ in batch]
     for p, pair in zip(owner[stuck].tolist(), zip(lo[stuck].tolist(), hi[stuck].tolist())):
         unresolved[p].add(pair)
@@ -530,10 +516,7 @@ def find_bound_states(
     for p, (problem, start, stop) in enumerate(zip(batch, bounds[:-1], bounds[1:])):
         metadata = ScanMetadata(
             kappa_max=caps[p],
-            node_count=node_counts[p],
             state_count=state_counts[p],
-            brackets=tuple(brackets[start:stop]),
-            root_residuals=tuple(residuals[start:stop]),
             unresolved=tuple(sorted(unresolved[p], reverse=True)),
         )
         columns = slice(start, stop)
@@ -542,12 +525,12 @@ def find_bound_states(
     return found[0] if single else found
 
 
-def ground_state(problem: DeltaPotentialProblem, **scan_options) -> BoundState:
+def ground_state(problem: DeltaPotentialProblem) -> BoundState:
     """Lowest-energy bound state; raises NoBoundStatesError if none exist.
 
     Only this state is isolated, refined and reconstructed (``lowest=1``).
     """
-    found = find_bound_states(problem, lowest=1, **scan_options)
+    found = find_bound_states(problem, lowest=1)
     if not found.states:
         raise NoBoundStatesError("the potential binds no state in the searched range")
     return found.states[0]

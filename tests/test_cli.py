@@ -231,6 +231,13 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
         ("solve", "mode = canonical\nN = 3\nalpha = 1e308\na = 1\n"),  # its sheet density overflows
         ("figure", "alpha_a = 5e307\n"),  # the window (N+4)*a overflows
         ("figure", "alpha_a = 3e307\n"),  # (N+4)*a is finite, the window's width is not
+        # ten deltas 0.001 apart bind one state at kappa ~ 10, above the search cap 8
+        (
+            "solve",
+            "mode = quantum\n"
+            "deltas = 0.0:-1, 0.001:-1, 0.002:-1, 0.003:-1, 0.004:-1, 0.005:-1, 0.006:-1, 0.007:-1, 0.008:-1, 0.009:-1\n"
+            "offsets = 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\n",
+        ),
     ],
 )
 def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_crystal_counts_are_n_plus_one_at_unit_spacing(atomic):
     # at alpha*a = 1 the N + 1 states bunch into a band that narrows as N grows
     for n in [*range(0, 9), 20, 50, 100]:
         found = find_bound_states(_crystal_problem(n))
-        assert len(found) == found.metadata.node_count == n + 1, n
+        assert len(found) == found.metadata.state_count == n + 1, n
         assert not found.metadata.unresolved
 
 
@@ -164,33 +164,19 @@ def test_scan_is_deterministic(atomic):
     first = find_bound_states(problem)
     second = find_bound_states(problem)
     assert first.energies == second.energies
-    assert first.metadata.brackets == second.metadata.brackets
-    assert first.metadata.root_residuals == second.metadata.root_residuals
     assert [s.kappa for s in first] == [s.kappa for s in second]
 
 
 def test_scan_metadata_contents(atomic):
     found = find_bound_states(_crystal_problem(1))
     meta = found.metadata
-    assert meta.kappa_max == pytest.approx(8.0)
-    assert meta.node_count == len(found) == 2
+    assert [f.name for f in dataclasses.fields(meta)] == ["kappa_max", "state_count", "unresolved"]
+    assert meta.kappa_max == 8.0
+    assert meta.state_count == len(found) == 2
     assert meta.unresolved == ()
-    assert len(meta.brackets) == len(meta.root_residuals) == len(found)
-    for (lo, hi), state, residual in zip(meta.brackets, found, meta.root_residuals):
-        assert lo <= state.kappa <= hi
-        assert residual < 1e-12
-    # each bracket isolates its own state: the brackets do not overlap
-    assert meta.brackets[1][1] <= meta.brackets[0][0]
 
 
 def test_scan_parameter_validation(atomic):
-    problem = _crystal_problem(0)
-    for tol in (0.0, -1e-13, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            find_bound_states(problem, tol=tol)
-    for kappa_max in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            find_bound_states(problem, kappa_max=kappa_max)
     # on a crystal with states to return, a fractional or bool count is rejected, not read as a count
     crystal = _crystal_problem(4)
     for lowest in (2.5, True, False):
@@ -199,23 +185,12 @@ def test_scan_parameter_validation(atomic):
     assert len(find_bound_states(crystal, lowest=np.int64(2))) == 2
 
 
-def test_kappa_max_caps_the_search_but_not_the_count(atomic):
-    problem = _crystal_problem(4)
-    reference = find_bound_states(problem)
-    capped = find_bound_states(problem, kappa_max=6.0)
-    assert capped.energies == pytest.approx(reference.energies, abs=1e-10)
-    # kappa_max below the ground state's kappa = 1: it is left out, but the node count still sees it
-    below = find_bound_states(problem, kappa_max=0.99)
-    assert below.metadata.node_count == 5
-    assert below.energies == pytest.approx(reference.energies[1:], abs=1e-10)
-
-
 def test_far_apart_doublet_is_resolved(atomic):
     # the two wells 12 apart split into kappa = 1 +- exp(-2*kappa*6), 1.2e-5
     # apart, next to a lone state at kappa = 1.3
     problem = DeltaPotentialProblem([(-6.0, -1.0), (6.0, -1.0), (24.0, -1.3)], [0.0] * 4, atomic)
     found = find_bound_states(problem)
-    assert len(found) == found.metadata.node_count == 3
+    assert len(found) == found.metadata.state_count == 3
     assert found.states[0].kappa == pytest.approx(1.3, abs=1e-9)
     for sign, state in zip((1.0, -1.0), found.states[1:]):
         kappa = 1.0
@@ -230,24 +205,25 @@ def test_count_is_taken_just_above_threshold(atomic):
     problem = _crystal_problem(4, alpha=0.5)
     assert _pass(problem, [0.0]).tail[0] == 0.0
     found = find_bound_states(problem)
-    assert len(found) == found.metadata.node_count == 2
+    assert len(found) == found.metadata.state_count == 2
     assert [s.kappa for s in found] == pytest.approx([0.5, 0.4220863645701952], abs=1e-9)
 
 
 def test_unsplittable_cluster_is_returned_and_flagged(atomic):
-    # with tol = 1e-3 the doublet 1.2e-5 apart cannot be split: both states
-    # come back at the cluster's midpoint and the cluster is listed
-    problem = DeltaPotentialProblem([(-6.0, -1.0), (6.0, -1.0), (24.0, -1.3)], [0.0] * 4, atomic)
-    found = find_bound_states(problem, tol=1e-3)
+    # the wells 60 apart split into kappa = 1 +- exp(-60), ~9e-27 apart, far
+    # below the float spacing at kappa = 1: the grid point kappa = 1 closes
+    # one state's interval, the other's stops splitting still holding both
+    # states, and comes back at its midpoint and listed
+    problem = DeltaPotentialProblem([(-30.0, -1.0), (30.0, -1.0)], [0.0] * 3, atomic)
+    found = find_bound_states(problem)
     meta = found.metadata
-    assert len(found) == meta.node_count == 3
-    assert found.states[0].kappa == pytest.approx(1.3, abs=1e-3)
+    assert len(found) == meta.state_count == 2
     assert len(meta.unresolved) == 1
     lo, hi = meta.unresolved[0]
-    assert hi - lo <= 1e-3
-    assert lo < 1.0 - 1e-5 and 1.0 + 1e-5 < hi
-    assert meta.brackets[1:] == ((lo, hi), (lo, hi))
-    assert found.states[1].kappa == found.states[2].kappa == 0.5 * (lo + hi)
+    assert 0.0 < hi - lo <= oracle.DEFAULT_BISECTION_TOL
+    assert lo < 1.0 <= hi
+    assert found.states[0].kappa == 1.0
+    assert found.states[1].kappa == 0.5 * (lo + hi)
 
 
 def _record_transfers(monkeypatch):
@@ -275,31 +251,48 @@ def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
 
 
 def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
-    # the single state kappa = 100 lies in the grid's first cell, (0,
-    # 1e308/64); its tail at kappa = 0+ is about -200, so the regula falsi
-    # point overflows and the pass after the grid bisects the cell; the next
-    # point is regula falsi again, next to kappa = 100
-    problem = DeltaPotentialProblem([(0.0, -100.0)], [0.0, 0.0], atomic)
-    calls = _record_transfers(monkeypatch)
-    with np.errstate(over="ignore"):
-        found = find_bound_states(problem, kappa_max=1e308)
-    grid = [1e-13, *(1e308 * (k / oracle.GRID) for k in range(1, oracle.GRID + 1))]
-    assert calls[0] == grid
-    assert all(math.isfinite(kappa) for kappa in calls[0])
-    assert calls[1] == [0.5 * grid[1]]
-    assert abs(calls[2][0] - 100.0) < 1e-12
-    assert found.states[0].kappa == pytest.approx(100.0, abs=1e-13)
+    # two deltas 1e-100 apart of strengths -1e100 and -0.37e100 bind one
+    # state near kappa = 1.06e100: the products kappa * tail in the regula
+    # falsi point overflow, so the point is not finite and the step bisects;
+    # the search tracks its bracket from the tail signs and must see those
+    # steps, and no pass may warn (warnings are errors here)
+    s = 1e100
+    problem = DeltaPotentialProblem([(0.0, -s), (1.0 / s, -0.37 * s)], [0.0] * 3, atomic)
+    passes = []
+    real = oracle._transfer
+
+    def recorded(chain, kappas, which):
+        path = real(chain, kappas, which)
+        passes.append((np.asarray(kappas).tolist(), path.tail.tolist(), path.nodes.tolist()))
+        return path
+
+    monkeypatch.setattr(oracle, "_transfer", recorded)
+    found = find_bound_states(problem)
+    assert len(found) == found.metadata.state_count == 1
+    # the state's grid cell, then one step per pass until the pass at the root
+    grid, tails, nodes = passes[0]
+    k = max(i for i, n in enumerate(nodes) if n >= 1)
+    lo, hi, tail_lo = grid[k], grid[k + 1], tails[k]
+    midpoints = 0
+    for (point,), (tail,), _ in passes[1:-1]:
+        midpoints += point == 0.5 * (lo + hi)
+        if (tail < 0.0) == (tail_lo < 0.0):
+            lo, tail_lo = point, tail
+        else:
+            hi = point
+    assert midpoints == 26
+    assert passes[-1][0] == [found.states[0].kappa] == [0.5 * (lo + hi)]
 
 
 def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):
-    # the grid is held at tol, so it stays sorted and no bracket opens; the
-    # count at 0+ still sees the state
-    problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
+    # the delta g = -1e-15 binds kappa = 1e-15, and its cap 8e-15 is below
+    # tol: the grid is held at tol, so it stays sorted and no bracket opens
+    problem = DeltaPotentialProblem([(0.0, -1e-15)], [0.0, 0.0], atomic)
     calls = _record_transfers(monkeypatch)
-    found = find_bound_states(problem, kappa_max=1e-14)
+    found = find_bound_states(problem)
+    assert found.metadata.kappa_max == 8e-15
     assert calls[0] == [1e-13] * (oracle.GRID + 1)
-    assert len(found) == 0
-    assert found.metadata.node_count == 1
+    assert len(found) == found.metadata.state_count == 0
     assert found.metadata.unresolved == ()
 
 
@@ -478,7 +471,7 @@ def test_every_root_has_opposite_tail_signs_within_tol(problem):
     # the returned kappa is a bracket's midpoint, the bracket at most tol wide
     # and holding a sign change of the tail, so kappa -+ tol/2 straddle it
     tol = oracle.DEFAULT_BISECTION_TOL
-    found = find_bound_states(problem, tol=tol)
+    found = find_bound_states(problem)
     assert found.metadata.unresolved == ()
     kappas = np.array([s.kappa for s in found])
     below = _pass(problem, kappas - 0.5 * tol).tail
@@ -673,6 +666,51 @@ def test_problem_beyond_float_range_names_the_cause(deltas, offsets, cause, atom
         find_bound_states(DeltaPotentialProblem(deltas, offsets, atomic))
 
 
+def test_state_above_the_cap_is_an_error(atomic):
+    # ten deltas g = -1 within 0.009 bind together like one delta g = -10, at
+    # kappa ~ 10, above the cap 8 that the strongest single delta gives; the
+    # count at the cap sees the state, and the search refuses it, not misses it
+    cluster = DeltaPotentialProblem([(k / 1000, -1.0) for k in range(10)], [0.0] * 11, atomic)
+    with pytest.raises(ValueError, match=r"1 bound state\(s\) lie above the search cap kappa_max = 8\.0"):
+        find_bound_states(cluster)
+    with pytest.raises(ValueError, match="above the search cap"):
+        find_bound_states([_crystal_problem(2), cluster], lowest=1)
+
+
+def _doublet_roots(half_width):
+    """kappa = 1 +- exp(-2*kappa*half_width): the doublet g = -1 at +-half_width, by fixed point."""
+    roots = []
+    for sign in (1.0, -1.0):
+        kappa = 1.0
+        for _ in range(50):
+            kappa = 1.0 + sign * math.exp(-2.0 * half_width * kappa)
+        roots.append(kappa)
+    return roots
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="across a wide barrier the pass rounds away the growing part near kappa = 1: "
+    "at +-10 the tail is exactly 0.0 at kappa = 1, so the roots come back ~2e-9 off",
+)
+@pytest.mark.parametrize("half_width", [6.0, 8.0, 10.0])
+def test_wide_barrier_doublet_roots_within_tol(half_width, atomic):
+    problem = DeltaPotentialProblem([(-half_width, -1.0), (half_width, -1.0)], [0.0] * 3, atomic)
+    found = find_bound_states(problem)
+    assert len(found) == 2
+    errors = [abs(s.kappa - root) for s, root in zip(found, _doublet_roots(half_width))]
+    assert max(errors) <= oracle.DEFAULT_BISECTION_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="the count is taken at kappa = tol, so a state closer to threshold is missed")
+def test_state_below_tol_is_found(atomic):
+    # the single sheet 0:1.5e-13 binds one state at kappa = 7.5e-14 < tol
+    problem = to_quantum(solve_sheets(SheetArray([(0.0, 1.5e-13)]), atomic), atomic)
+    found = find_bound_states(problem)
+    assert len(found) == found.metadata.state_count == 1
+    assert found.states[0].kappa == pytest.approx(7.5e-14, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # ground state first: only the states asked for are refined
 # ---------------------------------------------------------------------------
@@ -692,7 +730,6 @@ def test_ground_first_keeps_the_ground_state_bits_and_the_count(group):
         full = find_bound_states(problem)
         first = find_bound_states(problem, lowest=1)
         assert first.metadata.state_count == full.metadata.state_count == len(full)
-        assert first.metadata.node_count == full.metadata.node_count
         assert len(first) == min(1, len(full))
         if not full.states:
             continue
@@ -701,8 +738,6 @@ def test_ground_first_keeps_the_ground_state_bits_and_the_count(group):
         assert got.energy.hex() == want.energy.hex()
         assert got._rows[0] == want._rows[0]
         assert all(_same_bits(g, w) for g, w in zip(got._rows[1:], want._rows[1:]))
-        assert first.metadata.brackets == full.metadata.brackets[:1]
-        assert first.metadata.root_residuals == full.metadata.root_residuals[:1]
 
 
 @pytest.mark.parametrize("n", [8, 100, 1000])
@@ -726,13 +761,7 @@ def test_lowest_bounds_the_states_returned(atomic):
         found = find_bound_states(problem, lowest=lowest)
         assert found.metadata.state_count == 5
         assert [s.kappa.hex() for s in found] == [s.kappa.hex() for s in full.states[:lowest]]
-        assert len(found.metadata.brackets) == len(found.metadata.root_residuals) == min(lowest, 5)
-    # a cap below the ground state leaves it out of the range, and of lowest
-    capped = find_bound_states(problem, kappa_max=0.99)
-    first = find_bound_states(problem, kappa_max=0.99, lowest=1)
-    assert first.metadata.node_count == 5 and first.metadata.state_count == len(capped) == 4
-    assert first.states[0].kappa.hex() == capped.states[0].kappa.hex()
-    assert first.states[0].kappa == pytest.approx(full.states[1].kappa, abs=1e-10)
+        assert len(found) == min(lowest, 5)
     for lowest in (-1, math.nan):
         with pytest.raises(ValueError):
             find_bound_states(problem, lowest=lowest)
@@ -753,10 +782,7 @@ def _hex_list(found):
     return (
         states,
         meta.kappa_max.hex(),
-        meta.node_count,
         meta.state_count,
-        [(lo.hex(), hi.hex()) for lo, hi in meta.brackets],
-        [r.hex() for r in meta.root_residuals],
         [(lo.hex(), hi.hex()) for lo, hi in meta.unresolved],
     )
 
@@ -773,8 +799,8 @@ def _batch_problems():
 
 @pytest.mark.parametrize(
     "options",
-    [{}, {"lowest": 1}, {"lowest": 3}, {"kappa_max": 6.0}],
-    ids=["all", "lowest1", "lowest3", "kappa_max6"],
+    [{}, {"lowest": 1}, {"lowest": 3}],
+    ids=["all", "lowest1", "lowest3"],
 )
 def test_batch_equals_one_search_per_problem(options, monkeypatch):
     # a state's columns meet only its own problem's arrays, so a batch gives
