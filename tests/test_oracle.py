@@ -252,10 +252,11 @@ def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
 
 def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
     # two deltas 1e-100 apart of strengths -1e100 and -0.37e100 bind one
-    # state near kappa = 1.06e100: the products kappa * tail in the regula
-    # falsi point overflow, so the point is not finite and the step bisects;
-    # the search tracks its bracket from the tail signs and must see those
-    # steps, and no pass may warn (warnings are errors here)
+    # state near kappa = 1.06e100, where the float spacing (~1e84) dwarfs
+    # tol/2: a regula falsi point next to the root rounds onto an end of the
+    # bracket, and the step bisects instead; the test follows the bracket
+    # from the recorded tail signs to count those steps, and no pass may
+    # warn (warnings are errors here)
     s = 1e100
     problem = DeltaPotentialProblem([(0.0, -s), (1.0 / s, -0.37 * s)], [0.0] * 3, atomic)
     passes = []
