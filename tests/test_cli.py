@@ -170,6 +170,74 @@ def test_units_file_validation(tmp_path, capsys):
     assert "a0" in capsys.readouterr().err
 
 
+_CANONICAL = "mode = canonical\nN = 1\nalpha = 1\na = 1\n"
+_SWEEP = "N = 1\nalpha = 1\na = 1\n"
+_UNITS = "hbar = 1\nmass = 1\neps0 = 1\nV0 = 1\na0 = 1\n"
+
+
+# one malformed input per rule and per reader: (command and flags, config, units file or None, message)
+_MESSAGES = {
+    # solve: keys, mode and every value parser
+    "solve-unknown": ("solve", _CANONICAL + "nope = 1\n", None, "unknown key 'nope' for mode 'canonical'"),
+    "solve-missing": ("solve", "mode = canonical\nN = 1\nalpha = 1\n", None, "field 'a': required for mode 'canonical'"),
+    "solve-bad-mode": (
+        "solve", "mode = crystal\nN = 1\n", None, "field 'mode': must be one of canonical, sheets, quantum; got 'crystal'"
+    ),
+    "solve-no-mode": ("solve", _SWEEP, None, "field 'mode': must be one of canonical, sheets, quantum; got None"),
+    "solve-number": ("solve", "mode = canonical\nN = 1\nalpha = x\na = 1\n", None, "field 'alpha': not a number: 'x'"),
+    "solve-integer": ("solve", "mode = canonical\nN = 1.5\nalpha = 1\na = 1\n", None, "field 'N': not an integer: '1.5'"),
+    "solve-pair": ("solve", "mode = sheets\nsheets = 0-1\n", None, "field 'sheets': expected 'position:value', got '0-1'"),
+    "solve-list": ("solve", "mode = quantum\ndeltas = 0:-1\noffsets = ,\n", None, "field 'offsets': needs at least one value"),
+    "solve-window-order": (
+        "solve", _CANONICAL + "window = 3,-3\n", None, "field 'window': bounds must be ordered, got '3,-3'"
+    ),
+    "solve-window-shape": ("solve", _CANONICAL + "window = 3\n", None, "field 'window': expected 'lo,hi', got '3'"),
+    "solve-points": (
+        "solve", _CANONICAL + "points = 1\n", None, "field 'points': need at least 2 sample points, got 1"
+    ),
+    "solve-units-key": (
+        "solve", _CANONICAL + "units = si\n", None, "field 'units': unknown preset 'si' (only 'atomic'; use --units FILE)"
+    ),
+    # solve: the flags that override a key
+    "flag-window-order": (
+        "solve --window=3,-3", _CANONICAL, None, "argument --window: invalid _parse_window value: '3,-3'"
+    ),
+    "flag-window-inf": (
+        "solve --window=-inf,3", _CANONICAL, None, "argument --window: invalid _parse_window value: '-inf,3'"
+    ),
+    "flag-points-text": ("solve --points x", _CANONICAL, None, "argument --points: invalid int value: 'x'"),
+    "flag-points-one": ("solve --points 1", _CANONICAL, None, "field 'points': need at least 2 sample points, got 1"),
+    # sweep
+    "sweep-unknown": ("sweep", _SWEEP + "wat = 2\n", None, "unknown key 'wat' for sweep"),
+    "sweep-missing": ("sweep", "N = 1\nalpha = 1\n", None, "field 'a': required for sweep"),
+    "sweep-range": ("sweep", "N = 4..1\nalpha = 1\na = 1\n", None, "field 'N': empty range '4..1'"),
+    "sweep-list": ("sweep", "N = 1\nalpha = 1, x\na = 1\n", None, "field 'alpha': not a number: 'x'"),
+    # figure
+    "figure-unknown": ("figure", "color = red\n", None, "unknown key 'color' for figure"),
+    "figure-n-values": ("figure", "n_values = 0\n", None, "field 'n_values': every N must be >= 1"),
+    "figure-alpha-a": ("figure", "alpha_a = -1\n", None, "field 'alpha_a': must be > 0, got -1.0"),
+    "figure-points": ("figure", "points = 1\n", None, "field 'points': need at least 2 sample points, got 1"),
+    "figure-flag-points": ("figure --points x", "", None, "argument --points: invalid int value: 'x'"),
+    # units file
+    "units-unknown": ("solve", _CANONICAL, _UNITS + "c = 1\n", "units file: unknown key 'c'"),
+    "units-missing": ("solve", _CANONICAL, _UNITS.replace("a0 = 1\n", ""), "units file: missing key 'a0'"),
+    "units-number": ("sweep", _SWEEP, _UNITS.replace("V0 = 1", "V0 = x"), "field 'V0': not a number: 'x'"),
+    "units-inconsistent": (
+        "solve", _CANONICAL, _UNITS.replace("V0 = 1", "V0 = 2"),
+        "units file: inconsistent constants: V0^2*eps0*a0^3 = 4.0 but hbar^2/mass = 1.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,config,units,message", _MESSAGES.values(), ids=_MESSAGES.keys())
+def test_config_error_message(command, config, units, message, tmp_path, capsys):
+    argv = [*command.split(), "--config", _write(tmp_path, "c.cfg", config)]
+    if units is not None:
+        argv += ["--units", _write(tmp_path, "u.cfg", units)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command,text",
     [
