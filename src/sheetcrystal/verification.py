@@ -61,6 +61,11 @@ class CheckRow:
     note: str = ""
 
 
+def _check(name: str, residual: float, tolerance: float, holds: bool = True, note: str = "") -> CheckRow:
+    """The row of a check that passes when ``holds`` and residual <= tolerance (so a NaN residual fails)."""
+    return CheckRow(name, residual, tolerance, holds and residual <= tolerance, note)
+
+
 @dataclass(frozen=True)
 class AuditRow:
     """One recorded (not asserted) measurement."""
@@ -247,7 +252,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             abs(state.energy - expected),
             abs(closedform.ground_energy(p) - expected),
         )
-    checks.append(CheckRow("single_delta_ground_energy", worst, 1e-10, worst <= 1e-10))
+    checks.append(_check("single_delta_ground_energy", worst, 1e-10))
 
     # -- every configuration, solved once -----------------------------------
     params = [CrystalParams(n, 1.0, 1.0, units) for n in range(0, n_max + 1)]
@@ -268,7 +273,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             abs(c.found.states[0].energy + 0.5),
             abs(closedform.ground_energy(p) + 0.5),
         )
-    checks.append(CheckRow("crystal_energy_size_independence", worst, 1e-9, worst <= 1e-9))
+    checks.append(_check("crystal_energy_size_independence", worst, 1e-9))
 
     # -- normalization: closed form vs quadrature and vs the map path ------
     quad_norms = [_quad_psi_squared(p) for p in params]
@@ -279,8 +284,8 @@ def run_verification(depth: str = "quick") -> VerificationReport:
         a_map = c.dual.norm_constant
         a_closed = closedform.normalization_constant(p)
         worst_map = nan_max(worst_map, abs(a_closed - a_map) / a_map)
-    checks.append(CheckRow("norm_quadrature_equals_one", worst_quad, 1e-10, worst_quad <= 1e-10))
-    checks.append(CheckRow("norm_constant_matches_map_path", worst_map, 1e-12, worst_map <= 1e-12))
+    checks.append(_check("norm_quadrature_equals_one", worst_quad, 1e-10))
+    checks.append(_check("norm_constant_matches_map_path", worst_map, 1e-12))
 
     # -- expectation values vs the node-counting solver --------------------
     worst_match = 0.0
@@ -297,9 +302,9 @@ def run_verification(depth: str = "quick") -> VerificationReport:
         abs(closedform.expectation_potential(params[0]) + 1.0),
         abs(closedform.expectation_kinetic(params[0]) - 0.5),
     )
-    checks.append(CheckRow("expectations_match_solver", worst_match, 1e-10, worst_match <= 1e-10))
-    checks.append(CheckRow("expectation_spot_values", worst_spot, 1e-12, worst_spot <= 1e-12))
-    checks.append(CheckRow("kinetic_plus_potential_is_energy", worst_sum, 1e-12, worst_sum <= 1e-12))
+    checks.append(_check("expectations_match_solver", worst_match, 1e-10))
+    checks.append(_check("expectation_spot_values", worst_spot, 1e-12))
+    checks.append(_check("kinetic_plus_potential_is_energy", worst_sum, 1e-12))
 
     # -- two same-sign sheets: induced constant well -----------------------
     state_two = two_sheet.found.states[0]
@@ -307,11 +312,11 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     two = state_two.wavefunction
     flat = two.kinds[1] == "lin" and abs(two.c2s[1]) <= 1e-8 * abs(two.c1s[1])
     checks.append(
-        CheckRow(
+        _check(
             "two_sheet_well_ground_energy",
             resid_two,
             1e-8,
-            resid_two <= 1e-8 and flat,
+            holds=flat,
             note="interior segment constant" if flat else "interior segment NOT constant",
         )
     )
@@ -324,7 +329,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     gate_ok &= not zero_total
     for c in crystals:
         gate_ok &= bool(check_normalizable(c.sol))
-    checks.append(CheckRow("normalizability_gate", 0.0 if gate_ok else 1.0, 0.5, gate_ok))
+    checks.append(_check("normalizability_gate", 0.0 if gate_ok else 1.0, 0.5))
 
     # -- lattice-sum identities --------------------------------------------
     worst_b5 = 0.0
@@ -342,9 +347,9 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             if n_sites >= 1:
                 lhs, rhs = closedform.identity_sinh_parity(n_sites, float(x))
                 worst_sinh = nan_max(worst_sinh, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    checks.append(CheckRow("identity_site_distance_sum", worst_b5, 0.5, worst_b5 == 0))
-    checks.append(CheckRow("identity_alternating_exp", worst_exp, 1e-13, worst_exp <= 1e-13))
-    checks.append(CheckRow("identity_sinh_parity", worst_sinh, 1e-13, worst_sinh <= 1e-13))
+    checks.append(_check("identity_site_distance_sum", worst_b5, 0.5))
+    checks.append(_check("identity_alternating_exp", worst_exp, 1e-13))
+    checks.append(_check("identity_sinh_parity", worst_sinh, 1e-13))
 
     worst_core = 0.0
     rates = (-10.0, -2.0, -0.7, 0.5, 2.0, 10.0)
@@ -354,7 +359,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             closed = closedform.segment_integral_closed(n_sites, r, 1.0)
             numeric = core[n_sites, r]
             worst_core = nan_max(worst_core, abs(closed - numeric) / max(1.0, abs(numeric)))
-    checks.append(CheckRow("core_integral_closed_vs_quadrature", worst_core, 1e-10, worst_core <= 1e-10))
+    checks.append(_check("core_integral_closed_vs_quadrature", worst_core, 1e-10))
 
     # -- boundary conditions on every solved configuration -----------------
     worst_cusp = 0.0
@@ -374,9 +379,9 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             rep = schrodinger_residuals(solved.problem, state.wavefunction, state.energy)
             worst_cusp = nan_max(worst_cusp, rep.cusp_residual)
             worst_cont = nan_max(worst_cont, rep.continuity_residual)
-    checks.append(CheckRow("wavefunction_continuity", worst_cont, 1e-12, worst_cont <= 1e-12))
-    checks.append(CheckRow("delta_cusp_condition", worst_cusp, 1e-9, worst_cusp <= 1e-9))
-    checks.append(CheckRow("potential_slope_jump", worst_slope, 1e-12, worst_slope <= 1e-12))
+    checks.append(_check("wavefunction_continuity", worst_cont, 1e-12))
+    checks.append(_check("delta_cusp_condition", worst_cusp, 1e-9))
+    checks.append(_check("potential_slope_jump", worst_slope, 1e-12))
 
     # -- figure datasets ----------------------------------------------------
     worst_fig = 0.0
@@ -397,13 +402,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
                 abs(closedform.psi(params[n], 1.0) - peak),
             )
     checks.append(
-        CheckRow(
-            "figure_datasets",
-            worst_fig,
-            1e-6,
-            fig_ok and worst_fig <= 1e-6,
-            note="even, positive, unit tail decay, pinned peaks",
-        )
+        _check("figure_datasets", worst_fig, 1e-6, holds=fig_ok, note="even, positive, unit tail decay, pinned peaks")
     )
 
     # -- audits -------------------------------------------------------------
@@ -419,9 +418,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             " ".join(count_lines) + "  (states found by the oracle, alpha*a = 1)",
         )
     )
-    checks.append(
-        CheckRow("bound_state_count_deterministic", 0.0 if deterministic else 1.0, 0.5, deterministic)
-    )
+    checks.append(_check("bound_state_count_deterministic", 0.0 if deterministic else 1.0, 0.5))
 
     if full:
         worst_parity_dev = []
