@@ -11,8 +11,13 @@ for that state alone (``lowest=1``); their ``bound_state_count`` and
 logarithm: ``solve`` prints ``norm_constant`` while the constant is a finite
 float and ``log_norm_constant`` (its natural log) on that line otherwise.
 
-Config files are flat ``key = value`` lines; ``#`` starts a comment and
-unknown or duplicate keys are rejected.  Sweeps run their cells in the
+Config files are flat ``key = value`` lines; ``#`` starts a comment.  One
+reader serves the ``solve``, ``figure`` and ``sweep`` configs and the
+``--units`` file (atomic units without it): each declares its keys once, as
+a table of parsers that hold each key's range rule, and an unknown,
+duplicate or missing key is refused.  A flag named like a key (``--out``,
+``--window``, ``--points``) goes through that key's parser and overrides
+the key, which is still checked.  Sweeps run their cells in the
 order of the parameter grid: every cell's closed forms and problem first,
 then one oracle search for all of them, which serves many problems at once.
 """
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -127,28 +131,73 @@ def _parse_int_list(key: str, value: str) -> list[int]:
     return [_parse_int(key, item) for item in items]
 
 
-def _parse_window(value: str) -> tuple[float, float]:
+def _parse_path(key: str, value: str) -> Path | None:
+    return Path(value) if value else None
+
+
+def _parse_positive(key: str, value: str) -> float:
+    out = _parse_float(key, value)
+    if out <= 0:
+        raise ConfigError(f"field {key!r}: must be > 0, got {out}")
+    return out
+
+
+def _parse_points(key: str, value: str) -> int:
+    points = _parse_int(key, value)
+    if points < 2:
+        raise ConfigError(f"field {key!r}: need at least 2 sample points, got {points}")
+    return points
+
+
+def _parse_n_values(key: str, value: str) -> list[int]:
+    n_values = _parse_int_list(key, value)
+    if any(n < 1 for n in n_values):
+        raise ConfigError(f"field {key!r}: every N must be >= 1")
+    return n_values
+
+
+def _parse_window(key: str, value: str) -> tuple[float, float]:
     parts = [chunk.strip() for chunk in value.split(",")]
     if len(parts) != 2:
-        raise ConfigError(f"field 'window': expected 'lo,hi', got {value!r}")
-    lo, hi = _parse_float("window", parts[0]), _parse_float("window", parts[1])
+        raise ConfigError(f"field {key!r}: expected 'lo,hi', got {value!r}")
+    lo, hi = _parse_float(key, parts[0]), _parse_float(key, parts[1])
     if not lo < hi:
-        raise ConfigError(f"field 'window': bounds must be ordered, got {value!r}")
+        raise ConfigError(f"field {key!r}: bounds must be ordered, got {value!r}")
     return lo, hi
 
 
-def _load_units(args) -> UnitSystem:
-    if getattr(args, "units", None) is None:
-        return atomic_units()
-    entries = _read_key_values(Path(args.units))
-    required = ("hbar", "mass", "eps0", "V0", "a0")
-    unknown = sorted(set(entries) - set(required))
+def _read_config(path, fields: dict, required, where: str) -> dict:
+    """The config file at ``path``, each value parsed by ``fields[key](key, text)``.
+
+    The first unknown key and the first missing ``required`` key (in sorted
+    order) are refused, naming ``where``.
+    """
+    entries = _read_key_values(Path(path))
+    unknown = sorted(set(entries) - set(fields))
     if unknown:
-        raise ConfigError(f"units file: unknown key {unknown[0]!r}")
+        raise ConfigError(f"unknown key {unknown[0]!r} for {where}")
     missing = sorted(set(required) - set(entries))
     if missing:
-        raise ConfigError(f"units file: missing key {missing[0]!r}")
-    values = {key: _parse_float(key, entries[key]) for key in required}
+        raise ConfigError(f"field {missing[0]!r}: required for {where}")
+    return {key: fields[key](key, text) for key, text in entries.items()}
+
+
+def _with_flags(config: dict, fields: dict, args) -> dict:
+    """``config`` with every given flag that shares a key's name, parsed by that key's parser."""
+    for key, parse in fields.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            config[key] = parse(key, text)
+    return config
+
+
+_UNIT_FIELDS = dict.fromkeys(("hbar", "mass", "eps0", "V0", "a0"), _parse_float)
+
+
+def _load_units(path) -> UnitSystem:
+    if path is None:
+        return atomic_units()
+    values = _read_config(path, _UNIT_FIELDS, _UNIT_FIELDS, "units file")
     try:
         return UnitSystem(**values)
     except ValueError as exc:
@@ -159,80 +208,20 @@ def _load_units(args) -> UnitSystem:
 # solve
 # --------------------------------------------------------------------------
 
-_MODE_KEYS = {
-    "canonical": {"N", "alpha", "a"},
-    "sheets": {"sheets"},
-    "quantum": {"deltas", "offsets"},
+_MODE_FIELDS = {
+    "canonical": {"N": _parse_int, "alpha": _parse_float, "a": _parse_float},
+    "sheets": {"sheets": _parse_pairs},
+    "quantum": {"deltas": _parse_pairs, "offsets": _parse_float_list},
 }
-_COMMON_KEYS = {"mode", "units", "out", "window", "points"}
 
 
-@dataclass
-class Scenario:
-    mode: str
-    units: UnitSystem
-    out: Path | None
-    window: tuple[float, float] | None
-    points: int
-    n: int = 0
-    alpha: float = 0.0
-    a: float = 0.0
-    sheets: list[tuple[float, float]] | None = None
-    deltas: list[tuple[float, float]] | None = None
-    offsets: list[float] | None = None
+def _parse_mode(key: str, value: str | None) -> str:
+    if value not in _MODE_FIELDS:
+        raise ConfigError(f"field {key!r}: must be one of canonical, sheets, quantum; got {value!r}")
+    return value
 
 
-def _load_scenario(args) -> Scenario:
-    entries = _read_key_values(Path(args.config))
-    mode = entries.get("mode")
-    if mode not in _MODE_KEYS:
-        raise ConfigError(
-            f"field 'mode': must be one of canonical, sheets, quantum; got {mode!r}"
-        )
-    allowed = _COMMON_KEYS | _MODE_KEYS[mode]
-    unknown = sorted(set(entries) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} for mode {mode!r}")
-    missing = sorted(_MODE_KEYS[mode] - set(entries))
-    if missing:
-        raise ConfigError(f"field {missing[0]!r}: required for mode {mode!r}")
-
-    preset = entries.get("units", "atomic")
-    if preset != "atomic":
-        raise ConfigError(f"field 'units': unknown preset {preset!r} (only 'atomic'; use --units FILE)")
-    units = _load_units(args)
-
-    out = args.out or entries.get("out")
-    if args.window is not None:
-        window = args.window  # already parsed by argparse
-    else:
-        window_text = entries.get("window")
-        window = _parse_window(window_text) if window_text else None
-    points_text = entries.get("points", "2001")
-    points = args.points if args.points is not None else _parse_int("points", points_text)
-    if points < 2:
-        raise ConfigError(f"field 'points': need at least 2 sample points, got {points}")
-
-    scenario = Scenario(
-        mode=mode,
-        units=units,
-        out=Path(out) if out else None,
-        window=window,
-        points=points,
-    )
-    try:
-        if mode == "canonical":
-            scenario.n = _parse_int("N", entries["N"])
-            scenario.alpha = _parse_float("alpha", entries["alpha"])
-            scenario.a = _parse_float("a", entries["a"])
-        elif mode == "sheets":
-            scenario.sheets = _parse_pairs("sheets", entries["sheets"])
-        else:
-            scenario.deltas = _parse_pairs("deltas", entries["deltas"])
-            scenario.offsets = _parse_float_list("offsets", entries["offsets"])
-    except KeyError as exc:  # pragma: no cover - guarded by `missing` above
-        raise ConfigError(f"field {exc.args[0]!r}: required for mode {mode!r}") from exc
-    return scenario
+_SOLVE_FIELDS = {"mode": _parse_mode, "out": _parse_path, "window": _parse_window, "points": _parse_points}
 
 
 def _emit_csv(header: str, rows, out: Path | None, stream) -> None:
@@ -256,11 +245,14 @@ def _region_offset_at(problem: DeltaPotentialProblem, zs: np.ndarray) -> np.ndar
 
 
 def cmd_solve(args) -> int:
-    scenario = _load_scenario(args)
-    units = scenario.units
+    # the mode picks the table, so it is read ahead of the others
+    mode = _parse_mode("mode", _read_key_values(Path(args.config)).get("mode"))
+    fields = {**_SOLVE_FIELDS, **_MODE_FIELDS[mode]}
+    config = _with_flags(_read_config(args.config, fields, _MODE_FIELDS[mode], f"mode {mode!r}"), fields, args)
+    units = _load_units(args.units)
 
-    if scenario.mode == "quantum":
-        problem = DeltaPotentialProblem(scenario.deltas, scenario.offsets, units)
+    if mode == "quantum":
+        problem = DeltaPotentialProblem(config["deltas"], config["offsets"], units)
         found = oracle.find_bound_states(problem, lowest=1)
         if not found.states:
             raise SheetCrystalError("the potential binds no state; nothing to solve")
@@ -269,18 +261,16 @@ def cmd_solve(args) -> int:
         energy = state.energy
         # Dual sheet stack implied by the deltas; anchors the gauge for the
         # V column and the tail-matched normalization constant.
-        dual = SheetArray(
-            [(z, sigma_from_alpha(-g, units)) for z, g in problem.deltas]
-        )
+        dual = SheetArray([(z, sigma_from_alpha(-g, units)) for z, g in problem.deltas])
         sol = solve_sheets(dual, units)
         z_last = sol.breakpoints[-1]
         # norm_constant = psi(z_last) * exp(-V(z_last)/V0), kept as the two factors
         scale, log_factor = psi.value(z_last), -potential_at(sol, z_last) / units.V0
     else:
-        if scenario.mode == "canonical":
-            array = CrystalParams(scenario.n, scenario.alpha, scenario.a, units).to_sheet_array()
+        if mode == "canonical":
+            array = CrystalParams(config["N"], config["alpha"], config["a"], units).to_sheet_array()
         else:
-            array = SheetArray(scenario.sheets)
+            array = SheetArray(config["sheets"])
         sol = solve_sheets(array, units)
         ground = ground_state_from_electrostatics(sol, units)  # NotNormalizable -> exit 1
         problem = to_quantum(sol, units)
@@ -298,8 +288,9 @@ def cmd_solve(args) -> int:
     u_mean = oracle.expectation_potential_numeric(psi, problem)
     t_mean = oracle.expectation_kinetic_numeric(psi, units)
 
-    window = scenario.window
-    if window is None:
+    if "window" in config:
+        lo, hi = config["window"]
+    else:
         rate = math.sqrt(-2.0 * units.mass * energy) / units.hbar
         if rate == 0.0:
             raise ConfigError(
@@ -307,15 +298,11 @@ def cmd_solve(args) -> int:
             )
         lo = sol.breakpoints[0] - 8.0 / rate
         hi = sol.breakpoints[-1] + 8.0 / rate
-        window = (lo, hi)
-    zs = np.linspace(window[0], window[1], scenario.points)
-    rows = zip(
-        zs,
-        [potential_at(sol, z) for z in zs],
-        psi.values(zs),
-        _region_offset_at(problem, zs),
-    )
-    _emit_csv("z,V,psi,U_region", rows, scenario.out, sys.stdout)
+    if not math.isfinite(hi - lo):  # np.linspace would fill the window with NaN
+        raise ConfigError(f"sampling window {_fmt(lo)},{_fmt(hi)}: its width overflows the float range")
+    zs = np.linspace(lo, hi, config.get("points", 2001))
+    rows = zip(zs, [potential_at(sol, z) for z in zs], psi.values(zs), _region_offset_at(problem, zs))
+    _emit_csv("z,V,psi,U_region", rows, config.get("out"), sys.stdout)
 
     # the constant while it is a finite float, else its log (see the module docstring)
     try:
@@ -337,30 +324,16 @@ def cmd_solve(args) -> int:
 # figure
 # --------------------------------------------------------------------------
 
+_FIGURE_FIELDS = {"n_values": _parse_n_values, "alpha_a": _parse_positive, "points": _parse_points}
+
+
 def cmd_figure(args) -> int:
-    n_values = [1, 2, 3, 4]
-    alpha_a = 1.0
-    points = args.points if args.points is not None else 2001
-    if args.config is not None:
-        entries = _read_key_values(Path(args.config))
-        unknown = sorted(set(entries) - {"n_values", "alpha_a", "points"})
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} for figure")
-        if "n_values" in entries:
-            n_values = _parse_int_list("n_values", entries["n_values"])
-        if "alpha_a" in entries:
-            alpha_a = _parse_float("alpha_a", entries["alpha_a"])
-        if "points" in entries and args.points is None:
-            points = _parse_int("points", entries["points"])
-    if any(n < 1 for n in n_values):
-        raise ConfigError("field 'n_values': every N must be >= 1")
-    if alpha_a <= 0:
-        raise ConfigError(f"field 'alpha_a': must be > 0, got {alpha_a}")
-    if points < 2:
-        raise ConfigError(f"field 'points': need at least 2 sample points, got {points}")
+    config = _read_config(args.config, _FIGURE_FIELDS, (), "figure") if args.config is not None else {}
+    config = _with_flags(config, _FIGURE_FIELDS, args)
+    n_values = config.get("n_values", [1, 2, 3, 4])
 
     # every panel is sampled (and its window checked) before anything is written
-    samples = [crystal_figure_samples(n, alpha_a, points) for n in n_values]
+    samples = [crystal_figure_samples(n, config.get("alpha_a", 1.0), config.get("points", 2001)) for n in n_values]
     out_dir = Path(args.out) if args.out else Path(".")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -418,31 +391,19 @@ def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, f
     return (*start, found.metadata.state_count, resid)
 
 
+_SWEEP_FIELDS = {"N": _parse_int_list, "alpha": _parse_float_list, "a": _parse_float_list, "out": _parse_path}
+
+
 def cmd_sweep(args) -> int:
-    entries = _read_key_values(Path(args.config))
-    unknown = sorted(set(entries) - {"N", "alpha", "a", "out"})
-    if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r} for sweep")
-    for key in ("N", "alpha", "a"):
-        if key not in entries:
-            raise ConfigError(f"field {key!r}: required for sweep")
-    n_list = _parse_int_list("N", entries["N"])
-    alpha_list = _parse_float_list("alpha", entries["alpha"])
-    a_list = _parse_float_list("a", entries["a"])
-    units = _load_units(args)
+    config = _with_flags(_read_config(args.config, _SWEEP_FIELDS, ("N", "alpha", "a"), "sweep"), _SWEEP_FIELDS, args)
+    units = _load_units(args.units)
 
     # every cell's closed forms and problem, in grid order, then one search for all
-    cells = [(n, alpha, a) for n in n_list for alpha in alpha_list for a in a_list]
+    cells = [(n, alpha, a) for n in config["N"] for alpha in config["alpha"] for a in config["a"]]
     params, starts, problems = zip(*(_sweep_cell(cell, units) for cell in cells))
     rows = map(_sweep_row, params, starts, problems, oracle.find_bound_states(problems, lowest=1))
 
-    out = args.out or entries.get("out")
-    _emit_csv(
-        "N,alpha,a,E,A,U_exp,T_exp,count,closed_vs_oracle_resid",
-        rows,
-        Path(out) if out else None,
-        sys.stdout,
-    )
+    _emit_csv("N,alpha,a,E,A,U_exp,T_exp,count,closed_vs_oracle_resid", rows, config.get("out"), sys.stdout)
     return 0
 
 
@@ -458,16 +419,14 @@ def build_parser() -> _Parser:
     solve.add_argument("--config", required=True, help="scenario config file")
     solve.add_argument("--units", help="units file with hbar, mass, eps0, V0, a0")
     solve.add_argument("--out", help="CSV output path (default: stdout)")
-    solve.add_argument(
-        "--window", type=_parse_window, help="sampling window, e.g. --window=-5,5"
-    )
-    solve.add_argument("--points", type=int, help="sample point count (>= 2)")
+    solve.add_argument("--window", help="sampling window, e.g. --window=-5,5")
+    solve.add_argument("--points", help="sample point count (>= 2)")
     solve.set_defaults(func=cmd_solve)
 
     figure = sub.add_parser("figure", help="emit crystal wavefunction CSV datasets")
     figure.add_argument("--config", help="optional config with n_values / alpha_a / points")
     figure.add_argument("--out", help="output directory (default: .)")
-    figure.add_argument("--points", type=int, help="sample point count (>= 2)")
+    figure.add_argument("--points", help="sample point count (>= 2)")
     figure.set_defaults(func=cmd_figure)
 
     verify = sub.add_parser("verify", help="run the verification suite")

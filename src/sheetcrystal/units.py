@@ -14,6 +14,7 @@ take the unit system as an explicit argument; there is no global state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 CONSISTENCY_RTOL = 1e-12
@@ -41,9 +42,10 @@ class UnitSystem:
     Raises
     ------
     ValueError
-        If any constant is non-positive or non-finite, or if the tuple
-        violates ``V0**2 * eps0 * a0**3 == hbar**2 / mass`` beyond a
-        relative tolerance of 1e-12.
+        If any constant is non-positive or non-finite, if either side of
+        ``V0**2 * eps0 * a0**3 == hbar**2 / mass`` is not a finite normal
+        float, or if the tuple violates that requirement beyond a relative
+        tolerance of 1e-12.
     """
 
     hbar: float
@@ -61,8 +63,14 @@ class UnitSystem:
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             object.__setattr__(self, name, value)
-        lhs = self.V0**2 * self.eps0 * self.a0**3
-        rhs = self.hbar**2 / self.mass
+        try:
+            lhs = self.V0**2 * self.eps0 * self.a0**3
+            rhs = self.hbar**2 / self.mass
+        except OverflowError as exc:
+            raise ValueError("V0^2*eps0*a0^3 or hbar^2/mass overflows the float range") from exc
+        if not all(sys.float_info.min <= side < math.inf for side in (lhs, rhs)):
+            # an underflowed pair would pass the test below as 0.0 == 0.0
+            raise ValueError(f"V0^2*eps0*a0^3 = {lhs!r} and hbar^2/mass = {rhs!r} must both be finite normal floats")
         if abs(lhs - rhs) > CONSISTENCY_RTOL * max(abs(lhs), abs(rhs)):
             raise ValueError(
                 "inconsistent constants: V0^2*eps0*a0^3 = "

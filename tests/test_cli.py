@@ -195,17 +195,16 @@ _MESSAGES = {
     "solve-points": (
         "solve", _CANONICAL + "points = 1\n", None, "field 'points': need at least 2 sample points, got 1"
     ),
-    "solve-units-key": (
-        "solve", _CANONICAL + "units = si\n", None, "field 'units': unknown preset 'si' (only 'atomic'; use --units FILE)"
-    ),
+    "solve-units-key": ("solve", _CANONICAL + "units = atomic\n", None, "unknown key 'units' for mode 'canonical'"),
     # solve: the flags that override a key
     "flag-window-order": (
-        "solve --window=3,-3", _CANONICAL, None, "argument --window: invalid _parse_window value: '3,-3'"
+        "solve --window=3,-3", _CANONICAL, None, "field 'window': bounds must be ordered, got '3,-3'"
     ),
-    "flag-window-inf": (
-        "solve --window=-inf,3", _CANONICAL, None, "argument --window: invalid _parse_window value: '-inf,3'"
+    "flag-window-inf": ("solve --window=-inf,3", _CANONICAL, None, "field 'window': must be finite, got '-inf'"),
+    "flag-points-text": ("solve --points x", _CANONICAL, None, "field 'points': not an integer: 'x'"),
+    "flag-over-bad-key": (
+        "solve --window=-1,1", _CANONICAL + "window = 3,-3\n", None, "field 'window': bounds must be ordered, got '3,-3'"
     ),
-    "flag-points-text": ("solve --points x", _CANONICAL, None, "argument --points: invalid int value: 'x'"),
     "flag-points-one": ("solve --points 1", _CANONICAL, None, "field 'points': need at least 2 sample points, got 1"),
     # sweep
     "sweep-unknown": ("sweep", _SWEEP + "wat = 2\n", None, "unknown key 'wat' for sweep"),
@@ -217,10 +216,10 @@ _MESSAGES = {
     "figure-n-values": ("figure", "n_values = 0\n", None, "field 'n_values': every N must be >= 1"),
     "figure-alpha-a": ("figure", "alpha_a = -1\n", None, "field 'alpha_a': must be > 0, got -1.0"),
     "figure-points": ("figure", "points = 1\n", None, "field 'points': need at least 2 sample points, got 1"),
-    "figure-flag-points": ("figure --points x", "", None, "argument --points: invalid int value: 'x'"),
+    "figure-flag-points": ("figure --points x", "", None, "field 'points': not an integer: 'x'"),
     # units file
-    "units-unknown": ("solve", _CANONICAL, _UNITS + "c = 1\n", "units file: unknown key 'c'"),
-    "units-missing": ("solve", _CANONICAL, _UNITS.replace("a0 = 1\n", ""), "units file: missing key 'a0'"),
+    "units-unknown": ("solve", _CANONICAL, _UNITS + "c = 1\n", "unknown key 'c' for units file"),
+    "units-missing": ("solve", _CANONICAL, _UNITS.replace("a0 = 1\n", ""), "field 'a0': required for units file"),
     "units-number": ("sweep", _SWEEP, _UNITS.replace("V0 = 1", "V0 = x"), "field 'V0': not a number: 'x'"),
     "units-inconsistent": (
         "solve", _CANONICAL, _UNITS.replace("V0 = 1", "V0 = 2"),
@@ -299,6 +298,9 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
         ("solve", "mode = canonical\nN = 3\nalpha = 1e308\na = 1\n"),  # its sheet density overflows
         ("figure", "alpha_a = 5e307\n"),  # the window (N+4)*a overflows
         ("figure", "alpha_a = 3e307\n"),  # (N+4)*a is finite, the window's width is not
+        # both bounds are finite, the window's width is not
+        ("solve --window=-1e308,1e308 --points 5", "mode = canonical\nN = 2\nalpha = 1\na = 1\n"),
+        ("solve", "mode = canonical\nN = 2\nalpha = 1\na = 1\nwindow = -1e308,1e308\npoints = 5\n"),
         # ten deltas 0.001 apart bind one state at kappa ~ 10, above the search cap 8
         (
             "solve",
@@ -317,6 +319,27 @@ def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
     if "alpha = -1\n" in text:
         assert captured.err == "error: alpha must be finite and > 0, got -1.0\n"
+
+
+@pytest.mark.parametrize("scale", ["1e-200", "1e200"], ids=["underflow", "overflow"])
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("solve", "mode = canonical\nN = 2\nalpha = 1\na = 1\n"),
+        ("solve", "mode = sheets\nsheets = 0:2\n"),
+        ("solve", "mode = quantum\ndeltas = 0:-1\noffsets = 0, 0\n"),
+        ("sweep", "N = 1\nalpha = 1\na = 1\n"),
+    ],
+    ids=["canonical", "sheets", "quantum", "sweep"],
+)
+def test_units_outside_the_float_range_are_one_error_line(command, text, scale, tmp_path, capsys):
+    # consistent on paper, but V0^2*eps0*a0^3 and hbar^2/mass are scale**2, outside the float range
+    units = _write(tmp_path, "u.cfg", f"hbar = {scale}\nmass = 1\neps0 = 1\nV0 = {scale}\na0 = 1\n")
+    assert main([command, "--config", _write(tmp_path, "c.cfg", text), "--units", units]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: units file: V0^2*eps0*a0^3")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_unknown_subcommand_is_input_error(capsys):

@@ -36,6 +36,22 @@ def test_non_positive_or_non_finite_rejected(field, bad):
         UnitSystem(**values)
 
 
+@pytest.mark.parametrize(
+    "scale,match",
+    [(1e-200, "must both be finite normal floats"), (1e200, "overflows the float range")],
+    ids=["underflow", "overflow"],
+)
+def test_consistency_products_outside_the_float_range_rejected(scale, match):
+    # consistent on paper (both sides scale**2), but 1e-400 underflows to 0.0 == 0.0 and 1e400 overflows
+    with pytest.raises(ValueError, match=match):
+        UnitSystem(hbar=scale, mass=1.0, eps0=1.0, V0=scale, a0=1.0)
+
+
+def test_consistency_products_near_the_float_range_accepted():
+    assert UnitSystem(hbar=1e-150, mass=1.0, eps0=1.0, V0=1e-150, a0=1.0).V0 == 1e-150
+    assert UnitSystem(hbar=1e150, mass=1.0, eps0=1.0, V0=1e150, a0=1.0).V0 == 1e150
+
+
 def test_unit_system_is_immutable(atomic):
     with pytest.raises(dataclasses.FrozenInstanceError):
         atomic.hbar = 2.0
