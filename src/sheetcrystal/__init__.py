@@ -10,6 +10,7 @@ from .closedform import (
     identity_abs_sum,
     identity_alternating_exp,
     identity_sinh_parity,
+    log_normalization_constant,
     normalization_constant,
     psi,
     segment_integral_closed,
@@ -71,6 +72,7 @@ __all__ = [
     "identity_abs_sum",
     "identity_alternating_exp",
     "identity_sinh_parity",
+    "log_normalization_constant",
     "normalization_constant",
     "potential_at",
     "psi",

@@ -367,7 +367,7 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
     p = CrystalParams(n, alpha, a, units)
     closed = (
         closedform.ground_energy(p),
-        closedform.normalization_constant(p),
+        closedform.log_normalization_constant(p),
         closedform.expectation_potential(p),
         closedform.expectation_kinetic(p),
     )
@@ -403,7 +403,7 @@ def cmd_sweep(args) -> int:
     params, starts, problems = zip(*(_sweep_cell(cell, units) for cell in cells))
     rows = map(_sweep_row, params, starts, problems, oracle.find_bound_states(problems, lowest=1))
 
-    _emit_csv("N,alpha,a,E,A,U_exp,T_exp,count,closed_vs_oracle_resid", rows, config.get("out"), sys.stdout)
+    _emit_csv("N,alpha,a,E,log_A,U_exp,T_exp,count,closed_vs_oracle_resid", rows, config.get("out"), sys.stdout)
     return 0
 
 

@@ -69,7 +69,7 @@ class CrystalParams:
 
     @cached_property
     def _log_norm_constant(self) -> float:  # log A, read by psi at every point
-        return _log_normalization_constant(self)
+        return log_normalization_constant(self)
 
     @cached_property
     def _beta(self) -> float:  # m*alpha/hbar^2, read by psi at every point
@@ -91,7 +91,14 @@ def ground_energy(p: CrystalParams) -> float:
     return -0.5 * p.units.mass * p.alpha**2 / p.units.hbar**2
 
 
-def _log_normalization_constant(p: CrystalParams) -> float:
+def log_normalization_constant(p: CrystalParams) -> float:
+    """log A, where A is the prefactor that makes the crystal ground state unit norm.
+
+    1/A^2 = (hbar^2/(m*alpha)) * exp(-2*N*x) * (1 + 2*N*exp(-x)*sinh(x))
+    with x = m*alpha*a/hbar^2.  Each of the N cells between the center and
+    the edge contributes the same amount to the norm integral, hence the
+    factor N on the sinh term.  The log stays finite where A overflows.
+    """
     beta = p._beta
     if p.N == 0:
         # Single attractive delta: A = sqrt(m*alpha)/hbar.
@@ -101,13 +108,7 @@ def _log_normalization_constant(p: CrystalParams) -> float:
 
 
 def normalization_constant(p: CrystalParams) -> float:
-    """Prefactor A that makes the crystal ground state unit norm.
-
-    1/A^2 = (hbar^2/(m*alpha)) * exp(-2*N*x) * (1 + 2*N*exp(-x)*sinh(x))
-    with x = m*alpha*a/hbar^2.  Each of the N cells between the center and
-    the edge contributes the same amount to the norm integral, hence the
-    factor N on the sinh term.
-    """
+    """Prefactor A = exp(:func:`log_normalization_constant`); overflows once log A passes ~709."""
     return math.exp(p._log_norm_constant)
 
 

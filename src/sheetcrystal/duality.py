@@ -68,6 +68,8 @@ class DeltaPotentialProblem:
         for (z0, _), (z1, _) in zip(cleaned, cleaned[1:]):
             if not z1 > z0:
                 raise ValueError("delta positions must be strictly increasing")
+            if not math.isfinite(z1 - z0):
+                raise ValueError(f"the gap between delta positions {z0!r} and {z1!r} exceeds the float range")
         if len(offsets) != len(cleaned) + 1:
             raise ValueError(
                 f"{len(cleaned)} deltas need {len(cleaned) + 1} region offsets, "

@@ -47,6 +47,8 @@ class SheetArray:
                     "sheet positions must be strictly increasing; "
                     f"got {z0!r} followed by {z1!r} (merge coincident sheets upstream)"
                 )
+            if not math.isfinite(z1 - z0):
+                raise ValueError(f"the gap between sheet positions {z0!r} and {z1!r} exceeds the float range")
         object.__setattr__(self, "sheets", cleaned)
 
     @property

@@ -19,15 +19,15 @@ single-region rate of the problem, and a state above it is an error; every
 root is located to :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa, which
 also stands for 0+.  The search's one setting, ``lowest``, is how many of the
 lowest states to return (all by default, one for :func:`ground_state`): it
-counts every state but isolates and refines only those.  Batched bisection
-on the count isolates each of them, the same loop refines each isolated
-state by regula falsi with the Illinois modification on the tail
-coefficient, and the pass at the roots gives each state its coefficient
-columns, from which its wavefunction is built when first read; the result
-is an exact piecewise closed form whose only approximation is the location
-of the root.  Every column of a pass is computed on its own kappa alone, so
-a state comes out with the same bits whether it is refined alone or with
-the others.
+counts every state but isolates and refines only those.  The node count
+decides each bracket's side, and state j steps by regula falsi with the
+Illinois modification on the tail coefficient only while its ends count
+j + 1 and j, by bisection otherwise.  The pass at the roots gives each state
+its coefficient columns, from which its wavefunction is built when first
+read; the result is an exact piecewise closed form whose only approximation
+is the location of the root.  Every column of a pass is computed on its own
+kappa alone, so a state comes out with the same bits whether it is refined
+alone or with the others.
 
 One search serves many problems.  :func:`find_bound_states` takes one
 problem or a sequence of them, and every pass carries the columns of all of
@@ -52,10 +52,11 @@ The propagated pair is rescaled between sites (and exponentials are factored
 as exp(-rate*width) forms), so nothing can overflow no matter how wide or
 deep the regions are.  It is divided by the larger of |psi| and |psi'|,
 except where that is not above a floor, and there by 1.0.  The guard has two
-jobs: padded steps (floor +inf) pass unchanged, and a pair that is exactly
-zero or NaN is left as it is.  A decaying solution carried across a region
-where exp(-2*phase) underflows can come out as exactly (0, 0); the guard
-keeps it there, so its tail is exactly 0, an exact root, not 0/0.
+jobs: padded steps (zero width, so floor +inf; 0.0 where the width is
+positive) pass unchanged, and a pair that is exactly zero or NaN is left as
+it is.  A decaying solution carried across a region where exp(-2*phase)
+underflows can come out as exactly (0, 0); the guard keeps it there, so its
+tail is exactly 0, an exact root, not 0/0.
 Identical inputs give identical output, bit for bit.
 """
 
@@ -115,7 +116,7 @@ class ScanMetadata:
     counted from the nodes of the solution there; it counts every state even
     when only the ``lowest`` were refined, and without ``lowest`` it is the
     number of states returned.  ``unresolved`` holds the intervals among the
-    returned states that still held more than one state when bisection could
+    returned states whose ends do not count j + 1 and j when bisection could
     not split them further: a fault flag, empty on a clean search.
     """
 
@@ -146,9 +147,9 @@ class _Chain(NamedTuple):
     """The kappa-independent arrays of a batch of problems, one column each.
 
     Each problem's chain is padded at its start to the longest one.  A padded
-    region has zero width, zero jump, an infinite offset, which puts it in
-    the linear regime whatever kappa, and a renorm floor of +inf, so it is
-    never rescaled: it carries the starting pair (1, kappa) through unchanged,
+    region has zero width, zero jump and an infinite offset: the linear regime
+    whatever kappa, and a renorm floor of +inf in :func:`_transfer`, so it is
+    never rescaled.  It carries the starting pair (1, kappa) through unchanged,
     bit for bit, and every column gets exactly the operations its problem
     alone would get.
     """
@@ -157,16 +158,13 @@ class _Chain(NamedTuple):
     offsets: np.ndarray  # (regions, problems)
     widths: np.ndarray  # (regions, problems)
     jumps: np.ndarray  # (regions + 1, problems); row i is the site left of region i
-    # (regions, problems); renorm at or below it (or NaN) is not divided out:
-    # +inf on padded steps, 0.0 elsewhere, so an exactly zero pair stays (0, 0)
-    floor: np.ndarray
     first: tuple[int, ...]  # each problem's first real region row
 
 
 def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     regions = max((len(p.deltas) for p in problems), default=1) - 1
     shape = (regions, len(problems))
-    offsets, floor = np.full((2, *shape), np.inf)
+    offsets = np.full(shape, np.inf)
     widths = np.zeros(shape)
     jumps = np.zeros((regions + 1, len(problems)))
     half_h2_over_m, first = [], []
@@ -178,10 +176,9 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
         offsets[start:, k] = problem.region_offsets[1:-1]
         widths[start:, k] = positions[1:] - positions[:-1]
         jumps[start:, k] = [jump_scale * g for g in problem.strengths]
-        floor[start:, k] = 0.0
         half_h2_over_m.append(0.5 * units.hbar**2 / units.mass)
         first.append(start)
-    return _Chain(np.array(half_h2_over_m), offsets, widths, jumps, floor, tuple(first))
+    return _Chain(np.array(half_h2_over_m), offsets, widths, jumps, tuple(first))
 
 
 class _Pass(NamedTuple):
@@ -218,7 +215,8 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     only what is sequential, the delta jump, the 2x2 step and a division by
     a positive factor after every region, so the tail coefficient keeps its
     sign but not its magnitude.  It writes each site's rows in place.  The
-    factor is max(|psi|, |psi'|) where that is above the chain's floor and
+    factor is max(|psi|, |psi'|) where that is above the floor, +inf on a
+    zero-width padded step and 0.0 on a real region (positive width), and
     1.0 elsewhere: on padded steps, and on a pair that is exactly zero or
     NaN, so that a decaying solution whose pair underflowed to (0, 0) ends
     in a tail of exactly 0, an exact root.
@@ -233,7 +231,9 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     """
     half_h2_over_m = chain.half_h2_over_m[which]
     offsets, widths = chain.offsets[:, which], chain.widths[:, which]
-    jumps, floor = chain.jumps[:, which], chain.floor[:, which]
+    # renorm at or below the floor (or NaN) is not divided out: +inf on zero-width padded
+    # steps, 0.0 on every real region (positive width), so an exactly zero pair stays (0, 0)
+    jumps, floor = chain.jumps[:, which], np.where(widths > 0.0, 0.0, np.inf)
 
     kappas = np.asarray(kappas, dtype=float)
     energies = -half_h2_over_m * kappas**2
@@ -402,21 +402,22 @@ def find_bound_states(
     ``tol``).  Each state starts from the grid cell that holds it, between
     the last point counting more states than its index and the next point;
     a grid point that is an exact root closes its state's interval there.
-    All states are then isolated at once: batched bisection on the node count
-    narrows each state's interval until it holds that state alone.  From
-    then on, in the same loop, the state steps to the regula falsi point of
-    the tail coefficient at its two ends, with the Illinois modification
-    (Dowell & Jarratt, BIT 11, 168 (1971)): an end kept twice in a row has
-    its weight halved.  The tail is the true coefficient divided by positive
-    factors continuous in kappa, so it serves as it is.  The point is kept
-    ``tol``/2 inside the interval, so once it lands next to the root the
-    interval closes; where it is not finite or the two ends agree in sign
-    the step bisects.  An interval that reaches ``tol`` or stops splitting
-    in floating point while still holding several states returns each of
-    them at its midpoint and is listed in ``metadata.unresolved``.  States
-    come back sorted by ascending energy; finding none is an empty list,
-    not an error.  Each state's wavefunction is built the first time it is
-    read.
+    Then one loop steps every state, and the count decides the side: a new
+    point replaces ``lo`` when it counts more than j states, ``hi``
+    otherwise.  While the ends count j + 1 and j the state steps to the
+    regula falsi point of the tail at its two ends, with the Illinois
+    modification (Dowell & Jarratt, BIT 11, 168 (1971)): an end kept twice
+    in a row has its weight halved; otherwise it bisects.  The tail is the
+    true coefficient divided by positive factors continuous in kappa, so it
+    serves as it is.  The point is kept ``tol``/2 inside the interval, so
+    once it lands next to the root the interval closes; where it is not
+    finite or the two ends agree in sign the step bisects.  A point with a
+    tail of exactly 0 that counts j is an exact root and closes the
+    interval.  An interval that reaches ``tol`` or stops splitting in
+    floating point while its ends do not count j + 1 and j returns its state
+    at its midpoint and is listed in ``metadata.unresolved``.  States come
+    back sorted by ascending energy; finding none is an empty list, not an
+    error.  Each state's wavefunction is built the first time it is read.
     """
     single = isinstance(problems, DeltaPotentialProblem)
     batch = [problems] if single else list(problems)
@@ -468,9 +469,10 @@ def find_bound_states(
     on_root = (tail_hi == 0.0) & (count_hi == j)
     lo[on_root] = hi[on_root]
     last_move = np.zeros(j.shape, dtype=np.int8)  # +1 lo moved, -1 hi moved, 0 counting
-    isolated = ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
 
     while True:
+        # state j is isolated while its ends count j + 1 and j, or once its bracket is closed
+        isolated = ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
         mid = 0.5 * (lo + hi)
         active = (hi - lo > tol) & (lo < mid) & (mid < hi)
         if not active.any():
@@ -485,41 +487,31 @@ def find_bound_states(
         falsi = np.clip(falsi, lo + 0.5 * tol, hi - 0.5 * tol)
         point = np.where(usable & (lo < falsi) & (falsi < hi), falsi, mid)
         step = _transfer(chain, point[active], owner[active])
-        iso = isolated[active]
-        # an exact root of state j: count(point) = j states lie above it
-        on_root = (step.tail == 0.0) & (iso | (step.nodes == j[active]))
-        to_lo = np.where(iso, (step.tail < 0.0) == (tail_lo[active] < 0.0), step.nodes > j[active])
+        # the count decides the side; a tail of exactly 0 where count(point) = j is an exact root
+        on_root = (step.tail == 0.0) & (step.nodes == j[active])
+        to_lo = step.nodes > j[active]
         move_lo, move_hi = to_lo | on_root, ~to_lo | on_root
         idx = np.flatnonzero(active)
         moved = np.where(move_lo, 1, -1)
-        again = iso & (last_move[idx] == moved)
+        again = isolated[idx] & (last_move[idx] == moved)
         tail_hi[idx[again & move_lo]] *= 0.5
         tail_lo[idx[again & move_hi]] *= 0.5
-        last_move[idx] = np.where(iso, moved, 0)
-        lo[idx[move_lo]] = point[idx[move_lo]]
-        tail_lo[idx[move_lo]] = step.tail[move_lo]
-        hi[idx[move_hi]] = point[idx[move_hi]]
-        tail_hi[idx[move_hi]] = step.tail[move_hi]
-        counting = ~iso
-        count_lo[idx[counting & move_lo]] = step.nodes[counting & move_lo]
-        count_hi[idx[counting & move_hi]] = step.nodes[counting & move_hi]
-        isolated |= ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
+        last_move[idx] = np.where(isolated[idx], moved, 0)
+        for end, tail, count, move in ((lo, tail_lo, count_lo, move_lo), (hi, tail_hi, count_hi, move_hi)):
+            end[idx[move]] = point[idx[move]]
+            tail[idx[move]] = step.tail[move]
+            count[idx[move]] = step.nodes[move]
 
     roots = 0.5 * (lo + hi)
-    stuck = ~isolated
     final = _transfer(chain, roots, owner)
-    unresolved = [set() for _ in batch]
-    for p, pair in zip(owner[stuck].tolist(), zip(lo[stuck].tolist(), hi[stuck].tolist())):
-        unresolved[p].add(pair)
     found = []
     bounds = [0, *accumulate(refined)]
     for p, (problem, start, stop) in enumerate(zip(batch, bounds[:-1], bounds[1:])):
-        metadata = ScanMetadata(
-            kappa_max=caps[p],
-            state_count=state_counts[p],
-            unresolved=tuple(sorted(unresolved[p], reverse=True)),
-        )
         columns = slice(start, stop)
+        # the brackets that fail the isolation test after the loop, each listed once
+        stuck = ~isolated[columns]
+        unresolved = set(zip(lo[columns][stuck].tolist(), hi[columns][stuck].tolist()))
+        metadata = ScanMetadata(caps[p], state_counts[p], tuple(sorted(unresolved, reverse=True)))
         states = _reconstruct(problem, roots[columns], final.part(chain.first[p], columns))
         found.append(BoundStateList(states=tuple(states), metadata=metadata))
     return found[0] if single else found

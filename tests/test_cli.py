@@ -240,8 +240,7 @@ def test_config_error_message(command, config, units, message, tmp_path, capsys)
 @pytest.mark.parametrize(
     "command,text",
     [
-        # the closed-form normalization constant in the A column exceeds the float range
-        ("sweep", "N = 400\nalpha = 1\na = 2\n"),
+        ("solve", "mode = canonical\nN = 3\nalpha = 1e308\na = 1\n"),  # its sheet density overflows
     ],
 )
 def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
@@ -249,8 +248,23 @@ def test_overflow_is_one_error_line(command, text, tmp_path, capsys):
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: numeric overflow")
+    assert err.startswith("error: numeric overflow: alpha = 1e+308 gives an infinite sheet density")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n,a", [(400, 2.0), (1000, 1.0)], ids=["N400-a2", "N1000-a1"])
+def test_long_crystal_sweep_prints_log_a(n, a, tmp_path, capsys):
+    # exp(N*m*alpha*a/hbar^2) exceeds the float range: the log_A column stays finite
+    cfg = _write(tmp_path, "big.cfg", f"N = {n}\nalpha = 1\na = {a}\n")
+    out = tmp_path / "big.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, data = _read_csv(out)
+    (row,) = data
+    p = CrystalParams(n, 1.0, a, atomic_units())
+    assert row[header.index("log_A")] == closedform.log_normalization_constant(p)
+    assert row[header.index("count")] == n + 1
+    assert row[header.index("closed_vs_oracle_resid")] <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -292,10 +306,12 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
         ("solve", "mode = quantum\ndeltas = -1:0, 1:0\noffsets = 0, -1e300, 0\n"),
         # the default search cap 8e200 is finite, its energy is not
         ("solve", "mode = quantum\ndeltas = 0:-1e200\noffsets = 0, 0\n"),
+        # every position is finite, the gap between two of them is not
+        ("solve", "mode = sheets\nsheets = -1e308:1, 1e308:1\n"),
+        ("solve", "mode = quantum\ndeltas = -1.7e308:-1, 1.7e308:-1\noffsets = 0, 0, 0\n"),
         # one input, one message: both commands name alpha, not the sheet density
         ("solve", "mode = canonical\nN = 3\nalpha = -1\na = 1\n"),
         ("sweep", "N = 3\nalpha = -1\na = 1\n"),
-        ("solve", "mode = canonical\nN = 3\nalpha = 1e308\na = 1\n"),  # its sheet density overflows
         ("figure", "alpha_a = 5e307\n"),  # the window (N+4)*a overflows
         ("figure", "alpha_a = 3e307\n"),  # (N+4)*a is finite, the window's width is not
         # both bounds are finite, the window's width is not
@@ -424,7 +440,7 @@ def test_sweep_grid(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
     header, data = _read_csv(out)
-    assert header == ["N", "alpha", "a", "E", "A", "U_exp", "T_exp", "count", "closed_vs_oracle_resid"]
+    assert header == ["N", "alpha", "a", "E", "log_A", "U_exp", "T_exp", "count", "closed_vs_oracle_resid"]
     assert data.shape == (5, 9)
     assert list(data[:, 0]) == [0, 1, 2, 3, 4]  # lexicographic grid order
     assert np.all(data[:, 3] == -0.5)

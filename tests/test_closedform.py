@@ -16,11 +16,11 @@ from sheetcrystal import (
     identity_abs_sum,
     identity_alternating_exp,
     identity_sinh_parity,
+    log_normalization_constant,
     normalization_constant,
     psi,
     segment_integral_closed,
 )
-from sheetcrystal.closedform import _log_normalization_constant
 
 # Pinned from exact evaluation, cross-checked against quadrature below.
 A_N1 = 1.9906463197512672
@@ -166,7 +166,7 @@ def test_psi_positive_and_matches_brute_force_exponent(n, alpha, a):
     p = _params(n, alpha=alpha, a=a)
     beta = alpha  # m*alpha/hbar^2 in atomic units
     # log A, since A itself overflows at N = 1000
-    log_a = _log_normalization_constant(p)
+    log_a = log_normalization_constant(p)
     edge = n * a
     sites = np.arange(-n, n + 1) * a
     midpoints = (np.arange(-n, n) + 0.5) * a
@@ -199,8 +199,8 @@ def test_log_normalization_constant_computed_once_per_params(monkeypatch):
     from sheetcrystal import closedform
 
     calls, rates = [], []
-    original, decay_rate = closedform._log_normalization_constant, closedform._decay_rate
-    monkeypatch.setattr(closedform, "_log_normalization_constant", lambda p: calls.append(p) or original(p))
+    original, decay_rate = closedform.log_normalization_constant, closedform._decay_rate
+    monkeypatch.setattr(closedform, "log_normalization_constant", lambda p: calls.append(p) or original(p))
     monkeypatch.setattr(closedform, "_decay_rate", lambda p: rates.append(p) or decay_rate(p))
     p = _params(8)
     zs = np.linspace(-12.0, 12.0, 101)
@@ -225,7 +225,7 @@ def test_psi_outer_decay_rate_is_exact():
 def test_psi_is_constant_time_at_huge_n():
     # 2*10**9 + 1 sites: a site sum would run for hours, the site identity answers at once
     p = _params(10**9)  # m*alpha/hbar^2 = 1
-    big_n, log_a = p.N, _log_normalization_constant(p)
+    big_n, log_a = p.N, log_normalization_constant(p)
     for site in (0, 1, 2, 12345, big_n - 1, big_n):
         closed = math.exp(log_a - p.a * (big_n + (site + big_n) % 2))
         assert psi(p, site * p.a) == pytest.approx(closed, rel=1e-12)

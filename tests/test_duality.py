@@ -305,6 +305,12 @@ def test_problem_requires_increasing_positions(atomic):
         DeltaPotentialProblem([(1.0, -1.0), (0.0, -1.0)], [0.0, 0.0, 0.0], atomic)
 
 
+def test_problem_rejects_an_overflowing_gap(atomic):
+    # both positions are finite, their distance is not
+    with pytest.raises(ValueError, match=r"delta positions -1\.7e\+308 and 1\.7e\+308 exceeds the float range"):
+        DeltaPotentialProblem([(-1.7e308, -1.0), (1.7e308, -1.0)], [0.0, 0.0, 0.0], atomic)
+
+
 def test_schrodinger_residuals_accepts_excited_states(atomic):
     # an arbitrary (wrong) energy must yield a nonzero region residual, not an error
     sol = _solution([(0.0, 2.0)], atomic)

@@ -41,6 +41,12 @@ def test_coincident_positions_rejected():
         SheetArray([(0.0, 1.0), (0.0, 2.0)])
 
 
+def test_overflowing_gap_rejected():
+    # both positions are finite, their distance is not
+    with pytest.raises(ValueError, match=r"sheet positions -1e\+308 and 1e\+308 exceeds the float range"):
+        SheetArray([(-1e308, 1.0), (1e308, 1.0)])
+
+
 def test_non_finite_entries_rejected():
     with pytest.raises(ValueError):
         SheetArray([(math.inf, 1.0)])

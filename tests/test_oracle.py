@@ -255,8 +255,8 @@ def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
     # state near kappa = 1.06e100, where the float spacing (~1e84) dwarfs
     # tol/2: a regula falsi point next to the root rounds onto an end of the
     # bracket, and the step bisects instead; the test follows the bracket
-    # from the recorded tail signs to count those steps, and no pass may
-    # warn (warnings are errors here)
+    # from the recorded node counts, as the search does, to count those
+    # steps, and no pass may warn (warnings are errors here)
     s = 1e100
     problem = DeltaPotentialProblem([(0.0, -s), (1.0 / s, -0.37 * s)], [0.0] * 3, atomic)
     passes = []
@@ -264,21 +264,21 @@ def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
 
     def recorded(chain, kappas, which):
         path = real(chain, kappas, which)
-        passes.append((np.asarray(kappas).tolist(), path.tail.tolist(), path.nodes.tolist()))
+        passes.append((np.asarray(kappas).tolist(), path.nodes.tolist()))
         return path
 
     monkeypatch.setattr(oracle, "_transfer", recorded)
     found = find_bound_states(problem)
     assert len(found) == found.metadata.state_count == 1
     # the state's grid cell, then one step per pass until the pass at the root
-    grid, tails, nodes = passes[0]
+    grid, nodes = passes[0]
     k = max(i for i, n in enumerate(nodes) if n >= 1)
-    lo, hi, tail_lo = grid[k], grid[k + 1], tails[k]
+    lo, hi = grid[k], grid[k + 1]
     midpoints = 0
-    for (point,), (tail,), _ in passes[1:-1]:
+    for (point,), (count,) in passes[1:-1]:
         midpoints += point == 0.5 * (lo + hi)
-        if (tail < 0.0) == (tail_lo < 0.0):
-            lo, tail_lo = point, tail
+        if count > 0:  # more than j = 0 states lie above the point
+            lo = point
         else:
             hi = point
     assert midpoints == 26
@@ -470,15 +470,19 @@ _ROOT_PROBLEMS = {
 @pytest.mark.parametrize("problem", _ROOT_PROBLEMS.values(), ids=_ROOT_PROBLEMS.keys())
 def test_every_root_has_opposite_tail_signs_within_tol(problem):
     # the returned kappa is a bracket's midpoint, the bracket at most tol wide
-    # and holding a sign change of the tail, so kappa -+ tol/2 straddle it
+    # and holding a sign change of the tail, so kappa -+ tol/2 straddle it;
+    # its ends count j + 1 and j, so kappa -+ tol/2 do too, unless kappa
+    # itself is an exact root
     tol = oracle.DEFAULT_BISECTION_TOL
     found = find_bound_states(problem)
     assert found.metadata.unresolved == ()
     kappas = np.array([s.kappa for s in found])
-    below = _pass(problem, kappas - 0.5 * tol).tail
-    above = _pass(problem, kappas + 0.5 * tol).tail
+    below = _pass(problem, kappas - 0.5 * tol)
+    above = _pass(problem, kappas + 0.5 * tol)
     at = _pass(problem, kappas).tail
-    assert np.all(((below < 0.0) != (above < 0.0)) | (at == 0.0))
+    assert np.all(((below.tail < 0.0) != (above.tail < 0.0)) | (at == 0.0))
+    j = np.arange(len(kappas))
+    assert np.all(((below.nodes == j + 1) & (above.nodes == j)) | (at == 0.0))
 
 
 def _bits(wavefunction):
