@@ -148,6 +148,14 @@ def _check_end_fields(sol: ElectrostaticSolution) -> None:
         )
 
 
+def _squared_end_field(sol: ElectrostaticSolution) -> float:
+    """E_inf**2, rounded as Python's ``**`` rounds it; its overflow names E_inf."""
+    try:
+        return sol.E_inf**2
+    except OverflowError:
+        raise OverflowError(f"the squared end field E_inf**2 overflows at E_inf = {sol.E_inf!r}") from None
+
+
 def to_quantum(sol: ElectrostaticSolution, units: UnitSystem) -> DeltaPotentialProblem:
     """Map an electrostatic solution to its dual delta-potential problem.
 
@@ -163,7 +171,7 @@ def to_quantum(sol: ElectrostaticSolution, units: UnitSystem) -> DeltaPotentialP
     _check_end_fields(sol)
     scale = units.V0 * units.a0**3
     deltas = [(z, -0.5 * s * scale) for z, s in zip(sol.breakpoints, sol.densities)]
-    e_inf_sq = sol.E_inf**2
+    e_inf_sq = _squared_end_field(sol)
     offsets = [0.0]
     for field in sol.region_fields[1:-1]:
         offsets.append(0.5 * units.eps0 * (field * field - e_inf_sq) * units.a0**3)
@@ -201,7 +209,9 @@ def ground_state_from_electrostatics(
 
     The normalization integral is done segment by segment in closed form;
     exponents are shifted by the potential maximum first, so very deep
-    potentials cannot overflow.
+    potentials cannot overflow.  One factor is not shifted: the expm1 of a
+    region's rise, which overflows where V rises by more than about
+    355*V0 across one region (2*rise/V0 past ~709.78, the limit of exp).
 
     Raises
     ------
@@ -209,6 +219,9 @@ def ground_state_from_electrostatics(
         If the potential does not confine (see :func:`check_normalizable`).
     AsymmetricAsymptoticFieldError
         If the end-region field magnitudes differ.
+    OverflowError
+        If V rises by more than about 355*V0 across one region, or E_inf**2
+        (the energy) exceeds the float range; the message names the value.
     """
     verdict = check_normalizable(sol)
     if not verdict:
@@ -232,7 +245,14 @@ def ground_state_from_electrostatics(
         if slope == 0.0:
             parts.append(anchor * width)
         else:
-            parts.append(anchor * math.expm1(2.0 * slope * width / v0) * v0 / (2.0 * slope))
+            try:
+                growth = math.expm1(2.0 * slope * width / v0)
+            except OverflowError:
+                raise OverflowError(
+                    f"V rises by {slope * width / v0!r}*V0 between the sheets at z = {breakpoints[k - 1]!r} "
+                    f"and {breakpoints[k]!r}, past expm1's limit of about 355*V0"
+                ) from None
+            parts.append(anchor * growth * v0 / (2.0 * slope))
     parts.append(math.exp(2.0 * (values[-1] - v_max) / v0) * v0 / (2.0 * -slopes[-1]))
 
     log_norm_constant = -0.5 * math.log(math.fsum(parts)) - v_max / v0
@@ -250,7 +270,7 @@ def ground_state_from_electrostatics(
             rows.append(("lin", 0.0, amplitude, 0.0))
 
     psi = PiecewiseExpWavefunction(breakpoints, *zip(*rows), normalized=True)
-    energy = -0.5 * units.eps0 * sol.E_inf**2 * units.a0**3
+    energy = -0.5 * units.eps0 * _squared_end_field(sol) * units.a0**3
     return GroundStateSolution(energy=energy, wavefunction=psi, log_norm_constant=log_norm_constant)
 
 

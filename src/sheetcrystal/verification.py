@@ -7,10 +7,11 @@ pinned tolerance; residuals are combined with ``nan_max``, so a NaN
 anywhere fails its row.  The norm quadrature and the figure samples take
 :func:`closedform.psi` on one whole array of points each.  The core
 integral's exponent stays the brute-force site sum: all 2N+1 terms at every
-node, summed there exactly rounded by ``math.fsum``; the distances are
-formed once for the largest N of the table and each N sums a prefix of
-them.  Every exponential is ``math.exp`` over a list, never ``np.exp``,
-so each value keeps the bits of a node-by-node loop.  Audit rows are
+node, summed there exactly rounded; the distances are formed once for the
+largest N of the table, and exact integer-limb prefix sums give every N's
+sum at every node in one pass, each the bits of ``math.fsum``.  Every
+exponential is ``math.exp`` over a list, never ``np.exp``, so each value
+keeps the bits of a node-by-node loop.  Audit rows are
 informational: they record measured facts (bound-state counts, the
 deviation of the parity-factor variant of the norm formula) without
 contributing to the pass/fail verdict.
@@ -158,20 +159,45 @@ def _quad_psi_squared(p: CrystalParams) -> float:
     return _gauss_sum([v**2 for v in closedform.psi(p, nodes).ravel().tolist()], halves, bounds)
 
 
+def _exact_prefix_sums(rows: np.ndarray) -> np.ndarray:
+    """Every prefix sum along the last axis, each bit-equal to ``math.fsum`` of its prefix.
+
+    Each term t splits exactly into two limbs: ``hi``, t rounded to a
+    multiple of 2**-26, and ``t - hi``, a multiple of 2**-74 when |t| >=
+    2**-22.  Scaled to integers, each limb is summed by ``np.cumsum``,
+    exactly while every partial sum stays below 2**53 (so for a row's sum of
+    |t| below about 2**27 and at most 63 terms), and one IEEE addition of
+    the two exact sums rounds their exact total to nearest even, as
+    ``math.fsum`` does.  The row sums of |t| and the limbs themselves are
+    checked: outside that range the call raises ``ValueError`` rather than
+    return an inexact sum.
+    """
+    if (np.abs(rows).sum(-1) < 2.0**27).all():  # no NaN, no inf, no overflow below
+        hi = np.round(rows * 2.0**26)
+        limbs = np.stack([hi, (rows - hi / 2.0**26) * 2.0**74])
+        # a sum of nonnegative floats reads below 2**53 only if every partial sum is exact
+        if (limbs == np.round(limbs)).all() and (np.abs(limbs).sum(-1) < 2.0**53).all():
+            sums = np.cumsum(limbs, axis=-1)
+            return sums[0] / 2.0**26 + sums[1] / 2.0**74
+    raise ValueError("the terms fall outside the range of exact limb sums")
+
+
 def _quad_core_exponential(n_max: int, rates, a: float) -> dict[tuple[int, float], float]:
     """Numerical half-line core integral of the crystal norm, for every N <= n_max.
 
     Returns ``{(N, r): integral}`` for N = 1..n_max and every rate ``r`` in
     ``rates``.  The exponent is the brute-force site sum: all 2N+1 signed
-    distances ``(-1)**n * |z +- n*a|`` at every node, summed there by two
-    exactly rounded ``math.fsum`` calls, so the check uses no lattice-sum
-    identity and nothing from :mod:`closedform`.
+    distances ``(-1)**n * |z +- n*a|`` at every node, summed there in two
+    exactly rounded parts, so the check uses no lattice-sum identity and
+    nothing from :mod:`closedform`.
 
     Cell k (k*a..(k+1)*a) has the same nodes for every N > k, and a node's
     n-th distance does not depend on N.  So the distances are formed once
-    per panel count, for N = n_max, and each N sums a prefix of every
-    node's row.  Rates that share a panel count share the node layout and
-    the site sums; each takes its exponentials by ``math.exp`` over a list.
+    per panel count, for N = n_max, and :func:`_exact_prefix_sums` sums
+    every prefix of every node's two rows in integer limbs, each to the
+    bits of ``math.fsum``.  Rates that share a panel count share the node
+    layout and the site sums; each rate takes the exponentials of every N
+    in one ``math.exp`` map.
     """
     n = np.arange(n_max + 1)
     sign = 1.0 - 2.0 * (n % 2)  # (-1.0)**n, exactly
@@ -183,13 +209,15 @@ def _quad_core_exponential(n_max: int, rates, a: float) -> dict[tuple[int, float
     for panels, group in by_panels.items():
         nodes, halves, bounds = _gauss_panels([k * a for k in range(n_max + 1)], [panels] * n_max)
         z = nodes.reshape(-1, 1)
-        first = (sign * np.abs(z + offsets)).tolist()
-        second = (sign[1:] * np.abs(z - offsets[1:])).tolist()
+        first = _exact_prefix_sums(sign * np.abs(z + offsets))
+        second = _exact_prefix_sums(sign[1:] * np.abs(z - offsets[1:]))
+        cell = panels * _GAUSS_NODES.size  # nodes per cell
+        totals = np.concatenate([first[: N * cell, N] + second[: N * cell, N - 1] for N in range(1, n_max + 1)])
+        values = {r: np.fromiter(map(math.exp, (-r * totals).tolist()), float, totals.size) for r in group}
         for N in range(1, n_max + 1):
-            count = N * panels * _GAUSS_NODES.size
-            totals = [math.fsum(f[: N + 1]) + math.fsum(s[:N]) for f, s in zip(first[:count], second[:count])]
+            block = slice(cell * N * (N - 1) // 2, cell * N * (N + 1) // 2)  # after the nodes of 1..N-1
             for r in group:
-                table[N, r] = _gauss_sum([math.exp(-r * t) for t in totals], halves, bounds[: N + 1])
+                table[N, r] = _gauss_sum(values[r][block], halves, bounds[: N + 1])
     return table
 
 

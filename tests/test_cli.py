@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,6 +296,15 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
     assert np.all(np.isfinite(data)) and np.all(data[:, 2] >= 0.0)
 
 
+_PINNED_ERRORS = {  # a line of the config -> the whole stderr it gives
+    "alpha = -1\n": "error: alpha must be finite and > 0, got -1.0\n",
+    "sheets = 0:1e300\n": "error: numeric overflow: the squared end field E_inf**2 overflows at E_inf = 5e+299"
+    " (a result exceeds the float range)\n",
+    "alpha = 1e200\n": "error: numeric overflow: V rises by 1e+200*V0 between the sheets at z = -2.0 and -1.0,"
+    " past expm1's limit of about 355*V0 (a result exceeds the float range)\n",
+}
+
+
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -333,8 +346,9 @@ def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
-    if "alpha = -1\n" in text:
-        assert captured.err == "error: alpha must be finite and > 0, got -1.0\n"
+    for line, err in _PINNED_ERRORS.items():
+        if line in text:
+            assert captured.err == err
 
 
 @pytest.mark.parametrize("scale", ["1e-200", "1e200"], ids=["underflow", "overflow"])
@@ -427,6 +441,42 @@ def test_verify_quick_passes(capsys):
 def test_verify_full_passes(capsys):
     assert main(["verify", "--depth", "full"]) == 0
     assert capsys.readouterr().out.rstrip().endswith("all checks passed")
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _run(*args):
+    """``python -m sheetcrystal.cli`` as a child process, with ``src`` on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+    command = [sys.executable, "-m", "sheetcrystal.cli", *args]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_verify_process_exits_0():
+    done = _run("verify")
+    assert done.returncode == 0
+    assert done.stdout.splitlines()[-1] == "all checks passed"
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "args,text",
+    [
+        (["verify", "--depth", "bogus"], None),
+        (["solve"], "mode = canonical\nN = eight\nalpha = 1\na = 1\n"),
+        (["solve"], "mode = sheets\nsheets = 0:1e300\n"),
+        (["solve"], "mode = canonical\nN = 3\nalpha = 1e200\na = 1\n"),
+    ],
+    ids=["bad-depth", "malformed-N", "sheets-overflow", "canonical-overflow"],
+)
+def test_failing_process_exits_1_with_one_stderr_line(args, text, tmp_path):
+    config = ["--config", _write(tmp_path, "c.cfg", text)] if text else []
+    done = _run(*args, *config)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

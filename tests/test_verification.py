@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sheetcrystal import closedform, oracle, verification
 from sheetcrystal.cli import main
@@ -181,6 +183,42 @@ def test_core_quadrature_is_bit_identical_to_node_loop(a):
             got = table[n_sites, r]
             want = _quad_core_exponential_reference(n_sites, r, a)
             assert got.hex() == want.hex(), (n_sites, r, a)
+
+
+# terms the limbs hold exactly: zero, |t| in [2**-22, 2**20], or a multiple of
+# 2**-60 (its lowest set bit above 2**-74 even where |t| < 2**-22), which sits
+# far below a large term's last bit
+_TERMS = st.one_of(
+    st.just(0.0),
+    st.floats(2.0**-22, 2.0**20),
+    st.floats(-(2.0**20), -(2.0**-22)),
+    st.integers(-(2**40), 2**40).map(lambda k: k * 2.0**-60),
+)
+
+
+@given(st.lists(_TERMS, min_size=1, max_size=31), st.booleans())
+@example([1.0, 2.0**-53], False)  # a tie: fsum rounds to even, down to 1.0
+@example([1.0 + 2.0**-52, 2.0**-53], False)  # a tie rounded up, to the even 1 + 2**-51
+@example([0.1, 0.2, 0.3], True)  # the mirrored row cancels to exactly 0.0
+def test_exact_prefix_sums_are_fsum_of_every_prefix(terms, mirror):
+    # mirrored, the row ends in the negated terms in reverse, so its prefixes
+    # cancel step by step down to exactly 0.0
+    row = terms + [-t for t in reversed(terms)] if mirror else terms
+    rows = np.array([row, row[::-1], [-t for t in row]])
+    got = verification._exact_prefix_sums(rows)
+    assert got.shape == rows.shape
+    for have, want in zip(got.tolist(), rows.tolist()):
+        assert [x.hex() for x in have] == [math.fsum(want[: k + 1]).hex() for k in range(len(want))]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1e300, 1e-300], [1.0, 2.0**-80], [2.0**27, 2.0**27], [2.0**-27] * 64, [math.inf], [math.nan]],
+    ids=["wide-range", "low-bit", "big-sum", "many-small", "inf", "nan"],
+)
+def test_exact_prefix_sums_refuse_rows_outside_their_range(row):
+    with pytest.raises(ValueError, match="exact limb sums"):
+        verification._exact_prefix_sums(np.array(row))
 
 
 _PSI_PARAMS = pytest.mark.parametrize(
