@@ -382,11 +382,16 @@ def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, f
             f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}: the solver finds no bound state in its search range"
         )
     state = found.states[0]
+    try:
+        psi = state.wavefunction
+    except ValueError as exc:  # every coefficient of the state underflowed
+        cell = f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}"
+        raise ValueError(f"{cell}, the oracle's ground state: {exc}") from None
     resid = nan_max(
         abs(energy - state.energy),
-        abs(u_mean - oracle.expectation_potential_numeric(state.wavefunction, problem)),
-        abs(t_mean - oracle.expectation_kinetic_numeric(state.wavefunction, problem.units)),
-        abs(closedform.psi(p, 0.0) - state.wavefunction.value(0.0)),
+        abs(u_mean - oracle.expectation_potential_numeric(psi, problem)),
+        abs(t_mean - oracle.expectation_kinetic_numeric(psi, problem.units)),
+        abs(closedform.psi(p, 0.0) - psi.value(0.0)),
     )
     return (*start, found.metadata.state_count, resid)
 

@@ -86,9 +86,17 @@ def _half_cell_weight(x: float) -> float:
     return -0.5 * math.expm1(-2.0 * x)
 
 
+def _squared_strength(p: CrystalParams) -> float:
+    """alpha**2, rounded as Python's ``**`` rounds it; its overflow names alpha."""
+    try:
+        return p.alpha**2
+    except OverflowError:
+        raise OverflowError(f"the squared attraction strength alpha**2 overflows at alpha = {p.alpha!r}") from None
+
+
 def ground_energy(p: CrystalParams) -> float:
     """Bound-state energy -m*alpha^2/(2*hbar^2); independent of N and a."""
-    return -0.5 * p.units.mass * p.alpha**2 / p.units.hbar**2
+    return -0.5 * p.units.mass * _squared_strength(p) / p.units.hbar**2
 
 
 def log_normalization_constant(p: CrystalParams) -> float:
@@ -155,7 +163,7 @@ def expectation_potential(p: CrystalParams) -> float:
     exactly the normalization integral times the decay rate, so their ratio
     is 1 for every N and the N=0 value survives unchanged.
     """
-    return -p.units.mass * p.alpha**2 / p.units.hbar**2
+    return -p.units.mass * _squared_strength(p) / p.units.hbar**2
 
 
 def expectation_kinetic(p: CrystalParams) -> float:
@@ -164,7 +172,7 @@ def expectation_kinetic(p: CrystalParams) -> float:
     The exponent slope has magnitude one everywhere, so the derivative's
     square integrates to the decay rate squared for every N and a.
     """
-    return 0.5 * p.units.mass * p.alpha**2 / p.units.hbar**2
+    return 0.5 * p.units.mass * _squared_strength(p) / p.units.hbar**2
 
 
 def identity_abs_sum(n: int, N: int) -> tuple[int, int]:

@@ -20,14 +20,18 @@ root is located to :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa, which
 also stands for 0+.  The search's one setting, ``lowest``, is how many of the
 lowest states to return (all by default, one for :func:`ground_state`): it
 counts every state but isolates and refines only those.  The node count
-decides each bracket's side, and state j steps by regula falsi with the
-Illinois modification on the tail coefficient only while its ends count
-j + 1 and j, by bisection otherwise.  The pass at the roots gives each state
-its coefficient columns, from which its wavefunction is built when first
-read; the result is an exact piecewise closed form whose only approximation
-is the location of the root.  Every column of a pass is computed on its own
-kappa alone, so a state comes out with the same bits whether it is refined
-alone or with the others.
+decides each bracket's side.  A bracket whose ends do not count j + 1 and j,
+or whose interpolation is not trusted, is cut at :data:`MULTISECTION`
+evenly spaced points in one pass (Barth, Martin & Wilkinson, Numer. Math. 9,
+386 (1967)); any other takes one point, the inverse-quadratic step of the
+tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
+state's points depend on its own bracket and problem alone, and the search
+takes at most about 20 passes whatever the number of states.  The pass at
+the roots gives each state its coefficient columns, from which its
+wavefunction is built when first read; the result is an exact piecewise
+closed form whose only approximation is the location of the root.  Every column of a
+pass is computed on its own kappa alone, so a state comes out with the same
+bits whether it is refined alone or with the others.
 
 One search serves many problems.  :func:`find_bound_states` takes one
 problem or a sequence of them, and every pass carries the columns of all of
@@ -80,6 +84,8 @@ REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
 GRID = 64  # cells of the counting pass that seeds every bracket
 _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k / GRID), held at or above tol
+MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
+_CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
 # a batch whose grid pass would exceed this many (region, column) cells is
 # searched in halves: a pass holds about twenty float arrays of that size,
 # ~40 MB here, and the cells of a crystal sweep grow as its largest N squared
@@ -116,8 +122,8 @@ class ScanMetadata:
     counted from the nodes of the solution there; it counts every state even
     when only the ``lowest`` were refined, and without ``lowest`` it is the
     number of states returned.  ``unresolved`` holds the intervals among the
-    returned states whose ends do not count j + 1 and j when bisection could
-    not split them further: a fault flag, empty on a clean search.
+    returned states whose ends do not count j + 1 and j when multisection
+    could not split them further: a fault flag, empty on a clean search.
     """
 
     kappa_max: float
@@ -349,6 +355,45 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
     ]
 
 
+def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail and node count of every column, in passes of at most ``_SEARCH_CELLS`` cells.
+
+    A cell is one (region, column) pair.  Each column is computed on its own
+    kappa alone, so the chunks give the bits one pass would.
+    """
+    width = max(1, _SEARCH_CELLS // len(chain.jumps))
+    parts = [_transfer(chain, kappas[s:s + width], which[s:s + width]) for s in range(0, len(kappas), width)]
+    return np.concatenate([p.tail for p in parts]), np.concatenate([p.nodes for p in parts])
+
+
+def _bracket(xs, tails, counts, rows, j, third) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's new bracket among its evaluated points, and its new third point.
+
+    ``xs``, ``tails`` and ``counts`` hold every point evaluated so far; row i
+    of ``rows`` indexes the points state ``j[i]`` has evaluated in its
+    bracket, in ascending order.  The count decides: lo is the last point
+    counting more than j states and hi the next one; a hi with a tail of
+    exactly 0 that counts j is an exact root, and lo moves onto it, closing
+    the bracket.  The third point is the one nearest the bracket outside
+    it, among the row and the previous third point ``third``; index 0, whose
+    kappa is NaN, where there is none.  Returns the indices of lo, hi and
+    the third point.
+    """
+    r = np.arange(len(j))
+    k = rows.shape[1] - np.argmax((counts[rows] > j[:, None])[:, ::-1], axis=1)
+    upper = rows[r, k]
+    lower = np.where((tails[upper] == 0.0) & (counts[upper] == j), upper, rows[r, k - 1])
+    lo, hi = xs[lower], xs[upper]
+    candidates = np.column_stack([rows, third])
+    x = xs[candidates]
+    below = np.where(x < lo[:, None], x, -np.inf)
+    above = np.where(x > hi[:, None], x, np.inf)
+    nearest_below, nearest_above = below.argmax(axis=1), above.argmin(axis=1)
+    gap_below, gap_above = lo - below[r, nearest_below], above[r, nearest_above] - hi
+    nearest = candidates[r, np.where(gap_below <= gap_above, nearest_below, nearest_above)]
+    return lower, upper, np.where(np.minimum(gap_below, gap_above) < np.inf, nearest, 0)
+
+
 def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
     units = problem.units
     strongest = max(
@@ -402,22 +447,32 @@ def find_bound_states(
     ``tol``).  Each state starts from the grid cell that holds it, between
     the last point counting more states than its index and the next point;
     a grid point that is an exact root closes its state's interval there.
-    Then one loop steps every state, and the count decides the side: a new
-    point replaces ``lo`` when it counts more than j states, ``hi``
-    otherwise.  While the ends count j + 1 and j the state steps to the
-    regula falsi point of the tail at its two ends, with the Illinois
-    modification (Dowell & Jarratt, BIT 11, 168 (1971)): an end kept twice
-    in a row has its weight halved; otherwise it bisects.  The tail is the
+    Then one loop steps every state, and the count picks each new interval
+    among the points evaluated in it, as on the grid: ``lo`` is the last
+    point counting more than j states and ``hi`` the next one.  Each pass
+    gives a state either one point or ``MULTISECTION`` (7) evenly spaced
+    ones.  One point is Chandrupatla's inverse-quadratic step of the tail
+    through both ends and the third point, the evaluated point nearest the
+    interval outside it (Adv. Eng. Softw. 28, 145 (1997)); the tail is the
     true coefficient divided by positive factors continuous in kappa, so it
     serves as it is.  The point is kept ``tol``/2 inside the interval, so
-    once it lands next to the root the interval closes; where it is not
-    finite or the two ends agree in sign the step bisects.  A point with a
-    tail of exactly 0 that counts j is an exact root and closes the
-    interval.  An interval that reaches ``tol`` or stops splitting in
-    floating point while its ends do not count j + 1 and j returns its state
-    at its midpoint and is listed in ``metadata.unresolved``.  States come
-    back sorted by ascending energy; finding none is an empty list, not an
-    error.  Each state's wavefunction is built the first time it is read.
+    once it lands next to the root the interval closes.  The interval is cut
+    at the 7 points instead (Barth, Martin & Wilkinson, Numer. Math. 9, 386
+    (1967)) when its ends do not count j + 1 and j, or when the step is not
+    trusted: there is no third point yet, Chandrupatla's test
+    (Phi^2 < xi and (1 - Phi)^2 < 1 - xi) fails, or the kept point lands on
+    an end, as it does where ``tol``/2 is below the float spacing.  Identical
+    intervals of one problem, the states of one cluster, share their 7
+    points.  A state's points thus depend on its own interval and problem
+    alone, and the search takes at most about 20 passes whatever the
+    number of states.  A loop pass wider than ``_SEARCH_CELLS`` (region,
+    column) cells runs in column chunks.  A point with a tail of exactly 0 that counts j
+    is an exact root and closes the interval.  An interval that reaches
+    ``tol`` or stops splitting in floating point while its ends do not
+    count j + 1 and j returns its state at its midpoint and is listed in
+    ``metadata.unresolved``.  States come back sorted by ascending energy;
+    finding none is an empty list, not an error.  Each state's wavefunction
+    is built the first time it is read.
     """
     single = isinstance(problems, DeltaPotentialProblem)
     batch = [problems] if single else list(problems)
@@ -450,58 +505,66 @@ def find_bound_states(
                 "the deltas or regions bind more strongly together than the cap allows"
             )
     # state j (j = 0 is the ground state) of a problem lies in (lo, hi) when
-    # count(lo) > j >= count(hi); lo is the last grid point counting more than
-    # j states and hi the next one; every state is counted, only the lowest
+    # count(lo) > j >= count(hi); every state is counted, only the lowest
     # asked for are refined; owner holds each state's problem
     state_counts = nodes[:, 0].tolist()
     refined = state_counts if lowest is None else [min(n, lowest) for n in state_counts]
     owner = np.repeat(np.arange(len(batch)), refined)
     j = np.array([k for n in refined for k in range(n)], dtype=np.int64)
-    above = nodes[owner] > j[:, None]
-    # flat index into the grid pass of each state's lo point; hi is the next one
-    last = owner * (GRID + 1) + GRID - np.argmax(above[:, ::-1], axis=1)
-    lo, hi = grid.ravel()[last], grid.ravel()[last + 1]
-    lo[lo == tol] = 0.0  # 0 stands for 0+, where the count was taken
-    count_lo, count_hi = cells.nodes[last], cells.nodes[last + 1]
-    # the tail at each end, the weight of regula falsi; an end kept twice in a row is halved
-    tail_lo, tail_hi = cells.tail[last], cells.tail[last + 1]
-    # a grid point on the root of state j closes its bracket, as in the loop below
-    on_root = (tail_hi == 0.0) & (count_hi == j)
-    lo[on_root] = hi[on_root]
-    last_move = np.zeros(j.shape, dtype=np.int8)  # +1 lo moved, -1 hi moved, 0 counting
+    # every point the search evaluates, pass after pass: kappa, tail and count; the
+    # grid's tol stands for 0+, where its count was taken, and entry 0 is a NaN that
+    # stands for no point; each state holds its bracket and third point as indices
+    xs = np.concatenate([[np.nan], np.where(grid == tol, 0.0, grid).ravel()])
+    tails, counts = np.concatenate([[np.nan], cells.tail]), np.concatenate([[-1], cells.nodes])
+    lo, hi, third = _bracket(
+        xs, tails, counts, 1 + owner[:, None] * (GRID + 1) + np.arange(GRID + 1), j, np.zeros(j.shape, dtype=np.intp)
+    )
 
     while True:
         # state j is isolated while its ends count j + 1 and j, or once its bracket is closed
-        isolated = ((count_lo == j + 1) & (count_hi == j)) | (lo == hi)
-        mid = 0.5 * (lo + hi)
-        active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        kappa_lo, kappa_hi = xs[lo], xs[hi]
+        isolated = ((counts[lo] == j + 1) & (counts[hi] == j)) | (lo == hi)
+        mid = 0.5 * (kappa_lo + kappa_hi)
+        active = (kappa_hi - kappa_lo > tol) & (kappa_lo < mid) & (mid < kappa_hi)
         if not active.any():
             break
-        # an isolated state steps to the Illinois point, kept tol/2 inside its
-        # bracket so that a point landing next to the root closes the bracket;
-        # where tol/2 is below the float spacing the clamped point can sit on
-        # an end, and stepping there would make no progress
+        # Chandrupatla's inverse-quadratic point through the ends and the third point,
+        # x1 the end next to it and x2 the other, held tol/2 inside the bracket so that
+        # a point landing next to the root closes it; trusted where Chandrupatla's test
+        # passes and the held point is off the ends (tol/2 can be below the float spacing)
+        near_lo = xs[third] < kappa_lo
+        one, two = np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)
+        x1, x2, x3, f1, f2, f3 = xs[one], xs[two], xs[third], tails[one], tails[two], tails[third]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            falsi = (lo * tail_hi - hi * tail_lo) / (tail_hi - tail_lo)
-        usable = isolated & np.isfinite(falsi) & ((tail_lo < 0.0) != (tail_hi < 0.0))
-        falsi = np.clip(falsi, lo + 0.5 * tol, hi - 0.5 * tol)
-        point = np.where(usable & (lo < falsi) & (falsi < hi), falsi, mid)
-        step = _transfer(chain, point[active], owner[active])
-        # the count decides the side; a tail of exactly 0 where count(point) = j is an exact root
-        on_root = (step.tail == 0.0) & (step.nodes == j[active])
-        to_lo = step.nodes > j[active]
-        move_lo, move_hi = to_lo | on_root, ~to_lo | on_root
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+            point = np.clip(x1 + t * (x2 - x1), kappa_lo + 0.5 * tol, kappa_hi - 0.5 * tol)
+        trusted = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
+        step = active & isolated & trusted
+        # every other active bracket is cut at MULTISECTION evenly spaced points,
+        # computed once for a run of identical brackets (the same recorded ends,
+        # so the same problem)
+        cut = active & ~step
+        shared = np.zeros(j.shape, dtype=bool)
+        shared[1:] = cut[:-1] & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        leads = cut & ~shared
+        cuts = kappa_lo[leads, None] + (kappa_hi - kappa_lo)[leads, None] * _CUTS
+        kappas = np.concatenate([cuts.ravel(), point[step]])
+        which = np.concatenate([np.repeat(owner[leads], MULTISECTION), owner[step]])
+        # each state's interior points as indices into the record, where this pass's
+        # columns follow: its cuts, or its one point repeated
+        inner = np.empty((len(j), MULTISECTION), dtype=np.intp)
+        inner[cut] = len(xs) + MULTISECTION * (np.cumsum(leads)[cut, None] - 1) + np.arange(MULTISECTION)
+        inner[step] = len(xs) + cuts.size + np.arange(np.count_nonzero(step))[:, None]
+        pass_tails, pass_counts = _tails_and_counts(chain, kappas, which)
+        xs = np.concatenate([xs, kappas])
+        tails, counts = np.concatenate([tails, pass_tails]), np.concatenate([counts, pass_counts])
         idx = np.flatnonzero(active)
-        moved = np.where(move_lo, 1, -1)
-        again = isolated[idx] & (last_move[idx] == moved)
-        tail_hi[idx[again & move_lo]] *= 0.5
-        tail_lo[idx[again & move_hi]] *= 0.5
-        last_move[idx] = np.where(isolated[idx], moved, 0)
-        for end, tail, count, move in ((lo, tail_lo, count_lo, move_lo), (hi, tail_hi, count_hi, move_hi)):
-            end[idx[move]] = point[idx[move]]
-            tail[idx[move]] = step.tail[move]
-            count[idx[move]] = step.nodes[move]
+        lo[idx], hi[idx], third[idx] = _bracket(
+            xs, tails, counts, np.column_stack([lo[idx], inner[idx], hi[idx]]), j[idx], third[idx]
+        )
 
+    lo, hi = xs[lo], xs[hi]
     roots = 0.5 * (lo + hi)
     final = _transfer(chain, roots, owner)
     found = []

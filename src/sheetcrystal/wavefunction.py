@@ -193,7 +193,13 @@ class PiecewiseExpWavefunction:
         return self._derivative.norm_squared()
 
     def normalized_copy(self) -> "PiecewiseExpWavefunction":
-        scale = 1.0 / math.sqrt(self.norm_squared())
+        """This wavefunction scaled to unit norm; a norm that vanished or overflowed is a ValueError."""
+        norm_squared = self.norm_squared()
+        if not 0.0 < norm_squared < math.inf:
+            raise ValueError(
+                f"cannot normalize the wavefunction: its norm squared, the integral of psi^2, is {norm_squared!r}"
+            )
+        scale = 1.0 / math.sqrt(norm_squared)
         return replace(
             self, c1s=[scale * c for c in self.c1s], c2s=[scale * c for c in self.c2s], normalized=True
         )

@@ -296,12 +296,18 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
     assert np.all(np.isfinite(data)) and np.all(data[:, 2] >= 0.0)
 
 
-_PINNED_ERRORS = {  # a line of the config -> the whole stderr it gives
-    "alpha = -1\n": "error: alpha must be finite and > 0, got -1.0\n",
-    "sheets = 0:1e300\n": "error: numeric overflow: the squared end field E_inf**2 overflows at E_inf = 5e+299"
-    " (a result exceeds the float range)\n",
-    "alpha = 1e200\n": "error: numeric overflow: V rises by 1e+200*V0 between the sheets at z = -2.0 and -1.0,"
-    " past expm1's limit of about 355*V0 (a result exceeds the float range)\n",
+_PINNED_ERRORS = {  # (command, a line of the config) -> the whole stderr it gives
+    ("solve", "alpha = -1\n"): "error: alpha must be finite and > 0, got -1.0\n",
+    ("sweep", "alpha = -1\n"): "error: alpha must be finite and > 0, got -1.0\n",
+    ("solve", "sheets = 0:1e300\n"): "error: numeric overflow: the squared end field E_inf**2 overflows"
+    " at E_inf = 5e+299 (a result exceeds the float range)\n",
+    ("solve", "alpha = 1e200\n"): "error: numeric overflow: V rises by 1e+200*V0 between the sheets at z = -2.0"
+    " and -1.0, past expm1's limit of about 355*V0 (a result exceeds the float range)\n",
+    ("sweep", "alpha = 1e200\n"): "error: numeric overflow: the squared attraction strength alpha**2 overflows"
+    " at alpha = 1e+200 (a result exceeds the float range)\n",
+    # every coefficient of the oracle's state underflows to 0
+    ("sweep", "alpha = 1e150\n"): "error: sweep cell N=3, alpha=9.9999999999999998e+149, a=1, the oracle's ground"
+    " state: cannot normalize the wavefunction: its norm squared, the integral of psi^2, is 0.0\n",
 }
 
 
@@ -311,6 +317,8 @@ _PINNED_ERRORS = {  # a line of the config -> the whole stderr it gives
         ("solve", "mode = canonical\nN = 3\nalpha = 1e-300\na = 1\n"),  # ground energy underflows to 0
         ("sweep", "N = 3\nalpha = 1e-300\na = 1\n"),  # the solver binds no state
         ("solve", "mode = canonical\nN = 3\nalpha = 1e200\na = 1\n"),
+        ("sweep", "N = 3\nalpha = 1e200\na = 1\n"),
+        ("sweep", "N = 3\nalpha = 1e150\na = 1\n"),
         ("solve", "mode = sheets\nsheets = 0:1e300\n"),
         # the map emits a state at energy -0 where the oracle finds none
         ("solve --window=-5,5", "mode = canonical\nN = 3\nalpha = 1e-300\na = 1\n"),
@@ -346,8 +354,8 @@ def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.out + captured.err
-    for line, err in _PINNED_ERRORS.items():
-        if line in text:
+    for (pinned, line), err in _PINNED_ERRORS.items():
+        if command == pinned and line in text:
             assert captured.err == err
 
 

@@ -93,6 +93,13 @@ def test_ground_energy_uses_units():
     assert ground_energy(_params(2, alpha=3.0, units=u)) == -0.5 * 0.5 * 9.0 / 4.0
 
 
+
+@pytest.mark.parametrize("energy", [ground_energy, expectation_potential, expectation_kinetic])
+def test_squared_strength_overflow_names_alpha(energy):
+    with pytest.raises(OverflowError, match=r"alpha\*\*2 overflows at alpha = 1e\+200$"):
+        energy(_params(3, alpha=1e200))
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

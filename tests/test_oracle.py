@@ -240,23 +240,38 @@ def _record_transfers(monkeypatch):
 
 @pytest.mark.parametrize("n", [8, 50, 100])
 def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
-    # the counting pass on the grid, the isolating bisection passes, a few
-    # Illinois passes once every state is isolated, and the reconstruction:
-    # 15 to 24 passes whatever N, where refining the roots one at a time
-    # would grow with N
+    # the counting pass on the grid, a few multisection passes until every
+    # state is isolated and its interpolation trusted, one or two
+    # inverse-quadratic passes per state, and the reconstruction: 9, 10 and
+    # 12 passes here, where refining the roots one at a time would grow with N
     calls = _record_transfers(monkeypatch)
     found = find_bound_states(_crystal_problem(n))
     assert len(found) == n + 1
-    assert len(calls) <= 26
+    assert len(calls) <= 14
 
 
-def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
+def test_seeded_stacks_take_few_passes(monkeypatch):
+    # 6831 passes in total and 51 at worst over these 200 stacks when an
+    # isolated state stepped by regula falsi with the Illinois weights and
+    # bisected otherwise
+    calls = _record_transfers(monkeypatch)
+    passes = []
+    for seed in range(300, 500):
+        calls.clear()
+        find_bound_states(_random_stack_problem(seed))
+        passes.append(len(calls))
+    assert sum(passes) < 6831
+    assert max(passes) <= 20
+
+
+def test_untrusted_interpolation_falls_back_to_multisection(atomic, monkeypatch):
     # two deltas 1e-100 apart of strengths -1e100 and -0.37e100 bind one
-    # state near kappa = 1.06e100, where the float spacing (~1e84) dwarfs
-    # tol/2: a regula falsi point next to the root rounds onto an end of the
-    # bracket, and the step bisects instead; the test follows the bracket
-    # from the recorded node counts, as the search does, to count those
-    # steps, and no pass may warn (warnings are errors here)
+    # state near kappa = 1.06e100, where the float spacing (~2e84) dwarfs
+    # tol/2: once the inverse-quadratic point has reached the root, held
+    # tol/2 inside the bracket it rounds onto an end, and the bracket is cut
+    # at MULTISECTION evenly spaced points instead, down to adjacent floats;
+    # the test follows the bracket from the recorded node counts, as the
+    # search does, and no pass may warn (warnings are errors here)
     s = 1e100
     problem = DeltaPotentialProblem([(0.0, -s), (1.0 / s, -0.37 * s)], [0.0] * 3, atomic)
     passes = []
@@ -270,19 +285,54 @@ def test_illinois_point_falls_back_to_the_midpoint(atomic, monkeypatch):
     monkeypatch.setattr(oracle, "_transfer", recorded)
     found = find_bound_states(problem)
     assert len(found) == found.metadata.state_count == 1
-    # the state's grid cell, then one step per pass until the pass at the root
+    assert found.metadata.unresolved == ()
+    # the state's grid cell, then its points pass by pass until the pass at the root
     grid, nodes = passes[0]
     k = max(i for i, n in enumerate(nodes) if n >= 1)
     lo, hi = grid[k], grid[k + 1]
-    midpoints = 0
-    for (point,), (count,) in passes[1:-1]:
-        midpoints += point == 0.5 * (lo + hi)
-        if count > 0:  # more than j = 0 states lie above the point
-            lo = point
+    sizes = []
+    for points, counts in passes[1:-1]:
+        sizes.append(len(points))
+        if len(points) == oracle.MULTISECTION:
+            cuts = range(1, oracle.MULTISECTION + 1)
+            assert points == [lo + (hi - lo) * (i / (oracle.MULTISECTION + 1)) for i in cuts]
         else:
-            hi = point
-    assert midpoints == 26
+            assert len(points) == 1 and lo < points[0] < hi
+        # more than j = 0 states lie above a point that counts more than 0
+        lo = max([lo, *(x for x, n in zip(points, counts) if n > 0)])
+        hi = min([hi, *(x for x, n in zip(points, counts) if n == 0 and x > lo)])
+    tol = oracle.DEFAULT_BISECTION_TOL
+    assert lo + 0.5 * tol == lo and hi - 0.5 * tol == hi
+    # one cut from the grid cell, four interpolations to the root, then cuts alone
+    assert sizes == [7, 1, 1, 1, 1, 7, 7, 7, 7, 7, 7]
+    assert math.nextafter(lo, math.inf) == hi
     assert passes[-1][0] == [found.states[0].kappa] == [0.5 * (lo + hi)]
+
+
+def test_identical_brackets_share_their_cuts(atomic, monkeypatch):
+    # the doublet 1.2e-5 apart near kappa = 1 shares one grid cell: the first
+    # loop pass cuts that bracket once for both states, beside the one
+    # inverse-quadratic point of the lone state at kappa = 1.3
+    problem = DeltaPotentialProblem([(-6.0, -1.0), (6.0, -1.0), (24.0, -1.3)], [0.0] * 4, atomic)
+    calls = _record_transfers(monkeypatch)
+    assert len(find_bound_states(problem)) == 3
+    assert len(calls[1]) == oracle.MULTISECTION + 1
+
+
+def test_wide_loop_pass_runs_in_chunks_with_the_same_bits(monkeypatch):
+    # a loop pass wider than _SEARCH_CELLS (region, column) cells runs in
+    # column chunks; every column is computed on its own, so no bit moves
+    problem = _crystal_problem(8)
+    calls = _record_transfers(monkeypatch)
+    unchunked = find_bound_states(problem)
+    widths = [len(kappas) for kappas in calls]
+    assert max(widths[1:-1]) > 20
+    calls.clear()
+    monkeypatch.setattr(oracle, "_SEARCH_CELLS", 20 * len(problem.deltas))
+    chunked = find_bound_states(problem)
+    assert _hex_list(chunked) == _hex_list(unchunked)
+    assert max(len(kappas) for kappas in calls[1:-1]) == 20
+    assert sum(len(kappas) for kappas in calls) == sum(widths)
 
 
 def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):

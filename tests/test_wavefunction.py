@@ -108,6 +108,14 @@ def test_normalized_copy_has_unit_norm():
     assert psi.value(0.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
+
+@pytest.mark.parametrize("scale", [0.0, 1e200], ids=["vanished", "overflowing"])
+def test_normalized_copy_refuses_a_norm_outside_the_float_range(scale):
+    raw = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (2.0, 2.0), (0.0, scale), (scale, 0.0), normalized=False)
+    with pytest.raises(ValueError, match=r"^cannot normalize the wavefunction: its norm squared"):
+        raw.normalized_copy()
+
+
 _VALID_COLUMNS = {"kinds": ("exp", "lin", "exp"), "rates": (1.0, 0.0, 1.0), "c1s": (0.0, 1.0, 1.0), "c2s": (1.0, 0.0, 0.0)}
 
 
