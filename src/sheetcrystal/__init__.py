@@ -25,6 +25,7 @@ from .duality import (
 from .electrostatics import (
     SheetArray,
     potential_at,
+    potential_at_points,
     solve_sheets,
 )
 from .errors import (
@@ -75,6 +76,7 @@ __all__ = [
     "log_normalization_constant",
     "normalization_constant",
     "potential_at",
+    "potential_at_points",
     "psi",
     "schrodinger_residuals",
     "segment_integral_closed",

@@ -34,7 +34,7 @@ import numpy as np
 from . import closedform, oracle
 from .closedform import CrystalParams
 from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, nan_max, to_quantum
-from .electrostatics import SheetArray, potential_at, solve_sheets
+from .electrostatics import SheetArray, potential_at, potential_at_points, solve_sheets
 from .errors import NoBoundStatesError, SheetCrystalError
 from .units import UnitSystem, atomic_units, sigma_from_alpha
 from .verification import crystal_figure_samples, run_verification
@@ -301,7 +301,7 @@ def cmd_solve(args) -> int:
     if not math.isfinite(hi - lo):  # np.linspace would fill the window with NaN
         raise ConfigError(f"sampling window {_fmt(lo)},{_fmt(hi)}: its width overflows the float range")
     zs = np.linspace(lo, hi, config.get("points", 2001))
-    rows = zip(zs, [potential_at(sol, z) for z in zs], psi.values(zs), _region_offset_at(problem, zs))
+    rows = zip(zs, potential_at_points(sol, zs), psi.values(zs), _region_offset_at(problem, zs))
     _emit_csv("z,V,psi,U_region", rows, config.get("out"), sys.stdout)
 
     # the constant while it is a finite float, else its log (see the module docstring)

@@ -43,14 +43,20 @@ batch then costs about what a pass over its longest problem costs, and each
 problem's states carry the same bits as a search of that problem alone.  A
 batch too large for one pass's memory bound is searched in halves.
 
-A pass is a batch and then a recurrence.  Everything that depends on kappa
-but not on the propagated solution (each region's regime, rate, phase and
-2x2 transfer matrix) is computed at once as (regions, columns) arrays; the
-sines, cosines and Pruefer turns are taken on the oscillatory cells alone,
-so a pass without any does none of that work.  The Python loop over the
-sites keeps only the sequential part, the delta jump, the 2x2 step and the
-rescaling, and writes its rows in place, one per region.  The node count
-and the reconstruction then read those rows as whole arrays.
+A pass is a batch and then a recurrence.  The batch is per distinct region:
+region rows whose offset and width have the same bits in every problem of
+the search form one class, and everything that depends on kappa but not on
+the propagated solution (the regime, rate, phase and 2x2 transfer matrix)
+is computed once per class, as (classes, columns) arrays.  Every interior
+region of the alternating crystal at a = 1 is one class, as in Kronig &
+Penney's periodic lattice (Proc. R. Soc. A 130, 499 (1931)); a chain
+without repeats has a class per region.  The sines, cosines and Pruefer
+turns are taken on the oscillatory cells alone, so a pass without any does
+none of that work.  The Python loop over the sites keeps only the
+sequential part, the delta jump, the 2x2 step with its region's class row
+and the rescaling, and writes its rows in place, one per region.  The node
+count and the reconstruction then read those rows as whole arrays, and each
+region's regime, rate and phase through its class.
 
 The propagated pair is rescaled between sites (and exponentials are factored
 as exp(-rate*width) forms), so nothing can overflow no matter how wide or
@@ -87,8 +93,9 @@ _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k /
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
 # a batch whose grid pass would exceed this many (region, column) cells is
-# searched in halves: a pass holds about twenty float arrays of that size,
-# ~40 MB here, and the cells of a crystal sweep grow as its largest N squared
+# searched in halves: a pass holds about nine float arrays of that size and
+# twelve of (classes, columns), ~18 MB here with one class and ~44 MB on a
+# chain without repeats; the cells of a crystal sweep grow as its largest N squared
 _SEARCH_CELLS = 2**18
 
 
@@ -154,24 +161,39 @@ class _Chain(NamedTuple):
 
     Each problem's chain is padded at its start to the longest one.  A padded
     region has zero width, zero jump and an infinite offset: the linear regime
-    whatever kappa, and a renorm floor of +inf in :func:`_transfer`, so it is
-    never rescaled.  It carries the starting pair (1, kappa) through unchanged,
-    bit for bit, and every column gets exactly the operations its problem
-    alone would get.
+    whatever kappa, and a renorm floor of +inf, so it is never rescaled.  It
+    carries the starting pair (1, kappa) through unchanged, bit for bit, and
+    every column gets exactly the operations its problem alone would get.
+
+    The regions are grouped into classes: region rows whose offset and width
+    have the same bits in every problem of the batch share one class,
+    numbered in order of first appearance, and the kappa-independent rows
+    of the regime switch and the step are kept once per class.  At a given
+    kappa every region of a class has the same transfer matrix (the
+    periodicity of Kronig & Penney, Proc. R. Soc. A 130, 499 (1931)), so
+    :func:`_transfer` computes it once per class.  The interior regions of
+    an alternating crystal whose site differences round alike form one
+    class (every N at a = 1; rounding splits N = 1000 at a = 1.3 into 12);
+    a chain without repeats has one class per region, ``cls`` = 0, 1, 2, ...
     """
 
     half_h2_over_m: np.ndarray  # (problems,)
-    offsets: np.ndarray  # (regions, problems)
-    widths: np.ndarray  # (regions, problems)
+    # (4, classes, problems), one stack so that a pass gathers its columns at once: each
+    # class's offset U, width, max(1, |U|) (the regime switch's scale) and renorm floor;
+    # renorm at or below the floor (or NaN) is not divided out: +inf on zero-width padded
+    # steps, 0.0 on every real region (positive width), so an exactly zero pair stays (0, 0)
+    classes: np.ndarray
     jumps: np.ndarray  # (regions + 1, problems); row i is the site left of region i
+    cls: np.ndarray  # (regions,); the class of each region row
     first: tuple[int, ...]  # each problem's first real region row
 
 
 def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     regions = max((len(p.deltas) for p in problems), default=1) - 1
-    shape = (regions, len(problems))
-    offsets = np.full(shape, np.inf)
-    widths = np.zeros(shape)
+    # each region row's offset, width, regime switch scale and renorm floor in every problem
+    rows = np.empty((regions, 4, len(problems)))
+    offsets, widths = rows[:, 0], rows[:, 1]
+    offsets[:], widths[:] = np.inf, 0.0
     jumps = np.zeros((regions + 1, len(problems)))
     half_h2_over_m, first = [], []
     for k, problem in enumerate(problems):
@@ -184,7 +206,17 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
         jumps[start:, k] = [jump_scale * g for g in problem.strengths]
         half_h2_over_m.append(0.5 * units.hbar**2 / units.mass)
         first.append(start)
-    return _Chain(np.array(half_h2_over_m), offsets, widths, jumps, tuple(first))
+    np.maximum(1.0, np.abs(offsets), out=rows[:, 2])
+    rows[:, 3] = np.where(widths > 0.0, 0.0, np.inf)
+    # region rows whose offsets and widths (so all four) have the same bits in every problem
+    # share a class, numbered in order of first appearance; each row's bytes are its key,
+    # and the keys, in that order, are the class rows
+    row_size = 4 * len(problems)
+    keys = rows.reshape(regions, row_size).view(np.dtype((np.void, rows.itemsize * row_size))).ravel().tolist()
+    index: dict[bytes, int] = {}
+    cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
+    return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first))
 
 
 class _Pass(NamedTuple):
@@ -192,6 +224,9 @@ class _Pass(NamedTuple):
 
     The 2-D arrays have one row per finite region of the batch's padded
     chain, the one right of site i in row i, and one column per kappa.
+    ``exp_mask``, ``osc_mask``, ``rate`` and ``phase`` are computed once per
+    class of the chain and taken to the regions through ``_Chain.cls`` at
+    the end of the pass.
     """
 
     tail: np.ndarray  # sign-preserving growing-tail coefficient
@@ -215,17 +250,20 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     """Carry the solution decaying toward -inf across the potential, for each kappa.
 
     Column k runs at ``kappas[k]`` on problem ``which[k]`` of the chain.  The
-    pass is a batch and a loop.  The batch computes every region's regime,
+    pass is a batch and a loop.  The batch computes each class's regime,
     rate and transfer matrix at every column at once, the sine and cosine
-    entries on the oscillatory cells alone; the loop over the sites keeps
-    only what is sequential, the delta jump, the 2x2 step and a division by
-    a positive factor after every region, so the tail coefficient keeps its
-    sign but not its magnitude.  It writes each site's rows in place.  The
-    factor is max(|psi|, |psi'|) where that is above the floor, +inf on a
-    zero-width padded step and 0.0 on a real region (positive width), and
-    1.0 elsewhere: on padded steps, and on a pair that is exactly zero or
-    NaN, so that a decaying solution whose pair underflowed to (0, 0) ends
-    in a tail of exactly 0, an exact root.
+    entries on the oscillatory cells alone, so a region repeated along the
+    chain costs one row; the loop over the sites keeps only what is
+    sequential, the delta jump, the 2x2 step with row ``cls[i]`` and a
+    division by a positive factor after every region, so the tail
+    coefficient keeps its sign but not its magnitude.  Every operation is
+    elementwise, so each column has the bits a class per region would give
+    it.  The loop writes each site's rows in place.  The factor is
+    max(|psi|, |psi'|) where that is above the floor, +inf on a zero-width
+    padded step and 0.0 on a real region (positive width), and 1.0
+    elsewhere: on padded steps, and on a pair that is exactly zero or NaN,
+    so that a decaying solution whose pair underflowed to (0, 0) ends in a
+    tail of exactly 0, an exact root.
 
     Nodes are then counted per region from the stored rows: an exponential
     or linear region holds at most one, seen as a sign change of psi across
@@ -236,15 +274,13 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     site happens only on a measure-zero set of kappa.
     """
     half_h2_over_m = chain.half_h2_over_m[which]
-    offsets, widths = chain.offsets[:, which], chain.widths[:, which]
-    # renorm at or below the floor (or NaN) is not divided out: +inf on zero-width padded
-    # steps, 0.0 on every real region (positive width), so an exactly zero pair stays (0, 0)
-    jumps, floor = chain.jumps[:, which], np.where(widths > 0.0, 0.0, np.inf)
+    offsets, widths, scales, floor = chain.classes.take(which, axis=2)
+    jumps = chain.jumps[:, which]
 
     kappas = np.asarray(kappas, dtype=float)
     energies = -half_h2_over_m * kappas**2
     d = offsets - energies
-    switch = REGIME_SWITCH_RTOL * np.maximum(np.maximum(1.0, np.abs(energies)), np.abs(offsets))
+    switch = REGIME_SWITCH_RTOL * np.maximum(np.abs(energies), scales)
     exp_mask = d > switch
     osc_mask = d < -switch
     # rate^2 = 2m|U - E|/hbar^2; 1.0 in the linear regime keeps the unused branches finite
@@ -270,13 +306,15 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     # never into an array the same call reads, which numpy does more slowly.
     # psi_end is psi before the division: dividing could flush a tiny
     # negative value to -0.0 and hide the sign change the node count looks for
-    psi_rows, dpsi_rows = np.empty((2, len(d) + 1, len(kappas)))
-    psi_end = np.empty(d.shape)
-    renorm_at = np.ones(d.shape)
+    cls = chain.cls
+    psi_rows, dpsi_rows = np.empty((2, len(cls) + 1, len(kappas)))
+    psi_end = np.empty((len(cls), len(kappas)))
+    renorm_at = np.ones(psi_end.shape)
     psi_rows[0] = 1.0
     dpsi = kappas
-    for psi, psi_next, dpsi_row, end_row, renorm_row, jump, diag_row, up_row, down_row, floor_row in zip(
-        psi_rows, psi_rows[1:], dpsi_rows, psi_end, renorm_at, jumps, diag, up, down, floor
+    steps = list(zip(diag, up, down, floor))
+    for psi, psi_next, dpsi_row, end_row, renorm_row, jump, (diag_row, up_row, down_row, floor_row) in zip(
+        psi_rows, psi_rows[1:], dpsi_rows, psi_end, renorm_at, jumps, [steps[c] for c in cls.tolist()]
     ):
         np.add(dpsi, jump * psi, out=dpsi_row)
         np.add(diag_row * psi, up_row * dpsi_row, out=end_row)
@@ -290,16 +328,19 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     psi_at, dpsi_at = psi_rows[:-1], dpsi_rows[:-1]
 
     tail = dpsi_last + kappas * psi
+    # each region's regime, rate and phase, from its class row
+    exp_mask, osc_mask = exp_mask.take(cls, axis=0), osc_mask.take(cls, axis=0)
+    rate, phase = rate.take(cls, axis=0), phase.take(cls, axis=0)
     # per region: a sign change of psi across it, or in an osc region the Pruefer turns
     region_nodes = ((psi_at < 0.0) != (psi_end < 0.0)).astype(float)
     theta = np.arctan2(psi_at[osc_mask], dpsi_at[osc_mask] / rate[osc_mask])
-    region_nodes[osc_mask] = np.floor((theta + osc_phase) / math.pi) - np.floor(theta / math.pi)
+    region_nodes[osc_mask] = np.floor((theta + phase[osc_mask]) / math.pi) - np.floor(theta / math.pi)
     nodes = region_nodes.sum(axis=0)
     nodes = nodes + ((tail < 0.0) != (psi < 0.0))
-    uncountable = ~(nodes < 2.0**63)  # NaN or past int64, which the cast would wrap
-    if uncountable.any():
+    countable = nodes < 2.0**63  # not NaN nor past int64, which the cast would wrap
+    if not countable.all():
         raise ValueError(
-            f"cannot count the bound states: a pass found {float(nodes[uncountable][0])!r} nodes; "
+            f"cannot count the bound states: a pass found {float(nodes[~countable][0])!r} nodes; "
             "a region is too wide or too deep for the node count"
         )
     return _Pass(

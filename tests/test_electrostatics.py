@@ -12,6 +12,7 @@ from sheetcrystal import (
     UnitSystem,
     atomic_units,
     potential_at,
+    potential_at_points,
     sigma_from_alpha,
     solve_sheets,
 )
@@ -271,3 +272,23 @@ def test_potential_extrapolates_linearly_beyond_ends(atomic):
     sol = solve_sheets(SheetArray([(0.0, 2.0)]), atomic)
     assert potential_at(sol, 100.0) == -100.0
     assert potential_at(sol, -250.0) == -250.0
+
+
+def test_potential_at_points_has_the_bits_of_the_scalar_call(atomic):
+    rng = random.Random(7)
+    z, sheets = 0.0, []
+    for _ in range(24):
+        sheets.append((z, rng.uniform(-3.0, 3.0)))
+        z += rng.uniform(0.2, 2.0)
+    sol = solve_sheets(SheetArray(sheets), atomic)
+    ends = (sol.breakpoints[0], sol.breakpoints[-1])
+    # every breakpoint and its float neighbours, points far outside the stack, and a 2-D grid
+    zs = np.array([
+        *sol.breakpoints,
+        *np.nextafter(sol.breakpoints, -np.inf), *np.nextafter(sol.breakpoints, np.inf),
+        ends[0] - 1e3, ends[1] + 1e3, -0.0, *np.random.default_rng(7).uniform(ends[0] - 5.0, ends[1] + 5.0, 201),
+    ]).reshape(-1, 2)
+    got = potential_at_points(sol, zs)
+    assert got.shape == zs.shape
+    expected = np.array([potential_at(sol, z) for z in zs.ravel().tolist()]).reshape(zs.shape)
+    assert got.tobytes() == expected.tobytes()

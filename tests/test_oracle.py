@@ -511,6 +511,79 @@ def test_exactly_zero_pair_ends_in_an_exact_root():
     assert path.renorm[0, 0] == 1.0
 
 
+# ---------------------------------------------------------------------------
+# region classes: each distinct region's transfer matrix once per pass
+# ---------------------------------------------------------------------------
+
+
+def _region_rows(problems):
+    """Each region row's offset and width in every problem, (inf, 0.0) where padded, apart from _chain."""
+    regions = max(len(p.deltas) for p in problems) - 1
+    rows = np.empty((regions, 2, len(problems)))
+    for k, problem in enumerate(problems):
+        start = regions + 1 - len(problem.deltas)
+        rows[:start, :, k] = (math.inf, 0.0)
+        for i in range(start, regions):
+            r = i - start
+            rows[i, :, k] = (problem.region_offsets[r + 1], problem.positions[r + 1] - problem.positions[r])
+    return rows
+
+
+_CLASS_INPUTS = {
+    **{f"crystal-{n}": ([_crystal_problem(n)], [0] * (2 * n)) for n in (8, 50, 1000)},
+    # rows 0-3 of crystal-4 are padded in crystal-2, rows 0-1 in crystal-3 too:
+    # equal in one column is not enough
+    "padded": ([_crystal_problem(2), _crystal_problem(3), _crystal_problem(4)], [0, 0, 1, 1, 2, 2, 2, 2]),
+    **{name: ([_REFERENCE_PROBLEMS[name]], None) for name in ("stack-0", "stack-3", "osc-exp", "switch-boundary")},
+    "mixed-batch": (_TRANSFER_INPUTS["mixed-batch"], None),
+}
+
+
+@pytest.mark.parametrize("problems, expected", _CLASS_INPUTS.values(), ids=_CLASS_INPUTS.keys())
+def test_regions_share_a_class_when_equal_in_every_problem(problems, expected):
+    chain = oracle._chain(problems)
+    rows = _region_rows(problems)
+    cls = chain.cls
+    if expected is not None:
+        assert cls.tolist() == expected
+    elif len(problems) == 1:
+        # a chain without repeats: one class per region
+        assert cls.tolist() == list(range(len(rows)))
+    # every region reads its own offset and width through its class
+    assert _same_bits(chain.classes[:2, cls].transpose(1, 0, 2), rows)
+    # two regions share a class exactly when their rows have the same bits in every problem
+    keys = [row.tobytes() for row in rows]
+    assert len(set(keys)) == len(set(zip(keys, cls.tolist()))) == chain.classes.shape[1]
+    # classes are numbered in order of first appearance
+    assert list(dict.fromkeys(cls.tolist())) == list(range(chain.classes.shape[1]))
+
+
+def _one_class_per_region(chain):
+    """``chain`` with every region row its own class, as a chain without repeats has."""
+    return chain._replace(classes=chain.classes[:, chain.cls], cls=np.arange(len(chain.cls)))
+
+
+@pytest.mark.parametrize("problems", _TRANSFER_INPUTS.values(), ids=_TRANSFER_INPUTS.keys())
+def test_shared_classes_give_the_bits_of_one_class_per_region(problems):
+    kappas = np.array(_REFERENCE_KAPPAS["many"])
+    which = np.tile(np.arange(len(problems)), len(kappas))
+    kappas = np.repeat(kappas, len(problems))
+    chain = oracle._chain(problems)
+    shared = oracle._transfer(chain, kappas, which)
+    alone = oracle._transfer(_one_class_per_region(chain), kappas, which)
+    assert all(_same_bits(got, want) for got, want in zip(shared, alone))
+
+
+def test_crystal_1000_ground_state_has_the_bits_of_one_class_per_region(monkeypatch):
+    # at a = 1.3 the rounded site differences make 12 classes of the 2000 regions
+    problem = _crystal_problem(1000, alpha=0.7, a=1.3)
+    real = oracle._chain
+    assert real([problem]).classes.shape[1] == 12
+    want = find_bound_states(problem, lowest=1)
+    monkeypatch.setattr(oracle, "_chain", lambda problems: _one_class_per_region(real(problems)))
+    assert _hex_list(find_bound_states(problem, lowest=1)) == _hex_list(want)
+
+
 _ROOT_PROBLEMS = {
     **{f"crystal-{n}": _crystal_problem(n) for n in (0, 8, 50)},
     **{f"stack-{seed}": _random_stack_problem(seed) for seed in range(20)},
