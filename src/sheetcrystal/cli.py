@@ -7,9 +7,10 @@ and is byte-identical across runs for identical inputs.
 ``solve`` and ``sweep`` read only the ground state, so they ask the oracle
 for that state alone (``lowest=1``); their ``bound_state_count`` and
 ``count`` are the oracle's count of every state in its search range
-(``metadata.state_count``).  The normalization constant is carried as its
-logarithm: ``solve`` prints ``norm_constant`` while the constant is a finite
-float and ``log_norm_constant`` (its natural log) on that line otherwise.
+(``metadata.state_count``).  The normalization constant A is carried only
+as its natural log, which stays finite where A exceeds the float range:
+``solve`` prints ``log_norm_constant`` in every mode, and ``sweep`` its
+``log_A`` column.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  One
 reader serves the ``solve``, ``figure`` and ``sweep`` configs and the
@@ -264,8 +265,9 @@ def cmd_solve(args) -> int:
         dual = SheetArray([(z, sigma_from_alpha(-g, units)) for z, g in problem.deltas])
         sol = solve_sheets(dual, units)
         z_last = sol.breakpoints[-1]
-        # norm_constant = psi(z_last) * exp(-V(z_last)/V0), kept as the two factors
-        scale, log_factor = psi.value(z_last), -potential_at(sol, z_last) / units.V0
+        # log A = log psi(z_last) - V(z_last)/V0, -inf where psi(z_last) underflowed to 0
+        tail = psi.value(z_last)
+        log_norm_constant = (math.log(tail) if tail else -math.inf) - potential_at(sol, z_last) / units.V0
     else:
         if mode == "canonical":
             array = CrystalParams(config["N"], config["alpha"], config["a"], units).to_sheet_array()
@@ -283,7 +285,7 @@ def cmd_solve(args) -> int:
             )
         psi = ground.wavefunction
         energy = ground.energy
-        scale, log_factor = 1.0, ground.log_norm_constant
+        log_norm_constant = ground.log_norm_constant
 
     u_mean = oracle.expectation_potential_numeric(psi, problem)
     t_mean = oracle.expectation_kinetic_numeric(psi, units)
@@ -304,16 +306,8 @@ def cmd_solve(args) -> int:
     rows = zip(zs, potential_at_points(sol, zs), psi.values(zs), _region_offset_at(problem, zs))
     _emit_csv("z,V,psi,U_region", rows, config.get("out"), sys.stdout)
 
-    # the constant while it is a finite float, else its log (see the module docstring)
-    try:
-        norm_constant = scale * math.exp(log_factor)
-    except OverflowError:
-        norm_constant = math.inf
     print(f"energy: {_fmt(energy)}")
-    if math.isfinite(norm_constant):
-        print(f"norm_constant: {_fmt(norm_constant)}")
-    else:
-        print(f"log_norm_constant: {_fmt(math.log(scale) + log_factor)}")
+    print(f"log_norm_constant: {_fmt(log_norm_constant)}")
     print(f"expectation_potential: {_fmt(u_mean)}")
     print(f"expectation_kinetic: {_fmt(t_mean)}")
     print(f"bound_state_count: {found.metadata.state_count}")

@@ -101,19 +101,15 @@ class DeltaPotentialProblem:
 class GroundStateSolution:
     """Normalized nodeless ground state produced by the exponential map.
 
-    The state is ``norm_constant * exp(V/V0)``.  Its constant is kept as
-    ``log_norm_constant``, which stays finite where the constant itself
-    exceeds the float range (long crystals); reading ``norm_constant`` then
-    raises OverflowError.
+    The state is A * exp(V/V0).  The constant is kept only as its natural
+    log, ``log_norm_constant``, which stays finite where A itself exceeds
+    the float range (long crystals: log A passes ~709 at N = 1000,
+    alpha = a = 1).
     """
 
     energy: float
     wavefunction: PiecewiseExpWavefunction
     log_norm_constant: float
-
-    @property
-    def norm_constant(self) -> float:
-        return math.exp(self.log_norm_constant)
 
 
 @dataclass(frozen=True)

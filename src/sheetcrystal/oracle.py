@@ -189,7 +189,7 @@ class _Chain(NamedTuple):
 
 
 def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
-    regions = max((len(p.deltas) for p in problems), default=1) - 1
+    regions = max(len(p.deltas) for p in problems) - 1
     # each region row's offset, width, regime switch scale and renorm floor in every problem
     rows = np.empty((regions, 4, len(problems)))
     offsets, widths = rows[:, 0], rows[:, 1]
@@ -462,7 +462,9 @@ def find_bound_states(
     the batch.  Every chain is padded to the longest, so a sequence whose
     grid pass would hold more than ``_SEARCH_CELLS`` (region, column) cells
     is split in halves, each searched the same way, which bounds the memory
-    of a pass; a single problem is never split.
+    of a pass.  A single problem is never split; instead every pass but the
+    one at the roots, the grid pass included, runs in column chunks of at
+    most ``_SEARCH_CELLS`` cells.
 
     ``lowest`` = k, an integer >= 0 (not a bool), returns only the k
     lowest-energy states (fewer if fewer exist); ``None`` returns all of
@@ -506,8 +508,7 @@ def find_bound_states(
     intervals of one problem, the states of one cluster, share their 7
     points.  A state's points thus depend on its own interval and problem
     alone, and the search takes at most about 20 passes whatever the
-    number of states.  A loop pass wider than ``_SEARCH_CELLS`` (region,
-    column) cells runs in column chunks.  A point with a tail of exactly 0 that counts j
+    number of states.  A point with a tail of exactly 0 that counts j
     is an exact root and closes the interval.  An interval that reaches
     ``tol`` or stops splitting in floating point while its ends do not
     count j + 1 and j returns its state at its midpoint and is listed in
@@ -520,6 +521,8 @@ def find_bound_states(
     # a bool is an Integral too, but True for a count is a slip, not a count of 1
     if lowest is not None and (isinstance(lowest, bool) or not isinstance(lowest, Integral) or lowest < 0):
         raise ValueError(f"lowest must be an integer >= 0 or None, got {lowest!r}")
+    if not batch:
+        return []
     caps = [_default_kappa_max(problem) for problem in batch]
     for problem, cap in zip(batch, caps):
         if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
@@ -527,7 +530,7 @@ def find_bound_states(
                 f"the default search cap kappa_max = {cap!r} stands for an energy "
                 "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
             )
-    longest = max((len(problem.deltas) for problem in batch), default=1)
+    longest = max(len(problem.deltas) for problem in batch)
     if len(batch) > 1 and len(batch) * (GRID + 1) * longest > _SEARCH_CELLS:
         half = len(batch) // 2
         return [*find_bound_states(batch[:half], lowest), *find_bound_states(batch[half:], lowest)]
@@ -537,8 +540,8 @@ def find_bound_states(
     # one counting pass on a grid per problem: [tol, kappa_max/GRID, ..., kappa_max],
     # held at or above tol (k = 0 gives tol)
     grid = np.maximum(tol, np.array(caps)[:, None] * _GRID_FRACTIONS)
-    cells = _transfer(chain, grid.ravel(), np.repeat(np.arange(len(batch)), GRID + 1))
-    nodes = cells.nodes.reshape(grid.shape)
+    grid_tails, grid_counts = _tails_and_counts(chain, grid.ravel(), np.repeat(np.arange(len(batch)), GRID + 1))
+    nodes = grid_counts.reshape(grid.shape)
     for cap, top in zip(caps, nodes[:, -1].tolist()):
         if top:
             raise ValueError(
@@ -556,7 +559,7 @@ def find_bound_states(
     # grid's tol stands for 0+, where its count was taken, and entry 0 is a NaN that
     # stands for no point; each state holds its bracket and third point as indices
     xs = np.concatenate([[np.nan], np.where(grid == tol, 0.0, grid).ravel()])
-    tails, counts = np.concatenate([[np.nan], cells.tail]), np.concatenate([[-1], cells.nodes])
+    tails, counts = np.concatenate([[np.nan], grid_tails]), np.concatenate([[-1], grid_counts])
     lo, hi, third = _bracket(
         xs, tails, counts, 1 + owner[:, None] * (GRID + 1) + np.arange(GRID + 1), j, np.zeros(j.shape, dtype=np.intp)
     )

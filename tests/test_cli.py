@@ -10,6 +10,9 @@ import pytest
 from sheetcrystal import CrystalParams, atomic_units, closedform
 from sheetcrystal import cli
 from sheetcrystal.cli import main
+from sheetcrystal.duality import to_quantum
+from sheetcrystal.electrostatics import solve_sheets
+from sheetcrystal.wavefunction import PiecewiseExpWavefunction
 
 A_N1 = 1.9906463197512672
 PSI_N1_CENTER = 0.26940468350745844
@@ -63,7 +66,8 @@ def test_solve_canonical_summary_and_csv(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     summary = _summary(capsys)
     assert float(summary["energy"]) == -0.5
-    assert float(summary["norm_constant"]) == pytest.approx(A_N1, rel=1e-15)
+    # |d log A| = |dA|/A to first order: abs 1e-15 on log A is rel 1e-15 on A
+    assert float(summary["log_norm_constant"]) == pytest.approx(math.log(A_N1), abs=1e-15)
     assert float(summary["expectation_potential"]) == pytest.approx(-1.0, abs=1e-12)
     assert float(summary["expectation_kinetic"]) == pytest.approx(0.5, abs=1e-12)
     assert int(summary["bound_state_count"]) == 2
@@ -107,10 +111,8 @@ def test_solve_quantum_mode(tmp_path, capsys):
     summary = _summary(capsys)
     assert float(summary["energy"]) == pytest.approx(-2.0, abs=1e-8)
     assert int(summary["bound_state_count"]) == 2
-    # tail-anchored normalization matches the sheet-map constant
-    assert float(summary["norm_constant"]) == pytest.approx(
-        math.exp(2.0) / math.sqrt(2.5), rel=1e-8
-    )
+    # tail-anchored normalization matches the sheet-map constant A = e^2/sqrt(2.5)
+    assert float(summary["log_norm_constant"]) == pytest.approx(2.0 - 0.5 * math.log(2.5), abs=1e-8)
 
 
 def test_solve_stdout_csv_when_no_out(tmp_path, capsys):
@@ -179,8 +181,16 @@ _SWEEP = "N = 1\nalpha = 1\na = 1\n"
 _UNITS = "hbar = 1\nmass = 1\neps0 = 1\nV0 = 1\na0 = 1\n"
 
 
-# one malformed input per rule and per reader: (command and flags, config, units file or None, message)
+# one malformed input per rule and per reader: (command and flags, config, units file or None, message);
+# {path} in the command or the message stands for the config file, which a config of None leaves unwritten
 _MESSAGES = {
+    # the key = value reader: an unreadable file and malformed lines, counted past comments and blank lines
+    "read-missing": ("solve", None, None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "line-no-equals": (
+        "solve", "# a comment line, then a blank one\n\nmode canonical\n", None,
+        "{path}:3: expected 'key = value', got 'mode canonical'",
+    ),
+    "line-empty-key": ("solve", _CANONICAL + "  = 1  # no key\n", None, "{path}:5: empty key"),
     # solve: keys, mode and every value parser
     "solve-unknown": ("solve", _CANONICAL + "nope = 1\n", None, "unknown key 'nope' for mode 'canonical'"),
     "solve-missing": ("solve", "mode = canonical\nN = 1\nalpha = 1\n", None, "field 'a': required for mode 'canonical'"),
@@ -192,6 +202,7 @@ _MESSAGES = {
     "solve-integer": ("solve", "mode = canonical\nN = 1.5\nalpha = 1\na = 1\n", None, "field 'N': not an integer: '1.5'"),
     "solve-pair": ("solve", "mode = sheets\nsheets = 0-1\n", None, "field 'sheets': expected 'position:value', got '0-1'"),
     "solve-list": ("solve", "mode = quantum\ndeltas = 0:-1\noffsets = ,\n", None, "field 'offsets': needs at least one value"),
+    "solve-pairs": ("solve", "mode = sheets\nsheets = ,\n", None, "field 'sheets': needs at least one 'position:value' pair"),
     "solve-window-order": (
         "solve", _CANONICAL + "window = 3,-3\n", None, "field 'window': bounds must be ordered, got '3,-3'"
     ),
@@ -210,17 +221,26 @@ _MESSAGES = {
         "solve --window=-1,1", _CANONICAL + "window = 3,-3\n", None, "field 'window': bounds must be ordered, got '3,-3'"
     ),
     "flag-points-one": ("solve --points 1", _CANONICAL, None, "field 'points': need at least 2 sample points, got 1"),
+    "flag-out-under-file": (
+        "solve --points 5 --out {path}/c.csv", _CANONICAL, None,
+        "cannot write {path}/c.csv: [Errno 20] Not a directory: '{path}/c.csv'",
+    ),
     # sweep
     "sweep-unknown": ("sweep", _SWEEP + "wat = 2\n", None, "unknown key 'wat' for sweep"),
     "sweep-missing": ("sweep", "N = 1\nalpha = 1\n", None, "field 'a': required for sweep"),
     "sweep-range": ("sweep", "N = 4..1\nalpha = 1\na = 1\n", None, "field 'N': empty range '4..1'"),
     "sweep-list": ("sweep", "N = 1\nalpha = 1, x\na = 1\n", None, "field 'alpha': not a number: 'x'"),
+    "sweep-empty-list": ("sweep", "N = ,\nalpha = 1\na = 1\n", None, "field 'N': needs at least one value"),
     # figure
     "figure-unknown": ("figure", "color = red\n", None, "unknown key 'color' for figure"),
     "figure-n-values": ("figure", "n_values = 0\n", None, "field 'n_values': every N must be >= 1"),
     "figure-alpha-a": ("figure", "alpha_a = -1\n", None, "field 'alpha_a': must be > 0, got -1.0"),
     "figure-points": ("figure", "points = 1\n", None, "field 'points': need at least 2 sample points, got 1"),
     "figure-flag-points": ("figure --points x", "", None, "field 'points': not an integer: 'x'"),
+    "figure-out-under-file": (
+        "figure --points 2 --out {path}/figs", "", None,
+        "cannot create output directory {path}/figs: [Errno 20] Not a directory: '{path}/figs'",
+    ),
     # units file
     "units-unknown": ("solve", _CANONICAL, _UNITS + "c = 1\n", "unknown key 'c' for units file"),
     "units-missing": ("solve", _CANONICAL, _UNITS.replace("a0 = 1\n", ""), "field 'a0': required for units file"),
@@ -234,11 +254,14 @@ _MESSAGES = {
 
 @pytest.mark.parametrize("command,config,units,message", _MESSAGES.values(), ids=_MESSAGES.keys())
 def test_config_error_message(command, config, units, message, tmp_path, capsys):
-    argv = [*command.split(), "--config", _write(tmp_path, "c.cfg", config)]
+    path = str(tmp_path / "c.cfg")
+    if config is not None:
+        _write(tmp_path, "c.cfg", config)
+    argv = [*command.format(path=path).split(), "--config", path]
     if units is not None:
         argv += ["--units", _write(tmp_path, "u.cfg", units)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(
@@ -277,8 +300,8 @@ def test_long_crystal_sweep_prints_log_a(n, a, tmp_path, capsys):
     ids=["N400-a2", "N1000-a1", "N1000-alpha0.7-a1.3"],
 )
 def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_path, capsys):
-    # exp(N*m*alpha*a/hbar^2) exceeds the float range: the summary prints the
-    # log of the normalization constant on its line instead
+    # exp(N*m*alpha*a/hbar^2) exceeds the float range; its log, the line the
+    # summary prints, does not
     cfg = _write(tmp_path, "big.cfg", f"mode = canonical\nN = {n}\nalpha = {alpha}\na = {a}\n")
     out = tmp_path / "big.csv"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
@@ -296,6 +319,42 @@ def test_long_crystal_solve_prints_log_norm_constant(n, alpha, a, count, tmp_pat
     assert np.all(np.isfinite(data)) and np.all(data[:, 2] >= 0.0)
 
 
+def _crystal_config(mode, p):
+    """The ``solve`` config of crystal ``p`` in ``mode``; sheets and quantum list its sheets and deltas."""
+    if mode == "canonical":
+        return f"mode = canonical\nN = {p.N}\nalpha = {p.alpha!r}\na = {p.a!r}\n"
+    if mode == "sheets":
+        return "mode = sheets\nsheets = " + ", ".join(f"{z!r}:{s!r}" for z, s in p.to_sheet_array().sheets) + "\n"
+    problem = to_quantum(solve_sheets(p.to_sheet_array(), p.units), p.units)
+    deltas = ", ".join(f"{z!r}:{g!r}" for z, g in problem.deltas)
+    return f"mode = quantum\ndeltas = {deltas}\noffsets = {', '.join(map(repr, problem.region_offsets))}\n"
+
+
+@pytest.mark.parametrize("n", [8, 1000])
+@pytest.mark.parametrize("mode", ["canonical", "sheets", "quantum"])
+def test_solve_prints_log_norm_constant_in_every_mode(mode, n, tmp_path, capsys):
+    # one summary key for the constant, finite or not as a float: quantum mode
+    # anchors it to the right tail, which agrees with the map when the offsets
+    # are the induced ones
+    p = CrystalParams(n, 1.0, 1.0, atomic_units())
+    cfg = _write(tmp_path, "c.cfg", _crystal_config(mode, p))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 0
+    summary = _summary(capsys)
+    assert list(summary) == [
+        "energy", "log_norm_constant", "expectation_potential", "expectation_kinetic", "bound_state_count"
+    ]
+    assert float(summary["log_norm_constant"]) == pytest.approx(closedform.log_normalization_constant(p), abs=1e-12)
+
+
+def test_solve_quantum_prints_minus_inf_where_the_tail_value_is_zero(tmp_path, capsys, monkeypatch):
+    # psi(z_last) = 0 (the wide doublet -10:-1, 10:-1 gives it, through the
+    # (psi, psi') step's lost decaying part) has log A = -inf, whatever V(z_last)
+    monkeypatch.setattr(PiecewiseExpWavefunction, "value", lambda self, z: 0.0)
+    cfg = _write(tmp_path, "q.cfg", "mode = quantum\ndeltas = -1:-1, 1:-1\noffsets = 0, -2, 0\npoints = 5\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
+    assert _summary(capsys)["log_norm_constant"] == "-inf"
+
+
 _PINNED_ERRORS = {  # (command, a line of the config) -> the whole stderr it gives
     ("solve", "alpha = -1\n"): "error: alpha must be finite and > 0, got -1.0\n",
     ("sweep", "alpha = -1\n"): "error: alpha must be finite and > 0, got -1.0\n",
@@ -308,6 +367,7 @@ _PINNED_ERRORS = {  # (command, a line of the config) -> the whole stderr it giv
     # every coefficient of the oracle's state underflows to 0
     ("sweep", "alpha = 1e150\n"): "error: sweep cell N=3, alpha=9.9999999999999998e+149, a=1, the oracle's ground"
     " state: cannot normalize the wavefunction: its norm squared, the integral of psi^2, is 0.0\n",
+    ("solve", "deltas = 0:1\n"): "error: the potential binds no state; nothing to solve\n",
 }
 
 
@@ -325,6 +385,8 @@ _PINNED_ERRORS = {  # (command, a line of the config) -> the whole stderr it giv
         # node counts past int64 (~1e200 and ~1e150 states) must not wrap to "no states"
         ("solve", "mode = quantum\ndeltas = -1e200:-1, 1e200:-1\noffsets = 0, -1, 0\n"),
         ("solve", "mode = quantum\ndeltas = -1:0, 1:0\noffsets = 0, -1e300, 0\n"),
+        # one repulsive delta binds nothing
+        ("solve", "mode = quantum\ndeltas = 0:1\noffsets = 0, 0\n"),
         # the default search cap 8e200 is finite, its energy is not
         ("solve", "mode = quantum\ndeltas = 0:-1e200\noffsets = 0, 0\n"),
         # every position is finite, the gap between two of them is not

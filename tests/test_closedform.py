@@ -352,6 +352,24 @@ def test_identity_abs_sum_range_check():
         identity_abs_sum(3, 2)
 
 
+@pytest.mark.parametrize(
+    "function,args,message",
+    [
+        (identity_abs_sum, (0, 1.0), "n and N must be integers"),
+        (identity_abs_sum, (True, 1), "n and N must be integers"),
+        (identity_alternating_exp, (-1, 0.0), "N must be a non-negative integer, got -1"),
+        (identity_sinh_parity, (0, 1.0), "N must be an integer >= 1, got 0"),
+        (segment_integral_closed, (1, math.inf, 1.0), "sigma_over_eps0V0 must be finite and a must be finite and >= 0"),
+        (segment_integral_closed, (1, 2.0, -1.0), "sigma_over_eps0V0 must be finite and a must be finite and >= 0"),
+    ],
+    ids=["abs-sum-float-N", "abs-sum-bool-n", "alternating-exp-N", "sinh-parity-N", "core-rate", "core-width"],
+)
+def test_identity_and_core_argument_checks(function, args, message):
+    with pytest.raises(ValueError) as caught:
+        function(*args)
+    assert str(caught.value) == message
+
+
 def test_identity_alternating_exp_examples():
     lhs, rhs = identity_alternating_exp(0, 0.37)
     assert lhs == rhs == pytest.approx(math.exp(0.37), rel=1e-15)

@@ -117,7 +117,7 @@ def test_alternating_with_negative_outer_sheets_rejected(atomic):
 def test_single_sheet_ground_state(atomic):
     gs = ground_state_from_electrostatics(_solution([(0.0, 2.0)], atomic), atomic)
     assert gs.energy == -0.5
-    assert gs.norm_constant == pytest.approx(1.0, rel=1e-15)
+    assert gs.log_norm_constant == pytest.approx(0.0, abs=1e-15)  # A = 1
     for z in (-2.0, -0.5, 0.0, 0.7, 3.0):
         assert gs.wavefunction.value(z) == pytest.approx(math.exp(-abs(z)), rel=1e-14)
 
@@ -126,7 +126,8 @@ def test_crystal_n1_ground_state(atomic):
     sol = solve_sheets(CrystalParams(1, 1.0, 1.0, atomic).to_sheet_array(), atomic)
     gs = ground_state_from_electrostatics(sol, atomic)
     assert gs.energy == -0.5
-    assert gs.norm_constant == pytest.approx(A_N1, rel=1e-14)
+    # |d log A| = |dA|/A to first order: abs 1e-14 on log A is rel 1e-14 on A
+    assert gs.log_norm_constant == pytest.approx(math.log(A_N1), abs=1e-14)
     assert gs.wavefunction.value(0.0) == pytest.approx(A_N1 * math.exp(-2.0), rel=1e-14)
     assert gs.wavefunction.value(1.0) == pytest.approx(A_N1 * math.exp(-1.0), rel=1e-14)
     assert gs.wavefunction.value(-1.0) == pytest.approx(A_N1 * math.exp(-1.0), rel=1e-14)
@@ -251,7 +252,7 @@ def test_log_of_state_reproduces_potential(sheets):
     gs = ground_state_from_electrostatics(sol, atomic)
     for z in np.linspace(-6.0, 6.0, 25):
         expected = potential_at(sol, float(z))
-        recovered = atomic.V0 * math.log(gs.wavefunction.value(float(z)) / gs.norm_constant)
+        recovered = atomic.V0 * (math.log(gs.wavefunction.value(float(z))) - gs.log_norm_constant)
         assert recovered == pytest.approx(expected, abs=1e-12)
 
 
@@ -309,6 +310,22 @@ def test_problem_rejects_an_overflowing_gap(atomic):
     # both positions are finite, their distance is not
     with pytest.raises(ValueError, match=r"delta positions -1\.7e\+308 and 1\.7e\+308 exceeds the float range"):
         DeltaPotentialProblem([(-1.7e308, -1.0), (1.7e308, -1.0)], [0.0, 0.0, 0.0], atomic)
+
+
+@pytest.mark.parametrize(
+    "deltas,offsets,message",
+    [
+        ([], [0.0], "a DeltaPotentialProblem needs at least one delta"),
+        ([(math.nan, -1.0)], [0.0, 0.0], "positions and strengths must be finite, got (nan, -1.0)"),
+        ([(0.0, -math.inf)], [0.0, 0.0], "positions and strengths must be finite, got (0.0, -inf)"),
+        ([(0.0, -1.0), (1.0, -1.0)], [0.0, math.inf, 0.0], "region offsets must be finite"),
+    ],
+    ids=["no-delta", "nan-position", "infinite-strength", "infinite-offset"],
+)
+def test_problem_rejects_missing_or_non_finite_input(deltas, offsets, message, atomic):
+    with pytest.raises(ValueError) as caught:
+        DeltaPotentialProblem(deltas, offsets, atomic)
+    assert str(caught.value) == message
 
 
 def test_schrodinger_residuals_accepts_excited_states(atomic):

@@ -26,17 +26,19 @@ DIGESTS = {
         "csv": "8f56df18e1a20cef26853755533db589c7f3c0e897bf2d99815efa1db55348b8",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
+    # the summary's norm_constant line became log_norm_constant, printed in every mode;
+    # every other line and every CSV are unchanged
     "solve-canonical": {
         "csv": "7b11ebb642c8e52c3a6245d617f8b9d6750075435a53fc00d816a1bc8c8f223b",
-        "stdout": "0ccc35ef759adc103f9669718698535091a6ed5992205f02c34356c7e5216e35",
+        "stdout": "5b67acc32864dd57222d647625e2858874a269517d98f535539b200e2de5d54d",
     },
     "solve-uneven": {
         "csv": "eb85681db7a67da1c34131335a8cbecce010dfa9be67575ad88423afbf1b224b",
-        "stdout": "d5806d817086c4e27987fd48b6a5cd79ccd2e8bb12c797d6d4ee7729661b5ab5",
+        "stdout": "87fade7318cc9b3d1b75e59b40fc950252d96f976eda384b8a30b2e71b572334",
     },
     "solve-quantum": {
         "csv": "52e6c6711f43b472da6363a0a9829ead92f2f37bc133a00a65fbcbf1f7d18a42",
-        "stdout": "b4b5b0ac78eec740ef774169c909eaf12b83f233867313f5e2faeb6ae77b4099",
+        "stdout": "34283793fc9a5a9a80a84fdc7331bedb2f0defdfee9095e8c2b4d77b5395cc4f",
     },
     "figure": {
         "N1": "a9b5cb3f612e887a7144ada4ab07d64c0d317e7bc0374a6f4285bdb216fe9ac3",

@@ -335,6 +335,22 @@ def test_wide_loop_pass_runs_in_chunks_with_the_same_bits(monkeypatch):
     assert sum(len(kappas) for kappas in calls) == sum(widths)
 
 
+def test_grid_pass_of_one_problem_runs_in_chunks_with_the_same_bits(monkeypatch):
+    # a single problem is never split into halves, so its grid pass runs in
+    # column chunks like every loop pass: only the pass at the roots, which
+    # rebuilds the states, may hold more than _SEARCH_CELLS cells
+    problem = _crystal_problem(8)
+    unchunked = find_bound_states(problem)
+    bound = 10 * len(problem.deltas)
+    monkeypatch.setattr(oracle, "_SEARCH_CELLS", bound)
+    calls = _record_transfers(monkeypatch)
+    chunked = find_bound_states(problem)
+    assert _hex_list(chunked) == _hex_list(unchunked)
+    assert [len(kappas) for kappas in calls[:7]] == [10] * 6 + [5]  # the grid's GRID + 1 = 65 points
+    assert all(len(kappas) * len(problem.deltas) <= bound for kappas in calls[:-1])
+    assert calls[-1] == [state.kappa for state in unchunked.states]
+
+
 def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):
     # the delta g = -1e-15 binds kappa = 1e-15, and its cap 8e-15 is below
     # tol: the grid is held at tol, so it stays sorted and no bracket opens

@@ -28,8 +28,9 @@ def test_inconsistent_tuple_rejected():
 
 
 @pytest.mark.parametrize("field", ["hbar", "mass", "eps0", "V0", "a0"])
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "1", None, True])
 def test_non_positive_or_non_finite_rejected(field, bad):
+    # "1", None and True are not real numbers at all
     values = dict(hbar=1.0, mass=1.0, eps0=1.0, V0=1.0, a0=1.0)
     values[field] = bad
     with pytest.raises(ValueError):

@@ -74,15 +74,14 @@ def _searches(monkeypatch, depth):
 
 
 def test_quick_battery_solves_each_configuration_once(monkeypatch):
-    # one search for the 3 single deltas (ground states only), one for the 5
-    # crystals, the two-sheet well and the uneven stack, and one determinism
-    # rerun of the crystals
-    assert _searches(monkeypatch, "quick") == [(3, {"lowest": 1}), (7, {}), (5, {})]
+    # one search for the 3 single deltas, the 5 crystals, the two-sheet well
+    # and the uneven stack, and one determinism rerun of the crystals
+    assert _searches(monkeypatch, "quick") == [(10, {}), (5, {})]
 
 
 def test_full_battery_solves_each_configuration_once(monkeypatch):
     # as at quick depth, with the crystals N = 0..8
-    assert _searches(monkeypatch, "full") == [(3, {"lowest": 1}), (11, {}), (9, {})]
+    assert _searches(monkeypatch, "full") == [(14, {}), (9, {})]
 
 
 def test_determinism_check_catches_a_one_ulp_rerun(monkeypatch):
