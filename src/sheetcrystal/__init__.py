@@ -40,7 +40,6 @@ from .oracle import (
     expectation_kinetic_numeric,
     expectation_potential_numeric,
     find_bound_states,
-    ground_state,
 )
 from .units import UnitSystem, alpha_from_sigma, atomic_units, sigma_from_alpha
 from .wavefunction import PiecewiseExpWavefunction
@@ -68,7 +67,6 @@ __all__ = [
     "expectation_potential_numeric",
     "find_bound_states",
     "ground_energy",
-    "ground_state",
     "ground_state_from_electrostatics",
     "identity_abs_sum",
     "identity_alternating_exp",

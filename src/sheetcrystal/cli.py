@@ -4,13 +4,17 @@ Exit codes: 0 success, 1 input/validation problem, 2 verification failure.
 CSV output uses 17 significant digits, '.' decimals, and '\\n' line endings,
 and is byte-identical across runs for identical inputs.
 
-``solve`` and ``sweep`` read only the ground state, so they ask the oracle
-for that state alone (``lowest=1``); their ``bound_state_count`` and
-``count`` are the oracle's count of every state in its search range
-(``metadata.state_count``).  The normalization constant A is carried only
-as its natural log, which stays finite where A exceeds the float range:
-``solve`` prints ``log_norm_constant`` in every mode, and ``sweep`` its
-``log_A`` column.
+``solve``'s ``bound_state_count`` and ``sweep``'s ``count`` are the
+oracle's count of every state in its search range (``state_count``).  In
+canonical and sheets modes ``solve`` prints the exponential map's ground
+state, and asks the oracle only to count (``lowest=0``): a count of 0 is an
+error, since the two routes disagree.  In quantum mode there is no map, and
+``solve``, like ``sweep``, asks the oracle for the ground state alone
+(``lowest=1``).  The normalization constant A is carried only as its
+natural log, which stays finite where A exceeds the float range: ``solve``
+prints ``log_norm_constant`` in every mode, and ``sweep`` its ``log_A``
+column; a ``log_norm_constant`` of -inf, where psi at the last site is 0,
+comes with a warning line on stderr.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  One
 reader serves the ``solve``, ``figure`` and ``sweep`` configs and the
@@ -276,11 +280,12 @@ def cmd_solve(args) -> int:
         sol = solve_sheets(array, units)
         ground = ground_state_from_electrostatics(sol, units)  # NotNormalizable -> exit 1
         problem = to_quantum(sol, units)
-        found = oracle.find_bound_states(problem, lowest=1)
-        if not found.states:
+        # the state printed is the map's; the oracle only counts
+        found = oracle.find_bound_states(problem, lowest=0)
+        if not found.state_count:
             raise SheetCrystalError(
                 f"the exponential map gives a ground state at energy {_fmt(ground.energy)}, "
-                f"but the oracle finds no bound state (state count {found.metadata.state_count}); "
+                f"but the oracle finds no bound state (state count {found.state_count}); "
                 "the two routes disagree"
             )
         psi = ground.wavefunction
@@ -310,7 +315,10 @@ def cmd_solve(args) -> int:
     print(f"log_norm_constant: {_fmt(log_norm_constant)}")
     print(f"expectation_potential: {_fmt(u_mean)}")
     print(f"expectation_kinetic: {_fmt(t_mean)}")
-    print(f"bound_state_count: {found.metadata.state_count}")
+    print(f"bound_state_count: {found.state_count}")
+    if log_norm_constant == -math.inf:  # psi(z_last) is 0: the summary stands, and stderr says so
+        print(f"warning: psi is 0 at the last site z_last = {_fmt(sol.breakpoints[-1])}; "
+              "log_norm_constant is -inf", file=sys.stderr)
     return 0
 
 
@@ -387,7 +395,7 @@ def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, f
         abs(t_mean - oracle.expectation_kinetic_numeric(psi, problem.units)),
         abs(closedform.psi(p, 0.0) - psi.value(0.0)),
     )
-    return (*start, found.metadata.state_count, resid)
+    return (*start, found.state_count, resid)
 
 
 _SWEEP_FIELDS = {"N": _parse_int_list, "alpha": _parse_float_list, "a": _parse_float_list, "out": _parse_path}

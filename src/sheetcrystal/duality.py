@@ -96,6 +96,14 @@ class DeltaPotentialProblem:
     def strengths(self) -> tuple[float, ...]:
         return tuple(g for _, g in self.deltas)
 
+    def check_breakpoints(self, psi: PiecewiseExpWavefunction) -> None:
+        """Raise BreakpointMismatchError unless ``psi`` breaks exactly at the delta positions."""
+        if psi.breakpoints != self.positions:
+            raise BreakpointMismatchError(
+                f"wavefunction breakpoints {psi.breakpoints!r} do not match "
+                f"delta positions {self.positions!r}"
+            )
+
 
 @dataclass(frozen=True)
 class GroundStateSolution:
@@ -287,11 +295,7 @@ def schrodinger_residuals(
     BreakpointMismatchError
         If the wavefunction breakpoints are not the delta positions.
     """
-    if psi.breakpoints != problem.positions:
-        raise BreakpointMismatchError(
-            f"wavefunction breakpoints {psi.breakpoints!r} do not match "
-            f"delta positions {problem.positions!r}"
-        )
+    problem.check_breakpoints(psi)
     units = problem.units
     half_h2_over_m = 0.5 * units.hbar**2 / units.mass
 

@@ -9,7 +9,8 @@ solution on the whole line.  By the Sturm oscillation theorem that node
 count is the number of bound states below E, i.e. with a decay rate larger
 than kappa, so the count stays exact however closely the states crowd.
 
-:func:`find_bound_states` counts, isolates, refines and reconstructs, and
+:func:`find_bound_states`, the search's one entry point, counts, isolates,
+refines and reconstructs, and answers with one :class:`BoundStateList`;
 every step is the same vectorised pass over an array of kappas.  A pass costs
 about the same at one kappa as at a hundred, so the first one runs on a grid
 of :data:`GRID` cells from kappa = 0+ to the search cap: its count at 0+ gives
@@ -18,10 +19,10 @@ cell that holds it.  The cap is four times the largest single-delta or
 single-region rate of the problem, and a state above it is an error; every
 root is located to :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa, which
 also stands for 0+.  The search's one setting, ``lowest``, is how many of the
-lowest states to return (all by default, one for :func:`ground_state`): it
-counts every state but isolates and refines only those.  The node count
-decides each bracket's side.  A bracket whose ends do not count j + 1 and j,
-or whose interpolation is not trusted, is cut at :data:`MULTISECTION`
+lowest states to return (all by default, 0 to only count): it counts every
+state but isolates and refines only those.  The node count decides each
+bracket's side.  A bracket whose ends do not count j + 1 and j, or whose
+interpolation is not trusted, is cut at :data:`MULTISECTION`
 evenly spaced points in one pass (Barth, Martin & Wilkinson, Numer. Math. 9,
 386 (1967)); any other takes one point, the inverse-quadratic step of the
 tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
@@ -82,7 +83,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .duality import DeltaPotentialProblem
-from .errors import BreakpointMismatchError, NoBoundStatesError
 from .units import UnitSystem
 from .wavefunction import PiecewiseExpWavefunction
 
@@ -120,8 +120,8 @@ class BoundState:
 
 
 @dataclass(frozen=True, eq=False)
-class ScanMetadata:
-    """The search's cap and count; kept for reproducibility and audits.
+class BoundStateList:
+    """Bound states in ascending energy order, with the search's cap and count.
 
     ``kappa_max`` is the cap of the search, four times the problem's largest
     single-delta or single-region rate.  ``state_count`` is the number of
@@ -133,17 +133,10 @@ class ScanMetadata:
     could not split them further: a fault flag, empty on a clean search.
     """
 
+    states: tuple[BoundState, ...]
     kappa_max: float
     state_count: int
     unresolved: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True, eq=False)
-class BoundStateList:
-    """Bound states in ascending energy order plus the scan metadata."""
-
-    states: tuple[BoundState, ...]
-    metadata: ScanMetadata
 
     def __len__(self) -> int:
         return len(self.states)
@@ -466,13 +459,17 @@ def find_bound_states(
     one at the roots, the grid pass included, runs in column chunks of at
     most ``_SEARCH_CELLS`` cells.
 
-    ``lowest`` = k, an integer >= 0 (not a bool), returns only the k
-    lowest-energy states (fewer if fewer exist); ``None`` returns all of
-    them.  The count is taken for all of them either way
-    (``metadata.state_count``), and only the states returned are isolated,
-    refined and reconstructed, so asking for the ground state alone costs
-    the counting pass, its own refinement and one pass at its root, whatever
-    the number of states.
+    Each answer is a :class:`BoundStateList`: the states, the cap
+    ``kappa_max``, the count ``state_count`` and the ``unresolved``
+    intervals.  ``lowest`` = k, an integer >= 0 (not a bool), returns only
+    the k lowest-energy states (fewer if fewer exist); ``None`` returns all
+    of them.  The count is taken for all of them either way
+    (``state_count``), and only the states returned are isolated, refined
+    and reconstructed, so asking for the ground state alone (``lowest=1``)
+    costs the counting pass, its own refinement and one pass at its root,
+    whatever the number of states, and ``lowest=0`` costs the counting pass
+    and a pass over no roots: it answers how many states there are and
+    nothing else.
 
     The search has no other setting.  Each problem's cap ``kappa_max`` is
     four times its largest single-delta or single-region rate; a problem
@@ -512,7 +509,7 @@ def find_bound_states(
     is an exact root and closes the interval.  An interval that reaches
     ``tol`` or stops splitting in floating point while its ends do not
     count j + 1 and j returns its state at its midpoint and is listed in
-    ``metadata.unresolved``.  States come back sorted by ascending energy;
+    ``unresolved``.  States come back sorted by ascending energy;
     finding none is an empty list, not an error.  Each state's wavefunction
     is built the first time it is read.
     """
@@ -618,21 +615,9 @@ def find_bound_states(
         # the brackets that fail the isolation test after the loop, each listed once
         stuck = ~isolated[columns]
         unresolved = set(zip(lo[columns][stuck].tolist(), hi[columns][stuck].tolist()))
-        metadata = ScanMetadata(caps[p], state_counts[p], tuple(sorted(unresolved, reverse=True)))
         states = _reconstruct(problem, roots[columns], final.part(chain.first[p], columns))
-        found.append(BoundStateList(states=tuple(states), metadata=metadata))
+        found.append(BoundStateList(tuple(states), caps[p], state_counts[p], tuple(sorted(unresolved, reverse=True))))
     return found[0] if single else found
-
-
-def ground_state(problem: DeltaPotentialProblem) -> BoundState:
-    """Lowest-energy bound state; raises NoBoundStatesError if none exist.
-
-    Only this state is isolated, refined and reconstructed (``lowest=1``).
-    """
-    found = find_bound_states(problem, lowest=1)
-    if not found.states:
-        raise NoBoundStatesError("the potential binds no state in the searched range")
-    return found.states[0]
 
 
 def expectation_potential_numeric(
@@ -641,11 +626,7 @@ def expectation_potential_numeric(
     """<U> from delta sampling plus exact per-region overlap integrals."""
     if not psi.normalized:
         raise ValueError("expectation values need a normalized wavefunction")
-    if psi.breakpoints != problem.positions:
-        raise BreakpointMismatchError(
-            f"wavefunction breakpoints {psi.breakpoints!r} do not match "
-            f"delta positions {problem.positions!r}"
-        )
+    problem.check_breakpoints(psi)
     site_part = math.fsum(g * v**2 for g, v in zip(problem.strengths, psi.values(problem.positions).tolist()))
     region_part = math.fsum(
         u * part for u, part in zip(problem.region_offsets, psi.segment_probability_integrals())

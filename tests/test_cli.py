@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sheetcrystal import CrystalParams, atomic_units, closedform
-from sheetcrystal import cli
+from sheetcrystal import cli, oracle
 from sheetcrystal.cli import main
 from sheetcrystal.duality import to_quantum
 from sheetcrystal.electrostatics import solve_sheets
@@ -352,7 +352,56 @@ def test_solve_quantum_prints_minus_inf_where_the_tail_value_is_zero(tmp_path, c
     monkeypatch.setattr(PiecewiseExpWavefunction, "value", lambda self, z: 0.0)
     cfg = _write(tmp_path, "q.cfg", "mode = quantum\ndeltas = -1:-1, 1:-1\noffsets = 0, -2, 0\npoints = 5\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
-    assert _summary(capsys)["log_norm_constant"] == "-inf"
+    captured = capsys.readouterr()
+    assert "log_norm_constant: -inf\n" in captured.out
+    assert captured.err == "warning: psi is 0 at the last site z_last = 1; log_norm_constant is -inf\n"
+
+
+_MAP_MODES = {
+    "canonical": "mode = canonical\nN = 8\nalpha = 1\na = 1\npoints = 5\n",
+    "sheets": "mode = sheets\nsheets = -1.7:2.2, -0.3:-0.8, 0.9:1.4\npoints = 5\n",
+}
+
+
+@pytest.mark.parametrize("mode", _MAP_MODES)
+def test_solve_map_mode_exits_1_when_the_oracle_counts_no_state(mode, tmp_path, capsys, monkeypatch):
+    # the map's energy as the summary prints it, then the same solve with an oracle that counts 0
+    cfg = _write(tmp_path, "m.cfg", _MAP_MODES[mode])
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
+    energy = _summary(capsys)["energy"]
+    empty = oracle.BoundStateList(states=(), kappa_max=1.0, state_count=0, unresolved=())
+    monkeypatch.setattr(oracle, "find_bound_states", lambda problems, lowest=None: empty)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the exponential map gives a ground state at energy {energy}, "
+        "but the oracle finds no bound state (state count 0); the two routes disagree\n"
+    )
+
+
+@pytest.mark.parametrize("mode", _MAP_MODES)
+def test_solve_map_mode_asks_the_oracle_only_to_count(mode, tmp_path, capsys, monkeypatch):
+    # the printed state is the map's: one search with lowest=0, whose passes
+    # are the grid pass and the pass at no roots
+    searches, columns = [], []
+    search, transfer = oracle.find_bound_states, oracle._transfer
+
+    def recorded_search(problems, lowest=None):
+        searches.append(lowest)
+        return search(problems, lowest)
+
+    def recorded_transfer(chain, kappas, which):
+        columns.append(len(kappas))
+        return transfer(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "find_bound_states", recorded_search)
+    monkeypatch.setattr(oracle, "_transfer", recorded_transfer)
+    cfg = _write(tmp_path, "m.cfg", _MAP_MODES[mode])
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
+    assert searches == [0]
+    assert columns == [oracle.GRID + 1, 0]
+    assert int(_summary(capsys)["bound_state_count"]) >= 1
 
 
 _PINNED_ERRORS = {  # (command, a line of the config) -> the whole stderr it gives

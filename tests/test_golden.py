@@ -88,3 +88,11 @@ def test_cli_output_digest(name, tmp_path, capsys):
     code, parts = _outputs(name, tmp_path, capsys)
     assert code == 0
     assert {part: _sha(data) for part, data in parts.items()} == DIGESTS[name]
+
+
+@pytest.mark.parametrize("key", SOLVE)
+def test_golden_solve_writes_nothing_on_stderr(key, tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text(SOLVE[key])
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve.csv")]) == 0
+    assert capsys.readouterr().err == ""

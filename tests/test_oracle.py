@@ -9,14 +9,12 @@ from sheetcrystal import (
     BreakpointMismatchError,
     CrystalParams,
     DeltaPotentialProblem,
-    NoBoundStatesError,
     SheetArray,
     UnitSystem,
     atomic_units,
     expectation_kinetic_numeric,
     expectation_potential_numeric,
     find_bound_states,
-    ground_state,
     psi,
     schrodinger_residuals,
     solve_sheets,
@@ -72,15 +70,14 @@ def test_single_delta_has_exactly_one_state(atomic):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_single_delta_energy_scales_with_strength(alpha, atomic):
     problem = DeltaPotentialProblem([(0.0, -alpha)], [0.0, 0.0], atomic)
-    state = ground_state(problem)
+    state = find_bound_states(problem, lowest=1).states[0]
     assert state.energy == pytest.approx(-0.5 * alpha**2, abs=1e-10)
 
 
 def test_repulsive_delta_binds_nothing(atomic):
     problem = DeltaPotentialProblem([(0.0, 1.0)], [0.0, 0.0], atomic)
     assert len(find_bound_states(problem)) == 0
-    with pytest.raises(NoBoundStatesError):
-        ground_state(problem)
+    assert find_bound_states(problem, lowest=1).states == ()
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +113,7 @@ def test_two_sheet_spectrum_and_energy_balance(atomic):
 
 @pytest.mark.parametrize("n", [*range(0, 6), 8, 50])
 def test_crystal_lowest_state_energy(n, atomic):
-    state = ground_state(_crystal_problem(n))
+    state = find_bound_states(_crystal_problem(n), lowest=1).states[0]
     assert state.energy == pytest.approx(-0.5, abs=1e-9)
     assert state.kappa == 1.0  # the band edge at alpha*a = 1 is hit exactly
 
@@ -130,7 +127,7 @@ def test_crystal_n1_excited_state_matches_independent_root(atomic):
 
 
 def test_crystal_ground_state_matches_closed_form_pointwise(atomic):
-    state = ground_state(_crystal_problem(2))
+    state = find_bound_states(_crystal_problem(2), lowest=1).states[0]
     params = CrystalParams(2, 1.0, 1.0, atomic)
     zs = np.linspace(-5.0, 5.0, 200)
     worst = max(abs(psi(params, float(z)) - state.wavefunction.value(float(z))) for z in zs)
@@ -141,8 +138,8 @@ def test_crystal_counts_are_n_plus_one_at_unit_spacing(atomic):
     # at alpha*a = 1 the N + 1 states bunch into a band that narrows as N grows
     for n in [*range(0, 9), 20, 50, 100]:
         found = find_bound_states(_crystal_problem(n))
-        assert len(found) == found.metadata.state_count == n + 1, n
-        assert not found.metadata.unresolved
+        assert len(found) == found.state_count == n + 1, n
+        assert not found.unresolved
 
 
 def test_all_states_satisfy_matching_conditions(atomic):
@@ -169,11 +166,10 @@ def test_scan_is_deterministic(atomic):
 
 def test_scan_metadata_contents(atomic):
     found = find_bound_states(_crystal_problem(1))
-    meta = found.metadata
-    assert [f.name for f in dataclasses.fields(meta)] == ["kappa_max", "state_count", "unresolved"]
-    assert meta.kappa_max == 8.0
-    assert meta.state_count == len(found) == 2
-    assert meta.unresolved == ()
+    assert [f.name for f in dataclasses.fields(found)] == ["states", "kappa_max", "state_count", "unresolved"]
+    assert found.kappa_max == 8.0
+    assert found.state_count == len(found) == 2
+    assert found.unresolved == ()
 
 
 def test_scan_parameter_validation(atomic):
@@ -190,7 +186,7 @@ def test_far_apart_doublet_is_resolved(atomic):
     # apart, next to a lone state at kappa = 1.3
     problem = DeltaPotentialProblem([(-6.0, -1.0), (6.0, -1.0), (24.0, -1.3)], [0.0] * 4, atomic)
     found = find_bound_states(problem)
-    assert len(found) == found.metadata.state_count == 3
+    assert len(found) == found.state_count == 3
     assert found.states[0].kappa == pytest.approx(1.3, abs=1e-9)
     for sign, state in zip((1.0, -1.0), found.states[1:]):
         kappa = 1.0
@@ -205,7 +201,7 @@ def test_count_is_taken_just_above_threshold(atomic):
     problem = _crystal_problem(4, alpha=0.5)
     assert _pass(problem, [0.0]).tail[0] == 0.0
     found = find_bound_states(problem)
-    assert len(found) == found.metadata.state_count == 2
+    assert len(found) == found.state_count == 2
     assert [s.kappa for s in found] == pytest.approx([0.5, 0.4220863645701952], abs=1e-9)
 
 
@@ -216,10 +212,9 @@ def test_unsplittable_cluster_is_returned_and_flagged(atomic):
     # states, and comes back at its midpoint and listed
     problem = DeltaPotentialProblem([(-30.0, -1.0), (30.0, -1.0)], [0.0] * 3, atomic)
     found = find_bound_states(problem)
-    meta = found.metadata
-    assert len(found) == meta.state_count == 2
-    assert len(meta.unresolved) == 1
-    lo, hi = meta.unresolved[0]
+    assert len(found) == found.state_count == 2
+    assert len(found.unresolved) == 1
+    lo, hi = found.unresolved[0]
     assert 0.0 < hi - lo <= oracle.DEFAULT_BISECTION_TOL
     assert lo < 1.0 <= hi
     assert found.states[0].kappa == 1.0
@@ -284,8 +279,8 @@ def test_untrusted_interpolation_falls_back_to_multisection(atomic, monkeypatch)
 
     monkeypatch.setattr(oracle, "_transfer", recorded)
     found = find_bound_states(problem)
-    assert len(found) == found.metadata.state_count == 1
-    assert found.metadata.unresolved == ()
+    assert len(found) == found.state_count == 1
+    assert found.unresolved == ()
     # the state's grid cell, then its points pass by pass until the pass at the root
     grid, nodes = passes[0]
     k = max(i for i, n in enumerate(nodes) if n >= 1)
@@ -357,10 +352,10 @@ def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):
     problem = DeltaPotentialProblem([(0.0, -1e-15)], [0.0, 0.0], atomic)
     calls = _record_transfers(monkeypatch)
     found = find_bound_states(problem)
-    assert found.metadata.kappa_max == 8e-15
+    assert found.kappa_max == 8e-15
     assert calls[0] == [1e-13] * (oracle.GRID + 1)
-    assert len(found) == found.metadata.state_count == 0
-    assert found.metadata.unresolved == ()
+    assert len(found) == found.state_count == 0
+    assert found.unresolved == ()
 
 
 def _transfer_reference(problem, kappas):
@@ -614,7 +609,7 @@ def test_every_root_has_opposite_tail_signs_within_tol(problem):
     # itself is an exact root
     tol = oracle.DEFAULT_BISECTION_TOL
     found = find_bound_states(problem)
-    assert found.metadata.unresolved == ()
+    assert found.unresolved == ()
     kappas = np.array([s.kappa for s in found])
     below = _pass(problem, kappas - 0.5 * tol)
     above = _pass(problem, kappas + 0.5 * tol)
@@ -696,7 +691,7 @@ def test_norm_squared_textbook_case():
 
 def test_single_delta_expectations(atomic):
     problem = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
-    state = ground_state(problem)
+    state = find_bound_states(problem, lowest=1).states[0]
     assert expectation_potential_numeric(state.wavefunction, problem) == pytest.approx(
         -1.0, abs=1e-9
     )
@@ -708,7 +703,7 @@ def test_single_delta_expectations(atomic):
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_crystal_expectations_match_closed_forms(n, atomic):
     problem = _crystal_problem(n)
-    state = ground_state(problem)
+    state = find_bound_states(problem, lowest=1).states[0]
     assert expectation_potential_numeric(state.wavefunction, problem) == pytest.approx(
         -1.0, abs=1e-10
     )
@@ -728,13 +723,13 @@ def test_expectations_require_normalized_state(atomic):
 
 def test_expectation_breakpoint_mismatch(atomic):
     problem = DeltaPotentialProblem([(0.5, -1.0)], [0.0, 0.0], atomic)
-    state = ground_state(DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic))
+    state = find_bound_states(DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic), lowest=1).states[0]
     with pytest.raises(BreakpointMismatchError):
         expectation_potential_numeric(state.wavefunction, problem)
 
 
 def test_constant_segment_contributes_no_kinetic_energy(atomic):
-    state = ground_state(_two_sheet_problem())
+    state = find_bound_states(_two_sheet_problem(), lowest=1).states[0]
     psi = state.wavefunction
     assert psi.kinds[1] == "lin"
     assert psi.derivative(0.0) == 0.0  # the constant inner segment's slope
@@ -751,7 +746,7 @@ def test_uneven_spacing_round_trip(atomic):
     from sheetcrystal import ground_state_from_electrostatics
 
     dual = ground_state_from_electrostatics(sol, atomic)
-    state = ground_state(problem)
+    state = find_bound_states(problem, lowest=1).states[0]
     assert state.energy == pytest.approx(dual.energy, abs=1e-9)
     zs = np.linspace(-6.0, 6.0, 101)
     worst = max(abs(dual.wavefunction.value(float(z)) - state.wavefunction.value(float(z))) for z in zs)
@@ -771,7 +766,7 @@ def test_closed_forms_match_solver_across_grid(n, atomic):
     for alpha in (0.5, 1.0, 2.0):
         for a in (0.5, 1.0, 2.0):
             problem = _crystal_problem(n, alpha=alpha, a=a)
-            state = ground_state(problem)
+            state = find_bound_states(problem, lowest=1).states[0]
             p = CrystalParams(n, alpha, a, atomic)
             assert state.energy == pytest.approx(ground_energy(p), abs=1e-9)
             assert expectation_potential_numeric(state.wavefunction, problem) == pytest.approx(
@@ -788,7 +783,7 @@ def test_closed_forms_match_solver_across_grid(n, atomic):
 def test_ground_wavefunction_pointwise_off_defaults(atomic):
     n, alpha, a = 3, 2.0, 0.5
     problem = _crystal_problem(n, alpha=alpha, a=a)
-    state = ground_state(problem)
+    state = find_bound_states(problem, lowest=1).states[0]
     p = CrystalParams(n, alpha, a, atomic)
     zs = np.linspace(-(n + 3) * a, (n + 3) * a, 200)
     worst = max(abs(psi(p, float(z)) - state.wavefunction.value(float(z))) for z in zs)
@@ -851,7 +846,7 @@ def test_state_below_tol_is_found(atomic):
     # the single sheet 0:1.5e-13 binds one state at kappa = 7.5e-14 < tol
     problem = to_quantum(solve_sheets(SheetArray([(0.0, 1.5e-13)]), atomic), atomic)
     found = find_bound_states(problem)
-    assert len(found) == found.metadata.state_count == 1
+    assert len(found) == found.state_count == 1
     assert found.states[0].kappa == pytest.approx(7.5e-14, rel=1e-12)
 
 
@@ -873,7 +868,7 @@ def test_ground_first_keeps_the_ground_state_bits_and_the_count(group):
     for problem in _GROUND_FIRST_PROBLEMS[group]():
         full = find_bound_states(problem)
         first = find_bound_states(problem, lowest=1)
-        assert first.metadata.state_count == full.metadata.state_count == len(full)
+        assert first.state_count == full.state_count == len(full)
         assert len(first) == min(1, len(full))
         if not full.states:
             continue
@@ -890,7 +885,7 @@ def test_unit_crystal_ground_state_closes_in_two_passes(n, monkeypatch):
     # counting pass closes its bracket and the pass at the root rebuilds it
     problem = _crystal_problem(n)
     calls = _record_transfers(monkeypatch)
-    state = ground_state(problem)
+    state = find_bound_states(problem, lowest=1).states[0]
     assert len(calls) == 2
     assert calls[1] == [1.0]
     assert state.kappa == 1.0
@@ -900,10 +895,10 @@ def test_unit_crystal_ground_state_closes_in_two_passes(n, monkeypatch):
 def test_lowest_bounds_the_states_returned(atomic):
     problem = _crystal_problem(4)
     full = find_bound_states(problem)
-    assert len(full) == full.metadata.state_count == 5
+    assert len(full) == full.state_count == 5
     for lowest in (0, 1, 3, 5, 6, 100):
         found = find_bound_states(problem, lowest=lowest)
-        assert found.metadata.state_count == 5
+        assert found.state_count == 5
         assert [s.kappa.hex() for s in found] == [s.kappa.hex() for s in full.states[:lowest]]
         assert len(found) == min(lowest, 5)
     for lowest in (-1, math.nan):
@@ -917,17 +912,16 @@ def test_lowest_bounds_the_states_returned(atomic):
 
 
 def _hex_list(found):
-    """Every number a search returns, as float.hex: states, rows and metadata."""
-    meta = found.metadata
+    """Every number a search returns, as float.hex: states, rows, cap, count and unresolved intervals."""
     states = [
         (s.kappa.hex(), s.energy.hex(), s._rows[0], s._rows[1].tolist(), [[x.hex() for x in c] for c in s._rows[2:]])
         for s in found.states
     ]
     return (
         states,
-        meta.kappa_max.hex(),
-        meta.state_count,
-        [(lo.hex(), hi.hex()) for lo, hi in meta.unresolved],
+        found.kappa_max.hex(),
+        found.state_count,
+        [(lo.hex(), hi.hex()) for lo, hi in found.unresolved],
     )
 
 
