@@ -28,11 +28,12 @@ evenly spaced points in one pass (Barth, Martin & Wilkinson, Numer. Math. 9,
 tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
 state's points depend on its own bracket and problem alone, and the search
 takes at most about 20 passes whatever the number of states.  The pass at
-the roots gives each state its coefficient columns, from which its
-wavefunction is built when first read; the result is an exact piecewise
-closed form whose only approximation is the location of the root.  Every column of a
-pass is computed on its own kappa alone, so a state comes out with the same
-bits whether it is refined alone or with the others.
+the roots rebuilds every state of the search in one call, each with its
+coefficient columns, from which its wavefunction is built when first read;
+the result is an exact piecewise closed form whose only approximation is
+the location of the root.  Every column of a pass is computed on its own
+kappa alone, so a state comes out with the same bits whether it is refined
+alone or with the others.
 
 One search serves many problems.  :func:`find_bound_states` takes one
 problem or a sequence of them, and every pass carries the columns of all of
@@ -41,8 +42,10 @@ them, each column tagged with its problem.  The kappa-independent arrays
 problem, each chain padded at its start to the longest with identity steps:
 zero width, zero jump, the linear regime, never rescaled.  A pass over a
 batch then costs about what a pass over its longest problem costs, and each
-problem's states carry the same bits as a search of that problem alone.  A
-batch too large for one pass's memory bound is searched in halves.
+problem's states carry the same bits as a search of that problem alone:
+each state keeps its own column of the batch's coefficient rows from its
+left tail on, and a padded step adds nothing to them.  A batch too large
+for one pass's memory bound is searched in halves.
 
 A pass is a batch and then a recurrence.  The batch is per distinct region:
 region rows whose offset and width have the same bits in every problem of
@@ -219,7 +222,8 @@ class _Pass(NamedTuple):
     chain, the one right of site i in row i, and one column per kappa.
     ``exp_mask``, ``osc_mask``, ``rate`` and ``phase`` are computed once per
     class of the chain and taken to the regions through ``_Chain.cls`` at
-    the end of the pass.
+    the end of the pass.  :func:`_reconstruct` reads the pass at the roots
+    whole and rebuilds every state of the batch from it in one call.
     """
 
     tail: np.ndarray  # sign-preserving growing-tail coefficient
@@ -233,10 +237,6 @@ class _Pass(NamedTuple):
     renorm: np.ndarray  # positive factor the pair is divided by at the region's end
     psi_last: np.ndarray  # pair just right of the last site
     dpsi_last: np.ndarray
-
-    def part(self, first: int, columns) -> _Pass:
-        """The given columns, with the rows of their problem's own regions."""
-        return _Pass(*(a[columns] if a.ndim == 1 else a[first:, columns] for a in self))
 
 
 def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
@@ -342,18 +342,21 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     )
 
 
-def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass) -> list[BoundState]:
-    """Each located root as a state holding its coefficient rows from the pass.
+def _reconstruct(
+    batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray, path: _Pass
+) -> list[BoundState]:
+    """Every root of the search as a state holding its coefficient rows from ``path``.
 
-    ``path`` holds this problem's columns and regions alone (see
-    :meth:`_Pass.part`).  Every root's rows are formed at once as
-    (segments, kappas) arrays.  Each segment's coefficients carry the
-    running log of the factors the pass divided out, so deep tails cannot
-    underflow the bookkeeping; the residual growing-tail coefficient is
-    dropped (it vanishes to the root tolerance by construction).  Each state
-    keeps views of its own column of those arrays; the normalized
-    wavefunction is built from them when :attr:`BoundState.wavefunction` is
-    first read.
+    ``path`` is the pass at the roots, column j on problem ``owner[j]``.  The
+    rows of every root are formed at once, one segment before each region of
+    the padded chain and one after; column j's left tail is written at row
+    ``first = chain.first[owner[j]]`` and its state keeps views of
+    ``[first:, j]``.  A padded step divides out nothing, so each state has
+    the bits of its problem's own search.  Each segment's coefficients carry
+    the running log of the factors the pass divided out, so deep tails
+    cannot underflow; the residual growing-tail coefficient is dropped (it
+    vanishes to the root tolerance).  The normalized wavefunction is built
+    from the views when :attr:`BoundState.wavefunction` is first read.
     """
     exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
     # one row per segment (left tail, each region, right tail), one column per kappa
@@ -371,6 +374,10 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
         np.where(exp_mask, (rate * psi + dpsi) / (2.0 * rate), np.where(osc_mask, dpsi / rate, dpsi)),
         zero,
     ])
+    # every column's left tail, on the row before its problem's first region: row 0 or its last padded step
+    first = np.array(chain.first, dtype=np.intp)[owner]
+    columns = np.arange(len(kappas))
+    kinds[first, columns], rates[first, columns], c1s[first, columns], c2s[first, columns] = "exp", kappas, 0.0, 1.0
     # log of what the pass divided out before each region, added in the pass's
     # order: damping then renorm, region by region
     steps = np.empty((2 * len(psi), len(kappas)))
@@ -380,12 +387,10 @@ def _reconstruct(problem: DeltaPotentialProblem, kappas: np.ndarray, path: _Pass
 
     factors = np.exp(logs - logs.max(axis=0))
     c1s, c2s = c1s * factors, c2s * factors
-    half_h2_over_m = 0.5 * problem.units.hbar**2 / problem.units.mass
+    half_h2_over_m, rows = chain.half_h2_over_m.tolist(), (kinds, rates, c1s, c2s)
     return [
-        BoundState(
-            -half_h2_over_m * kappa**2, kappa, (problem.positions, kinds[:, j], rates[:, j], c1s[:, j], c2s[:, j])
-        )
-        for j, kappa in enumerate(kappas.tolist())
+        BoundState(-half_h2_over_m[p] * kappa**2, kappa, (batch[p].positions, *(a[f:, j] for a in rows)))
+        for j, (p, f, kappa) in enumerate(zip(owner.tolist(), first.tolist(), kappas.tolist()))
     ]
 
 
@@ -607,16 +612,14 @@ def find_bound_states(
 
     lo, hi = xs[lo], xs[hi]
     roots = 0.5 * (lo + hi)
-    final = _transfer(chain, roots, owner)
+    states = _reconstruct(batch, chain, roots, owner, _transfer(chain, roots, owner))
     found = []
     bounds = [0, *accumulate(refined)]
-    for p, (problem, start, stop) in enumerate(zip(batch, bounds[:-1], bounds[1:])):
-        columns = slice(start, stop)
+    for p, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         # the brackets that fail the isolation test after the loop, each listed once
-        stuck = ~isolated[columns]
-        unresolved = set(zip(lo[columns][stuck].tolist(), hi[columns][stuck].tolist()))
-        states = _reconstruct(problem, roots[columns], final.part(chain.first[p], columns))
-        found.append(BoundStateList(tuple(states), caps[p], state_counts[p], tuple(sorted(unresolved, reverse=True))))
+        stuck = ~isolated[start:stop]
+        unresolved = sorted(set(zip(lo[start:stop][stuck].tolist(), hi[start:stop][stuck].tolist())), reverse=True)
+        found.append(BoundStateList(tuple(states[start:stop]), caps[p], state_counts[p], tuple(unresolved)))
     return found[0] if single else found
 
 

@@ -246,14 +246,14 @@ class _Solved(NamedTuple):
     sol: ElectrostaticSolution
     problem: DeltaPotentialProblem
     found: oracle.BoundStateList
-    dual: GroundStateSolution | None  # the map's ground state; None if not normalizable
+    dual: GroundStateSolution  # the map's ground state
 
 
 def _solve_all(arrays: list[SheetArray], units: UnitSystem) -> list[_Solved]:
     """Every configuration by every route, with one oracle search for all of them."""
     sols = [solve_sheets(array, units) for array in arrays]
     problems = [to_quantum(sol, units) for sol in sols]
-    duals = [ground_state_from_electrostatics(sol, units) if check_normalizable(sol) else None for sol in sols]
+    duals = [ground_state_from_electrostatics(sol, units) for sol in sols]
     return list(map(_Solved, sols, problems, oracle.find_bound_states(problems), duals))
 
 
@@ -403,8 +403,7 @@ def run_verification(depth: str = "quick") -> VerificationReport:
             slope_right = (potential_at(sol, z + h) - potential_at(sol, z)) / h
             slope_left = (potential_at(sol, z) - potential_at(sol, z - h)) / h
             worst_slope = nan_max(worst_slope, abs((slope_right - slope_left) + sigma / units.eps0))
-        states = solved.found.states if solved.dual is None else (solved.dual, *solved.found.states)
-        for state in states:
+        for state in (solved.dual, *solved.found.states):
             rep = schrodinger_residuals(solved.problem, state.wavefunction, state.energy)
             worst_cusp = nan_max(worst_cusp, rep.cusp_residual)
             worst_cont = nan_max(worst_cont, rep.continuity_residual)

@@ -48,29 +48,22 @@ def _evaluate(columns: tuple[np.ndarray, ...], idx: np.ndarray, zs: np.ndarray) 
     return out
 
 
-def _square_integral_finite(kind: str, r: float, c1: float, c2: float, u1: float, u2: float) -> float:
-    """Exact integral of psi(z)^2 over local coordinates [u1, u2] of one segment."""
-    width = u2 - u1
+def _square_integral_finite(kind: str, r: float, c1: float, c2: float, width: float) -> float:
+    """Exact integral of psi(z)^2 over local coordinates [0, width] of one segment."""
     if kind == "exp":
         # expm1 keeps the difference quotients exact as r*width -> 0
         total = 2.0 * c1 * c2 * width
         if c1 != 0.0:
-            total += c1 * c1 * math.exp(-2.0 * r * u1) * -math.expm1(-2.0 * r * width) / (2.0 * r)
+            total += c1 * c1 * -math.expm1(-2.0 * r * width) / (2.0 * r)
         if c2 != 0.0:
-            total += c2 * c2 * math.exp(2.0 * r * u1) * math.expm1(2.0 * r * width) / (2.0 * r)
+            total += c2 * c2 * math.expm1(2.0 * r * width) / (2.0 * r)
         return total
     if kind == "lin":
-        return (
-            c1 * c1 * width
-            + c1 * c2 * (u2 * u2 - u1 * u1)
-            + c2 * c2 * (u2**3 - u1**3) / 3.0
-        )
-    s1, s2 = math.sin(2.0 * r * u1), math.sin(2.0 * r * u2)
-    k1, k2 = math.cos(2.0 * r * u1), math.cos(2.0 * r * u2)
+        return c1 * c1 * width + c1 * c2 * (width * width) + c2 * c2 * width**3 / 3.0
     return (
         0.5 * (c1 * c1 + c2 * c2) * width
-        + (c1 * c1 - c2 * c2) * (s2 - s1) / (4.0 * r)
-        + c1 * c2 * (k1 - k2) / (2.0 * r)
+        + (c1 * c1 - c2 * c2) * math.sin(2.0 * r * width) / (4.0 * r)
+        + c1 * c2 * (1.0 - math.cos(2.0 * r * width)) / (2.0 * r)
     )
 
 
@@ -180,7 +173,7 @@ class PiecewiseExpWavefunction:
         parts = [_square_integral_left_tail(*rows[0])]
         for i in range(1, len(rows) - 1):
             width = self.breakpoints[i] - self.breakpoints[i - 1]
-            parts.append(_square_integral_finite(*rows[i], 0.0, width))
+            parts.append(_square_integral_finite(*rows[i], width))
         parts.append(_square_integral_right_tail(*rows[-1]))
         return tuple(parts)
 

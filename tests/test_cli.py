@@ -638,6 +638,24 @@ def test_sweep_is_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_halved_sweep_writes_the_rows_of_one_cell_sweeps(tmp_path, capsys):
+    # 61 crystals of up to 121 sites hold more grid cells than one search
+    # takes, so the sweep's batch is searched in halves, 30 + 31; each row
+    # must have the bytes of the crystal's own one-cell sweep
+    assert 61 * (oracle.GRID + 1) * 121 > oracle._SEARCH_CELLS >= 31 * (oracle.GRID + 1) * 121
+    cfg = _write(tmp_path, "s.cfg", "N = 0..60\nalpha = 0.7\na = 1.3\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = out.read_bytes().splitlines(keepends=True)
+    assert len(rows) == 61
+    for n, row in enumerate(rows):
+        cfg = _write(tmp_path, "one.cfg", f"N = {n}\nalpha = 0.7\na = 1.3\n")
+        one = tmp_path / "one.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(one)]) == 0
+        assert one.read_bytes() == header + row, n
+    capsys.readouterr()
+
+
 def test_sweep_rejects_empty_range(tmp_path, capsys):
     cfg = _write(tmp_path, "s.cfg", "N = 4..1\nalpha = 1\na = 1\n")
     assert main(["sweep", "--config", cfg]) == 1
