@@ -5,16 +5,26 @@ CSV output uses 17 significant digits, '.' decimals, and '\\n' line endings,
 and is byte-identical across runs for identical inputs.
 
 ``solve``'s ``bound_state_count`` and ``sweep``'s ``count`` are the
-oracle's count of every state in its search range (``state_count``).  In
-canonical and sheets modes ``solve`` prints the exponential map's ground
-state, and asks the oracle only to count (``lowest=0``): a count of 0 is an
+oracle's count of every state in its search range (``state_count``).  Where
+the ground state is already known, the oracle certifies it instead of
+searching: in canonical and sheets modes ``solve`` prints the exponential
+map's ground state and passes its decay rate to
+``oracle.certify_ground_states``, and ``sweep`` passes the closed form's
+m*alpha/hbar^2; one pass of four columns per problem confirms the state to
+1e-12 relative in kappa, rebuilds the oracle's state there and counts.  A
+problem that does not certify is searched as before (``lowest=0`` in
+``solve``; ``lowest=1``, in one search, for ``sweep``'s cells), with the same
+output and one warning line on stderr.  In map modes a count of 0 is an
 error, since the two routes disagree.  In quantum mode there is no map, and
-``solve``, like ``sweep``, asks the oracle for the ground state alone
-(``lowest=1``).  The normalization constant A is carried only as its
-natural log, which stays finite where A exceeds the float range: ``solve``
-prints ``log_norm_constant`` in every mode, and ``sweep`` its ``log_A``
-column; a ``log_norm_constant`` of -inf, where psi at the last site is 0,
-comes with a warning line on stderr.
+``solve`` asks the oracle for the ground state alone (``lowest=1``).  The
+normalization constant A is carried only as its natural log, which stays
+finite where A exceeds the float range: ``solve`` prints
+``log_norm_constant`` in every mode, and ``sweep`` its ``log_A`` column; a
+``log_norm_constant`` of -inf, where psi at the last site is 0, comes with a
+warning line on stderr, and so does each ``sweep`` row whose
+``closed_vs_oracle_resid`` exceeds 1e-9 or is NaN.  Warnings are written
+once the command has succeeded, so a command that fails writes only its
+``error:`` line.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.  One
 reader serves the ``solve``, ``figure`` and ``sweep`` configs and the
@@ -24,7 +34,7 @@ duplicate or missing key is refused.  A flag named like a key (``--out``,
 ``--window``, ``--points``) goes through that key's parser and overrides
 the key, which is still checked.  Sweeps run their cells in the
 order of the parameter grid: every cell's closed forms and problem first,
-then one oracle search for all of them, which serves many problems at once.
+then one certificate pass for all of them, which serves many problems at once.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +67,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _warn(lines: list[str]) -> None:
+    """One ``warning:`` line on stderr each; written once the command has succeeded."""
+    for line in lines:
+        print(f"warning: {line}", file=sys.stderr)
 
 
 # --------------------------------------------------------------------------
@@ -230,10 +247,11 @@ _SOLVE_FIELDS = {"mode": _parse_mode, "out": _parse_path, "window": _parse_windo
 
 
 def _emit_csv(header: str, rows, out: Path | None, stream) -> None:
-    # one %-format over every cell; "%.17g" % x is format(float(x), ".17g")
-    rows = list(rows)
-    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    payload = header + "\n" + (line * len(rows)) % tuple(v for row in rows for v in row)
+    # one %-format over every cell; "%.17g" % x is format(float(x), ".17g"); callers
+    # zip ndarray.tolist() columns, so the cells are Python numbers, not numpy scalars
+    width = header.count(",") + 1
+    values = tuple(chain.from_iterable(rows))
+    payload = header + "\n" + ((",".join(["%.17g"] * width) + "\n") * (len(values) // width)) % values
     if out is None:
         stream.write(payload)
         stream.write("\n")
@@ -255,6 +273,7 @@ def cmd_solve(args) -> int:
     fields = {**_SOLVE_FIELDS, **_MODE_FIELDS[mode]}
     config = _with_flags(_read_config(args.config, fields, _MODE_FIELDS[mode], f"mode {mode!r}"), fields, args)
     units = _load_units(args.units)
+    warning_lines = []
 
     if mode == "quantum":
         problem = DeltaPotentialProblem(config["deltas"], config["offsets"], units)
@@ -280,8 +299,14 @@ def cmd_solve(args) -> int:
         sol = solve_sheets(array, units)
         ground = ground_state_from_electrostatics(sol, units)  # NotNormalizable -> exit 1
         problem = to_quantum(sol, units)
-        # the state printed is the map's; the oracle only counts
-        found = oracle.find_bound_states(problem, lowest=0)
+        # the state printed is the map's; the oracle certifies its decay rate, and
+        # counts by a search where it cannot
+        kappa = math.sqrt(-2.0 * units.mass * ground.energy) / units.hbar
+        (found,) = oracle.certify_ground_states([problem], [kappa])
+        if not found.states:
+            warning_lines.append(f"the oracle does not certify the map's ground state at energy {_fmt(ground.energy)} "
+                            f"(kappa = {_fmt(kappa)}); bound_state_count is the search's")
+            found = oracle.find_bound_states(problem, lowest=0)
         if not found.state_count:
             raise SheetCrystalError(
                 f"the exponential map gives a ground state at energy {_fmt(ground.energy)}, "
@@ -308,8 +333,8 @@ def cmd_solve(args) -> int:
     if not math.isfinite(hi - lo):  # np.linspace would fill the window with NaN
         raise ConfigError(f"sampling window {_fmt(lo)},{_fmt(hi)}: its width overflows the float range")
     zs = np.linspace(lo, hi, config.get("points", 2001))
-    rows = zip(zs, potential_at_points(sol, zs), psi.values(zs), _region_offset_at(problem, zs))
-    _emit_csv("z,V,psi,U_region", rows, config.get("out"), sys.stdout)
+    columns = [zs, potential_at_points(sol, zs), psi.values(zs), _region_offset_at(problem, zs)]
+    _emit_csv("z,V,psi,U_region", zip(*(c.tolist() for c in columns)), config.get("out"), sys.stdout)
 
     print(f"energy: {_fmt(energy)}")
     print(f"log_norm_constant: {_fmt(log_norm_constant)}")
@@ -317,8 +342,10 @@ def cmd_solve(args) -> int:
     print(f"expectation_kinetic: {_fmt(t_mean)}")
     print(f"bound_state_count: {found.state_count}")
     if log_norm_constant == -math.inf:  # psi(z_last) is 0: the summary stands, and stderr says so
-        print(f"warning: psi is 0 at the last site z_last = {_fmt(sol.breakpoints[-1])}; "
-              "log_norm_constant is -inf", file=sys.stderr)
+        warning_lines.append(
+            f"psi is 0 at the last site z_last = {_fmt(sol.breakpoints[-1])}; log_norm_constant is -inf"
+        )
+    _warn(warning_lines)
     return 0
 
 
@@ -344,7 +371,7 @@ def cmd_figure(args) -> int:
 
     for n, (zs, vals) in zip(n_values, samples):
         target = out_dir / f"crystal_psi_N{n}.csv"
-        _emit_csv("z,psi", zip(zs, vals), target, sys.stdout)
+        _emit_csv("z,psi", zip(zs.tolist(), vals.tolist()), target, sys.stdout)
         print(f"wrote {target}")
     return 0
 
@@ -363,6 +390,10 @@ def cmd_verify(args) -> int:
 # sweep
 # --------------------------------------------------------------------------
 
+def _sweep_cell_name(n: int, alpha: float, a: float) -> str:
+    return f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}"
+
+
 def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
     """One cell's crystal, the start of its row (N, alpha, a, the closed forms) and its problem."""
     n, alpha, a = cell
@@ -377,18 +408,17 @@ def _sweep_cell(cell: tuple[int, float, float], units: UnitSystem) -> tuple:
 
 
 def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, found: oracle.BoundStateList) -> tuple:
-    """The cell's whole CSV row, once the search has found its states."""
+    """The cell's whole CSV row, once the oracle has answered for its ground state."""
     n, alpha, a, energy, _, u_mean, t_mean = start
     if not found.states:
         raise NoBoundStatesError(
-            f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}: the solver finds no bound state in its search range"
+            f"{_sweep_cell_name(n, alpha, a)}: the solver finds no bound state in its search range"
         )
     state = found.states[0]
     try:
         psi = state.wavefunction
     except ValueError as exc:  # every coefficient of the state underflowed
-        cell = f"sweep cell N={n}, alpha={_fmt(alpha)}, a={_fmt(a)}"
-        raise ValueError(f"{cell}, the oracle's ground state: {exc}") from None
+        raise ValueError(f"{_sweep_cell_name(n, alpha, a)}, the oracle's ground state: {exc}") from None
     resid = nan_max(
         abs(energy - state.energy),
         abs(u_mean - oracle.expectation_potential_numeric(psi, problem)),
@@ -398,6 +428,7 @@ def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, f
     return (*start, found.state_count, resid)
 
 
+SWEEP_RESIDUAL_MAX = 1e-9  # a larger (or NaN) closed_vs_oracle_resid is a warning line on stderr
 _SWEEP_FIELDS = {"N": _parse_int_list, "alpha": _parse_float_list, "a": _parse_float_list, "out": _parse_path}
 
 
@@ -405,12 +436,25 @@ def cmd_sweep(args) -> int:
     config = _with_flags(_read_config(args.config, _SWEEP_FIELDS, ("N", "alpha", "a"), "sweep"), _SWEEP_FIELDS, args)
     units = _load_units(args.units)
 
-    # every cell's closed forms and problem, in grid order, then one search for all
+    # every cell's closed forms and problem, in grid order, then one certificate pass for
+    # all at the closed form's ground decay rate m*alpha/hbar^2, and one search for the
+    # cells it does not certify
     cells = [(n, alpha, a) for n in config["N"] for alpha in config["alpha"] for a in config["a"]]
     params, starts, problems = zip(*(_sweep_cell(cell, units) for cell in cells))
-    rows = map(_sweep_row, params, starts, problems, oracle.find_bound_states(problems, lowest=1))
+    found = oracle.certify_ground_states(problems, [p._beta for p in params])
+    searched = [k for k, answer in enumerate(found) if not answer.states]
+    if searched:
+        for k, answer in zip(searched, oracle.find_bound_states([problems[k] for k in searched], lowest=1)):
+            found[k] = answer
+    rows = list(map(_sweep_row, params, starts, problems, found))
 
     _emit_csv("N,alpha,a,E,log_A,U_exp,T_exp,count,closed_vs_oracle_resid", rows, config.get("out"), sys.stdout)
+    _warn([
+        *(f"{_sweep_cell_name(*cells[k])}: the oracle does not certify the closed form's ground state at "
+          f"kappa = {_fmt(params[k]._beta)}; its row is the search's" for k in searched),
+        *(f"{_sweep_cell_name(*cell)}: closed_vs_oracle_resid = {_fmt(row[-1])} is not within {SWEEP_RESIDUAL_MAX:g}"
+          for cell, row in zip(cells, rows) if not row[-1] <= SWEEP_RESIDUAL_MAX),
+    ])
     return 0
 
 

@@ -146,7 +146,7 @@ def psi(p: CrystalParams, z: float | np.ndarray) -> float | np.ndarray:
         within = np.where(odd, float(p.N + 1), float(p.N)) * p.a + np.where(odd, -1.0, 1.0) * (u - k * p.a)
         exponents = p._log_norm_constant - p._beta * np.where(inside, within, u)
         return np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(u.shape)
-    u = abs(z)
+    u = abs(float(z))  # a numpy scalar point runs in Python floats, with the bits of a float point
     if u < p.N * p.a:
         k = int(u // p.a)
         odd = (k + p.N) % 2

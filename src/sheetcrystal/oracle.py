@@ -9,8 +9,8 @@ solution on the whole line.  By the Sturm oscillation theorem that node
 count is the number of bound states below E, i.e. with a decay rate larger
 than kappa, so the count stays exact however closely the states crowd.
 
-:func:`find_bound_states`, the search's one entry point, counts, isolates,
-refines and reconstructs, and answers with one :class:`BoundStateList`;
+:func:`find_bound_states`, the search, counts, isolates, refines and
+reconstructs, and answers with one :class:`BoundStateList`;
 every step is the same vectorised pass over an array of kappas.  A pass costs
 about the same at one kappa as at a hundred, so the first one runs on a grid
 of :data:`GRID` cells from kappa = 0+ to the search cap: its count at 0+ gives
@@ -34,6 +34,14 @@ the result is an exact piecewise closed form whose only approximation is
 the location of the root.  Every column of a pass is computed on its own
 kappa alone, so a state comes out with the same bits whether it is refined
 alone or with the others.
+
+A caller that already holds a ground state's decay rate kappa (from a
+closed form, say) asks :func:`certify_ground_states` instead, which makes
+one pass of four columns per problem: node counts of 1 and 0 at kappa*(1 -+
+:data:`CERTIFICATE_RTOL`) prove that kappa is the ground state to that
+relative width (a Sturm-sequence certificate), the column at kappa rebuilds
+the state there as the search would at a root, and the column at 0+ counts
+every state.  A problem that does not certify is left to the search.
 
 One search serves many problems.  :func:`find_bound_states` takes one
 problem or a sequence of them, and every pass carries the columns of all of
@@ -93,6 +101,7 @@ REGIME_SWITCH_RTOL = 1e-12
 DEFAULT_BISECTION_TOL = 1e-13
 GRID = 64  # cells of the counting pass that seeds every bracket
 _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k / GRID), held at or above tol
+CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certificate
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
 # a batch whose grid pass would exceed this many (region, column) cells is
@@ -134,6 +143,8 @@ class BoundStateList:
     number of states returned.  ``unresolved`` holds the intervals among the
     returned states whose ends do not count j + 1 and j when multisection
     could not split them further: a fault flag, empty on a clean search.
+    :func:`certify_ground_states` answers in the same form, with its one
+    certified state or none.
     """
 
     states: tuple[BoundState, ...]
@@ -345,7 +356,7 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
 def _reconstruct(
     batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray, path: _Pass
 ) -> list[BoundState]:
-    """Every root of the search as a state holding its coefficient rows from ``path``.
+    """Every root (or certified kappa) as a state holding its coefficient rows from ``path``.
 
     ``path`` is the pass at the roots, column j on problem ``owner[j]``.  The
     rows of every root are formed at once, one segment before each region of
@@ -445,6 +456,27 @@ def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
     return 4.0 * max(strongest, deepest)
 
 
+def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
+    """Each problem's search cap; one whose energy is beyond the float range is refused."""
+    caps = [_default_kappa_max(problem) for problem in batch]
+    for problem, cap in zip(batch, caps):
+        if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
+            raise ValueError(
+                f"the default search cap kappa_max = {cap!r} stands for an energy "
+                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
+            )
+    return caps
+
+
+def _halves(batch: list[DeltaPotentialProblem], columns: int) -> list[slice]:
+    """The whole batch, or its two halves where a pass of ``columns`` per problem
+    would hold more than ``_SEARCH_CELLS`` (region, column) cells."""
+    if len(batch) > 1 and len(batch) * columns * max(len(problem.deltas) for problem in batch) > _SEARCH_CELLS:
+        half = len(batch) // 2
+        return [slice(None, half), slice(half, None)]
+    return [slice(None)]
+
+
 def find_bound_states(
     problems: DeltaPotentialProblem | Sequence[DeltaPotentialProblem],
     lowest: int | None = None,
@@ -525,17 +557,10 @@ def find_bound_states(
         raise ValueError(f"lowest must be an integer >= 0 or None, got {lowest!r}")
     if not batch:
         return []
-    caps = [_default_kappa_max(problem) for problem in batch]
-    for problem, cap in zip(batch, caps):
-        if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
-            raise ValueError(
-                f"the default search cap kappa_max = {cap!r} stands for an energy "
-                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
-            )
-    longest = max(len(problem.deltas) for problem in batch)
-    if len(batch) > 1 and len(batch) * (GRID + 1) * longest > _SEARCH_CELLS:
-        half = len(batch) // 2
-        return [*find_bound_states(batch[:half], lowest), *find_bound_states(batch[half:], lowest)]
+    caps = _caps(batch)
+    parts = _halves(batch, GRID + 1)
+    if len(parts) > 1:
+        return [found for part in parts for found in find_bound_states(batch[part], lowest)]
     chain = _chain(batch)
     tol = DEFAULT_BISECTION_TOL
 
@@ -621,6 +646,56 @@ def find_bound_states(
         unresolved = sorted(set(zip(lo[start:stop][stuck].tolist(), hi[start:stop][stuck].tolist())), reverse=True)
         found.append(BoundStateList(tuple(states[start:stop]), caps[p], state_counts[p], tuple(unresolved)))
     return found[0] if single else found
+
+
+def certify_ground_states(
+    problems: Sequence[DeltaPotentialProblem], kappas: Sequence[float]
+) -> list[BoundStateList]:
+    """Confirm each problem's ground state at the decay rate ``kappas[i]`` the caller holds.
+
+    One :func:`_transfer` pass answers every problem, four columns each, the
+    kappa columns of all problems first, so column i is problem i: kappa,
+    then kappa*(1 - delta) and kappa*(1 + delta) with delta =
+    :data:`CERTIFICATE_RTOL`, then :data:`DEFAULT_BISECTION_TOL`, which
+    stands for 0+ as in the search.  Node counts of 1 and 0 at kappa*(1 -+
+    delta) prove, by the Sturm oscillation theorem, that the ground state is
+    the only state there and lies within a relative delta of kappa (Wilkinson,
+    *The Algebraic Eigenvalue Problem*, 1965; Barth, Martin & Wilkinson,
+    Numer. Math. 9, 386 (1967)); the certificate also asks for a count of at
+    least 1 at 0+ and for kappa*(1 + delta) within the cap, so that a
+    certified problem is one the search would answer without error.
+
+    Each answer is a :class:`BoundStateList` with the search's cap and its
+    count at 0+ (the bits :func:`find_bound_states` gives), no
+    ``unresolved`` intervals and, when certified, the one state rebuilt from
+    the kappa column; an uncertified problem has no state, and its caller
+    searches it.  The input checks and the split of a batch too large for
+    one pass are the search's.  Nothing here knows where the kappas came
+    from: the oracle still never calls the exponential map.
+    """
+    batch = list(problems)
+    if not batch:
+        return []
+    caps = _caps(batch)
+    parts = _halves(batch, 4)
+    if len(parts) > 1:
+        return [found for part in parts for found in certify_ground_states(batch[part], kappas[part])]
+    chain = _chain(batch)
+    kappas = np.array(kappas, dtype=float)
+    owner = np.arange(len(batch))
+    columns = np.concatenate([
+        kappas, kappas * (1.0 - CERTIFICATE_RTOL), kappas * (1.0 + CERTIFICATE_RTOL),
+        np.full(len(batch), DEFAULT_BISECTION_TOL),
+    ])
+    path = _transfer(chain, columns, np.tile(owner, 4))
+    below, above, state_counts = path.nodes[len(batch):].reshape(3, len(batch))
+    certified = (below == 1) & (above == 0) & (state_counts >= 1) & (kappas * (1.0 + CERTIFICATE_RTOL) <= caps)
+    kept = owner[certified]
+    states = iter(_reconstruct(batch, chain, kappas[kept], kept, _Pass(*(a[..., kept] for a in path))))
+    return [
+        BoundStateList((next(states),) if ok else (), cap, count, ())
+        for ok, cap, count in zip(certified.tolist(), caps, state_counts.tolist())
+    ]
 
 
 def expectation_potential_numeric(

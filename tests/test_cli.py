@@ -369,7 +369,10 @@ def test_solve_map_mode_exits_1_when_the_oracle_counts_no_state(mode, tmp_path, 
     cfg = _write(tmp_path, "m.cfg", _MAP_MODES[mode])
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
     energy = _summary(capsys)["energy"]
+    # the certificate counts 0 at 0+, so it certifies nothing, and the search counts 0 too;
+    # the fallback's warning is not written, since the command fails
     empty = oracle.BoundStateList(states=(), kappa_max=1.0, state_count=0, unresolved=())
+    monkeypatch.setattr(oracle, "certify_ground_states", lambda problems, kappas: [empty])
     monkeypatch.setattr(oracle, "find_bound_states", lambda problems, lowest=None: empty)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 1
     captured = capsys.readouterr()
@@ -380,10 +383,8 @@ def test_solve_map_mode_exits_1_when_the_oracle_counts_no_state(mode, tmp_path, 
     )
 
 
-@pytest.mark.parametrize("mode", _MAP_MODES)
-def test_solve_map_mode_asks_the_oracle_only_to_count(mode, tmp_path, capsys, monkeypatch):
-    # the printed state is the map's: one search with lowest=0, whose passes
-    # are the grid pass and the pass at no roots
+def _record_oracle(monkeypatch):
+    """The ``lowest`` of every search and the column count of every pass, as the command runs."""
     searches, columns = [], []
     search, transfer = oracle.find_bound_states, oracle._transfer
 
@@ -397,11 +398,49 @@ def test_solve_map_mode_asks_the_oracle_only_to_count(mode, tmp_path, capsys, mo
 
     monkeypatch.setattr(oracle, "find_bound_states", recorded_search)
     monkeypatch.setattr(oracle, "_transfer", recorded_transfer)
+    return searches, columns
+
+
+@pytest.mark.parametrize("mode", _MAP_MODES)
+def test_solve_map_mode_asks_the_oracle_only_to_count(mode, tmp_path, capsys, monkeypatch):
+    # the printed state is the map's: one certificate pass of four columns at
+    # its decay rate, and no search
+    searches, columns = _record_oracle(monkeypatch)
     cfg = _write(tmp_path, "m.cfg", _MAP_MODES[mode])
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
-    assert searches == [0]
-    assert columns == [oracle.GRID + 1, 0]
-    assert int(_summary(capsys)["bound_state_count"]) >= 1
+    assert searches == []
+    assert columns == [4]
+    captured = capsys.readouterr()
+    assert int(captured.out.split("bound_state_count: ")[1]) >= 1
+    assert captured.err == ""
+
+
+def test_solve_falls_back_to_the_search_where_the_certificate_fails(tmp_path, capsys):
+    # the three-sheet stack 0:3s, 1.7:4s, 4:-0.1s at s = 1e-6: the regime switch's floor
+    # (ROADMAP item 12) takes a region as linear and the count at kappa*(1 + 1e-12) reads 1,
+    # so solve counts by the search, prints what it printed before the certificate
+    # existed, and says so on one line
+    cfg = _write(tmp_path, "s.cfg", "mode = sheets\nsheets = 0:3e-6, 1.7:4e-6, 4:-1e-7\npoints = 5\n")
+    assert main(["solve", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "z,V,psi,U_region\n"
+        "-2318840.579710145,-8.0000032000000001,6.2309218260071802e-07,0\n"
+        "-1159419.2898550725,-3.9999997500000002,3.4019797838213384e-05,0\n"
+        "2,-3.5000000000000004e-06,0.0018574110611634719,3.4999999999999992e-13\n"
+        "1159423.2898550727,-4.000007150000001,3.4019546092640808e-05,0\n"
+        "2318844.579710145,-8.0000105999999995,6.2308757173562687e-07,0\n"
+        "\n"
+        "energy: -5.9512499999999997e-12\n"
+        "log_norm_constant: -6.2885681634535624\n"
+        "expectation_potential: -1.1902468467157126e-11\n"
+        "expectation_kinetic: 5.9512184671571267e-12\n"
+        "bound_state_count: 1\n"
+    )
+    assert captured.err == (
+        "warning: the oracle does not certify the map's ground state at energy -5.9512499999999997e-12 "
+        "(kappa = 3.45e-06); bound_state_count is the search's\n"
+    )
 
 
 _PINNED_ERRORS = {  # (command, a line of the config) -> the whole stderr it gives
@@ -629,6 +668,31 @@ def test_sweep_residual_reads_nan_when_any_part_is_nan(tmp_path, capsys, monkeyp
     assert out.read_text().splitlines()[1].split(",")[-1] == "nan"
 
 
+def test_sweep_certifies_every_cell_in_one_pass(tmp_path, capsys, monkeypatch):
+    searches, columns = _record_oracle(monkeypatch)
+    cfg = _write(tmp_path, "s.cfg", "N = 0..4\nalpha = 0.5, 1\na = 1\n")
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+    assert searches == []
+    assert columns == [4 * 10]
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_warns_of_a_residual_beyond_its_gate(tmp_path, capsys):
+    # at a = 50 the oracle's state sits in the leftmost well alone (ROADMAP item 15): the
+    # row and exit 0 stand, and stderr names the cell and its residual
+    out = tmp_path / "s.csv"
+    cfg = _write(tmp_path, "s.cfg", "N = 2\nalpha = 1\na = 50\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].split(",")[-1] == "0.5773502691896264"
+    assert (
+        "warning: sweep cell N=2, alpha=1, a=50: closed_vs_oracle_resid = 0.5773502691896264 is not within 1e-09\n"
+        in capsys.readouterr().err
+    )
+    cfg = _write(tmp_path, "s.cfg", "N = 2\nalpha = 1\na = 1\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_is_deterministic(tmp_path, capsys):
     cfg = _write(tmp_path, "s.cfg", "N = 0,2\nalpha = 0.5,1\na = 1\n")
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -640,8 +704,9 @@ def test_sweep_is_deterministic(tmp_path, capsys):
 
 def test_halved_sweep_writes_the_rows_of_one_cell_sweeps(tmp_path, capsys):
     # 61 crystals of up to 121 sites hold more grid cells than one search
-    # takes, so the sweep's batch is searched in halves, 30 + 31; each row
-    # must have the bytes of the crystal's own one-cell sweep
+    # takes, so a search of the whole batch would run in halves, 30 + 31
+    # (the certificate pass takes all 61 at once); each row must have the
+    # bytes of the crystal's own one-cell sweep
     assert 61 * (oracle.GRID + 1) * 121 > oracle._SEARCH_CELLS >= 31 * (oracle.GRID + 1) * 121
     cfg = _write(tmp_path, "s.cfg", "N = 0..60\nalpha = 0.7\na = 1.3\n")
     out = tmp_path / "sweep.csv"

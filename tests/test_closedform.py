@@ -263,6 +263,7 @@ def test_array_psi_is_bit_identical_to_scalar_psi(n, alpha, a):
     want = [psi(p, z).hex() for z in zs.tolist()]
     assert type(got) is np.ndarray and got.shape == zs.shape
     assert [v.hex() for v in got.tolist()] == want
+    assert [psi(p, z).hex() for z in zs] == want  # np.float64 points, the scalar branch
     assert square.shape == (2, zs.size // 2)
     assert [v.hex() for v in square.ravel().tolist()] == want[:-1]
     assert single.shape == () and single.item().hex() == psi(p, 0.5 * a).hex()

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from sheetcrystal import oracle
 from sheetcrystal.cli import main
 
 SWEEP = "N = 0..8\nalpha = 0.5, 1, 2, 0.7\na = 0.5, 1, 1.3\n"
@@ -22,8 +23,10 @@ SOLVE = {
 
 DIGESTS = {
     "sweep": {
-        # the A column became log_A, finite where A overflows; every other column is unchanged
-        "csv": "8f56df18e1a20cef26853755533db589c7f3c0e897bf2d99815efa1db55348b8",
+        # the oracle's state is rebuilt at the certified closed-form kappa, no longer at the
+        # search's root: closed_vs_oracle_resid moved in two rows, N = 7 and 8 at
+        # alpha = 0.7, a = 1.3 (1.0e-13 -> 2.8e-17 and 3.1e-13 -> 1.7e-16); every other cell is unchanged
+        "csv": "95c07e7eea444e8e182b7d4d462a0742329d955368688f6ff906efc81ac7b7b5",
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     # the summary's norm_constant line became log_norm_constant, printed in every mode;
@@ -80,6 +83,9 @@ def _outputs(name, tmp_path, capsys):
     return code, {"stdout": capsys.readouterr().out.encode()}
 
 
+# the sweep CSV as the search alone writes it, before the certificate pass
+SEARCHED_SWEEP_CSV = "8f56df18e1a20cef26853755533db589c7f3c0e897bf2d99815efa1db55348b8"
+
 CASES = ["sweep", *(f"solve-{key}" for key in SOLVE), "figure", "verify-quick", "verify-full"]
 
 
@@ -96,3 +102,21 @@ def test_golden_solve_writes_nothing_on_stderr(key, tmp_path, capsys):
     cfg.write_text(SOLVE[key])
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "solve.csv")]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["sweep", "solve-canonical", "solve-uneven"])
+def test_uncertified_kappa_falls_back_to_the_search_byte_for_byte(name, tmp_path, capsys, monkeypatch):
+    # a kappa moved by 1e-9 relative counts 0 at both ends of its certificate, so every
+    # problem is searched, and the outputs are the ones the search alone gives
+    answers, certify = [], oracle.certify_ground_states
+
+    def moved(problems, kappas):
+        answers.extend(certify(problems, [kappa * (1.0 + 1e-9) for kappa in kappas]))
+        return answers[-len(problems):]
+
+    monkeypatch.setattr(oracle, "certify_ground_states", moved)
+    code, parts = _outputs(name, tmp_path, capsys)
+    assert code == 0
+    assert answers and not any(answer.states for answer in answers)
+    want = dict(DIGESTS[name], csv=SEARCHED_SWEEP_CSV) if name == "sweep" else DIGESTS[name]
+    assert {part: _sha(data) for part, data in parts.items()} == want

@@ -15,6 +15,7 @@ from sheetcrystal import (
     expectation_kinetic_numeric,
     expectation_potential_numeric,
     find_bound_states,
+    ground_state_from_electrostatics,
     psi,
     schrodinger_residuals,
     solve_sheets,
@@ -1027,3 +1028,68 @@ def test_batch_of_none_and_of_one():
     # a problem whose default cap overflows rejects the whole batch
     with pytest.raises(ValueError, match="default search cap"):
         find_bound_states([problem, DeltaPotentialProblem([(0.0, -1e200)], [0.0, 0.0], atomic_units())])
+
+
+# ---------------------------------------------------------------------------
+# the ground-state certificate
+# ---------------------------------------------------------------------------
+
+
+def test_certificate_rebuilds_the_search_state_at_its_root(monkeypatch):
+    # at the search's own root the certified state is the search's, bit for bit, whatever
+    # the batch and however it is split; the few roots that do not certify are small ones,
+    # whose absolute tolerance 1e-13 is wide against the certificate's relative 1e-12
+    problems = _batch_problems()
+    searched = find_bound_states(problems, lowest=1)
+    bound = [(problem, found) for problem, found in zip(problems, searched) if found.states]
+    kappas = [found.states[0].kappa for _, found in bound]
+    certified = oracle.certify_ground_states([problem for problem, _ in bound], kappas)
+    missed = [kappa for kappa, answer in zip(kappas, certified) if not answer.states]
+    assert len(kappas) > 200 and len(missed) <= 4 and max(missed) < 0.1
+    for answer, (_, found) in zip(certified, bound):
+        assert answer.state_count == found.state_count and answer.kappa_max == found.kappa_max
+        if answer.states:
+            assert _hex_list(answer) == _hex_list(found)
+    # a memory bound of two problems' passes splits the batch, and every pass keeps under it
+    cells = []
+    real = oracle._transfer
+
+    def recorded(chain, kappas, which):
+        cells.append(len(kappas) * len(chain.jumps))
+        return real(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_SEARCH_CELLS", 2 * 4 * max(len(problem.deltas) for problem, _ in bound))
+    monkeypatch.setattr(oracle, "_transfer", recorded)
+    halves = oracle.certify_ground_states([problem for problem, _ in bound], kappas)
+    assert len(cells) > 1 and max(cells) <= oracle._SEARCH_CELLS
+    assert [_hex_list(answer) for answer in halves] == [_hex_list(answer) for answer in certified]
+
+
+def test_certificate_runs_the_search_input_checks(atomic):
+    assert oracle.certify_ground_states([], []) == []
+    with pytest.raises(ValueError, match="default search cap"):
+        oracle.certify_ground_states(
+            [_crystal_problem(3), DeltaPotentialProblem([(0.0, -1e200)], [0.0, 0.0], atomic)], [1.0, 1e200]
+        )
+    # the ten-delta cluster binds above its cap 8: counts of 1 and 0 around its root do not
+    # certify it, so its caller's search refuses it as it always has
+    cluster = DeltaPotentialProblem([(k / 1000, -1.0) for k in range(10)], [0.0] * 11, atomic)
+    lo, hi = 8.0, 20.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _pass(cluster, [mid]).nodes[0] else (lo, mid)
+    assert _pass(cluster, [lo * (1.0 - 1e-12), lo * (1.0 + 1e-12)]).nodes.tolist() == [1, 0]
+    (answer,) = oracle.certify_ground_states([cluster], [lo])
+    assert answer.states == () and answer.state_count == 1 and answer.kappa_max == 8.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 12: the regime switch's floor takes the first interior region as linear, "
+    "so the count at kappa*(1 + 1e-12) reads 1",
+)
+def test_three_sheet_stack_certifies_at_small_scale(atomic):
+    sol = solve_sheets(SheetArray([(0.0, 3e-6), (1.7, 4e-6), (4.0, -1e-7)]), atomic)
+    kappa = math.sqrt(-2.0 * ground_state_from_electrostatics(sol, atomic).energy)
+    (answer,) = oracle.certify_ground_states([to_quantum(sol, atomic)], [kappa])
+    assert answer.states
