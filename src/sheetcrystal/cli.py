@@ -10,13 +10,15 @@ the ground state is already known, the oracle certifies it instead of
 searching: in canonical and sheets modes ``solve`` prints the exponential
 map's ground state and passes its decay rate to
 ``oracle.certify_ground_states``, and ``sweep`` passes the closed form's
-m*alpha/hbar^2; one pass of four columns per problem confirms the state to
-1e-12 relative in kappa, rebuilds the oracle's state there and counts.  A
-problem that does not certify is searched as before (``lowest=0`` in
-``solve``; ``lowest=1``, in one search, for ``sweep``'s cells), with the same
-output and one warning line on stderr.  In map modes a count of 0 is an
-error, since the two routes disagree.  In quantum mode there is no map, and
-``solve`` asks the oracle for the ground state alone (``lowest=1``).  The
+m*alpha/hbar^2; one pass of three columns per problem confirms the state to
+1e-12 relative in kappa and counts at 0+, and ``sweep`` reads the oracle's
+state there, rebuilt in one more pass.  Where it does not certify, ``solve``
+prints the same output, its count being the search's bit for bit, and
+``sweep`` searches the cell (``lowest=1``, in one search for all such
+cells); each writes one warning line on stderr.  In map modes a count of 0
+is an error, since the two routes disagree.  In quantum mode there is no
+map, and ``solve`` asks the oracle for the ground state alone
+(``lowest=1``).  The
 normalization constant A is carried only as its natural log, which stays
 finite where A exceeds the float range: ``solve`` prints
 ``log_norm_constant`` in every mode, and ``sweep`` its ``log_A`` column; a
@@ -299,14 +301,13 @@ def cmd_solve(args) -> int:
         sol = solve_sheets(array, units)
         ground = ground_state_from_electrostatics(sol, units)  # NotNormalizable -> exit 1
         problem = to_quantum(sol, units)
-        # the state printed is the map's; the oracle certifies its decay rate, and
-        # counts by a search where it cannot
+        # the state printed is the map's; the oracle certifies its decay rate, and its
+        # count at 0+ is the search's count, bit for bit, whether or not it certifies
         kappa = math.sqrt(-2.0 * units.mass * ground.energy) / units.hbar
         (found,) = oracle.certify_ground_states([problem], [kappa])
         if not found.states:
             warning_lines.append(f"the oracle does not certify the map's ground state at energy {_fmt(ground.energy)} "
                             f"(kappa = {_fmt(kappa)}); bound_state_count is the search's")
-            found = oracle.find_bound_states(problem, lowest=0)
         if not found.state_count:
             raise SheetCrystalError(
                 f"the exponential map gives a ground state at energy {_fmt(ground.energy)}, "

@@ -9,13 +9,13 @@ solution on the whole line.  By the Sturm oscillation theorem that node
 count is the number of bound states below E, i.e. with a decay rate larger
 than kappa, so the count stays exact however closely the states crowd.
 
-:func:`find_bound_states`, the search, counts, isolates, refines and
-reconstructs, and answers with one :class:`BoundStateList`;
-every step is the same vectorised pass over an array of kappas.  A pass costs
-about the same at one kappa as at a hundred, so the first one runs on a grid
-of :data:`GRID` cells from kappa = 0+ to the search cap: its count at 0+ gives
-the number of states, and the counts at the grid points hand each state the
-cell that holds it.  The cap is four times the largest single-delta or
+:func:`find_bound_states`, the search, counts, isolates and refines, and
+answers with one :class:`BoundStateList` whose states are reconstructed
+when read; every step is the same vectorised pass over an array of kappas.
+A pass costs about the same at one kappa as at a hundred, so the first one
+runs on a grid of :data:`GRID` cells from kappa = 0+ to the search cap: its
+count at 0+ gives the number of states, and the counts at the grid points
+hand each state the cell that holds it.  The cap is four times the largest single-delta or
 single-region rate of the problem, and a state above it is an error; every
 root is located to :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa, which
 also stands for 0+.  The search's one setting, ``lowest``, is how many of the
@@ -27,21 +27,23 @@ evenly spaced points in one pass (Barth, Martin & Wilkinson, Numer. Math. 9,
 386 (1967)); any other takes one point, the inverse-quadratic step of the
 tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
 state's points depend on its own bracket and problem alone, and the search
-takes at most about 20 passes whatever the number of states.  The pass at
-the roots rebuilds every state of the search in one call, each with its
-coefficient columns, from which its wavefunction is built when first read;
-the result is an exact piecewise closed form whose only approximation is
-the location of the root.  Every column of a pass is computed on its own
-kappa alone, so a state comes out with the same bits whether it is refined
-alone or with the others.
+takes at most about 20 passes whatever the number of states.  The search
+makes no pass at its roots: the first read of a state's wavefunction makes
+one pass at the roots of its chunk (:func:`_states`) and rebuilds every
+state of that chunk with its coefficient columns; the result is an exact
+piecewise closed form whose only approximation is the location of the root.
+Every column of a pass is computed on its own kappa alone, so a state comes
+out with the same bits whether it is refined or rebuilt alone or with the
+others.
 
 A caller that already holds a ground state's decay rate kappa (from a
-closed form, say) asks :func:`certify_ground_states` instead, which makes
-one pass of four columns per problem: node counts of 1 and 0 at kappa*(1 -+
+closed form, say) asks :func:`certify_ground_states` instead, which counts
+three columns per problem: node counts of 1 and 0 at kappa*(1 -+
 :data:`CERTIFICATE_RTOL`) prove that kappa is the ground state to that
-relative width (a Sturm-sequence certificate), the column at kappa rebuilds
-the state there as the search would at a root, and the column at 0+ counts
-every state.  A problem that does not certify is left to the search.
+relative width (a Sturm-sequence certificate), and the column at 0+ counts
+every state.  A certified state is rebuilt at kappa, as the search's are at
+their roots, when it is first read.  A problem that does not certify is
+left to its caller.
 
 One search serves many problems.  :func:`find_bound_states` takes one
 problem or a sequence of them, and every pass carries the columns of all of
@@ -51,9 +53,13 @@ problem, each chain padded at its start to the longest with identity steps:
 zero width, zero jump, the linear regime, never rescaled.  A pass over a
 batch then costs about what a pass over its longest problem costs, and each
 problem's states carry the same bits as a search of that problem alone:
-each state keeps its own column of the batch's coefficient rows from its
-left tail on, and a padded step adds nothing to them.  A batch too large
-for one pass's memory bound is searched in halves.
+each state keeps its own column of its chunk's coefficient rows from its
+left tail on, and a padded step adds nothing to them.  Every pass, counts
+and rebuilds alike, runs in column chunks of at most :data:`_SEARCH_CELLS`
+(region, column) cells, and a search keeps only each chunk's tails and
+counts, so the memory of a search is bounded whatever its size.  A batch
+whose grid pass would exceed that bound is also searched in halves, so that
+a short problem is not padded to the longest of many.
 
 A pass is a batch and then a recurrence.  The batch is per distinct region:
 region rows whose offset and width have the same bits in every problem of
@@ -86,10 +92,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from numbers import Integral
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,10 +110,11 @@ _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k /
 CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certificate
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
-# a batch whose grid pass would exceed this many (region, column) cells is
-# searched in halves: a pass holds about nine float arrays of that size and
-# twelve of (classes, columns), ~18 MB here with one class and ~44 MB on a
-# chain without repeats; the cells of a crystal sweep grow as its largest N squared
+# no pass holds more than this many (region, column) cells, or more than one
+# column: every pass runs in column chunks under it, and a batch whose grid pass
+# would exceed it is searched in halves.  A pass holds about nine float arrays of
+# that size and twelve of (classes, columns), ~18 MB here with one class and ~44 MB
+# on a chain without repeats; the cells of a crystal sweep grow as its largest N squared
 _SEARCH_CELLS = 2**18
 
 
@@ -115,20 +122,21 @@ _SEARCH_CELLS = 2**18
 class BoundState:
     """One bound state: energy, its decay rate at infinity, and the state.
 
-    ``_rows`` holds the breakpoints and views of the state's columns in
-    its pass (kinds, rates, c1s, c2s, one entry per segment); it takes no
+    ``_rows`` takes no arguments and returns the state's breakpoints and
+    coefficient columns (kinds, rates, c1s, c2s, one entry per segment),
+    rebuilding them on its first call (see :func:`_states`); it takes no
     part in comparisons.  The normalized wavefunction is built from them the
     first time it is read, and kept, so a caller that reads only the ground
-    state converts and builds only it.
+    state rebuilds only the chunk that holds it and builds only it.
     """
 
     energy: float
     kappa: float
-    _rows: tuple = field(repr=False, compare=False)
+    _rows: Callable[[], tuple] = field(repr=False, compare=False)
 
     @cached_property
     def wavefunction(self) -> PiecewiseExpWavefunction:
-        return PiecewiseExpWavefunction(*self._rows, normalized=False).normalized_copy()
+        return PiecewiseExpWavefunction(*self._rows(), normalized=False).normalized_copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +241,9 @@ class _Pass(NamedTuple):
     chain, the one right of site i in row i, and one column per kappa.
     ``exp_mask``, ``osc_mask``, ``rate`` and ``phase`` are computed once per
     class of the chain and taken to the regions through ``_Chain.cls`` at
-    the end of the pass.  :func:`_reconstruct` reads the pass at the roots
-    whole and rebuilds every state of the batch from it in one call.
+    the end of the pass.  A count keeps only ``tail`` and ``nodes``
+    (:func:`_tails_and_counts`); :func:`_reconstruct` makes its own pass at
+    a chunk of roots and reads it whole.
     """
 
     tail: np.ndarray  # sign-preserving growing-tail coefficient
@@ -354,22 +363,22 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
 
 
 def _reconstruct(
-    batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray, path: _Pass
-) -> list[BoundState]:
-    """Every root (or certified kappa) as a state holding its coefficient rows from ``path``.
+    batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray
+) -> list[tuple]:
+    """The breakpoints and coefficient columns of the state at each root (or certified kappa).
 
-    ``path`` is the pass at the roots, column j on problem ``owner[j]``.  The
-    rows of every root are formed at once, one segment before each region of
-    the padded chain and one after; column j's left tail is written at row
-    ``first = chain.first[owner[j]]`` and its state keeps views of
-    ``[first:, j]``.  A padded step divides out nothing, so each state has
+    One :func:`_transfer` pass at ``kappas``, column j on problem
+    ``owner[j]``, gives the rows of every root at once, one segment before
+    each region of the padded chain and one after; column j's left tail is
+    written at row ``first = chain.first[owner[j]]`` and its rows are views
+    of ``[first:, j]``.  A padded step divides out nothing, so each state has
     the bits of its problem's own search.  Each segment's coefficients carry
     the running log of the factors the pass divided out, so deep tails
     cannot underflow; the residual growing-tail coefficient is dropped (it
-    vanishes to the root tolerance).  The normalized wavefunction is built
-    from the views when :attr:`BoundState.wavefunction` is first read.
+    vanishes to the root tolerance).  :func:`_states` calls this once per
+    chunk of roots, when the first of its states is read.
     """
-    exp_mask, osc_mask, rate, psi, dpsi = path.exp_mask, path.osc_mask, path.rate, path.psi, path.dpsi
+    _, _, exp_mask, osc_mask, rate, phase, psi, dpsi, renorm, psi_last, dpsi_last = _transfer(chain, kappas, owner)
     # one row per segment (left tail, each region, right tail), one column per kappa
     tail_kind = np.full((1, len(kappas)), "exp")
     zero = np.zeros((1, len(kappas)))
@@ -378,7 +387,7 @@ def _reconstruct(
     c1s = np.vstack([
         zero,
         np.where(exp_mask, (rate * psi - dpsi) / (2.0 * rate), psi),
-        (kappas * path.psi_last - path.dpsi_last) / (2.0 * kappas),
+        (kappas * psi_last - dpsi_last) / (2.0 * kappas),
     ])
     c2s = np.vstack([
         zero + 1.0,
@@ -391,29 +400,53 @@ def _reconstruct(
     kinds[first, columns], rates[first, columns], c1s[first, columns], c2s[first, columns] = "exp", kappas, 0.0, 1.0
     # log of what the pass divided out before each region, added in the pass's
     # order: damping then renorm, region by region
-    steps = np.empty((2 * len(psi), len(kappas)))
-    steps[0::2] = np.where(exp_mask, path.phase, 0.0)
-    steps[1::2] = np.log(path.renorm)
+    steps = np.stack([np.where(exp_mask, phase, 0.0), np.log(renorm)], axis=1).reshape(-1, len(kappas))
     logs = np.vstack([zero, zero, np.cumsum(steps, axis=0)[1::2]])
 
     factors = np.exp(logs - logs.max(axis=0))
-    c1s, c2s = c1s * factors, c2s * factors
-    half_h2_over_m, rows = chain.half_h2_over_m.tolist(), (kinds, rates, c1s, c2s)
+    rows = (kinds, rates, c1s * factors, c2s * factors)
     return [
-        BoundState(-half_h2_over_m[p] * kappa**2, kappa, (batch[p].positions, *(a[f:, j] for a in rows)))
-        for j, (p, f, kappa) in enumerate(zip(owner.tolist(), first.tolist(), kappas.tolist()))
+        (batch[p].positions, *(a[f:, j] for a in rows)) for j, (p, f) in enumerate(zip(owner.tolist(), first.tolist()))
     ]
 
 
-def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The tail and node count of every column, in passes of at most ``_SEARCH_CELLS`` cells.
-
-    A cell is one (region, column) pair.  Each column is computed on its own
-    kappa alone, so the chunks give the bits one pass would.
-    """
+def _chunks(chain: _Chain, columns: int) -> list[slice]:
+    """``columns`` columns in consecutive slices, a pass over each holding at most
+    ``_SEARCH_CELLS`` (region, column) cells, or one column."""
     width = max(1, _SEARCH_CELLS // len(chain.jumps))
-    parts = [_transfer(chain, kappas[s:s + width], which[s:s + width]) for s in range(0, len(kappas), width)]
-    return np.concatenate([p.tail for p in parts]), np.concatenate([p.nodes for p in parts])
+    return [slice(s, s + width) for s in range(0, columns, width)]
+
+
+def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The tail and node count of every column, one pass per chunk of :func:`_chunks`.
+
+    Only each chunk's tails and counts are kept, so no more than one pass is
+    held at a time.  Each column is computed on its own kappa alone, so the
+    chunks give the bits one pass would.
+    """
+    tails, counts = zip(*(_transfer(chain, kappas[c], which[c])[:2] for c in _chunks(chain, len(kappas))))
+    return np.concatenate(tails), np.concatenate(counts)
+
+
+def _states(
+    batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray
+) -> list[BoundState]:
+    """The state at each root, column j on problem ``owner[j]``: energy and kappa now, rows when read.
+
+    The roots fall into the chunks of :func:`_chunks`.  The first read of
+    any state's wavefunction rebuilds its whole chunk in one
+    :func:`_reconstruct` call, kept for the chunk's other states, so a state
+    that is never read costs no pass and no pass holds more than
+    ``_SEARCH_CELLS`` cells.
+    """
+    half_h2_over_m, states = chain.half_h2_over_m.tolist(), []
+    for c in _chunks(chain, len(kappas)):
+        rebuilt = cache(lambda k=kappas[c], o=owner[c]: _reconstruct(batch, chain, k, o))
+        states += [
+            BoundState(-half_h2_over_m[p] * kappa**2, kappa, lambda j=j, rebuilt=rebuilt: rebuilt()[j])
+            for j, (p, kappa) in enumerate(zip(owner[c].tolist(), kappas[c].tolist()))
+        ]
+    return states
 
 
 def _bracket(xs, tails, counts, rows, j, third) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,13 +501,12 @@ def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
     return caps
 
 
-def _halves(batch: list[DeltaPotentialProblem], columns: int) -> list[slice]:
-    """The whole batch, or its two halves where a pass of ``columns`` per problem
-    would hold more than ``_SEARCH_CELLS`` (region, column) cells."""
-    if len(batch) > 1 and len(batch) * columns * max(len(problem.deltas) for problem in batch) > _SEARCH_CELLS:
-        half = len(batch) // 2
-        return [slice(None, half), slice(half, None)]
-    return [slice(None)]
+def _halves(batch: list[DeltaPotentialProblem]) -> list[slice]:
+    """The whole batch, or its two halves where its grid pass would hold more
+    than ``_SEARCH_CELLS`` (region, column) cells."""
+    half = len(batch) // 2
+    split = half > 0 and len(batch) * (GRID + 1) * max(len(problem.deltas) for problem in batch) > _SEARCH_CELLS
+    return [slice(None, half), slice(half, None)] if split else [slice(None)]
 
 
 def find_bound_states(
@@ -489,24 +521,25 @@ def find_bound_states(
     one :func:`_transfer`, which costs about what a pass over the longest
     problem alone costs, and every column gets the operations its problem
     alone would get, so each state comes out with the same bits whatever
-    the batch.  Every chain is padded to the longest, so a sequence whose
-    grid pass would hold more than ``_SEARCH_CELLS`` (region, column) cells
-    is split in halves, each searched the same way, which bounds the memory
-    of a pass.  A single problem is never split; instead every pass but the
-    one at the roots, the grid pass included, runs in column chunks of at
-    most ``_SEARCH_CELLS`` cells.
+    the batch.  Every pass runs in column chunks of at most
+    ``_SEARCH_CELLS`` (region, column) cells, which bounds its memory, and
+    only each chunk's tails and counts are kept.  Every chain is padded to
+    the longest, so a sequence whose grid pass would hold more than
+    ``_SEARCH_CELLS`` cells is also split in halves, each searched the same
+    way; a single problem is never split.
 
     Each answer is a :class:`BoundStateList`: the states, the cap
     ``kappa_max``, the count ``state_count`` and the ``unresolved``
     intervals.  ``lowest`` = k, an integer >= 0 (not a bool), returns only
     the k lowest-energy states (fewer if fewer exist); ``None`` returns all
     of them.  The count is taken for all of them either way
-    (``state_count``), and only the states returned are isolated, refined
-    and reconstructed, so asking for the ground state alone (``lowest=1``)
-    costs the counting pass, its own refinement and one pass at its root,
-    whatever the number of states, and ``lowest=0`` costs the counting pass
-    and a pass over no roots: it answers how many states there are and
-    nothing else.
+    (``state_count``), and only the states returned are isolated and
+    refined, so asking for the ground state alone (``lowest=1``) costs the
+    counting pass and its own refinement, whatever the number of states,
+    and ``lowest=0`` costs the counting pass alone: it answers how many
+    states there are and nothing else.  The search makes no pass at its
+    roots; reading a state's wavefunction makes one, over the chunk of
+    roots that holds it.
 
     The search has no other setting.  Each problem's cap ``kappa_max`` is
     four times its largest single-delta or single-region rate; a problem
@@ -548,7 +581,7 @@ def find_bound_states(
     count j + 1 and j returns its state at its midpoint and is listed in
     ``unresolved``.  States come back sorted by ascending energy;
     finding none is an empty list, not an error.  Each state's wavefunction
-    is built the first time it is read.
+    is rebuilt and built the first time it is read.
     """
     single = isinstance(problems, DeltaPotentialProblem)
     batch = [problems] if single else list(problems)
@@ -558,7 +591,7 @@ def find_bound_states(
     if not batch:
         return []
     caps = _caps(batch)
-    parts = _halves(batch, GRID + 1)
+    parts = _halves(batch)
     if len(parts) > 1:
         return [found for part in parts for found in find_bound_states(batch[part], lowest)]
     chain = _chain(batch)
@@ -636,8 +669,7 @@ def find_bound_states(
         )
 
     lo, hi = xs[lo], xs[hi]
-    roots = 0.5 * (lo + hi)
-    states = _reconstruct(batch, chain, roots, owner, _transfer(chain, roots, owner))
+    states = _states(batch, chain, 0.5 * (lo + hi), owner)
     found = []
     bounds = [0, *accumulate(refined)]
     for p, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -653,11 +685,13 @@ def certify_ground_states(
 ) -> list[BoundStateList]:
     """Confirm each problem's ground state at the decay rate ``kappas[i]`` the caller holds.
 
-    One :func:`_transfer` pass answers every problem, four columns each, the
-    kappa columns of all problems first, so column i is problem i: kappa,
-    then kappa*(1 - delta) and kappa*(1 + delta) with delta =
-    :data:`CERTIFICATE_RTOL`, then :data:`DEFAULT_BISECTION_TOL`, which
-    stands for 0+ as in the search.  Node counts of 1 and 0 at kappa*(1 -+
+    ``kappas`` holds one decay rate per problem, or the call is refused.  One
+    count answers every problem, three columns each, in the search's column
+    chunks (:func:`_tails_and_counts`): kappa*(1 - delta) and kappa*(1 +
+    delta) with delta = :data:`CERTIFICATE_RTOL`, then
+    :data:`DEFAULT_BISECTION_TOL`, which stands for 0+ as in the search, so
+    that ``state_count`` is the count the search takes at 0+, bit for bit,
+    whether or not the problem certifies.  Node counts of 1 and 0 at kappa*(1 -+
     delta) prove, by the Sturm oscillation theorem, that the ground state is
     the only state there and lies within a relative delta of kappa (Wilkinson,
     *The Algebraic Eigenvalue Problem*, 1965; Barth, Martin & Wilkinson,
@@ -666,35 +700,29 @@ def certify_ground_states(
     certified problem is one the search would answer without error.
 
     Each answer is a :class:`BoundStateList` with the search's cap and its
-    count at 0+ (the bits :func:`find_bound_states` gives), no
-    ``unresolved`` intervals and, when certified, the one state rebuilt from
-    the kappa column; an uncertified problem has no state, and its caller
-    searches it.  The input checks and the split of a batch too large for
-    one pass are the search's.  Nothing here knows where the kappas came
-    from: the oracle still never calls the exponential map.
+    count at 0+, no ``unresolved`` intervals and, when certified, the one
+    state at kappa, rebuilt when first read as the search's states are
+    (:func:`_states`); an uncertified problem has no state, and its caller
+    decides whether to search it.  The input checks are the search's.
+    Nothing here knows where the kappas came from: the oracle still never
+    calls the exponential map.
     """
     batch = list(problems)
+    if len(kappas) != len(batch):
+        raise ValueError(f"one kappa per problem: got {len(kappas)} kappas for {len(batch)} problems")
     if not batch:
         return []
-    caps = _caps(batch)
-    parts = _halves(batch, 4)
-    if len(parts) > 1:
-        return [found for part in parts for found in certify_ground_states(batch[part], kappas[part])]
-    chain = _chain(batch)
+    caps, chain = _caps(batch), _chain(batch)
     kappas = np.array(kappas, dtype=float)
-    owner = np.arange(len(batch))
-    columns = np.concatenate([
-        kappas, kappas * (1.0 - CERTIFICATE_RTOL), kappas * (1.0 + CERTIFICATE_RTOL),
-        np.full(len(batch), DEFAULT_BISECTION_TOL),
-    ])
-    path = _transfer(chain, columns, np.tile(owner, 4))
-    below, above, state_counts = path.nodes[len(batch):].reshape(3, len(batch))
-    certified = (below == 1) & (above == 0) & (state_counts >= 1) & (kappas * (1.0 + CERTIFICATE_RTOL) <= caps)
-    kept = owner[certified]
-    states = iter(_reconstruct(batch, chain, kappas[kept], kept, _Pass(*(a[..., kept] for a in path))))
+    ends = [kappas * (1.0 - CERTIFICATE_RTOL), kappas * (1.0 + CERTIFICATE_RTOL)]
+    columns = np.concatenate([*ends, np.full(len(batch), DEFAULT_BISECTION_TOL)])
+    below, above, counts = _tails_and_counts(chain, columns, np.arange(columns.size) % len(batch))[1].reshape(3, -1)
+    certified = (below == 1) & (above == 0) & (counts >= 1) & (ends[1] <= caps)
+    kept = np.flatnonzero(certified)
+    states = iter(_states(batch, chain, kappas[kept], kept))
     return [
         BoundStateList((next(states),) if ok else (), cap, count, ())
-        for ok, cap, count in zip(certified.tolist(), caps, state_counts.tolist())
+        for ok, cap, count in zip(certified.tolist(), caps, counts.tolist())
     ]
 
 

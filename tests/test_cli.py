@@ -369,11 +369,10 @@ def test_solve_map_mode_exits_1_when_the_oracle_counts_no_state(mode, tmp_path, 
     cfg = _write(tmp_path, "m.cfg", _MAP_MODES[mode])
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
     energy = _summary(capsys)["energy"]
-    # the certificate counts 0 at 0+, so it certifies nothing, and the search counts 0 too;
-    # the fallback's warning is not written, since the command fails
+    # the certificate counts 0 at 0+, so it certifies nothing; its warning is not
+    # written, since the command fails
     empty = oracle.BoundStateList(states=(), kappa_max=1.0, state_count=0, unresolved=())
     monkeypatch.setattr(oracle, "certify_ground_states", lambda problems, kappas: [empty])
-    monkeypatch.setattr(oracle, "find_bound_states", lambda problems, lowest=None: empty)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -384,9 +383,9 @@ def test_solve_map_mode_exits_1_when_the_oracle_counts_no_state(mode, tmp_path, 
 
 
 def _record_oracle(monkeypatch):
-    """The ``lowest`` of every search and the column count of every pass, as the command runs."""
-    searches, columns = [], []
-    search, transfer = oracle.find_bound_states, oracle._transfer
+    """The ``lowest`` of every search, the column count of every pass and of every rebuild, as the command runs."""
+    searches, columns, rebuilt = [], [], []
+    search, transfer, reconstruct = oracle.find_bound_states, oracle._transfer, oracle._reconstruct
 
     def recorded_search(problems, lowest=None):
         searches.append(lowest)
@@ -396,32 +395,41 @@ def _record_oracle(monkeypatch):
         columns.append(len(kappas))
         return transfer(chain, kappas, which)
 
+    def recorded_reconstruct(batch, chain, kappas, owner):
+        rebuilt.append(len(kappas))
+        return reconstruct(batch, chain, kappas, owner)
+
     monkeypatch.setattr(oracle, "find_bound_states", recorded_search)
     monkeypatch.setattr(oracle, "_transfer", recorded_transfer)
-    return searches, columns
+    monkeypatch.setattr(oracle, "_reconstruct", recorded_reconstruct)
+    return searches, columns, rebuilt
 
 
 @pytest.mark.parametrize("mode", _MAP_MODES)
 def test_solve_map_mode_asks_the_oracle_only_to_count(mode, tmp_path, capsys, monkeypatch):
-    # the printed state is the map's: one certificate pass of four columns at
-    # its decay rate, and no search
-    searches, columns = _record_oracle(monkeypatch)
+    # the printed state is the map's: one certificate pass of three columns
+    # around its decay rate and at 0+, no search and no rebuild
+    searches, columns, rebuilt = _record_oracle(monkeypatch)
     cfg = _write(tmp_path, "m.cfg", _MAP_MODES[mode])
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "m.csv")]) == 0
-    assert searches == []
-    assert columns == [4]
+    assert searches == rebuilt == []
+    assert columns == [3]
     captured = capsys.readouterr()
     assert int(captured.out.split("bound_state_count: ")[1]) >= 1
     assert captured.err == ""
 
 
-def test_solve_falls_back_to_the_search_where_the_certificate_fails(tmp_path, capsys):
+def test_solve_counts_in_its_one_pass_where_the_certificate_fails(tmp_path, capsys, monkeypatch):
     # the three-sheet stack 0:3s, 1.7:4s, 4:-0.1s at s = 1e-6: the regime switch's floor
     # (ROADMAP item 12) takes a region as linear and the count at kappa*(1 + 1e-12) reads 1,
-    # so solve counts by the search, prints what it printed before the certificate
-    # existed, and says so on one line
+    # so the certificate fails; its count at 0+ is the search's, so solve prints what it
+    # printed before the certificate existed, from the certificate's one pass, and says so
+    # on one line
+    searches, columns, rebuilt = _record_oracle(monkeypatch)
     cfg = _write(tmp_path, "s.cfg", "mode = sheets\nsheets = 0:3e-6, 1.7:4e-6, 4:-1e-7\npoints = 5\n")
     assert main(["solve", "--config", cfg]) == 0
+    assert searches == rebuilt == []
+    assert columns == [3]
     captured = capsys.readouterr()
     assert captured.out == (
         "z,V,psi,U_region\n"
@@ -669,11 +677,14 @@ def test_sweep_residual_reads_nan_when_any_part_is_nan(tmp_path, capsys, monkeyp
 
 
 def test_sweep_certifies_every_cell_in_one_pass(tmp_path, capsys, monkeypatch):
-    searches, columns = _record_oracle(monkeypatch)
+    # one certificate pass of three columns per cell, then one pass that rebuilds
+    # every cell's state when the first row reads it
+    searches, columns, rebuilt = _record_oracle(monkeypatch)
     cfg = _write(tmp_path, "s.cfg", "N = 0..4\nalpha = 0.5, 1\na = 1\n")
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
     assert searches == []
-    assert columns == [4 * 10]
+    assert columns == [3 * 10, 10]
+    assert rebuilt == [10]
     assert capsys.readouterr().err == ""
 
 

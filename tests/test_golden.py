@@ -106,8 +106,9 @@ def test_golden_solve_writes_nothing_on_stderr(key, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["sweep", "solve-canonical", "solve-uneven"])
 def test_uncertified_kappa_falls_back_to_the_search_byte_for_byte(name, tmp_path, capsys, monkeypatch):
-    # a kappa moved by 1e-9 relative counts 0 at both ends of its certificate, so every
-    # problem is searched, and the outputs are the ones the search alone gives
+    # a kappa moved by 1e-9 relative counts 0 at both ends of its certificate, so sweep
+    # searches every cell and solve counts by the certificate's column at 0+, and the
+    # outputs are the ones the search alone gives
     answers, certify = [], oracle.certify_ground_states
 
     def moved(problems, kappas):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,9 +250,9 @@ def _record_transfers(monkeypatch):
 @pytest.mark.parametrize("n", [8, 50, 100])
 def test_transfer_passes_per_solve_are_bounded(n, atomic, monkeypatch):
     # the counting pass on the grid, a few multisection passes until every
-    # state is isolated and its interpolation trusted, one or two
-    # inverse-quadratic passes per state, and the reconstruction: 9, 10 and
-    # 12 passes here, where refining the roots one at a time would grow with N
+    # state is isolated and its interpolation trusted, and one or two
+    # inverse-quadratic passes per state: 8, 9 and 11 passes here, where
+    # refining the roots one at a time would grow with N
     calls = _record_transfers(monkeypatch)
     found = find_bound_states(_crystal_problem(n))
     assert len(found) == n + 1
@@ -294,12 +295,12 @@ def test_untrusted_interpolation_falls_back_to_multisection(atomic, monkeypatch)
     found = find_bound_states(problem)
     assert len(found) == found.state_count == 1
     assert found.unresolved == ()
-    # the state's grid cell, then its points pass by pass until the pass at the root
+    # the state's grid cell, then its points pass by pass; no pass is made at the root
     grid, nodes = passes[0]
     k = max(i for i, n in enumerate(nodes) if n >= 1)
     lo, hi = grid[k], grid[k + 1]
     sizes = []
-    for points, counts in passes[1:-1]:
+    for points, counts in passes[1:]:
         sizes.append(len(points))
         if len(points) == oracle.MULTISECTION:
             cuts = range(1, oracle.MULTISECTION + 1)
@@ -314,7 +315,7 @@ def test_untrusted_interpolation_falls_back_to_multisection(atomic, monkeypatch)
     # one cut from the grid cell, four interpolations to the root, then cuts alone
     assert sizes == [7, 1, 1, 1, 1, 7, 7, 7, 7, 7, 7]
     assert math.nextafter(lo, math.inf) == hi
-    assert passes[-1][0] == [found.states[0].kappa] == [0.5 * (lo + hi)]
+    assert found.states[0].kappa == 0.5 * (lo + hi)
 
 
 def test_identical_brackets_share_their_cuts(atomic, monkeypatch):
@@ -334,19 +335,18 @@ def test_wide_loop_pass_runs_in_chunks_with_the_same_bits(monkeypatch):
     calls = _record_transfers(monkeypatch)
     unchunked = find_bound_states(problem)
     widths = [len(kappas) for kappas in calls]
-    assert max(widths[1:-1]) > 20
+    assert max(widths[1:]) > 20
     calls.clear()
     monkeypatch.setattr(oracle, "_SEARCH_CELLS", 20 * len(problem.deltas))
     chunked = find_bound_states(problem)
-    assert _hex_list(chunked) == _hex_list(unchunked)
-    assert max(len(kappas) for kappas in calls[1:-1]) == 20
+    assert max(len(kappas) for kappas in calls) == 20
     assert sum(len(kappas) for kappas in calls) == sum(widths)
+    assert _hex_list(chunked) == _hex_list(unchunked)
 
 
 def test_grid_pass_of_one_problem_runs_in_chunks_with_the_same_bits(monkeypatch):
     # a single problem is never split into halves, so its grid pass runs in
-    # column chunks like every loop pass: only the pass at the roots, which
-    # rebuilds the states, may hold more than _SEARCH_CELLS cells
+    # column chunks like every other pass, the rebuild of its states included
     problem = _crystal_problem(8)
     unchunked = find_bound_states(problem)
     bound = 10 * len(problem.deltas)
@@ -355,7 +355,7 @@ def test_grid_pass_of_one_problem_runs_in_chunks_with_the_same_bits(monkeypatch)
     chunked = find_bound_states(problem)
     assert _hex_list(chunked) == _hex_list(unchunked)
     assert [len(kappas) for kappas in calls[:7]] == [10] * 6 + [5]  # the grid's GRID + 1 = 65 points
-    assert all(len(kappas) * len(problem.deltas) <= bound for kappas in calls[:-1])
+    assert all(len(kappas) * len(problem.deltas) <= bound for kappas in calls)
     assert calls[-1] == [state.kappa for state in unchunked.states]
 
 
@@ -429,17 +429,21 @@ def _transfer_reference(problem, kappas):
     return tail, nodes.astype(np.int64), regions, psi, dpsi
 
 
-def _random_stack_problem(seed):
+def _random_stack(seed, fewest=2):
+    """A seeded normalizable stack: fewest..24 sheets, gaps U(0.2, 2), densities U(-3, 3), positive total."""
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 25))
+    k = int(rng.integers(fewest, 25))
     positions = np.cumsum(rng.uniform(0.2, 2.0, k))
     while True:
         densities = rng.uniform(-3.0, 3.0, k)
         if densities.sum() > 0.0:
             break
+    return SheetArray(list(zip(positions.tolist(), densities.tolist())))
+
+
+def _random_stack_problem(seed):
     units = atomic_units()
-    sheets = SheetArray(list(zip(positions.tolist(), densities.tolist())))
-    return to_quantum(solve_sheets(sheets, units), units)
+    return to_quantum(solve_sheets(_random_stack(seed), units), units)
 
 
 _RTOL = oracle.REGIME_SWITCH_RTOL
@@ -661,20 +665,20 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     built.clear()
     kappas = np.array([s.kappa for s in found])
     owner = np.zeros(kappas.shape, dtype=np.intp)
-    chain = oracle._chain([problem])
-    states = oracle._reconstruct([problem], chain, kappas, owner, oracle._transfer(chain, kappas, owner))
+    states = oracle._states([problem], oracle._chain([problem]), kappas, owner)
     assert len(states) == len(kappas) > 0
-    # each state holds views of its own column of the pass's arrays, unconverted
+    # each state's rows are views of its own column of the pass's arrays, unconverted
     for state in states:
-        assert state._rows[0] == problem.positions
-        assert all(isinstance(column, np.ndarray) and column.base is not None for column in state._rows[1:])
+        rows = state._rows()
+        assert rows[0] == problem.positions
+        assert all(isinstance(column, np.ndarray) and column.base is not None for column in rows[1:])
     assert built == []
     wavefunctions = [state.wavefunction for state in states]
     assert all(state.wavefunction is wavefunction for state, wavefunction in zip(states, wavefunctions))
     assert built == [False, True] * len(kappas)
     # each state is the normalized copy of the raw state its columns describe
     for wavefunction, state in zip(wavefunctions, states):
-        raw = PiecewiseExpWavefunction(*(np.asarray(column).tolist() for column in state._rows), normalized=False)
+        raw = PiecewiseExpWavefunction(*(np.asarray(column).tolist() for column in state._rows()), normalized=False)
         assert wavefunction.normalized and not raw.normalized
         assert _bits(wavefunction) == _bits(raw.normalized_copy())
         assert wavefunction.norm_squared() == pytest.approx(1.0, rel=1e-14)
@@ -686,27 +690,29 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     ids=["one-search", "halves"],
 )
 def test_a_batch_search_reconstructs_every_state_in_one_call(cells, searches, monkeypatch):
-    # crystals 2, 3 and 4 in one search: one call rebuilds all twelve states
-    # from the pass at the roots, or one call per half when the batch is
-    # halved; every state's rows start at its left tail, below which the
-    # shorter chains' padded rows are not its own
+    # crystals 2, 3 and 4 in one search: the search rebuilds nothing, and
+    # reading the states makes one call that rebuilds all twelve from one
+    # pass at the roots, or one call per half when the batch is halved;
+    # every state's rows start at its left tail, below which the shorter
+    # chains' padded rows are not its own
     problems = [_crystal_problem(n) for n in (2, 3, 4)]
-    alone = [find_bound_states(problem) for problem in problems]
+    alone = [_hex_list(find_bound_states(problem)) for problem in problems]
     monkeypatch.setattr(oracle, "_SEARCH_CELLS", cells)
     calls = []
     real = oracle._reconstruct
 
-    def counted(batch, chain, kappas, owner, path):
+    def counted(batch, chain, kappas, owner):
         calls.append([len(problem.deltas) for problem in batch])
-        return real(batch, chain, kappas, owner, path)
+        return real(batch, chain, kappas, owner)
 
     monkeypatch.setattr(oracle, "_reconstruct", counted)
     found = find_bound_states(problems)
+    assert calls == []
+    assert [_hex_list(got) for got in found] == alone
     assert calls == searches  # the sites of each search's crystals
-    for got, want, problem in zip(found, alone, problems):
-        assert _hex_list(got) == _hex_list(want)
+    for got, problem in zip(found, problems):
         for state in got:
-            kinds, rates, c1s, c2s = state._rows[1:]
+            kinds, rates, c1s, c2s = state._rows()[1:]
             assert len(kinds) == len(problem.deltas) + 1
             assert (kinds[0], rates[0], c1s[0]) == ("exp", state.kappa, 0.0) and c2s[0] > 0.0
 
@@ -920,19 +926,73 @@ def test_ground_first_keeps_the_ground_state_bits_and_the_count(group):
         want, got = full.states[0], first.states[0]
         assert got.kappa.hex() == want.kappa.hex()
         assert got.energy.hex() == want.energy.hex()
-        assert got._rows[0] == want._rows[0]
-        assert all(_same_bits(g, w) for g, w in zip(got._rows[1:], want._rows[1:]))
+        got_rows, want_rows = got._rows(), want._rows()
+        assert got_rows[0] == want_rows[0]
+        assert all(_same_bits(g, w) for g, w in zip(got_rows[1:], want_rows[1:]))
+
+
+def test_counting_alone_makes_only_the_grid_pass(monkeypatch):
+    problem = _crystal_problem(8)
+    calls = _record_transfers(monkeypatch)
+    found = find_bound_states(problem, lowest=0)
+    assert found.states == () and found.state_count == 9
+    assert [len(kappas) for kappas in calls] == [oracle.GRID + 1]
+
+
+def test_first_read_of_a_state_rebuilds_only_its_chunk(monkeypatch):
+    # with room for 4 columns a pass, the 9 states of crystal 8 fall into chunks of
+    # 4, 4 and 1: the search rebuilds none, reading state 5 rebuilds states 4..7 in
+    # one pass, and reading state 6 then makes no pass
+    problem = _crystal_problem(8)
+    want = _hex_list(find_bound_states(problem))
+    monkeypatch.setattr(oracle, "_SEARCH_CELLS", 4 * len(problem.deltas))
+    found = find_bound_states(problem)
+    calls = _record_transfers(monkeypatch)
+    found.states[5].wavefunction
+    assert calls == [[state.kappa for state in found.states[4:8]]]
+    found.states[6].wavefunction
+    assert len(calls) == 1
+    assert _hex_list(found) == want
+
+
+def test_a_search_and_a_read_stay_within_the_memory_bound(monkeypatch):
+    # every pass, counts and rebuilds alike, holds at most _SEARCH_CELLS (region,
+    # column) cells, or one column, and no pass outlives its chunk: the traced peak
+    # of a full search of crystal 50 and a read of its top state stays within a few
+    # passes' worth, where keeping every chunk's pass would grow with the columns
+    problem = _crystal_problem(50)
+    monkeypatch.setattr(oracle, "_SEARCH_CELLS", 20 * len(problem.deltas))
+    passes = []
+    real = oracle._transfer
+
+    def recorded(chain, kappas, which):
+        passes.append((len(kappas), len(kappas) * len(chain.jumps)))
+        return real(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_transfer", recorded)
+    tracemalloc.start()
+    try:
+        found = find_bound_states(problem)
+        found.states[-1].wavefunction
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 51
+    assert all(cells <= oracle._SEARCH_CELLS or columns == 1 for columns, cells in passes)
+    assert peak < 32 * oracle._SEARCH_CELLS * 8
 
 
 @pytest.mark.parametrize("n", [8, 100, 1000])
 def test_unit_crystal_ground_state_closes_in_two_passes(n, monkeypatch):
     # at alpha*a = 1 the ground state sits on the grid point kappa = 1: the
-    # counting pass closes its bracket and the pass at the root rebuilds it
+    # counting pass closes its bracket, and the first read of the state
+    # rebuilds it in one pass at its root
     problem = _crystal_problem(n)
     calls = _record_transfers(monkeypatch)
     state = find_bound_states(problem, lowest=1).states[0]
-    assert len(calls) == 2
-    assert calls[1] == [1.0]
+    assert len(calls) == 1
+    state.wavefunction
+    assert calls[1:] == [[1.0]]
     assert state.kappa == 1.0
     assert state.energy == -0.5
 
@@ -959,8 +1019,8 @@ def test_lowest_bounds_the_states_returned(atomic):
 def _hex_list(found):
     """Every number a search returns, as float.hex: states, rows, cap, count and unresolved intervals."""
     states = [
-        (s.kappa.hex(), s.energy.hex(), s._rows[0], s._rows[1].tolist(), [[x.hex() for x in c] for c in s._rows[2:]])
-        for s in found.states
+        (s.kappa.hex(), s.energy.hex(), rows[0], rows[1].tolist(), [[x.hex() for x in c] for c in rows[2:]])
+        for s, rows in ((s, s._rows()) for s in found.states)
     ]
     return (
         states,
@@ -1006,11 +1066,11 @@ def test_batch_equals_one_search_per_problem(options, monkeypatch):
         passes.append(len(chains))
     chains.clear()
     batch = find_bound_states(problems, **options)
+    # each search lays out one chain, which every one of its passes reads
+    searches = [list(calls) for _, calls in itertools.groupby(chains, key=id)]
     assert isinstance(batch, list) and len(batch) == len(problems)
     for got, want in zip(batch, alone):
         assert _hex_list(got) == _hex_list(want)
-    # each search lays out one chain, which every one of its passes reads
-    searches = [list(calls) for _, calls in itertools.groupby(chains, key=id)]
     assert len(searches) > 1 and sum(len(calls[0].first) for calls in searches) == len(problems)
     start = 0
     for calls in searches:
@@ -1050,7 +1110,8 @@ def test_certificate_rebuilds_the_search_state_at_its_root(monkeypatch):
         assert answer.state_count == found.state_count and answer.kappa_max == found.kappa_max
         if answer.states:
             assert _hex_list(answer) == _hex_list(found)
-    # a memory bound of two problems' passes splits the batch, and every pass keeps under it
+    # under a memory bound of two problems' passes the certificate counts in chunks, and
+    # every pass keeps under it, the rebuild of the certified states included
     cells = []
     real = oracle._transfer
 
@@ -1058,11 +1119,41 @@ def test_certificate_rebuilds_the_search_state_at_its_root(monkeypatch):
         cells.append(len(kappas) * len(chain.jumps))
         return real(chain, kappas, which)
 
-    monkeypatch.setattr(oracle, "_SEARCH_CELLS", 2 * 4 * max(len(problem.deltas) for problem, _ in bound))
+    monkeypatch.setattr(oracle, "_SEARCH_CELLS", 2 * 3 * max(len(problem.deltas) for problem, _ in bound))
     monkeypatch.setattr(oracle, "_transfer", recorded)
-    halves = oracle.certify_ground_states([problem for problem, _ in bound], kappas)
+    chunked = oracle.certify_ground_states([problem for problem, _ in bound], kappas)
+    assert [_hex_list(answer) for answer in chunked] == [_hex_list(answer) for answer in certified]
     assert len(cells) > 1 and max(cells) <= oracle._SEARCH_CELLS
-    assert [_hex_list(answer) for answer in halves] == [_hex_list(answer) for answer in certified]
+
+
+@pytest.mark.parametrize("kappas", [[1.0, 1.0, 1.0], [1.0]], ids=["more", "fewer"])
+def test_certificate_refuses_a_kappa_count_unlike_the_problem_count(kappas):
+    problems = [_crystal_problem(1), _crystal_problem(2)]
+    with pytest.raises(ValueError, match=f"got {len(kappas)} kappas for 2 problems"):
+        oracle.certify_ground_states(problems, kappas)
+
+
+def test_the_map_ground_state_certifies_on_random_stacks(atomic):
+    # the exponential map's ground state on 200 seeded random stacks of 1..24 sheets:
+    # the oracle certifies its decay rate, counts at 0+ what its search counts, and
+    # its search's ground energy is the map's to 1e-9 relative
+    sols = [solve_sheets(_random_stack(seed, fewest=1), atomic) for seed in range(200)]
+    problems = [to_quantum(sol, atomic) for sol in sols]
+    energies = [ground_state_from_electrostatics(sol, atomic).energy for sol in sols]
+    kappas = [math.sqrt(-2.0 * atomic.mass * energy) / atomic.hbar for energy in energies]
+    certified = oracle.certify_ground_states(problems, kappas)
+    searched = find_bound_states(problems, lowest=1)
+    for answer, found, energy in zip(certified, searched, energies):
+        assert answer.state_count == found.state_count
+        assert found.states[0].energy == pytest.approx(energy, rel=1e-9, abs=0.0)
+    # all but one certify.  Stack 86's ground state is half of a doublet whose roots lie
+    # ~2.4e-17 apart (60-digit arithmetic on the same chain), far inside the float
+    # spacing: two states count above kappa*(1 - 1e-12) and none above kappa*(1 + 1e-12),
+    # so no certificate of that width can single out the ground state, and it declines
+    declined = [seed for seed, answer in enumerate(certified) if not answer.states]
+    assert declined == [86]
+    kappa = kappas[86]
+    assert _pass(problems[86], [kappa * (1.0 - 1e-12), kappa * (1.0 + 1e-12)]).nodes.tolist() == [2, 0]
 
 
 def test_certificate_runs_the_search_input_checks(atomic):

@@ -84,6 +84,26 @@ def test_full_battery_solves_each_configuration_once(monkeypatch):
     assert _searches(monkeypatch, "full") == [(14, {}), (9, {})]
 
 
+def test_determinism_rerun_rebuilds_no_state(monkeypatch):
+    # the rerun compares energies alone, so the only states rebuilt are the battery's
+    searches, rebuilt = [], []
+    search, reconstruct = oracle.find_bound_states, oracle._reconstruct
+
+    def recorded_search(problems, **options):
+        searches.append(search(problems, **options))
+        return searches[-1]
+
+    def recorded_reconstruct(batch, chain, kappas, owner):
+        rebuilt.extend(kappas.tolist())
+        return reconstruct(batch, chain, kappas, owner)
+
+    monkeypatch.setattr(oracle, "find_bound_states", recorded_search)
+    monkeypatch.setattr(oracle, "_reconstruct", recorded_reconstruct)
+    assert run_verification("quick").all_passed
+    battery, _ = searches
+    assert rebuilt == [state.kappa for found in battery for state in found]
+
+
 def test_determinism_check_catches_a_one_ulp_rerun(monkeypatch):
     # the stored solves are shared by every section, so the rerun must still
     # be compared with them, bit for bit
