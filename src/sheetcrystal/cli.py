@@ -42,6 +42,7 @@ then one certificate pass for all of them, which serves many problems at once.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import chain
@@ -463,6 +464,7 @@ def cmd_sweep(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+@functools.cache  # built once per process: parse_args does not change the parser
 def build_parser() -> _Parser:
     parser = _Parser(prog="sheetcrystal", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -185,7 +185,8 @@ def identity_abs_sum(n: int, N: int) -> tuple[int, int]:
         raise ValueError("n and N must be integers")
     if N < 0 or abs(n) > N:
         raise ValueError(f"need |n| <= N with N >= 0, got n={n!r}, N={N!r}")
-    lhs = sum((-1) ** (j + N) * abs(n - j) for j in range(-N, N + 1))
+    # j + N even (j = -N, -N + 2, ..., N) adds |n - j|, j + N odd subtracts it
+    lhs = sum(abs(n - j) for j in range(-N, N + 1, 2)) - sum(abs(n - j) for j in range(1 - N, N, 2))
     rhs = ((1 + 2 * N) - (-1) ** (n + N)) // 2
     return lhs, rhs
 
@@ -194,8 +195,11 @@ def identity_alternating_exp(N: int, x: float) -> tuple[float, float]:
     """Alternating exponential site sum vs exp(x) + 2N*sinh(x)."""
     if isinstance(N, bool) or not isinstance(N, int) or N < 0:
         raise ValueError(f"N must be a non-negative integer, got {N!r}")
-    lhs = math.fsum((-1.0) ** n * math.exp(x * (-1.0) ** n) for n in range(0, 2 * N + 1))
-    rhs = math.exp(x) + 2.0 * N * math.sinh(x)
+    # the 2N+1 site terms: exp(x) at even n, -exp(-x) at odd n (taken only if there is one)
+    rising = math.exp(x)
+    falling = -math.exp(-x) if N else 0.0
+    lhs = math.fsum([rising, falling] * N + [rising])
+    rhs = rising + 2.0 * N * math.sinh(x)
     return lhs, rhs
 
 
@@ -207,8 +211,10 @@ def identity_sinh_parity(N: int, x: float) -> tuple[float, float]:
     """
     if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be an integer >= 1, got {N!r}")
-    lhs = (-1.0) ** N * math.fsum(math.sinh((-1.0) ** (k + N) * x) for k in range(N))
-    rhs = 0.5 * (1.0 - (-1.0) ** N) * math.sinh(x)
+    # the N site terms: sinh(x) where k + N is even, sinh(-x) where it is odd
+    terms = (math.sinh(x), math.sinh(-x))
+    lhs = (-1.0) ** N * math.fsum(terms[(k + N) % 2] for k in range(N))
+    rhs = 0.5 * (1.0 - (-1.0) ** N) * terms[0]
     return lhs, rhs
 
 

@@ -15,14 +15,24 @@ breakpoint and every other segment sits at the left edge of its region.
 All integrals (norm, per-region probability, derivative squared) come from
 antiderivatives, so nothing in the package accumulates sampling error.
 
+Validation happens once per set of columns: the public constructor
+converts every column and checks every rule (lengths, increasing
+breakpoints, known kinds, positive exp and osc rates).  The wavefunctions
+derived from a checked one, :meth:`PiecewiseExpWavefunction.normalized_copy`
+and the derivative behind ``derivative``, ``breakpoint_slopes`` and
+``derivative_squared_integral``, reuse its breakpoints, kinds and rates and
+set only their new coefficients, unchecked.
+
 Point values have one evaluator, :func:`_evaluate`: the numpy forms at arrays
 of (segment index, z) pairs give the reference bits for every point value.
+It takes every form at every point and keeps each point's own with
+``np.where``, a handful of array calls whatever the number of points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,22 +40,29 @@ import numpy as np
 from .errors import DivergentTailError
 
 VALID_KINDS = ("exp", "lin", "osc")
+_EXP, _LIN = 0, 1  # kind codes: positions in VALID_KINDS
 
 
-def _evaluate(columns: tuple[np.ndarray, ...], idx: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The forms of the module docstring at each (segment index, z) pair."""
-    kind, rate, x0, c1, c2 = (column[idx] for column in columns)
-    u = zs - x0
-    out = np.zeros_like(u)
-    falling = (kind == "exp") & (c1 != 0.0)  # skip zero terms: far out, 0 * exp overflow is nan
-    out[falling] += c1[falling] * np.exp(-rate[falling] * u[falling])
-    rising = (kind == "exp") & (c2 != 0.0)
-    out[rising] += c2[rising] * np.exp(rate[rising] * u[rising])
-    lin = kind == "lin"
-    out[lin] = c1[lin] + c2[lin] * u[lin]
-    osc = kind == "osc"
-    out[osc] = c1[osc] * np.cos(rate[osc] * u[osc]) + c2[osc] * np.sin(rate[osc] * u[osc])
-    return out
+def _evaluate(
+    frame: tuple[np.ndarray, np.ndarray, np.ndarray], coefficients: np.ndarray, idx: np.ndarray, zs: np.ndarray
+) -> np.ndarray:
+    """The forms of the module docstring at each (segment index, z) pair.
+
+    Every form is taken at every point and ``np.where`` keeps each point's
+    own, so a form a point does not keep may overflow or be NaN unseen.  A
+    zero coefficient adds 0.0, never 0 * exp(...), which is NaN where the
+    exp overflows, and the exp form sums as 0.0 + falling + rising.
+    """
+    _, codes, rate_anchor = frame
+    kind = codes.take(idx)
+    rate, x0 = rate_anchor.take(idx, axis=1)
+    c1, c2 = coefficients.take(idx, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = zs - x0
+        ru = rate * u
+        exp_form = 0.0 + np.where(c1 != 0.0, c1 * np.exp(-ru), 0.0) + np.where(c2 != 0.0, c2 * np.exp(ru), 0.0)
+        osc_form = c1 * np.cos(ru) + c2 * np.sin(ru)
+        return np.where(kind == _EXP, exp_form, np.where(kind == _LIN, c1 + c2 * u, osc_form))
 
 
 def _square_integral_finite(kind: str, r: float, c1: float, c2: float, width: float) -> float:
@@ -102,7 +119,9 @@ class PiecewiseExpWavefunction:
     one more than ``breakpoints``, and are stored as tuples of Python
     floats (and strings); segment k is anchored at
     ``breakpoints[max(k - 1, 0)]``.  ``normalized`` is a promise made by the
-    constructor path, not re-derived here.
+    constructor path, not re-derived here.  The constructor converts and
+    checks every column; ``normalized_copy`` and the derivative share the
+    checked breakpoints, kinds and rates and skip that step.
     """
 
     breakpoints: tuple[float, ...]
@@ -130,37 +149,60 @@ class PiecewiseExpWavefunction:
                 raise ValueError(f"{kind} segments need rate > 0, got {rate!r}")
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """(kind, rate, x0, c1, c2) arrays, one entry per segment, for :func:`_evaluate`."""
-        anchors = (self.breakpoints[0], *self.breakpoints)
-        return (np.array(self.kinds), *map(np.array, (self.rates, anchors, self.c1s, self.c2s)))
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(breakpoint array, kind codes, rate and anchor rows), shared by derived wavefunctions."""
+        codes = np.fromiter(map(VALID_KINDS.index, self.kinds), dtype=np.intp, count=len(self.kinds))
+        return np.array(self.breakpoints), codes, np.array((self.rates, (self.breakpoints[0], *self.breakpoints)))
+
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """The c1 and c2 rows, one entry per segment."""
+        return np.array((self.c1s, self.c2s))
+
+    def _with_coefficients(self, c1s, c2s, normalized: bool) -> "PiecewiseExpWavefunction":
+        """This wavefunction's checked breakpoints, kinds and rates with new c1s and c2s.
+
+        The columns are taken as they are (tuples of Python floats), not
+        converted or checked again; the parent's frame is shared if built.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(
+            breakpoints=self.breakpoints, kinds=self.kinds, rates=self.rates,
+            c1s=tuple(c1s), c2s=tuple(c2s), normalized=normalized,
+        )
+        if "_frame" in self.__dict__:
+            twin.__dict__["_frame"] = self._frame
+        return twin
 
     @cached_property
     def _derivative(self) -> "PiecewiseExpWavefunction":
         d1s, d2s = zip(*map(_derivative_row, self.kinds, self.rates, self.c1s, self.c2s))
-        return replace(self, c1s=d1s, c2s=d2s, normalized=False)
+        return self._with_coefficients(d1s, d2s, normalized=False)
+
+    def _at(self, zs: np.ndarray, side: str = "right") -> np.ndarray:
+        """Point values at the array ``zs``; ``side`` picks the segment exactly on a breakpoint."""
+        frame = self._frame
+        return _evaluate(frame, self._coefficients, np.searchsorted(frame[0], zs, side=side), zs)
 
     def value(self, z: float) -> float:
-        zs = np.asarray(float(z))
-        return float(_evaluate(self._columns, np.searchsorted(self.breakpoints, zs, side="right"), zs))
+        return float(self._at(np.asarray(float(z))))
 
     def values(self, zs) -> np.ndarray:
         """Vectorized :meth:`value` over an array of positions."""
-        zs = np.asarray(zs, dtype=float)
-        return _evaluate(self._columns, np.searchsorted(self.breakpoints, zs, side="right"), zs)
+        return self._at(np.asarray(zs, dtype=float))
 
     def derivative(self, z: float, side: str = "right") -> float:
         """One-sided derivative; ``side`` only matters exactly at a breakpoint."""
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        zs = np.asarray(float(z))
-        return float(_evaluate(self._derivative._columns, np.searchsorted(self.breakpoints, zs, side=side), zs))
+        return float(self._derivative._at(np.asarray(float(z)), side))
 
     def breakpoint_values(self) -> tuple[np.ndarray, np.ndarray]:
         """psi(b-) and psi(b+) at every breakpoint b, as arrays."""
         n = len(self.breakpoints)
+        edges = self._frame[0]
         segment = np.concatenate([np.arange(n), np.arange(1, n + 1)])  # left of each b, then right
-        both = _evaluate(self._columns, segment, np.concatenate([self.breakpoints, self.breakpoints]))
+        both = _evaluate(self._frame, self._coefficients, segment, np.concatenate([edges, edges]))
         return both[:n], both[n:]
 
     def breakpoint_slopes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +235,4 @@ class PiecewiseExpWavefunction:
                 f"cannot normalize the wavefunction: its norm squared, the integral of psi^2, is {norm_squared!r}"
             )
         scale = 1.0 / math.sqrt(norm_squared)
-        return replace(
-            self, c1s=[scale * c for c in self.c1s], c2s=[scale * c for c in self.c2s], normalized=True
-        )
+        return self._with_coefficients([scale * c for c in self.c1s], [scale * c for c in self.c2s], normalized=True)

@@ -609,6 +609,28 @@ def test_verify_full_passes(capsys):
     assert capsys.readouterr().out.rstrip().endswith("all checks passed")
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys):
+    # solve, a malformed config, verify and solve again through the cached
+    # parser give what a fresh parser per call gives
+    solve = ["solve", "--config", _write(tmp_path, "good.cfg", _CANONICAL)]
+    calls = [solve, ["solve", "--config", _write(tmp_path, "bad.cfg", "mode = canonical\nN = x\n")], ["verify"], solve]
+
+    def run(fresh):
+        results = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        return results
+
+    cached = run(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in cached] == [0, 1, 0, 0]
+    assert cached[1][2].startswith("error: ") and cached[1][2].count("\n") == 1
+    assert cached[0] == cached[3]
+    assert run(fresh=True) == cached
+
+
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 

@@ -404,6 +404,40 @@ def test_identity_sinh_parity_sweep():
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
+def _site_by_site(name, N, x):
+    """The identities' left sides with a power and a transcendental per site term; the reference."""
+    if name == "abs_sum":
+        return sum((-1) ** (j + N) * abs(x - j) for j in range(-N, N + 1))
+    if name == "alternating_exp":
+        return math.fsum((-1.0) ** n * math.exp(x * (-1.0) ** n) for n in range(0, 2 * N + 1))
+    return (-1.0) ** N * math.fsum(math.sinh((-1.0) ** (k + N) * x) for k in range(N))
+
+
+def _outcome(function, *args):
+    """The float's bits or integer, or the exception type, of one call."""
+    try:
+        result = function(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return result.hex() if isinstance(result, float) else result
+
+
+_IDENTITY_XS = [*np.linspace(-5.0, 5.0, 21).tolist(), 0.0, -0.0, 1e-300, 0.37, 700.0, -700.0, 709.5, -709.5,
+                710.0, -710.0, math.inf, -math.inf, math.nan]
+
+
+def test_identities_take_the_bits_of_their_site_by_site_sums():
+    for n_sites in range(0, 21):
+        for site in range(-n_sites, n_sites + 1):
+            assert identity_abs_sum(site, n_sites)[0] == _site_by_site("abs_sum", n_sites, site)
+        for x in _IDENTITY_XS:
+            lhs = _outcome(lambda: identity_alternating_exp(n_sites, x)[0])
+            assert lhs == _outcome(_site_by_site, "alternating_exp", n_sites, x), (n_sites, x)
+            if n_sites >= 1:
+                lhs = _outcome(lambda: identity_sinh_parity(n_sites, x)[0])
+                assert lhs == _outcome(_site_by_site, "sinh_parity", n_sites, x), (n_sites, x)
+
+
 # ---------------------------------------------------------------------------
 # half-line core integral
 # ---------------------------------------------------------------------------

@@ -647,9 +647,13 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     built = []
 
     class Counted(PiecewiseExpWavefunction):
-        def __post_init__(self):
+        def __post_init__(self):  # the public constructor
             built.append(self.normalized)
             super().__post_init__()
+
+        def _with_coefficients(self, c1s, c2s, normalized):  # normalized_copy and the derivative
+            built.append(normalized)
+            return super()._with_coefficients(c1s, c2s, normalized)
 
     monkeypatch.setattr(oracle, "PiecewiseExpWavefunction", Counted)
     # a solve builds nothing; reading the ground state twice builds it once:

@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sheetcrystal import (
@@ -18,6 +22,7 @@ from sheetcrystal import (
 )
 from sheetcrystal import oracle
 from sheetcrystal.duality import nan_max
+from sheetcrystal.wavefunction import VALID_KINDS
 
 
 def _double_exponential():
@@ -134,8 +139,9 @@ def test_segment_count_must_match_breakpoints():
             _with(column, bad)
     with pytest.raises(ValueError, match="at least one breakpoint"):
         PiecewiseExpWavefunction((), ("exp",), (1.0,), (0.0,), (0.0,), normalized=False)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        PiecewiseExpWavefunction((1.0, 1.0), **_VALID_COLUMNS, normalized=False)
+    for unsorted in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewiseExpWavefunction(unsorted, **_VALID_COLUMNS, normalized=False)
 
 
 def test_segment_kind_and_rate_validation():
@@ -267,3 +273,101 @@ def test_evaluator_bits_on_map_and_oracle_states(sheets, atomic):
     states = oracle.find_bound_states(problem).states
     for state in (*states[:: max(1, len(states) // 9)], states[-1]):  # about ten of the states
         _assert_evaluator_bits(state.wavefunction, problem)
+
+
+# ---------------------------------------------------------------------------
+# the kernel's bits on random profiles
+# ---------------------------------------------------------------------------
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _profiles(draw):
+    """Any mix of exp, lin and osc segments, tails included, with zero coefficients drawn often."""
+    edges = sorted(draw(st.lists(st.floats(-50.0, 50.0, allow_subnormal=False), min_size=1, max_size=12, unique=True)))
+    n = len(edges) + 1
+    kinds = draw(st.lists(st.sampled_from(VALID_KINDS), min_size=n, max_size=n))
+    rates = [draw(st.floats(-3.0, 3.0) if kind == "lin" else st.floats(1e-3, 8.0)) for kind in kinds]
+    c1s, c2s = (draw(st.lists(_COEFFICIENT, min_size=n, max_size=n)) for _ in range(2))
+    return PiecewiseExpWavefunction(tuple(edges), tuple(kinds), tuple(rates), tuple(c1s), tuple(c2s), normalized=False)
+
+
+@given(_profiles(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_evaluator_bits_on_random_profiles(psi, one_point, seed, data):
+    # breakpoints and +-900 beyond the ends among the points, where a tail's
+    # exp overflows: its zero coefficient must give 0.0, a nonzero one inf
+    edges = psi.breakpoints
+    special = [*edges, edges[0] - 900.0, edges[-1] + 900.0]
+    rng = np.random.default_rng(seed)
+    if one_point:
+        zs = np.array([data.draw(st.sampled_from(special) | st.floats(-1000.0, 1000.0))])
+    else:
+        spread = rng.uniform(edges[0] - 60.0, edges[-1] + 60.0, 2001 - len(special))
+        zs = rng.permutation(np.concatenate([special, spread]))
+    with np.errstate(over="ignore", invalid="ignore"):  # the reference warns where a kept exp overflows
+        want = _hexes(_values_reference(psi, zs))
+        points = zs if one_point else np.array(special)
+        want_points = _hexes(_values_reference(psi, points))
+        slope = _derivative_of(psi)
+        slopes = {side: _hexes(_values_reference(slope, points, side)) for side in ("left", "right")}
+        at_edges = [_hexes(_values_reference(form, edges, side)) for form in (psi, slope) for side in ("left", "right")]
+    assert _hexes(psi.values(zs)) == want
+    assert _hexes(psi.value(z) for z in points) == want_points
+    for side, bits in slopes.items():
+        assert _hexes(psi.derivative(z, side=side) for z in points) == bits
+    assert [_hexes(v) for v in (*psi.breakpoint_values(), *psi.breakpoint_slopes())] == at_edges
+
+
+# ---------------------------------------------------------------------------
+# one validation per state: derived wavefunctions reuse the checked columns
+# ---------------------------------------------------------------------------
+
+
+def _replaced_normalized(psi):
+    """``normalized_copy`` through ``dataclasses.replace``, which converts and checks every column again."""
+    scale = 1.0 / math.sqrt(psi.norm_squared())
+    return dataclasses.replace(psi, c1s=[scale * c for c in psi.c1s], c2s=[scale * c for c in psi.c2s], normalized=True)
+
+
+def _replaced_derivative(psi):
+    """The derivative through ``dataclasses.replace``."""
+    d1s, d2s = zip(*(_DERIVATIVE_ROWS[k](r, c1, c2) for k, r, c1, c2 in zip(psi.kinds, psi.rates, psi.c1s, psi.c2s)))
+    return dataclasses.replace(psi, c1s=d1s, c2s=d2s, normalized=False)
+
+
+def _column_bits(psi):
+    return psi.breakpoints, psi.kinds, [_hexes(column) for column in (psi.rates, psi.c1s, psi.c2s)], psi.normalized
+
+
+def _raw_states():
+    """Hand-made profiles and the oracle's raw states of an exp stack and an osc-exp well."""
+    sheets = SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)])
+    problems = {
+        "uneven": to_quantum(solve_sheets(sheets, atomic_units()), atomic_units()),
+        "osc-exp": DeltaPotentialProblem([(-1.0, 0.3), (0.5, -2.0), (2.0, 0.4)], [0.0, -5.0, 1.5, 0.0], atomic_units()),
+    }
+    raw = {"mixed": _mixed_profile(), "double-exp": _double_exponential()}
+    for name, problem in problems.items():
+        for j, state in enumerate(oracle.find_bound_states(problem).states):
+            raw[f"{name}-{j}"] = PiecewiseExpWavefunction(*state._rows(), normalized=False)
+    return raw
+
+
+_RAW_STATES = _raw_states()
+
+
+@pytest.mark.parametrize("psi", _RAW_STATES.values(), ids=_RAW_STATES.keys())
+def test_derived_wavefunctions_share_the_checked_columns_and_keep_the_bits(psi):
+    copy, replaced = psi.normalized_copy(), _replaced_derivative(psi)
+    assert _column_bits(copy) == _column_bits(_replaced_normalized(psi))
+    assert _column_bits(psi._derivative) == _column_bits(replaced)
+    slopes = psi.breakpoint_slopes()
+    assert (_hexes(slopes[0]), _hexes(slopes[1])) == tuple(map(_hexes, replaced.breakpoint_values()))
+    assert psi.derivative_squared_integral().hex() == replaced.norm_squared().hex()
+    for derived in (copy, psi._derivative):
+        assert all(map(operator.is_, (derived.breakpoints, derived.kinds, derived.rates), (psi.breakpoints, psi.kinds, psi.rates)))
+    psi.values([0.0])
+    assert psi.normalized_copy()._frame is psi._frame  # shared once built
