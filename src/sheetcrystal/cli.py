@@ -191,13 +191,12 @@ def _parse_window(key: str, value: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _read_config(path, fields: dict, required, where: str) -> dict:
-    """The config file at ``path``, each value parsed by ``fields[key](key, text)``.
+def _parse_config(entries: dict[str, str], fields: dict, required, where: str) -> dict:
+    """The entries of a config file, each value parsed by ``fields[key](key, text)``.
 
     The first unknown key and the first missing ``required`` key (in sorted
     order) are refused, naming ``where``.
     """
-    entries = _read_key_values(Path(path))
     unknown = sorted(set(entries) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} for {where}")
@@ -222,7 +221,7 @@ _UNIT_FIELDS = dict.fromkeys(("hbar", "mass", "eps0", "V0", "a0"), _parse_float)
 def _load_units(path) -> UnitSystem:
     if path is None:
         return atomic_units()
-    values = _read_config(path, _UNIT_FIELDS, _UNIT_FIELDS, "units file")
+    values = _parse_config(_read_key_values(Path(path)), _UNIT_FIELDS, _UNIT_FIELDS, "units file")
     try:
         return UnitSystem(**values)
     except ValueError as exc:
@@ -271,10 +270,11 @@ def _region_offset_at(problem: DeltaPotentialProblem, zs: np.ndarray) -> np.ndar
 
 
 def cmd_solve(args) -> int:
-    # the mode picks the table, so it is read ahead of the others
-    mode = _parse_mode("mode", _read_key_values(Path(args.config)).get("mode"))
+    # the mode picks the table, so it is checked ahead of the other keys
+    entries = _read_key_values(Path(args.config))
+    mode = _parse_mode("mode", entries.get("mode"))
     fields = {**_SOLVE_FIELDS, **_MODE_FIELDS[mode]}
-    config = _with_flags(_read_config(args.config, fields, _MODE_FIELDS[mode], f"mode {mode!r}"), fields, args)
+    config = _with_flags(_parse_config(entries, fields, _MODE_FIELDS[mode], f"mode {mode!r}"), fields, args)
     units = _load_units(args.units)
     warning_lines = []
 
@@ -359,8 +359,8 @@ _FIGURE_FIELDS = {"n_values": _parse_n_values, "alpha_a": _parse_positive, "poin
 
 
 def cmd_figure(args) -> int:
-    config = _read_config(args.config, _FIGURE_FIELDS, (), "figure") if args.config is not None else {}
-    config = _with_flags(config, _FIGURE_FIELDS, args)
+    entries = _read_key_values(Path(args.config)) if args.config is not None else {}
+    config = _with_flags(_parse_config(entries, _FIGURE_FIELDS, (), "figure"), _FIGURE_FIELDS, args)
     n_values = config.get("n_values", [1, 2, 3, 4])
 
     # every panel is sampled (and its window checked) before anything is written
@@ -435,7 +435,8 @@ _SWEEP_FIELDS = {"N": _parse_int_list, "alpha": _parse_float_list, "a": _parse_f
 
 
 def cmd_sweep(args) -> int:
-    config = _with_flags(_read_config(args.config, _SWEEP_FIELDS, ("N", "alpha", "a"), "sweep"), _SWEEP_FIELDS, args)
+    entries = _read_key_values(Path(args.config))
+    config = _with_flags(_parse_config(entries, _SWEEP_FIELDS, ("N", "alpha", "a"), "sweep"), _SWEEP_FIELDS, args)
     units = _load_units(args.units)
 
     # every cell's closed forms and problem, in grid order, then one certificate pass for

@@ -2,12 +2,16 @@
 
 Nothing here reuses the exponential-map construction.  For a trial energy
 E = -hbar^2*kappa^2/(2m) one left-to-right pass (:func:`_transfer`) carries
-the solution that decays toward -inf across every delta site and region and
-returns two things: the sign of the coefficient of the growing tail at +inf,
-whose roots in kappa are the bound states, and the number of nodes of that
-solution on the whole line.  By the Sturm oscillation theorem that node
-count is the number of bound states below E, i.e. with a decay rate larger
-than kappa, so the count stays exact however closely the states crowd.
+the solution that decays toward -inf across every delta site and region.
+The pass only propagates: it returns the coefficient of the growing tail at
++inf, whose sign changes in kappa are the bound states, and the pair it
+stored at every site.  It has two readers.  The count
+(:func:`_sturm_count`) reads the number of nodes of that solution on the
+whole line off the stored rows; by the Sturm oscillation theorem it is the
+number of bound states below E, i.e. with a decay rate larger than kappa,
+so the count stays exact however closely the states crowd.  The rebuild
+(:func:`_reconstruct`) turns the rows of a pass at the roots into each
+state's coefficients, and counts nothing.
 
 :func:`find_bound_states`, the search, counts, isolates and refines, and
 answers with one :class:`BoundStateList` whose states are reconstructed
@@ -72,9 +76,10 @@ without repeats has a class per region.  The sines, cosines and Pruefer
 turns are taken on the oscillatory cells alone, so a pass without any does
 none of that work.  The Python loop over the sites keeps only the
 sequential part, the delta jump, the 2x2 step with its region's class row
-and the rescaling, and writes its rows in place, one per region.  The node
-count and the reconstruction then read those rows as whole arrays, and each
-region's regime, rate and phase through its class.
+and the rescaling, and writes its rows in place, one per site.  The pass
+keeps the regime, rate and phase at one row per class; its two readers
+take what they need to the regions themselves: the count reads them on
+the oscillatory cells alone, the rebuild reads them all.
 
 The propagated pair is rescaled between sites (and exponentials are factored
 as exp(-rate*width) forms), so nothing can overflow no matter how wide or
@@ -235,28 +240,28 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
 
 
 class _Pass(NamedTuple):
-    """Result of :func:`_transfer` at an array of kappas.
+    """Result of :func:`_transfer` at an array of kappas: the tail and the stored rows.
 
-    The 2-D arrays have one row per finite region of the batch's padded
-    chain, the one right of site i in row i, and one column per kappa.
-    ``exp_mask``, ``osc_mask``, ``rate`` and ``phase`` are computed once per
-    class of the chain and taken to the regions through ``_Chain.cls`` at
-    the end of the pass.  A count keeps only ``tail`` and ``nodes``
-    (:func:`_tails_and_counts`); :func:`_reconstruct` makes its own pass at
-    a chunk of roots and reads it whole.
+    Every array has one column per kappa.  ``exp_mask``, ``osc_mask``,
+    ``rate`` and ``phase`` have one row per class of the chain
+    (``_Chain.classes``), region i reading row ``cls[i]``; ``psi`` and
+    ``dpsi`` have one row per site of the batch's padded chain, row i the
+    pair just right of site i, which is the left edge of region i, so the
+    last row is the pair right of the last site; ``psi_end`` and ``renorm``
+    have one row per region.  The pass has two readers: the count
+    (:func:`_sturm_count`, through :func:`_tails_and_counts`) and the
+    rebuild (:func:`_reconstruct`).
     """
 
     tail: np.ndarray  # sign-preserving growing-tail coefficient
-    nodes: np.ndarray  # zeros of the left-decaying solution on the whole line
     exp_mask: np.ndarray
     osc_mask: np.ndarray
     rate: np.ndarray  # decay rate (exp) or wave number (osc); 1.0 where linear
     phase: np.ndarray  # rate * width
-    psi: np.ndarray  # pair at the region's left edge, after the site's jump
+    psi: np.ndarray  # pair just right of each site, after its jump
     dpsi: np.ndarray
+    psi_end: np.ndarray  # psi at the region's right end, before the division
     renorm: np.ndarray  # positive factor the pair is divided by at the region's end
-    psi_last: np.ndarray  # pair just right of the last site
-    dpsi_last: np.ndarray
 
 
 def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
@@ -278,13 +283,9 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     so that a decaying solution whose pair underflowed to (0, 0) ends in a
     tail of exactly 0, an exact root.
 
-    Nodes are then counted per region from the stored rows: an exponential
-    or linear region holds at most one, seen as a sign change of psi across
-    it; in an oscillatory region the Pruefer phase theta = atan2(psi, psi'/k),
-    taken on those cells alone, advances by exactly k*width; the right tail
-    holds one when the tail coefficient and psi at the last site differ in
-    sign.  An exact zero of psi counts as positive; one landing exactly on a
-    site happens only on a measure-zero set of kappa.
+    The pass only propagates: it returns the tail and its stored rows, the
+    regime arrays at one row per class, and counts nothing.  Its readers
+    are :func:`_sturm_count` and :func:`_reconstruct`.
     """
     half_h2_over_m = chain.half_h2_over_m[which]
     offsets, widths, scales, floor = chain.classes.take(which, axis=2)
@@ -318,7 +319,7 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     # row the pair after the last site; every row is written through out=,
     # never into an array the same call reads, which numpy does more slowly.
     # psi_end is psi before the division: dividing could flush a tiny
-    # negative value to -0.0 and hide the sign change the node count looks for
+    # negative value to -0.0 and hide the sign change the count looks for
     cls = chain.cls
     psi_rows, dpsi_rows = np.empty((2, len(cls) + 1, len(kappas)))
     psi_end = np.empty((len(cls), len(kappas)))
@@ -336,30 +337,39 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
         np.copyto(renorm_row, renorm, where=renorm > floor_row)
         np.divide(end_row, renorm_row, out=psi_next)
         dpsi = dpsi / renorm_row
-    psi, dpsi_last = psi_rows[-1], dpsi_rows[-1]
-    np.add(dpsi, jumps[-1] * psi, out=dpsi_last)
-    psi_at, dpsi_at = psi_rows[:-1], dpsi_rows[:-1]
+    np.add(dpsi, jumps[-1] * psi_rows[-1], out=dpsi_rows[-1])
+    tail = dpsi_rows[-1] + kappas * psi_rows[-1]
+    return _Pass(tail, exp_mask, osc_mask, rate, phase, psi_rows, dpsi_rows, psi_end, renorm_at)
 
-    tail = dpsi_last + kappas * psi
-    # each region's regime, rate and phase, from its class row
-    exp_mask, osc_mask = exp_mask.take(cls, axis=0), osc_mask.take(cls, axis=0)
-    rate, phase = rate.take(cls, axis=0), phase.take(cls, axis=0)
-    # per region: a sign change of psi across it, or in an osc region the Pruefer turns
-    region_nodes = ((psi_at < 0.0) != (psi_end < 0.0)).astype(float)
-    theta = np.arctan2(psi_at[osc_mask], dpsi_at[osc_mask] / rate[osc_mask])
-    region_nodes[osc_mask] = np.floor((theta + phase[osc_mask]) / math.pi) - np.floor(theta / math.pi)
-    nodes = region_nodes.sum(axis=0)
-    nodes = nodes + ((tail < 0.0) != (psi < 0.0))
+
+def _sturm_count(cls: np.ndarray, path: _Pass) -> np.ndarray:
+    """The node count of every column of a pass: the states with a decay rate above its kappa.
+
+    Nodes are counted per region from the stored rows: an exponential or
+    linear region holds at most one, seen as a sign change of psi across
+    it; in an oscillatory region the Pruefer phase theta = atan2(psi, psi'/k)
+    advances by exactly k*width, and only those cells read their region's
+    rate and phase, through its class ``cls[i]``; the right tail holds one
+    when the tail coefficient and psi at the last site differ in sign.  An
+    exact zero of psi counts as positive; one landing exactly on a site
+    happens only on a measure-zero set of kappa.  A count that is NaN or
+    past int64 is refused.
+    """
+    psi, dpsi = path.psi[:-1], path.dpsi[:-1]
+    nodes = ((psi < 0.0) != (path.psi_end < 0.0)).astype(float)
+    if path.osc_mask.any():  # a pass without oscillatory cells takes no Pruefer turns
+        region, column = np.nonzero(path.osc_mask[cls])
+        rate, phase = path.rate[cls[region], column], path.phase[cls[region], column]
+        theta = np.arctan2(psi[region, column], dpsi[region, column] / rate)
+        nodes[region, column] = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
+    nodes = nodes.sum(axis=0) + ((path.tail < 0.0) != (path.psi[-1] < 0.0))
     countable = nodes < 2.0**63  # not NaN nor past int64, which the cast would wrap
     if not countable.all():
         raise ValueError(
             f"cannot count the bound states: a pass found {float(nodes[~countable][0])!r} nodes; "
             "a region is too wide or too deep for the node count"
         )
-    return _Pass(
-        tail, nodes.astype(np.int64), exp_mask, osc_mask, rate, phase,
-        psi_at, dpsi_at, renorm_at, psi, dpsi_last,
-    )
+    return nodes.astype(np.int64)
 
 
 def _reconstruct(
@@ -369,7 +379,9 @@ def _reconstruct(
 
     One :func:`_transfer` pass at ``kappas``, column j on problem
     ``owner[j]``, gives the rows of every root at once, one segment before
-    each region of the padded chain and one after; column j's left tail is
+    each region of the padded chain and one after; the regime arrays are
+    taken from their class rows to the regions here, and no node is
+    counted.  Column j's left tail is
     written at row ``first = chain.first[owner[j]]`` and its rows are views
     of ``[first:, j]``.  A padded step divides out nothing, so each state has
     the bits of its problem's own search.  Each segment's coefficients carry
@@ -378,7 +390,9 @@ def _reconstruct(
     vanishes to the root tolerance).  :func:`_states` calls this once per
     chunk of roots, when the first of its states is read.
     """
-    _, _, exp_mask, osc_mask, rate, phase, psi, dpsi, renorm, psi_last, dpsi_last = _transfer(chain, kappas, owner)
+    path = _transfer(chain, kappas, owner)
+    exp_mask, osc_mask, rate, phase = (a[chain.cls] for a in (path.exp_mask, path.osc_mask, path.rate, path.phase))
+    psi, dpsi, renorm = path.psi[:-1], path.dpsi[:-1], path.renorm
     # one row per segment (left tail, each region, right tail), one column per kappa
     tail_kind = np.full((1, len(kappas)), "exp")
     zero = np.zeros((1, len(kappas)))
@@ -387,7 +401,7 @@ def _reconstruct(
     c1s = np.vstack([
         zero,
         np.where(exp_mask, (rate * psi - dpsi) / (2.0 * rate), psi),
-        (kappas * psi_last - dpsi_last) / (2.0 * kappas),
+        (kappas * path.psi[-1] - path.dpsi[-1]) / (2.0 * kappas),
     ])
     c2s = np.vstack([
         zero + 1.0,
@@ -420,11 +434,13 @@ def _chunks(chain: _Chain, columns: int) -> list[slice]:
 def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The tail and node count of every column, one pass per chunk of :func:`_chunks`.
 
-    Only each chunk's tails and counts are kept, so no more than one pass is
-    held at a time.  Each column is computed on its own kappa alone, so the
-    chunks give the bits one pass would.
+    Each pass is counted (:func:`_sturm_count`) as it comes, and only its
+    tails and counts are kept, so no more than one pass is held at a time.
+    Each column is computed on its own kappa alone, so the chunks give the
+    bits one pass would.
     """
-    tails, counts = zip(*(_transfer(chain, kappas[c], which[c])[:2] for c in _chunks(chain, len(kappas))))
+    paths = (_transfer(chain, kappas[c], which[c]) for c in _chunks(chain, len(kappas)))
+    tails, counts = zip(*((path.tail, _sturm_count(chain.cls, path)) for path in paths))
     return np.concatenate(tails), np.concatenate(counts)
 
 
@@ -477,27 +493,21 @@ def _bracket(xs, tails, counts, rows, j, third) -> tuple[np.ndarray, np.ndarray,
     return lower, upper, np.where(np.minimum(gap_below, gap_above) < np.inf, nearest, 0)
 
 
-def _default_kappa_max(problem: DeltaPotentialProblem) -> float:
-    units = problem.units
-    strongest = max(
-        (2.0 * units.mass * abs(g) / units.hbar**2 for g in problem.strengths), default=0.0
-    )
-    deepest = max(
-        (math.sqrt(2.0 * units.mass * abs(u)) / units.hbar for u in problem.region_offsets),
-        default=0.0,
-    )
-    return 4.0 * max(strongest, deepest)
-
-
 def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
-    """Each problem's search cap; one whose energy is beyond the float range is refused."""
-    caps = [_default_kappa_max(problem) for problem in batch]
-    for problem, cap in zip(batch, caps):
-        if not math.isfinite(0.5 * problem.units.hbar**2 / problem.units.mass * (cap * cap)):
+    """Each problem's search cap, four times its largest single-delta or
+    single-region rate; one whose energy is beyond the float range is refused."""
+    caps = []
+    for problem in batch:
+        units = problem.units
+        strongest = max((2.0 * units.mass * abs(g) / units.hbar**2 for g in problem.strengths), default=0.0)
+        deepest = max((math.sqrt(2.0 * units.mass * abs(u)) / units.hbar for u in problem.region_offsets), default=0.0)
+        cap = 4.0 * max(strongest, deepest)
+        if not math.isfinite(0.5 * units.hbar**2 / units.mass * (cap * cap)):
             raise ValueError(
                 f"the default search cap kappa_max = {cap!r} stands for an energy "
                 "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
             )
+        caps.append(cap)
     return caps
 
 

@@ -46,7 +46,7 @@ from .duality import (
     schrodinger_residuals,
     to_quantum,
 )
-from .electrostatics import ElectrostaticSolution, SheetArray, potential_at, solve_sheets
+from .electrostatics import ElectrostaticSolution, SheetArray, potential_at_points, solve_sheets
 from .units import UnitSystem, atomic_units
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -396,13 +396,12 @@ def run_verification(depth: str = "quick") -> VerificationReport:
     worst_slope = 0.0
     for solved in (*crystals, two_sheet, uneven):
         sol = solved.sol
-        for i, (z, sigma) in enumerate(zip(sol.breakpoints, sol.densities)):
-            width_left = z - sol.breakpoints[i - 1] if i > 0 else 1.0
-            width_right = sol.breakpoints[i + 1] - z if i + 1 < len(sol.breakpoints) else 1.0
-            h = 0.25 * min(width_left, width_right)
-            slope_right = (potential_at(sol, z + h) - potential_at(sol, z)) / h
-            slope_left = (potential_at(sol, z) - potential_at(sol, z - h)) / h
-            worst_slope = nan_max(worst_slope, abs((slope_right - slope_left) + sigma / units.eps0))
+        # every sheet at once: a step h of a quarter of its narrower neighbouring gap (1.0 past an end)
+        z, gaps = np.array(sol.breakpoints), np.diff(sol.breakpoints)
+        h = 0.25 * np.minimum(np.append(1.0, gaps), np.append(gaps, 1.0))
+        left, mid, right = potential_at_points(sol, [z - h, z, z + h])
+        jumps = ((right - mid) / h - (mid - left) / h) + np.array(sol.densities) / units.eps0
+        worst_slope = nan_max(worst_slope, *np.abs(jumps).tolist())
         for state in (solved.dual, *solved.found.states):
             rep = schrodinger_residuals(solved.problem, state.wavefunction, state.energy)
             worst_cusp = nan_max(worst_cusp, rep.cusp_residual)

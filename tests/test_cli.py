@@ -115,6 +115,24 @@ def test_solve_quantum_mode(tmp_path, capsys):
     assert float(summary["log_norm_constant"]) == pytest.approx(2.0 - 0.5 * math.log(2.5), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "text", ["mode = quantum\ndeltas = -1:-1, 1:-1\noffsets = 0, -2, 0\n", "mode = sheets\nN = 1\n"], ids=["quantum", "refused"]
+)
+def test_solve_reads_its_config_once(text, tmp_path, capsys, monkeypatch):
+    # the mode and the other keys come from one read, whether the config is accepted or refused
+    reads = []
+    real = cli._read_key_values
+
+    def counted(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "_read_key_values", counted)
+    cfg = _write(tmp_path, "s.cfg", text)
+    main(["solve", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+    assert reads == [Path(cfg)]
+
+
 def test_solve_stdout_csv_when_no_out(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "mode = canonical\nN = 0\nalpha = 1\na = 1\npoints = 5\n")
     assert main(["solve", "--config", cfg, "--window=-1,1"]) == 0

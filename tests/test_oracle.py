@@ -42,6 +42,12 @@ def _pass(problem, kappas):
     return oracle._transfer(oracle._chain([problem]), kappas, np.zeros(kappas.shape, dtype=int))
 
 
+def _counts(problem, kappas):
+    """The node count of every column of a count over ``problem`` alone."""
+    kappas = np.asarray(kappas, dtype=float)
+    return oracle._tails_and_counts(oracle._chain([problem]), kappas, np.zeros(kappas.shape, dtype=int))[1]
+
+
 def _odd_state_rate_n1():
     """Independent root of the odd-parity matching condition k = 1 - exp(-2k)."""
     lo, hi = 0.5, 1.0
@@ -284,14 +290,14 @@ def test_untrusted_interpolation_falls_back_to_multisection(atomic, monkeypatch)
     s = 1e100
     problem = DeltaPotentialProblem([(0.0, -s), (1.0 / s, -0.37 * s)], [0.0] * 3, atomic)
     passes = []
-    real = oracle._transfer
+    real = oracle._tails_and_counts
 
     def recorded(chain, kappas, which):
-        path = real(chain, kappas, which)
-        passes.append((np.asarray(kappas).tolist(), path.nodes.tolist()))
-        return path
+        tails, counts = real(chain, kappas, which)
+        passes.append((np.asarray(kappas).tolist(), counts.tolist()))
+        return tails, counts
 
-    monkeypatch.setattr(oracle, "_transfer", recorded)
+    monkeypatch.setattr(oracle, "_tails_and_counts", recorded)
     found = find_bound_states(problem)
     assert len(found) == found.state_count == 1
     assert found.unresolved == ()
@@ -483,6 +489,14 @@ _TRANSFER_INPUTS = {
 }
 
 
+_REGIME = ("exp_mask", "osc_mask", "rate", "phase")
+
+
+def _by_region(chain, path):
+    """``path`` with its regime arrays taken from their class rows to the regions."""
+    return path._replace(**{name: getattr(path, name)[chain.cls] for name in _REGIME})
+
+
 def _assert_transfer_matches_reference(problems, kappas):
     # every problem runs at every kappa, its columns interleaved with the
     # other problems' ones, and each problem's columns and regions must be
@@ -490,14 +504,17 @@ def _assert_transfer_matches_reference(problems, kappas):
     which = np.tile(np.arange(len(problems)), len(kappas))
     chain = oracle._chain(problems)
     batch = oracle._transfer(chain, np.repeat(kappas, len(problems)), which)
+    counts = oracle._sturm_count(chain.cls, batch)
     for k, problem in enumerate(problems):
-        path = oracle._Pass(*(a[which == k] if a.ndim == 1 else a[chain.first[k]:, which == k] for a in batch))
+        path = oracle._Pass(
+            *(a[which == k] if a.ndim == 1 else a[chain.first[k]:, which == k] for a in _by_region(chain, batch))
+        )
         tail, nodes, regions, psi_last, dpsi_last = _transfer_reference(problem, kappas)
         assert _same_bits(path.tail, tail)
-        assert _same_bits(path.nodes, nodes)
-        assert _same_bits(path.psi_last, psi_last)
-        assert _same_bits(path.dpsi_last, dpsi_last)
-        assert len(path.psi) == len(regions) == len(problem.deltas) - 1
+        assert _same_bits(counts[which == k], nodes)
+        assert _same_bits(path.psi[-1], psi_last)
+        assert _same_bits(path.dpsi[-1], dpsi_last)
+        assert len(path.psi) - 1 == len(regions) == len(problem.deltas) - 1
         names = ("exp_mask", "osc_mask", "rate", "phase", "psi", "dpsi", "renorm")
         for i, region in enumerate(regions):
             for name, expected in zip(names, region):
@@ -535,7 +552,7 @@ def test_transfer_guard_cases_match_the_reference(problem, kappas):
 def test_exactly_zero_pair_ends_in_an_exact_root():
     problem, kappas = _GUARD_INPUTS["zero-pair"]
     path = _pass(problem, kappas)
-    assert path.psi_last[0] == path.dpsi_last[0] == path.tail[0] == 0.0
+    assert path.psi[-1, 0] == path.dpsi[-1, 0] == path.tail[0] == 0.0
     assert path.renorm[0, 0] == 1.0
 
 
@@ -599,7 +616,8 @@ def test_shared_classes_give_the_bits_of_one_class_per_region(problems):
     chain = oracle._chain(problems)
     shared = oracle._transfer(chain, kappas, which)
     alone = oracle._transfer(_one_class_per_region(chain), kappas, which)
-    assert all(_same_bits(got, want) for got, want in zip(shared, alone))
+    assert all(_same_bits(got, want) for got, want in zip(_by_region(chain, shared), alone))
+    assert _same_bits(oracle._sturm_count(chain.cls, shared), oracle._sturm_count(np.arange(len(chain.cls)), alone))
 
 
 def test_crystal_1000_ground_state_has_the_bits_of_one_class_per_region(monkeypatch):
@@ -633,7 +651,8 @@ def test_every_root_has_opposite_tail_signs_within_tol(problem):
     at = _pass(problem, kappas).tail
     assert np.all(((below.tail < 0.0) != (above.tail < 0.0)) | (at == 0.0))
     j = np.arange(len(kappas))
-    assert np.all(((below.nodes == j + 1) & (above.nodes == j)) | (at == 0.0))
+    below, above = _counts(problem, kappas - 0.5 * tol), _counts(problem, kappas + 0.5 * tol)
+    assert np.all(((below == j + 1) & (above == j)) | (at == 0.0))
 
 
 def _bits(wavefunction):
@@ -719,6 +738,47 @@ def test_a_batch_search_reconstructs_every_state_in_one_call(cells, searches, mo
             kinds, rates, c1s, c2s = state._rows()[1:]
             assert len(kinds) == len(problem.deltas) + 1
             assert (kinds[0], rates[0], c1s[0]) == ("exp", state.kappa, 0.0) and c2s[0] > 0.0
+
+
+@pytest.mark.parametrize("name", ["crystal-8", "osc-exp", "stack-3"])
+def test_reading_a_state_counts_no_nodes(name, monkeypatch):
+    # the pass only propagates: a search and a certificate count its rows, and
+    # the rebuild at a root reads them alone, so with the count made to raise
+    # a searched and a certified state are still rebuilt, with the same bits
+    problem = _REFERENCE_PROBLEMS[name]
+    want = find_bound_states(problem)
+    searched = find_bound_states(problem)
+    (certified,) = oracle.certify_ground_states([problem], [want.states[0].kappa])
+    assert certified.states
+
+    def refuse(cls, path):
+        raise AssertionError("a rebuild counted nodes")
+
+    monkeypatch.setattr(oracle, "_sturm_count", refuse)
+    assert all(state.wavefunction.normalized for state in (*searched.states, *certified.states))
+    assert _hex_list(searched) == _hex_list(want)
+    assert _hex_list(certified)[0] == _hex_list(want)[0][:1]
+
+
+@pytest.mark.parametrize("name", ["crystal-50", "padded"])
+def test_a_count_pass_keeps_one_regime_row_per_class(name, monkeypatch):
+    # every pass of a search keeps exp_mask, osc_mask, rate and phase at one
+    # row per class of its chain, fewer than its regions here
+    problems, _ = _CLASS_INPUTS[name]
+    shapes = []
+    real = oracle._transfer
+
+    def recorded(chain, kappas, which):
+        path = real(chain, kappas, which)
+        shapes.append(((chain.classes.shape[1], len(kappas)), [getattr(path, field).shape for field in _REGIME]))
+        return path
+
+    monkeypatch.setattr(oracle, "_transfer", recorded)
+    find_bound_states(problems)
+    assert len(shapes) > 1
+    assert all(got == [want] * len(_REGIME) for want, got in shapes)
+    chain = oracle._chain(problems)
+    assert chain.classes.shape[1] < len(chain.cls)
 
 
 def test_regime_switch_boundary_is_linear():
@@ -1157,7 +1217,7 @@ def test_the_map_ground_state_certifies_on_random_stacks(atomic):
     declined = [seed for seed, answer in enumerate(certified) if not answer.states]
     assert declined == [86]
     kappa = kappas[86]
-    assert _pass(problems[86], [kappa * (1.0 - 1e-12), kappa * (1.0 + 1e-12)]).nodes.tolist() == [2, 0]
+    assert _counts(problems[86], [kappa * (1.0 - 1e-12), kappa * (1.0 + 1e-12)]).tolist() == [2, 0]
 
 
 def test_certificate_runs_the_search_input_checks(atomic):
@@ -1172,8 +1232,8 @@ def test_certificate_runs_the_search_input_checks(atomic):
     lo, hi = 8.0, 20.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _pass(cluster, [mid]).nodes[0] else (lo, mid)
-    assert _pass(cluster, [lo * (1.0 - 1e-12), lo * (1.0 + 1e-12)]).nodes.tolist() == [1, 0]
+        lo, hi = (mid, hi) if _counts(cluster, [mid])[0] else (lo, mid)
+    assert _counts(cluster, [lo * (1.0 - 1e-12), lo * (1.0 + 1e-12)]).tolist() == [1, 0]
     (answer,) = oracle.certify_ground_states([cluster], [lo])
     assert answer.states == () and answer.state_count == 1 and answer.kappa_max == 8.0
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from sheetcrystal import closedform, oracle, verification
 from sheetcrystal.cli import main
 from sheetcrystal.closedform import CrystalParams
-from sheetcrystal.duality import DeltaPotentialProblem
+from sheetcrystal.duality import DeltaPotentialProblem, nan_max
+from sheetcrystal.electrostatics import SheetArray, potential_at, solve_sheets
 from sheetcrystal.units import atomic_units
 from sheetcrystal.verification import CheckRow, VerificationReport, crystal_figure_samples, run_verification
 
@@ -290,3 +291,32 @@ def test_core_check_catches_a_one_part_per_billion_error(monkeypatch):
     monkeypatch.setattr(closedform, "segment_integral_closed", lambda N, r, a: real(N, r, a) * (1.0 + 1e-9))
     rows = {row.name: row for row in run_verification("quick").checks}
     assert not rows["core_integral_closed_vs_quadrature"].passed
+
+
+def _slope_jump_residual_by_sheet(arrays, units):
+    """The ``potential_slope_jump`` residual as a loop over sheets, four scalar ``potential_at`` calls each."""
+    worst = 0.0
+    for array in arrays:
+        sol = solve_sheets(array, units)
+        for i, (z, sigma) in enumerate(zip(sol.breakpoints, sol.densities)):
+            width_left = z - sol.breakpoints[i - 1] if i > 0 else 1.0
+            width_right = sol.breakpoints[i + 1] - z if i + 1 < len(sol.breakpoints) else 1.0
+            h = 0.25 * min(width_left, width_right)
+            slope_right = (potential_at(sol, z + h) - potential_at(sol, z)) / h
+            slope_left = (potential_at(sol, z) - potential_at(sol, z - h)) / h
+            worst = nan_max(worst, abs((slope_right - slope_left) + sigma / units.eps0))
+    return worst
+
+
+@pytest.mark.parametrize("depth, n_max", [("quick", 4), ("full", 8)])
+def test_slope_jump_check_is_bit_identical_to_the_sheet_loop(depth, n_max):
+    # the crystals N = 0..n_max, the two-sheet well and the uneven stack, as the battery solves them
+    units = atomic_units()
+    arrays = [
+        *(CrystalParams(n, 1.0, 1.0, units).to_sheet_array() for n in range(n_max + 1)),
+        SheetArray([(-1.0, 2.0), (1.0, 2.0)]),
+        SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)]),
+    ]
+    (row,) = [row for row in run_verification(depth).checks if row.name == "potential_slope_jump"]
+    assert row.residual.hex() == _slope_jump_residual_by_sheet(arrays, units).hex()
+    assert row.residual > 0.0
