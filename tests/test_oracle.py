@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -1248,3 +1249,75 @@ def test_three_sheet_stack_certifies_at_small_scale(atomic):
     kappa = math.sqrt(-2.0 * ground_state_from_electrostatics(sol, atomic).energy)
     (answer,) = oracle.certify_ground_states([to_quantum(sol, atomic)], [kappa])
     assert answer.states
+
+
+# ---------------------------------------------------------------------------
+# the search's own bits, pinned
+# ---------------------------------------------------------------------------
+
+
+def _search_digest(answers):
+    """SHA-256 of float.hex of every kappa and energy, the count, the cap and the unresolved intervals."""
+    text = repr([
+        (
+            [(s.kappa.hex(), s.energy.hex()) for s in found.states],
+            found.state_count,
+            found.kappa_max.hex(),
+            [(lo.hex(), hi.hex()) for lo, hi in found.unresolved],
+        )
+        for found in answers
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+_PINNED_SEARCHES = {
+    "crystals-unit": lambda: [_crystal_problem(n) for n in range(0, 31)],
+    "crystals-0.7-1.3": lambda: [_crystal_problem(n, alpha=0.7, a=1.3) for n in range(0, 31)],
+    "crystal-100": lambda: [_crystal_problem(100)],
+    "stacks": lambda: [_random_stack_problem(seed) for seed in range(100)],
+}
+_PINNED_DIGESTS = {
+    ("crystals-unit", None): "97dbe2b61ad5cff721f95f82882dad5be77d2203a80d0f4f14e4b6e16462b9ad",
+    ("crystals-unit", 1): "3741892707ae915c7de51603587b0f3330f8bb0b2ff6bf7ca170168c0ec2fd66",
+    ("crystals-0.7-1.3", None): "07071ece4fabb64f3873c5e38bd11070323bcc4518e8610260fbb8d59be6683a",
+    ("crystals-0.7-1.3", 1): "9de12a1b62330eaa0c1d923eeb2db160aadc9951a95d443a8371ee972ba6b890",
+    ("crystal-100", None): "318ec112e23641eca4e846d91c2c26ed7734ca600bf1a8c974121867df0033c9",
+    ("crystal-100", 1): "cfac153ec8987631ec4707ce27573781b60387ad44d190cfc5921daae8599c4f",
+    ("stacks", None): "8b997c7cb0ceb2cd869074174c0a21a3d6a1ac02e270d7bade1b010e770cab85",
+    ("stacks", 1): "a7d9b712f0da0362ba9706306c25ec2e2d97c3aa1bb25c2fb5ad52d0fa8e498d",
+}
+
+
+@pytest.mark.parametrize("lowest", [None, 1], ids=["all", "lowest1"])
+@pytest.mark.parametrize("group", _PINNED_SEARCHES)
+def test_search_bits_are_pinned(group, lowest):
+    # every kappa, energy, count, cap and unresolved interval the search returns, as
+    # one batch and as one search per problem: a change to the refinement loop that
+    # keeps every pass's columns keeps these digests
+    problems = _PINNED_SEARCHES[group]()
+    want = _PINNED_DIGESTS[group, lowest]
+    assert _search_digest(find_bound_states(problems, lowest)) == want
+    assert _search_digest([find_bound_states(problem, lowest) for problem in problems]) == want
+
+
+@pytest.mark.parametrize(
+    "n, widths",
+    [
+        (8, [65, 36, 26, 8, 8, 8, 8, 6]),
+        (20, [65, 56, 109, 32, 20, 20, 20, 15, 1]),
+        (50, [65, 56, 231, 199, 56, 50, 50, 46, 16]),
+        (100, [65, 56, 414, 473, 178, 100, 100, 99, 50, 6, 1]),
+    ],
+)
+def test_crystal_search_pass_widths_are_pinned(n, widths, monkeypatch):
+    # the columns of every count pass of a full search of the alpha*a = 1 crystal
+    calls = []
+    real = oracle._tails_and_counts
+
+    def recorded(chain, kappas, which):
+        calls.append(len(kappas))
+        return real(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_tails_and_counts", recorded)
+    find_bound_states(_crystal_problem(n))
+    assert calls == widths
