@@ -31,11 +31,19 @@ evenly spaced points in one pass (Barth, Martin & Wilkinson, Numer. Math. 9,
 386 (1967)); any other takes one point, the inverse-quadratic step of the
 tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
 state's points depend on its own bracket and problem alone, and the search
-takes at most about 20 passes whatever the number of states.  The search
-makes no pass at its roots: the first read of a state's wavefunction makes
-one pass at the roots of its chunk (:func:`_states`) and rebuilds every
-state of that chunk with its coefficient columns; the result is an exact
-piecewise closed form whose only approximation is the location of the root.
+takes at most about 20 passes whatever the number of states.  Between
+passes the search holds each state as one column of a table of values: the
+kappa, tail, count and id of its bracket's two ends and the kappa and tail
+of its third point, the one Chandrupatla's step reads.  A one-point step
+moves one end onto the point, as the point's count says, and the end it
+replaces becomes the third point unless the old one is nearer
+(:func:`_step`); only a pass that cuts a bracket picks new ends among rows
+of points (:func:`_bracket`), and only the states still being refined are
+carried from pass to pass.  The search makes no pass at its roots: the
+first read of a state's wavefunction makes one pass at the roots of its
+chunk (:func:`_states`) and rebuilds every state of that chunk with its
+coefficient columns; the result is an exact piecewise closed form whose
+only approximation is the location of the root.
 Every column of a pass is computed on its own kappa alone, so a state comes
 out with the same bits whether it is refined or rebuilt alone or with the
 others.
@@ -220,10 +228,9 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
         units = problem.units
         jump_scale = 2.0 * units.mass / units.hbar**2
         start = regions + 1 - len(problem.deltas)
-        positions = np.array(problem.positions)
         offsets[start:, k] = problem.region_offsets[1:-1]
-        widths[start:, k] = positions[1:] - positions[:-1]
-        jumps[start:, k] = [jump_scale * g for g in problem.strengths]
+        widths[start:, k] = np.diff(problem.positions)
+        np.multiply(jump_scale, problem.strengths, out=jumps[start:, k])
         half_h2_over_m.append(0.5 * units.hbar**2 / units.mass)
         first.append(start)
     np.maximum(1.0, np.abs(offsets), out=rows[:, 2])
@@ -233,8 +240,8 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     # and the keys, in that order, are the class rows
     row_size = 4 * len(problems)
     keys = rows.reshape(regions, row_size).view(np.dtype((np.void, rows.itemsize * row_size))).ravel().tolist()
-    index: dict[bytes, int] = {}
-    cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    index = {key: number for number, key in enumerate(dict.fromkeys(keys))}
+    cls = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=regions)
     classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
     return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first))
 
@@ -292,9 +299,10 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     jumps = chain.jumps[:, which]
 
     kappas = np.asarray(kappas, dtype=float)
-    energies = -half_h2_over_m * kappas**2
-    d = offsets - energies
-    switch = REGIME_SWITCH_RTOL * np.maximum(np.abs(energies), scales)
+    # |E| = hbar^2*kappa^2/(2m), and U - E = U + |E|
+    binding = half_h2_over_m * kappas**2
+    d = offsets + binding
+    switch = REGIME_SWITCH_RTOL * np.maximum(binding, scales)
     exp_mask = d > switch
     osc_mask = d < -switch
     # rate^2 = 2m|U - E|/hbar^2; 1.0 in the linear regime keeps the unused branches finite
@@ -307,11 +315,12 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     diag = np.where(exp_mask, 0.5 * (1.0 + damp), 1.0)
     up = np.where(exp_mask, sh, phase)
     down = np.where(exp_mask, sh, 0.0)
-    osc_phase = phase[osc_mask]
-    sin_w = np.sin(osc_phase)
-    diag[osc_mask] = np.cos(osc_phase)
-    up[osc_mask] = sin_w
-    down[osc_mask] = -sin_w
+    if osc_mask.any():
+        osc_phase = phase[osc_mask]
+        sin_w = np.sin(osc_phase)
+        diag[osc_mask] = np.cos(osc_phase)
+        up[osc_mask] = sin_w
+        down[osc_mask] = -sin_w
     up /= rate
     down *= rate
 
@@ -321,9 +330,9 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     # psi_end is psi before the division: dividing could flush a tiny
     # negative value to -0.0 and hide the sign change the count looks for
     cls = chain.cls
-    psi_rows, dpsi_rows = np.empty((2, len(cls) + 1, len(kappas)))
-    psi_end = np.empty((len(cls), len(kappas)))
-    renorm_at = np.ones(psi_end.shape)
+    psi_rows, dpsi_rows, psi_end, renorm_at = np.empty((4, len(cls) + 1, len(kappas)))
+    psi_end, renorm_at = psi_end[:-1], renorm_at[:-1]
+    renorm_at[...] = 1.0
     psi_rows[0] = 1.0
     dpsi = kappas
     steps = list(zip(diag, up, down, floor))
@@ -355,14 +364,17 @@ def _sturm_count(cls: np.ndarray, path: _Pass) -> np.ndarray:
     happens only on a measure-zero set of kappa.  A count that is NaN or
     past int64 is refused.
     """
-    psi, dpsi = path.psi[:-1], path.dpsi[:-1]
-    nodes = ((psi < 0.0) != (path.psi_end < 0.0)).astype(float)
-    if path.osc_mask.any():  # a pass without oscillatory cells takes no Pruefer turns
-        region, column = np.nonzero(path.osc_mask[cls])
-        rate, phase = path.rate[cls[region], column], path.phase[cls[region], column]
-        theta = np.arctan2(psi[region, column], dpsi[region, column] / rate)
-        nodes[region, column] = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
-    nodes = nodes.sum(axis=0) + ((path.tail < 0.0) != (path.psi[-1] < 0.0))
+    psi, dpsi, negative = path.psi[:-1], path.dpsi[:-1], path.psi < 0.0
+    changes = negative[:-1] != (path.psi_end < 0.0)
+    tail = (path.tail < 0.0) != negative[-1]
+    if not path.osc_mask.any():  # a pass without oscillatory cells counts sign changes alone
+        return changes.sum(axis=0) + tail
+    nodes = changes.astype(float)
+    region, column = np.nonzero(path.osc_mask[cls])
+    rate, phase = path.rate[cls[region], column], path.phase[cls[region], column]
+    theta = np.arctan2(psi[region, column], dpsi[region, column] / rate)
+    nodes[region, column] = np.floor((theta + phase) / math.pi) - np.floor(theta / math.pi)
+    nodes = nodes.sum(axis=0) + tail
     countable = nodes < 2.0**63  # not NaN nor past int64, which the cast would wrap
     if not countable.all():
         raise ValueError(
@@ -439,9 +451,11 @@ def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> t
     Each column is computed on its own kappa alone, so the chunks give the
     bits one pass would.
     """
-    paths = (_transfer(chain, kappas[c], which[c]) for c in _chunks(chain, len(kappas)))
-    tails, counts = zip(*((path.tail, _sturm_count(chain.cls, path)) for path in paths))
-    return np.concatenate(tails), np.concatenate(counts)
+    tails, counts = np.empty(len(kappas)), np.empty(len(kappas), dtype=np.int64)
+    for c in _chunks(chain, len(kappas)):
+        path = _transfer(chain, kappas[c], which[c])
+        tails[c], counts[c] = path.tail, _sturm_count(chain.cls, path)
+    return tails, counts
 
 
 def _states(
@@ -465,32 +479,58 @@ def _states(
     return states
 
 
-def _bracket(xs, tails, counts, rows, j, third) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each state's new bracket among its evaluated points, and its new third point.
+def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each state's new bracket among a row of points, and its new third point.
 
-    ``xs``, ``tails`` and ``counts`` hold every point evaluated so far; row i
-    of ``rows`` indexes the points state ``j[i]`` has evaluated in its
-    bracket, in ascending order.  The count decides: lo is the last point
-    counting more than j states and hi the next one; a hi with a tail of
-    exactly 0 that counts j is an exact root, and lo moves onto it, closing
-    the bracket.  The third point is the one nearest the bracket outside
-    it, among the row and the previous third point ``third``; index 0, whose
-    kappa is NaN, where there is none.  Returns the indices of lo, hi and
-    the third point.
+    ``rows`` is (4, states, points): the kappa, tail, count and id of the
+    points state ``j[i]`` has evaluated in its bracket, in ascending kappa
+    along row i, then of its previous third point (NaN for none; its count
+    and id are NaN).  The count decides: lo is the last point counting more
+    than j states and hi the next one; a hi with a tail of exactly 0 that
+    counts j is an exact root, and lo moves onto it, closing the bracket.
+    The third point is the one nearest the bracket outside it, among the
+    row, the one below on a tie; NaN where there is none.  Returns the
+    states' columns of the search's table (see :func:`find_bound_states`).
     """
     r = np.arange(len(j))
-    k = rows.shape[1] - np.argmax((counts[rows] > j[:, None])[:, ::-1], axis=1)
-    upper = rows[r, k]
-    lower = np.where((tails[upper] == 0.0) & (counts[upper] == j), upper, rows[r, k - 1])
-    lo, hi = xs[lower], xs[upper]
-    candidates = np.column_stack([rows, third])
-    x = xs[candidates]
-    below = np.where(x < lo[:, None], x, -np.inf)
-    above = np.where(x > hi[:, None], x, np.inf)
+    k = rows.shape[2] - np.argmax((rows[2] > j[:, None])[:, ::-1], axis=1)
+    upper = rows[:, r, k]
+    lower = np.where((upper[1] == 0.0) & (upper[2] == j), upper, rows[:, r, k - 1])
+    below = np.where(rows[0] < lower[0, :, None], rows[0], -np.inf)
+    above = np.where(rows[0] > upper[0, :, None], rows[0], np.inf)
     nearest_below, nearest_above = below.argmax(axis=1), above.argmin(axis=1)
-    gap_below, gap_above = lo - below[r, nearest_below], above[r, nearest_above] - hi
-    nearest = candidates[r, np.where(gap_below <= gap_above, nearest_below, nearest_above)]
-    return lower, upper, np.where(np.minimum(gap_below, gap_above) < np.inf, nearest, 0)
+    gap_below, gap_above = lower[0] - below[r, nearest_below], above[r, nearest_above] - upper[0]
+    nearest = np.where(gap_below <= gap_above, nearest_below, nearest_above)
+    table = np.empty((10, len(j)))
+    table[0:8:2], table[1:8:2] = lower, upper
+    table[8:10] = np.where(np.minimum(gap_below, gap_above) < np.inf, rows[:2, r, nearest], np.nan)
+    return table
+
+
+def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each bracket of ``table`` after one point strictly inside it, as :func:`_bracket` would give it.
+
+    ``point`` is (4, states), the kappa, tail, count and id of each state's
+    new point.  A point that counts more than j is the new lo; any other is
+    the new hi, and closes the bracket if it is an exact root (a tail of
+    exactly 0 that counts j).  The end the point replaces is the nearest
+    point outside the new bracket on its side, so it is the new third point
+    unless the old one, beyond the kept end, is nearer (the one below wins
+    a tie).  A closed bracket's third point is never read.
+    """
+    above = point[2] > j
+    new = table.copy()
+    ends = new[:8].reshape(4, 2, -1)
+    np.copyto(ends[:, 0], point, where=above | ((point[1] == 0.0) & (point[2] == j)))
+    np.copyto(ends[:, 1], point, where=~above)
+    # the (kappa, tail) of the replaced end, and the gap from the kept end out to
+    # the old third, positive only when the third lies beyond it (NaN for none)
+    replaced = np.where(above, table[0:4:2], table[1:4:2])
+    gap_third = np.where(above, table[8] - table[1], table[0] - table[8])
+    gap_end = abs(point[0] - replaced[0])
+    keep = (gap_third > 0.0) & np.where(above, gap_third < gap_end, gap_third <= gap_end)
+    np.copyto(new[8:10], replaced, where=~keep)
+    return new
 
 
 def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
@@ -499,8 +539,9 @@ def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
     caps = []
     for problem in batch:
         units = problem.units
-        strongest = max((2.0 * units.mass * abs(g) / units.hbar**2 for g in problem.strengths), default=0.0)
-        deepest = max((math.sqrt(2.0 * units.mass * abs(u)) / units.hbar for u in problem.region_offsets), default=0.0)
+        # both rates grow with |g| and |U|, so each is taken at the largest
+        strongest = 2.0 * units.mass * max(map(abs, problem.strengths)) / units.hbar**2
+        deepest = math.sqrt(2.0 * units.mass * max(map(abs, problem.region_offsets))) / units.hbar
         cap = 4.0 * max(strongest, deepest)
         if not math.isfinite(0.5 * units.hbar**2 / units.mass * (cap * cap)):
             raise ValueError(
@@ -569,7 +610,10 @@ def find_bound_states(
     a grid point that is an exact root closes its state's interval there.
     Then one loop steps every state, and the count picks each new interval
     among the points evaluated in it, as on the grid: ``lo`` is the last
-    point counting more than j states and ``hi`` the next one.  Each pass
+    point counting more than j states and ``hi`` the next one.  Each state
+    carries its interval's ends and its third point as values (kappa, tail,
+    count and the point's place in the order of evaluation), and the loop
+    carries only the states whose interval is still open.  Each pass
     gives a state either one point or ``MULTISECTION`` (7) evenly spaced
     ones.  One point is Chandrupatla's inverse-quadratic step of the tail
     through both ends and the third point, the evaluated point nearest the
@@ -624,61 +668,91 @@ def find_bound_states(
     state_counts = nodes[:, 0].tolist()
     refined = state_counts if lowest is None else [min(n, lowest) for n in state_counts]
     owner = np.repeat(np.arange(len(batch)), refined)
-    j = np.array([k for n in refined for k in range(n)], dtype=np.int64)
-    # every point the search evaluates, pass after pass: kappa, tail and count; the
-    # grid's tol stands for 0+, where its count was taken, and entry 0 is a NaN that
-    # stands for no point; each state holds its bracket and third point as indices
-    xs = np.concatenate([[np.nan], np.where(grid == tol, 0.0, grid).ravel()])
-    tails, counts = np.concatenate([[np.nan], grid_tails]), np.concatenate([[-1], grid_counts])
-    lo, hi, third = _bracket(
-        xs, tails, counts, 1 + owner[:, None] * (GRID + 1) + np.arange(GRID + 1), j, np.zeros(j.shape, dtype=np.intp)
-    )
-
+    j = np.array([k for n in refined for k in range(n)], dtype=float)
+    # every state is one column of a (10, states) table: row 2 * field + end holds
+    # the kappa, tail, count and id (fields 0..3) of its bracket's lo and hi (ends
+    # 0, 1), rows 8 and 9 the kappa and tail of its third point, NaN for none.  A
+    # point's id is its place in the order of evaluation; the grid's tol stands for
+    # 0+, where its count was taken.  A state's first bracket is a grid cell, the
+    # one after the last point counting more than j.  Past its points held at tol
+    # the grid rises strictly, so the points nearest a cell outside it are its
+    # neighbours: the cell is what a one-point step at its upper point makes of the
+    # bracket of its two neighbours (the cell's lower point and the point above it),
+    # with the point below it as the third.  The grid is padded with a point of no
+    # kappa below and one at kappa +inf above, whose gap loses to any point below
+    # (a NaN tail never steps, and a cut drops an infinite third point)
+    padded = np.full((4, len(batch), GRID + 3), np.nan)
+    padded[0, :, 1:-1], padded[1, :, 1:-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape)
+    padded[2, :, 1:-1], padded[3, :, 1:-1] = nodes, np.arange(grid.size).reshape(grid.shape)
+    padded[0, :, -1] = np.inf
+    cell = GRID + 1 - np.argmax((nodes[owner] > j[:, None])[:, ::-1], axis=1)
+    below, lower, upper, above = padded[:, owner[:, None], cell[:, None] + np.arange(-1, 3)].transpose(2, 0, 1)
+    neighbours = np.empty((10, len(j)))
+    neighbours[0:8:2], neighbours[1:8:2], neighbours[8:10] = lower, above, below[:2]
+    table = _step(neighbours, upper, j)
+    # the states still refined: their columns of the table, their indices, the
+    # counts j + 1 and j their ends have once isolated, and their problems
+    brackets, live, targets, which, seen = table, np.arange(len(j)), np.stack([j + 1.0, j]), owner, grid.size
     while True:
-        # state j is isolated while its ends count j + 1 and j, or once its bracket is closed
-        kappa_lo, kappa_hi = xs[lo], xs[hi]
-        isolated = ((counts[lo] == j + 1) & (counts[hi] == j)) | (lo == hi)
+        # a bracket is refined while it is wider than tol and splits in floating
+        # point; the others are final
+        kappa_lo, kappa_hi = table[0], table[1]
         mid = 0.5 * (kappa_lo + kappa_hi)
         active = (kappa_hi - kappa_lo > tol) & (kappa_lo < mid) & (mid < kappa_hi)
-        if not active.any():
+        if not active.all():
+            brackets[:, live[~active]] = table[:, ~active]
+            table, live, targets, which = table[:, active], live[active], targets[:, active], which[active]
+            kappa_lo, kappa_hi = table[0], table[1]
+        if not live.size:
             break
         # Chandrupatla's inverse-quadratic point through the ends and the third point,
         # x1 the end next to it and x2 the other, held tol/2 inside the bracket so that
         # a point landing next to the root closes it; trusted where Chandrupatla's test
         # passes and the held point is off the ends (tol/2 can be below the float spacing)
-        near_lo = xs[third] < kappa_lo
-        one, two = np.where(near_lo, lo, hi), np.where(near_lo, hi, lo)
-        x1, x2, x3, f1, f2, f3 = xs[one], xs[two], xs[third], tails[one], tails[two], tails[third]
+        tail_lo, tail_hi, x3, f3 = table[2], table[3], table[8], table[9]
+        near_lo = x3 < kappa_lo
+        x1, f1 = np.where(near_lo, kappa_lo, kappa_hi), np.where(near_lo, tail_lo, tail_hi)
+        x2, f2 = np.where(near_lo, kappa_hi, kappa_lo), np.where(near_lo, tail_hi, tail_lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x21 = x2 - x1
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
-            point = np.clip(x1 + t * (x2 - x1), kappa_lo + 0.5 * tol, kappa_hi - 0.5 * tol)
-        trusted = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
-        step = active & isolated & trusted
-        # every other active bracket is cut at MULTISECTION evenly spaced points,
-        # computed once for a run of identical brackets (the same recorded ends,
-        # so the same problem)
-        cut = active & ~step
-        shared = np.zeros(j.shape, dtype=bool)
-        shared[1:] = cut[:-1] & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        leads = cut & ~shared
-        cuts = kappa_lo[leads, None] + (kappa_hi - kappa_lo)[leads, None] * _CUTS
-        kappas = np.concatenate([cuts.ravel(), point[step]])
-        which = np.concatenate([np.repeat(owner[leads], MULTISECTION), owner[step]])
-        # each state's interior points as indices into the record, where this pass's
-        # columns follow: its cuts, or its one point repeated
-        inner = np.empty((len(j), MULTISECTION), dtype=np.intp)
-        inner[cut] = len(xs) + MULTISECTION * (np.cumsum(leads)[cut, None] - 1) + np.arange(MULTISECTION)
-        inner[step] = len(xs) + cuts.size + np.arange(np.count_nonzero(step))[:, None]
-        pass_tails, pass_counts = _tails_and_counts(chain, kappas, which)
-        xs = np.concatenate([xs, kappas])
-        tails, counts = np.concatenate([tails, pass_tails]), np.concatenate([counts, pass_counts])
-        idx = np.flatnonzero(active)
-        lo[idx], hi[idx], third[idx] = _bracket(
-            xs, tails, counts, np.column_stack([lo[idx], inner[idx], hi[idx]]), j[idx], third[idx]
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / x21 * f1 / (f3 - f1) * f2 / (f3 - f2)
+            point = np.minimum(np.maximum(x1 + t * x21, kappa_lo + 0.5 * tol), kappa_hi - 0.5 * tol)
+        # state j's step is taken while its ends count j + 1 and j
+        step = (
+            (table[4] == targets[0]) & (table[5] == targets[1])
+            & (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
         )
+        kappas, columns = point[step], which[step]
+        # every other bracket is cut at MULTISECTION evenly spaced points, computed
+        # once for a run of identical brackets (the same ends, so the same problem)
+        cut = ~step
+        cutting = cut.any()
+        if cutting:
+            lead = cut.copy()
+            lead[1:] &= ~(cut[:-1] & (table[6:8, 1:] == table[6:8, :-1]).all(axis=0))
+            cuts = kappa_lo[lead, None] + (kappa_hi - kappa_lo)[lead, None] * _CUTS
+            kappas = np.concatenate([cuts.ravel(), kappas])
+            columns = np.concatenate([np.repeat(which[lead], MULTISECTION), columns])
+        points = np.empty((4, len(kappas)))
+        points[0] = kappas
+        points[1], points[2] = _tails_and_counts(chain, kappas, columns)
+        points[3] = np.arange(seen, seen + len(kappas))
+        seen += len(kappas)
+        if not cutting:
+            table = _step(table, points, targets[1])
+            continue
+        # with a cut bracket about, every bracket picks its new ends among a row: its
+        # lo, its cuts or its one point repeated, its hi, and its third point
+        rows = np.full((4, len(live), MULTISECTION + 3), np.nan)
+        rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = table[0:8:2], table[1:8:2], table[8:10]
+        rows[:, cut, 1:-2] = points[:, :cuts.size].reshape(4, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
+        rows[:, step, 1:-2] = points[:, cuts.size:, None]
+        table = _bracket(rows, targets[1])
 
-    lo, hi = xs[lo], xs[hi]
+    lo, hi = brackets[0], brackets[1]
+    # state j is isolated once its ends count j + 1 and j, or its bracket is closed
+    isolated = ((brackets[4] == j + 1.0) & (brackets[5] == j)) | (brackets[6] == brackets[7])
     states = _states(batch, chain, 0.5 * (lo + hi), owner)
     found = []
     bounds = [0, *accumulate(refined)]

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sheetcrystal import (
     BreakpointMismatchError,
@@ -1321,3 +1323,134 @@ def test_crystal_search_pass_widths_are_pinned(n, widths, monkeypatch):
     monkeypatch.setattr(oracle, "_tails_and_counts", recorded)
     find_bound_states(_crystal_problem(n))
     assert calls == widths
+
+
+# ---------------------------------------------------------------------------
+# the bracket rule against the record-and-index reference
+# ---------------------------------------------------------------------------
+
+
+def _bracket_reference(xs, tails, counts, rows, j, third):
+    """The bracket rule over a record of every point evaluated, by index.
+
+    ``xs``, ``tails`` and ``counts`` hold every point evaluated so far, entry 0
+    a NaN that stands for no point; row i of ``rows`` indexes the points state
+    ``j[i]`` has evaluated in its bracket, in ascending order.  lo is the last
+    point counting more than j states and hi the next one; a hi with a tail of
+    exactly 0 that counts j is an exact root, and lo moves onto it.  The third
+    point is the one nearest the bracket outside it, among the row and the
+    previous third point ``third``, the one below on a tie; index 0 where there
+    is none.  Returns the indices of lo, hi and the third point.
+    """
+    r = np.arange(len(j))
+    k = rows.shape[1] - np.argmax((counts[rows] > j[:, None])[:, ::-1], axis=1)
+    upper = rows[r, k]
+    lower = np.where((tails[upper] == 0.0) & (counts[upper] == j), upper, rows[r, k - 1])
+    lo, hi = xs[lower], xs[upper]
+    candidates = np.column_stack([rows, third])
+    x = xs[candidates]
+    below = np.where(x < lo[:, None], x, -np.inf)
+    above = np.where(x > hi[:, None], x, np.inf)
+    nearest_below, nearest_above = below.argmax(axis=1), above.argmin(axis=1)
+    gap_below, gap_above = lo - below[r, nearest_below], above[r, nearest_above] - hi
+    nearest = candidates[r, np.where(gap_below <= gap_above, nearest_below, nearest_above)]
+    return lower, upper, np.where(np.minimum(gap_below, gap_above) < np.inf, nearest, 0)
+
+
+def _assert_bracket_matches_reference(lo, hi, inner, third, js, one_point):
+    """The search's rule and the reference pick the same lo, hi and third point.
+
+    ``lo``, ``hi`` and each point of ``inner`` (ascending) are (kappa, tail,
+    count); ``third`` is one more or None.  Every state of ``js`` shares the
+    bracket and its row: lo, the inner points, hi.  With ``one_point`` the
+    row is lo, the one inner point seven times and hi, stepped by
+    :func:`oracle._step`; otherwise :func:`oracle._bracket` picks among it.
+    """
+    # the record: entry 0 stands for no point, then lo, hi, the inner points, the third
+    kappas, tails, counts = zip((math.nan, math.nan, -1), lo, hi, *inner, *([third] if third else []))
+    xs, tails, counts = np.array(kappas), np.array(tails), np.array(counts)
+    third_id = len(xs) - 1 if third else 0
+    inner_ids = [3] * oracle.MULTISECTION if one_point else list(range(3, 3 + len(inner)))
+    rows, j = np.array([[1, *inner_ids, 2]] * len(js)), np.array(js)
+    lower, upper, nearest = _bracket_reference(xs, tails, counts, rows, j, np.full(len(js), third_id))
+    # the same record as the search's point rows: kappa, tail, count and id (its index)
+    record = np.stack([xs, tails, counts, np.arange(len(xs))]).astype(float)
+    shared = np.zeros(len(js), dtype=np.intp)  # every state reads the same record entries
+    table = np.empty((10, len(js)))
+    table[0:8:2], table[1:8:2], table[8:10] = record[:, shared + 1], record[:, shared + 2], record[:2, shared + third_id]
+    if one_point:
+        got = oracle._step(table, record[:, shared + 3], j.astype(float))
+    else:
+        third_column = np.full((4, len(js), 1), np.nan)
+        third_column[:2, :, 0] = table[8:10]
+        got = oracle._bracket(np.concatenate([record[:, rows], third_column], axis=2), j.astype(float))
+    assert _same_bits(got[0:8:2], record[:, lower]) and _same_bits(got[1:8:2], record[:, upper])
+    # a closed bracket's third point is never read
+    open_ = lower != upper
+    assert _same_bits(got[8:10, open_], record[:2, nearest[open_]])
+
+
+_KAPPAS = st.integers(0, 40).map(float)  # small integers: exact gaps, so ties happen
+_TAILS = st.sampled_from([0.0, -1.0, 1.0, 0.5, -2.0])
+
+
+@st.composite
+def _bracket_records(draw, one_point):
+    """A bracket of the search with its new points and third point, and the states that share it."""
+    lo = draw(_KAPPAS)
+    hi = lo + draw(st.integers(2 if one_point else 1, 16))
+    j0 = draw(st.integers(0, 3))
+    js = [j0] if one_point else list(range(j0, j0 + draw(st.integers(1, 3))))
+    # an open bracket: lo counts more than every j, hi counts at most j0 and is no exact root
+    lo_point = (lo, draw(_TAILS), js[-1] + 1 if one_point else draw(st.integers(js[-1] + 1, js[-1] + 3)))
+    hi_count = j0 if one_point else draw(st.integers(0, j0))
+    hi_point = (hi, draw(_TAILS.filter(lambda f: f != 0.0)) if hi_count == j0 else draw(_TAILS), hi_count)
+    if one_point:
+        xs = [draw(st.integers(int(lo) + 1, int(hi) - 1).map(float))]
+    else:
+        xs = sorted(draw(st.lists(st.integers(int(lo), int(hi)).map(float), min_size=7, max_size=7)))
+    inner = [(x, draw(_TAILS), draw(st.integers(max(0, j0 - 1), js[-1] + 2))) for x in xs]
+    side = draw(st.sampled_from(["none", "below", "above"]))
+    third = None if side == "none" else (
+        lo - draw(st.integers(1, 20)) if side == "below" else hi + draw(st.integers(1, 20)), draw(_TAILS), 0
+    )
+    return lo_point, hi_point, inner, third, js
+
+
+# the named cases: lo, hi, inner points, third point, the states that share the row
+_BRACKET_CASES = {
+    # the cut at 5 has a tail of exactly 0 and counts j = 0: an exact root closes the bracket
+    "exact-root": ((1.0, 1.0, 1), (9.0, -1.0, 0), [(x, 0.0 if x == 5.0 else -1.0, 1 if x < 5.0 else 0)
+                                                  for x in range(2, 9)], None, [0]),
+    # no third point yet: the nearest cut outside the new bracket on either side
+    "no-third": ((0.0, 1.0, 1), (8.0, -1.0, 0), [(float(x), 1.0, int(x < 4)) for x in range(1, 8)], None, [0]),
+    # the new bracket (3, 4): 2 below and 5 above are both 1 away, and the one below wins
+    "tie": ((0.0, 1.0, 1), (8.0, -1.0, 0), [(float(x), 1.0, int(x <= 3)) for x in range(1, 8)], None, [0]),
+    # a third point above hi, nearer than any cut below the new bracket
+    "third-above": ((0.0, 1.0, 1), (8.0, -1.0, 0), [(float(x), 1.0, int(x < 8)) for x in range(1, 8)],
+                    (8.5, -2.0, 0), [0]),
+    # states 2 and 3 share the bracket and one set of cuts, and each picks its own
+    "cluster": ((0.0, 1.0, 4), (8.0, -1.0, 2), [(float(x), 1.0, 4 if x < 3 else 3 if x < 6 else 2)
+                                                for x in range(1, 8)], (-1.0, 2.0, 5), [2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", _BRACKET_CASES)
+def test_bracket_matches_the_reference_on_named_cases(case):
+    _assert_bracket_matches_reference(*_BRACKET_CASES[case], one_point=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_records(one_point=False))
+def test_bracket_matches_the_reference(record):
+    _assert_bracket_matches_reference(*record, one_point=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracket_records(one_point=True))
+@example(((0.0, 1.0, 1), (8.0, -1.0, 0), [(3.0, 0.0, 0)], None, [0]))  # an exact root
+@example(((2.0, 1.0, 1), (8.0, -1.0, 0), [(6.0, 1.0, 0)], (0.0, 2.0, 0), [0]))  # a tie won by the third below
+@example(((2.0, 1.0, 1), (8.0, -1.0, 0), [(4.0, 1.0, 1)], (10.0, 2.0, 0), [0]))  # a tie won by the old lo
+@example(((2.0, 1.0, 1), (8.0, -1.0, 0), [(5.0, 1.0, 1)], (9.0, 2.0, 0), [0]))  # the third above hi is nearer
+def test_one_point_step_matches_the_reference(record):
+    _assert_bracket_matches_reference(*record, one_point=True)
