@@ -26,7 +26,8 @@ set only their new coefficients, unchecked.
 Point values have one evaluator, :func:`_evaluate`: the numpy forms at arrays
 of (segment index, z) pairs give the reference bits for every point value.
 It takes every form at every point and keeps each point's own with
-``np.where``, a handful of array calls whatever the number of points.
+``np.where``, a handful of array calls whatever the number of points; the
+cosine and sine are taken only for a wavefunction with an osc segment.
 """
 
 from __future__ import annotations
@@ -44,16 +45,17 @@ _EXP, _LIN = 0, 1  # kind codes: positions in VALID_KINDS
 
 
 def _evaluate(
-    frame: tuple[np.ndarray, np.ndarray, np.ndarray], coefficients: np.ndarray, idx: np.ndarray, zs: np.ndarray
+    frame: tuple[np.ndarray, np.ndarray, np.ndarray, bool], coefficients: np.ndarray, idx: np.ndarray, zs: np.ndarray
 ) -> np.ndarray:
     """The forms of the module docstring at each (segment index, z) pair.
 
     Every form is taken at every point and ``np.where`` keeps each point's
-    own, so a form a point does not keep may overflow or be NaN unseen.  A
+    own, so a form a point does not keep may overflow or be NaN unseen; the
+    osc form is skipped on a wavefunction without an osc segment.  A
     zero coefficient adds 0.0, never 0 * exp(...), which is NaN where the
     exp overflows, and the exp form sums as 0.0 + falling + rising.
     """
-    _, codes, rate_anchor = frame
+    _, codes, rate_anchor, oscillates = frame
     kind = codes.take(idx)
     rate, x0 = rate_anchor.take(idx, axis=1)
     c1, c2 = coefficients.take(idx, axis=1)
@@ -61,7 +63,8 @@ def _evaluate(
         u = zs - x0
         ru = rate * u
         exp_form = 0.0 + np.where(c1 != 0.0, c1 * np.exp(-ru), 0.0) + np.where(c2 != 0.0, c2 * np.exp(ru), 0.0)
-        osc_form = c1 * np.cos(ru) + c2 * np.sin(ru)
+        # a wavefunction without an osc segment keeps the exp or lin form at every point
+        osc_form = c1 * np.cos(ru) + c2 * np.sin(ru) if oscillates else 0.0
         return np.where(kind == _EXP, exp_form, np.where(kind == _LIN, c1 + c2 * u, osc_form))
 
 
@@ -149,10 +152,12 @@ class PiecewiseExpWavefunction:
                 raise ValueError(f"{kind} segments need rate > 0, got {rate!r}")
 
     @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(breakpoint array, kind codes, rate and anchor rows), shared by derived wavefunctions."""
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """(breakpoint array, kind codes, rate and anchor rows, whether any segment is osc),
+        shared by derived wavefunctions."""
         codes = np.fromiter(map(VALID_KINDS.index, self.kinds), dtype=np.intp, count=len(self.kinds))
-        return np.array(self.breakpoints), codes, np.array((self.rates, (self.breakpoints[0], *self.breakpoints)))
+        rate_anchor = np.array((self.rates, (self.breakpoints[0], *self.breakpoints)))
+        return np.array(self.breakpoints), codes, rate_anchor, "osc" in self.kinds
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
