@@ -380,6 +380,20 @@ def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):
     assert found.unresolved == ()
 
 
+def test_state_in_the_top_grid_cell_steps_at_once(atomic, monkeypatch):
+    # eight deltas 1e-4 apart bind one state at kappa ~7.98, in the top cell of
+    # the grid (cap 8): with no grid point above the cell, the point below it is
+    # the third point, so the first loop pass takes one inverse-quadratic point,
+    # the one the record of every evaluated point gave, and no cut
+    problem = DeltaPotentialProblem([(k * 1e-4, -1.0) for k in range(8)], [0.0] * 9, atomic)
+    calls = _record_transfers(monkeypatch)
+    found = find_bound_states(problem)
+    assert found.kappa_max == 8.0 and found.states[0].kappa > 8.0 * (oracle.GRID - 1) / oracle.GRID
+    assert [len(kappas) for kappas in calls] == [oracle.GRID + 1, 1, 1, 1, 1]
+    assert calls[1][0].hex() == "0x1.feedfcdc61f39p+2"
+    assert found.states[0].kappa.hex() == "0x1.feedca3a2ca51p+2"
+
+
 def _transfer_reference(problem, kappas):
     """The pass as a per-region loop: every quantity computed region by region.
 
