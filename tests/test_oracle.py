@@ -383,8 +383,8 @@ def test_kappa_max_below_tol_finds_nothing(atomic, monkeypatch):
 def test_state_in_the_top_grid_cell_steps_at_once(atomic, monkeypatch):
     # eight deltas 1e-4 apart bind one state at kappa ~7.98, in the top cell of
     # the grid (cap 8): with no grid point above the cell, the point below it is
-    # the third point, so the first loop pass takes one inverse-quadratic point,
-    # the one the record of every evaluated point gave, and no cut
+    # the third point, so the first loop pass takes one inverse-quadratic point
+    # through it, and no cut
     problem = DeltaPotentialProblem([(k * 1e-4, -1.0) for k in range(8)], [0.0] * 9, atomic)
     calls = _record_transfers(monkeypatch)
     found = find_bound_states(problem)
