@@ -714,9 +714,9 @@ def find_bound_states(
         x1, f1 = np.where(near_lo, kappa_lo, kappa_hi), np.where(near_lo, tail_lo, tail_hi)
         x2, f2 = np.where(near_lo, kappa_hi, kappa_lo), np.where(near_lo, tail_hi, tail_lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x21 = x2 - x1
-            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / x21 * f1 / (f3 - f1) * f2 / (f3 - f2)
+            x21, f32 = x2 - x1, f3 - f2
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / f32
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / x21 * f1 / (f3 - f1) * f2 / f32
             point = np.minimum(np.maximum(x1 + t * x21, kappa_lo + 0.5 * tol), kappa_hi - 0.5 * tol)
         # state j's step is taken while its ends count j + 1 and j
         step = (
