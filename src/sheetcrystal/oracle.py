@@ -37,8 +37,8 @@ kappa, tail, count and id of its bracket's two ends and the kappa and tail
 of its third point, the one Chandrupatla's step reads.  A one-point step
 moves one end onto the point, as the point's count says, and the end it
 replaces becomes the third point unless the old one is nearer
-(:func:`_step`); only a pass that cuts a bracket picks new ends among rows
-of points (:func:`_bracket`), and only the states still being refined are
+(:func:`_step`); only a bracket cut at several points picks its new ends
+among them (:func:`_bracket`), and only the states still being refined are
 carried from pass to pass.  The search makes no pass at its roots: the
 first read of a state's wavefunction makes one pass at the roots of its
 chunk (:func:`_states`) and rebuilds every state of that chunk with its
@@ -228,9 +228,10 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
         units = problem.units
         jump_scale = 2.0 * units.mass / units.hbar**2
         start = regions + 1 - len(problem.deltas)
+        positions = np.array(problem.positions)
         offsets[start:, k] = problem.region_offsets[1:-1]
-        widths[start:, k] = np.diff(problem.positions)
-        np.multiply(jump_scale, problem.strengths, out=jumps[start:, k])
+        widths[start:, k] = positions[1:] - positions[:-1]
+        jumps[start:, k] = [jump_scale * g for g in problem.strengths]
         half_h2_over_m.append(0.5 * units.hbar**2 / units.mass)
         first.append(start)
     np.maximum(1.0, np.abs(offsets), out=rows[:, 2])
@@ -240,8 +241,8 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     # and the keys, in that order, are the class rows
     row_size = 4 * len(problems)
     keys = rows.reshape(regions, row_size).view(np.dtype((np.void, rows.itemsize * row_size))).ravel().tolist()
-    index = {key: number for number, key in enumerate(dict.fromkeys(keys))}
-    cls = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=regions)
+    index: dict[bytes, int] = {}
+    cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
     classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
     return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first))
 
@@ -520,7 +521,7 @@ def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     above = point[2] > j
     new = table.copy()
-    ends = new[:8].reshape(4, 2, -1)
+    ends = new[:8].reshape(4, 2, new.shape[1])
     np.copyto(ends[:, 0], point, where=above | ((point[1] == 0.0) & (point[2] == j)))
     np.copyto(ends[:, 1], point, where=~above)
     # the (kappa, tail) of the replaced end, and the gap from the kept end out to
@@ -539,9 +540,8 @@ def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
     caps = []
     for problem in batch:
         units = problem.units
-        # both rates grow with |g| and |U|, so each is taken at the largest
-        strongest = 2.0 * units.mass * max(map(abs, problem.strengths)) / units.hbar**2
-        deepest = math.sqrt(2.0 * units.mass * max(map(abs, problem.region_offsets))) / units.hbar
+        strongest = max((2.0 * units.mass * abs(g) / units.hbar**2 for g in problem.strengths), default=0.0)
+        deepest = max((math.sqrt(2.0 * units.mass * abs(u)) / units.hbar for u in problem.region_offsets), default=0.0)
         cap = 4.0 * max(strongest, deepest)
         if not math.isfinite(0.5 * units.hbar**2 / units.mass * (cap * cap)):
             raise ValueError(
@@ -673,26 +673,16 @@ def find_bound_states(
     # the kappa, tail, count and id (fields 0..3) of its bracket's lo and hi (ends
     # 0, 1), rows 8 and 9 the kappa and tail of its third point, NaN for none.  A
     # point's id is its place in the order of evaluation; the grid's tol stands for
-    # 0+, where its count was taken.  A state's first bracket is a grid cell, the
-    # one after the last point counting more than j.  Past its points held at tol
-    # the grid rises strictly, so the points nearest a cell outside it are its
-    # neighbours: the cell is what a one-point step at its upper point makes of the
-    # bracket of its two neighbours (the cell's lower point and the point above it),
-    # with the point below it as the third.  The grid is padded with a point of no
-    # kappa below and one at kappa +inf above, whose gap loses to any point below
-    # (a NaN tail never steps, and a cut drops an infinite third point)
-    padded = np.full((4, len(batch), GRID + 3), np.nan)
-    padded[0, :, 1:-1], padded[1, :, 1:-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape)
-    padded[2, :, 1:-1], padded[3, :, 1:-1] = nodes, np.arange(grid.size).reshape(grid.shape)
-    padded[0, :, -1] = np.inf
-    cell = GRID + 1 - np.argmax((nodes[owner] > j[:, None])[:, ::-1], axis=1)
-    below, lower, upper, above = padded[:, owner[:, None], cell[:, None] + np.arange(-1, 3)].transpose(2, 0, 1)
-    neighbours = np.empty((10, len(j)))
-    neighbours[0:8:2], neighbours[1:8:2], neighbours[8:10] = lower, above, below[:2]
-    table = _step(neighbours, upper, j)
+    # 0+, where its count was taken.  A state's first bracket is picked among its
+    # problem's grid, whose row ends in a third point of NaN
+    record = np.full((4, len(batch), GRID + 2), np.nan)
+    record[0, :, :-1], record[1, :, :-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape)
+    record[2, :, :-1], record[3, :, :-1] = nodes, np.arange(grid.size).reshape(grid.shape)
+    table = _bracket(record[:, owner], j)
     # the states still refined: their columns of the table, their indices, the
     # counts j + 1 and j their ends have once isolated, and their problems
-    brackets, live, targets, which, seen = table, np.arange(len(j)), np.stack([j + 1.0, j]), owner, grid.size
+    brackets, live, targets, which = np.empty(table.shape), np.arange(len(j)), np.stack([j + 1.0, j]), owner
+    seen = grid.size
     while True:
         # a bracket is refined while it is wider than tol and splits in floating
         # point; the others are final
@@ -723,32 +713,31 @@ def find_bound_states(
             (table[4] == targets[0]) & (table[5] == targets[1])
             & (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
         )
-        kappas, columns = point[step], which[step]
+        kappas, columns, cut_size = point[step], which[step], 0
         # every other bracket is cut at MULTISECTION evenly spaced points, computed
         # once for a run of identical brackets (the same ends, so the same problem)
         cut = ~step
-        cutting = cut.any()
-        if cutting:
+        if cut.any():
             lead = cut.copy()
             lead[1:] &= ~(cut[:-1] & (table[6:8, 1:] == table[6:8, :-1]).all(axis=0))
             cuts = kappa_lo[lead, None] + (kappa_hi - kappa_lo)[lead, None] * _CUTS
             kappas = np.concatenate([cuts.ravel(), kappas])
             columns = np.concatenate([np.repeat(which[lead], MULTISECTION), columns])
+            cut_size = cuts.size
         points = np.empty((4, len(kappas)))
         points[0] = kappas
         points[1], points[2] = _tails_and_counts(chain, kappas, columns)
         points[3] = np.arange(seen, seen + len(kappas))
         seen += len(kappas)
-        if not cutting:
-            table = _step(table, points, targets[1])
-            continue
-        # with a cut bracket about, every bracket picks its new ends among a row: its
-        # lo, its cuts or its one point repeated, its hi, and its third point
-        rows = np.full((4, len(live), MULTISECTION + 3), np.nan)
-        rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = table[0:8:2], table[1:8:2], table[8:10]
-        rows[:, cut, 1:-2] = points[:, :cuts.size].reshape(4, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
-        rows[:, step, 1:-2] = points[:, cuts.size:, None]
-        table = _bracket(rows, targets[1])
+        table[:, step] = _step(table[:, step], points[:, cut_size:], targets[1, step])
+        if cut_size:
+            # a cut bracket picks its new ends among a row: its lo, its cuts, its hi
+            # and its third point
+            sub = table[:, cut]
+            rows = np.full((4, len(sub[0]), MULTISECTION + 3), np.nan)
+            rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = sub[0:8:2], sub[1:8:2], sub[8:10]
+            rows[:, :, 1:-2] = points[:, :cut_size].reshape(4, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
+            table[:, cut] = _bracket(rows, targets[1, cut])
 
     lo, hi = brackets[0], brackets[1]
     # state j is isolated once its ends count j + 1 and j, or its bracket is closed
