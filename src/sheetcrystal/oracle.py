@@ -679,8 +679,9 @@ def find_bound_states(
     record[0, :, :-1], record[1, :, :-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape)
     record[2, :, :-1], record[3, :, :-1] = nodes, np.arange(grid.size).reshape(grid.shape)
     table = _bracket(record[:, owner], j)
-    # the states still refined: their columns of the table, their indices, the
-    # counts j + 1 and j their ends have once isolated, and their problems
+    # each state's final bracket, written as it leaves the loop; the states still
+    # refined: their columns of the table, their indices, the counts j + 1 and j
+    # their ends have once isolated, and their problems
     brackets, live, targets, which = np.empty(table.shape), np.arange(len(j)), np.stack([j + 1.0, j]), owner
     seen = grid.size
     while True:
@@ -734,7 +735,7 @@ def find_bound_states(
             # a cut bracket picks its new ends among a row: its lo, its cuts, its hi
             # and its third point
             sub = table[:, cut]
-            rows = np.full((4, len(sub[0]), MULTISECTION + 3), np.nan)
+            rows = np.full((4, sub.shape[1], MULTISECTION + 3), np.nan)
             rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = sub[0:8:2], sub[1:8:2], sub[8:10]
             rows[:, :, 1:-2] = points[:, :cut_size].reshape(4, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
             table[:, cut] = _bracket(rows, targets[1, cut])
