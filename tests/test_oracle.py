@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -1286,11 +1287,31 @@ def _search_digest(answers):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _high_kappa_problems():
+    """Strong deltas whose roots lie where tol/2 is below the float spacing.
+
+    Their brackets narrow to a few floats, so a pass cuts some at evenly
+    spaced points that round to the same kappa: 410 of the 27 098 columns
+    of this group's four searches repeat a (problem, kappa) column of their
+    pass, and 33 of the full batch's intervals are ``unresolved``.
+    """
+    units = atomic_units()
+    problems = [DeltaPotentialProblem([(0.0, -1e4), (1e-3, -1e4)], [0.0] * 3, units)]
+    rng = random.Random(3)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        positions = sorted(rng.uniform(-1.0, 1.0) for _ in range(n))
+        strengths = [-rng.uniform(1e3, 1e5) for _ in range(n)]
+        problems.append(DeltaPotentialProblem(list(zip(positions, strengths)), [0.0] * (n + 1), units))
+    return problems
+
+
 _PINNED_SEARCHES = {
     "crystals-unit": lambda: [_crystal_problem(n) for n in range(0, 31)],
     "crystals-0.7-1.3": lambda: [_crystal_problem(n, alpha=0.7, a=1.3) for n in range(0, 31)],
     "crystal-100": lambda: [_crystal_problem(100)],
     "stacks": lambda: [_random_stack_problem(seed) for seed in range(100)],
+    "high-kappa": _high_kappa_problems,
 }
 _PINNED_DIGESTS = {
     ("crystals-unit", None): "97dbe2b61ad5cff721f95f82882dad5be77d2203a80d0f4f14e4b6e16462b9ad",
@@ -1301,6 +1322,8 @@ _PINNED_DIGESTS = {
     ("crystal-100", 1): "cfac153ec8987631ec4707ce27573781b60387ad44d190cfc5921daae8599c4f",
     ("stacks", None): "8b997c7cb0ceb2cd869074174c0a21a3d6a1ac02e270d7bade1b010e770cab85",
     ("stacks", 1): "a7d9b712f0da0362ba9706306c25ec2e2d97c3aa1bb25c2fb5ad52d0fa8e498d",
+    ("high-kappa", None): "1cb8e177729c13c9ca3dcbe58da1a4a560d9859544d49563266269605ea61142",
+    ("high-kappa", 1): "82c5c0e447726be9c280eca0ae737d3b35835fa3c6974e44a1c567e05e8d791c",
 }
 
 
