@@ -444,7 +444,7 @@ def cmd_sweep(args) -> int:
     # cells it does not certify
     cells = [(n, alpha, a) for n in config["N"] for alpha in config["alpha"] for a in config["a"]]
     params, starts, problems = zip(*(_sweep_cell(cell, units) for cell in cells))
-    found = oracle.certify_ground_states(problems, [p._beta for p in params])
+    found = oracle.certify_ground_states(problems, [p.decay_rate for p in params])
     searched = [k for k, answer in enumerate(found) if not answer.states]
     if searched:
         for k, answer in zip(searched, oracle.find_bound_states([problems[k] for k in searched], lowest=1)):
@@ -454,7 +454,7 @@ def cmd_sweep(args) -> int:
     _emit_csv("N,alpha,a,E,log_A,U_exp,T_exp,count,closed_vs_oracle_resid", rows, config.get("out"), sys.stdout)
     _warn([
         *(f"{_sweep_cell_name(*cells[k])}: the oracle does not certify the closed form's ground state at "
-          f"kappa = {_fmt(params[k]._beta)}; its row is the search's" for k in searched),
+          f"kappa = {_fmt(params[k].decay_rate)}; its row is the search's" for k in searched),
         *(f"{_sweep_cell_name(*cell)}: closed_vs_oracle_resid = {_fmt(row[-1])} is not within {SWEEP_RESIDUAL_MAX:g}"
           for cell, row in zip(cells, rows) if not row[-1] <= SWEEP_RESIDUAL_MAX),
     ])

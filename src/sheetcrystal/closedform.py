@@ -72,13 +72,9 @@ class CrystalParams:
         return log_normalization_constant(self)
 
     @cached_property
-    def _beta(self) -> float:  # m*alpha/hbar^2, read by psi at every point
-        return _decay_rate(self)
-
-
-def _decay_rate(p: CrystalParams) -> float:
-    """Exponent rate m*alpha/hbar^2 of the outer tails."""
-    return p.units.mass * p.alpha / p.units.hbar**2
+    def decay_rate(self) -> float:
+        """m*alpha/hbar^2, the rate of the outer tails and the ground state's kappa; psi reads it at every point."""
+        return self.units.mass * self.alpha / self.units.hbar**2
 
 
 def _half_cell_weight(x: float) -> float:
@@ -107,7 +103,7 @@ def log_normalization_constant(p: CrystalParams) -> float:
     the edge contributes the same amount to the norm integral, hence the
     factor N on the sinh term.  The log stays finite where A overflows.
     """
-    beta = p._beta
+    beta = p.decay_rate
     if p.N == 0:
         # Single attractive delta: A = sqrt(m*alpha)/hbar.
         return 0.5 * math.log(beta)
@@ -144,7 +140,7 @@ def psi(p: CrystalParams, z: float | np.ndarray) -> float | np.ndarray:
         k = np.where(inside, u, 0.0) // p.a
         odd = k % 2.0 != p.N % 2
         within = np.where(odd, float(p.N + 1), float(p.N)) * p.a + np.where(odd, -1.0, 1.0) * (u - k * p.a)
-        exponents = p._log_norm_constant - p._beta * np.where(inside, within, u)
+        exponents = p._log_norm_constant - p.decay_rate * np.where(inside, within, u)
         return np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(u.shape)
     u = abs(float(z))  # a numpy scalar point runs in Python floats, with the bits of a float point
     if u < p.N * p.a:
@@ -153,7 +149,7 @@ def psi(p: CrystalParams, z: float | np.ndarray) -> float | np.ndarray:
         exponent_sum = p.a * (p.N + odd) + (1 - 2 * odd) * (u - k * p.a)
     else:
         exponent_sum = u
-    return math.exp(p._log_norm_constant - p._beta * exponent_sum)
+    return math.exp(p._log_norm_constant - p.decay_rate * exponent_sum)
 
 
 def expectation_potential(p: CrystalParams) -> float:

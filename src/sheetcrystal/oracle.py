@@ -33,8 +33,8 @@ tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
 state's points depend on its own bracket and problem alone, and the search
 takes at most about 20 passes whatever the number of states.  Between
 passes the search holds each state as one column of a table of values: the
-kappa, tail, count and id of its bracket's two ends and the kappa and tail
-of its third point, the one Chandrupatla's step reads.  A one-point step
+kappa, tail and count of its bracket's two ends and the kappa and tail of
+its third point, the one Chandrupatla's step reads.  A one-point step
 moves one end onto the point, as the point's count says, and the end it
 replaces becomes the third point unless the old one is nearer
 (:func:`_step`); only a bracket cut at several points picks its new ends
@@ -69,9 +69,7 @@ each state keeps its own column of its chunk's coefficient rows from its
 left tail on, and a padded step adds nothing to them.  Every pass, counts
 and rebuilds alike, runs in column chunks of at most :data:`_SEARCH_CELLS`
 (region, column) cells, and a search keeps only each chunk's tails and
-counts, so the memory of a search is bounded whatever its size.  A batch
-whose grid pass would exceed that bound is also searched in halves, so that
-a short problem is not padded to the longest of many.
+counts, so the memory of a search is bounded whatever its size.
 
 A pass is a batch and then a recurrence.  The batch is per distinct region:
 region rows whose offset and width have the same bits in every problem of
@@ -124,10 +122,10 @@ CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certi
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
 # no pass holds more than this many (region, column) cells, or more than one
-# column: every pass runs in column chunks under it, and a batch whose grid pass
-# would exceed it is searched in halves.  A pass holds about nine float arrays of
-# that size and twelve of (classes, columns), ~18 MB here with one class and ~44 MB
-# on a chain without repeats; the cells of a crystal sweep grow as its largest N squared
+# column: every pass runs in column chunks under it.  A pass holds about nine float
+# arrays of that size and twelve of (classes, columns), ~18 MB here with one class
+# and ~44 MB on a chain without repeats; the cells of a crystal sweep grow as its
+# largest N squared
 _SEARCH_CELLS = 2**18
 
 
@@ -483,12 +481,12 @@ def _states(
 def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Each state's new bracket among a row of points, and its new third point.
 
-    ``rows`` is (4, states, points): the kappa, tail, count and id of the
-    points state ``j[i]`` has evaluated in its bracket, in ascending kappa
-    along row i, then of its previous third point (NaN for none; its count
-    and id are NaN).  The count decides: lo is the last point counting more
-    than j states and hi the next one; a hi with a tail of exactly 0 that
-    counts j is an exact root, and lo moves onto it, closing the bracket.
+    ``rows`` is (3, states, points): the kappa, tail and count of the points
+    state ``j[i]`` has evaluated in its bracket, in ascending kappa along
+    row i, then of its previous third point (NaN for none; its count is
+    NaN).  The count decides: lo is the last point counting more than j
+    states and hi the next one; a hi with a tail of exactly 0 that counts j
+    is an exact root, and lo moves onto it, closing the bracket (lo == hi).
     The third point is the one nearest the bracket outside it, among the
     row, the one below on a tie; NaN where there is none.  Returns the
     states' columns of the search's table (see :func:`find_bound_states`).
@@ -502,17 +500,17 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     nearest_below, nearest_above = below.argmax(axis=1), above.argmin(axis=1)
     gap_below, gap_above = lower[0] - below[r, nearest_below], above[r, nearest_above] - upper[0]
     nearest = np.where(gap_below <= gap_above, nearest_below, nearest_above)
-    table = np.empty((10, len(j)))
-    table[0:8:2], table[1:8:2] = lower, upper
-    table[8:10] = np.where(np.minimum(gap_below, gap_above) < np.inf, rows[:2, r, nearest], np.nan)
+    table = np.empty((8, len(j)))
+    table[0:6:2], table[1:6:2] = lower, upper
+    table[6:8] = np.where(np.minimum(gap_below, gap_above) < np.inf, rows[:2, r, nearest], np.nan)
     return table
 
 
 def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Each bracket of ``table`` after one point strictly inside it, as :func:`_bracket` would give it.
 
-    ``point`` is (4, states), the kappa, tail, count and id of each state's
-    new point.  A point that counts more than j is the new lo; any other is
+    ``point`` is (3, states), the kappa, tail and count of each state's new
+    point.  A point that counts more than j is the new lo; any other is
     the new hi, and closes the bracket if it is an exact root (a tail of
     exactly 0 that counts j).  The end the point replaces is the nearest
     point outside the new bracket on its side, so it is the new third point
@@ -521,16 +519,16 @@ def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     above = point[2] > j
     new = table.copy()
-    ends = new[:8].reshape(4, 2, new.shape[1])
+    ends = new[:6].reshape(3, 2, new.shape[1])
     np.copyto(ends[:, 0], point, where=above | ((point[1] == 0.0) & (point[2] == j)))
     np.copyto(ends[:, 1], point, where=~above)
     # the (kappa, tail) of the replaced end, and the gap from the kept end out to
     # the old third, positive only when the third lies beyond it (NaN for none)
     replaced = np.where(above, table[0:4:2], table[1:4:2])
-    gap_third = np.where(above, table[8] - table[1], table[0] - table[8])
+    gap_third = np.where(above, table[6] - table[1], table[0] - table[6])
     gap_end = abs(point[0] - replaced[0])
     keep = (gap_third > 0.0) & np.where(above, gap_third < gap_end, gap_third <= gap_end)
-    np.copyto(new[8:10], replaced, where=~keep)
+    np.copyto(new[6:8], replaced, where=~keep)
     return new
 
 
@@ -552,14 +550,6 @@ def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
     return caps
 
 
-def _halves(batch: list[DeltaPotentialProblem]) -> list[slice]:
-    """The whole batch, or its two halves where its grid pass would hold more
-    than ``_SEARCH_CELLS`` (region, column) cells."""
-    half = len(batch) // 2
-    split = half > 0 and len(batch) * (GRID + 1) * max(len(problem.deltas) for problem in batch) > _SEARCH_CELLS
-    return [slice(None, half), slice(half, None)] if split else [slice(None)]
-
-
 def find_bound_states(
     problems: DeltaPotentialProblem | Sequence[DeltaPotentialProblem],
     lowest: int | None = None,
@@ -575,9 +565,8 @@ def find_bound_states(
     the batch.  Every pass runs in column chunks of at most
     ``_SEARCH_CELLS`` (region, column) cells, which bounds its memory, and
     only each chunk's tails and counts are kept.  Every chain is padded to
-    the longest, so a sequence whose grid pass would hold more than
-    ``_SEARCH_CELLS`` cells is also split in halves, each searched the same
-    way; a single problem is never split.
+    the longest, so each column of a short problem costs what a column of
+    the longest costs.
 
     Each answer is a :class:`BoundStateList`: the states, the cap
     ``kappa_max``, the count ``state_count`` and the ``unresolved``
@@ -611,23 +600,22 @@ def find_bound_states(
     Then one loop steps every state, and the count picks each new interval
     among the points evaluated in it, as on the grid: ``lo`` is the last
     point counting more than j states and ``hi`` the next one.  Each state
-    carries its interval's ends and its third point as values (kappa, tail,
-    count and the point's place in the order of evaluation), and the loop
-    carries only the states whose interval is still open.  Each pass
-    gives a state either one point or ``MULTISECTION`` (7) evenly spaced
-    ones.  One point is Chandrupatla's inverse-quadratic step of the tail
-    through both ends and the third point, the evaluated point nearest the
-    interval outside it (Adv. Eng. Softw. 28, 145 (1997)); the tail is the
-    true coefficient divided by positive factors continuous in kappa, so it
-    serves as it is.  The point is kept ``tol``/2 inside the interval, so
+    carries its interval's ends and its third point as values (kappa, tail
+    and count), and the loop carries only the states whose interval is
+    still open.  Each pass gives a state either one point or
+    ``MULTISECTION`` (7) evenly spaced ones.  One point is Chandrupatla's
+    inverse-quadratic step of the tail through both ends and the third
+    point, the evaluated point nearest the interval outside it (Adv. Eng.
+    Softw. 28, 145 (1997)); the tail is the true coefficient divided by
+    positive factors continuous in kappa, so it serves as it is.  The point is kept ``tol``/2 inside the interval, so
     once it lands next to the root the interval closes.  The interval is cut
     at the 7 points instead (Barth, Martin & Wilkinson, Numer. Math. 9, 386
     (1967)) when its ends do not count j + 1 and j, or when the step is not
     trusted: there is no third point yet, Chandrupatla's test
     (Phi^2 < xi and (1 - Phi)^2 < 1 - xi) fails, or the kept point lands on
     an end, as it does where ``tol``/2 is below the float spacing.  Identical
-    intervals of one problem, the states of one cluster, share their 7
-    points.  A state's points thus depend on its own interval and problem
+    intervals of one problem (the same problem and the same kappa at both
+    ends), the states of one cluster, share their 7 points.  A state's points thus depend on its own interval and problem
     alone, and the search takes at most about 20 passes whatever the
     number of states.  A point with a tail of exactly 0 that counts j
     is an exact root and closes the interval.  An interval that reaches
@@ -644,11 +632,7 @@ def find_bound_states(
         raise ValueError(f"lowest must be an integer >= 0 or None, got {lowest!r}")
     if not batch:
         return []
-    caps = _caps(batch)
-    parts = _halves(batch)
-    if len(parts) > 1:
-        return [found for part in parts for found in find_bound_states(batch[part], lowest)]
-    chain = _chain(batch)
+    caps, chain = _caps(batch), _chain(batch)
     tol = DEFAULT_BISECTION_TOL
 
     # one counting pass on a grid per problem: [tol, kappa_max/GRID, ..., kappa_max],
@@ -669,21 +653,17 @@ def find_bound_states(
     refined = state_counts if lowest is None else [min(n, lowest) for n in state_counts]
     owner = np.repeat(np.arange(len(batch)), refined)
     j = np.array([k for n in refined for k in range(n)], dtype=float)
-    # every state is one column of a (10, states) table: row 2 * field + end holds
-    # the kappa, tail, count and id (fields 0..3) of its bracket's lo and hi (ends
-    # 0, 1), rows 8 and 9 the kappa and tail of its third point, NaN for none.  A
-    # point's id is its place in the order of evaluation; the grid's tol stands for
-    # 0+, where its count was taken.  A state's first bracket is picked among its
-    # problem's grid, whose row ends in a third point of NaN
-    record = np.full((4, len(batch), GRID + 2), np.nan)
-    record[0, :, :-1], record[1, :, :-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape)
-    record[2, :, :-1], record[3, :, :-1] = nodes, np.arange(grid.size).reshape(grid.shape)
+    # every state is one column of an (8, states) table: row 2 * field + end holds
+    # the kappa, tail and count (fields 0..2) of its bracket's lo and hi (ends 0, 1),
+    # rows 6 and 7 the kappa and tail of its third point, NaN for none.  The grid's
+    # tol stands for 0+, where its count was taken.  A state's first bracket is
+    # picked among its problem's grid, whose row ends in a third point of NaN
+    record = np.full((3, len(batch), GRID + 2), np.nan)
+    record[:, :, :-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape), nodes
     table = _bracket(record[:, owner], j)
-    # each state's final bracket, written as it leaves the loop; the states still
-    # refined: their columns of the table, their indices, the counts j + 1 and j
-    # their ends have once isolated, and their problems
-    brackets, live, targets, which = np.empty(table.shape), np.arange(len(j)), np.stack([j + 1.0, j]), owner
-    seen = grid.size
+    # each state's final bracket, written as it leaves the loop; the indices of the
+    # states still refined, whose columns the table holds
+    brackets, live = np.empty(table.shape), np.arange(len(j))
     while True:
         # a bracket is refined while it is wider than tol and splits in floating
         # point; the others are final
@@ -692,15 +672,16 @@ def find_bound_states(
         active = (kappa_hi - kappa_lo > tol) & (kappa_lo < mid) & (mid < kappa_hi)
         if not active.all():
             brackets[:, live[~active]] = table[:, ~active]
-            table, live, targets, which = table[:, active], live[active], targets[:, active], which[active]
+            table, live = table[:, active], live[active]
             kappa_lo, kappa_hi = table[0], table[1]
         if not live.size:
             break
+        target, which = j[live], owner[live]
         # Chandrupatla's inverse-quadratic point through the ends and the third point,
         # x1 the end next to it and x2 the other, held tol/2 inside the bracket so that
         # a point landing next to the root closes it; trusted where Chandrupatla's test
         # passes and the held point is off the ends (tol/2 can be below the float spacing)
-        tail_lo, tail_hi, x3, f3 = table[2], table[3], table[8], table[9]
+        tail_lo, tail_hi, x3, f3 = table[2], table[3], table[6], table[7]
         near_lo = x3 < kappa_lo
         x1, f1 = np.where(near_lo, kappa_lo, kappa_hi), np.where(near_lo, tail_lo, tail_hi)
         x2, f2 = np.where(near_lo, kappa_hi, kappa_lo), np.where(near_lo, tail_hi, tail_lo)
@@ -711,38 +692,36 @@ def find_bound_states(
             point = np.minimum(np.maximum(x1 + t * x21, kappa_lo + 0.5 * tol), kappa_hi - 0.5 * tol)
         # state j's step is taken while its ends count j + 1 and j
         step = (
-            (table[4] == targets[0]) & (table[5] == targets[1])
+            (table[4] == target + 1.0) & (table[5] == target)
             & (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
         )
         kappas, columns, cut_size = point[step], which[step], 0
         # every other bracket is cut at MULTISECTION evenly spaced points, computed
-        # once for a run of identical brackets (the same ends, so the same problem)
+        # once for a run of identical brackets (the same problem and ends)
         cut = ~step
         if cut.any():
             lead = cut.copy()
-            lead[1:] &= ~(cut[:-1] & (table[6:8, 1:] == table[6:8, :-1]).all(axis=0))
+            lead[1:] &= ~(cut[:-1] & (which[1:] == which[:-1]) & (table[:2, 1:] == table[:2, :-1]).all(axis=0))
             cuts = kappa_lo[lead, None] + (kappa_hi - kappa_lo)[lead, None] * _CUTS
             kappas = np.concatenate([cuts.ravel(), kappas])
             columns = np.concatenate([np.repeat(which[lead], MULTISECTION), columns])
             cut_size = cuts.size
-        points = np.empty((4, len(kappas)))
+        points = np.empty((3, len(kappas)))
         points[0] = kappas
         points[1], points[2] = _tails_and_counts(chain, kappas, columns)
-        points[3] = np.arange(seen, seen + len(kappas))
-        seen += len(kappas)
-        table[:, step] = _step(table[:, step], points[:, cut_size:], targets[1, step])
+        table[:, step] = _step(table[:, step], points[:, cut_size:], target[step])
         if cut_size:
             # a cut bracket picks its new ends among a row: its lo, its cuts, its hi
             # and its third point
             sub = table[:, cut]
-            rows = np.full((4, sub.shape[1], MULTISECTION + 3), np.nan)
-            rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = sub[0:8:2], sub[1:8:2], sub[8:10]
-            rows[:, :, 1:-2] = points[:, :cut_size].reshape(4, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
-            table[:, cut] = _bracket(rows, targets[1, cut])
+            rows = np.full((3, sub.shape[1], MULTISECTION + 3), np.nan)
+            rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = sub[0:6:2], sub[1:6:2], sub[6:8]
+            rows[:, :, 1:-2] = points[:, :cut_size].reshape(3, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
+            table[:, cut] = _bracket(rows, target[cut])
 
     lo, hi = brackets[0], brackets[1]
     # state j is isolated once its ends count j + 1 and j, or its bracket is closed
-    isolated = ((brackets[4] == j + 1.0) & (brackets[5] == j)) | (brackets[6] == brackets[7])
+    isolated = ((brackets[4] == j + 1.0) & (brackets[5] == j)) | (lo == hi)
     states = _states(batch, chain, 0.5 * (lo + hi), owner)
     found = []
     bounds = [0, *accumulate(refined)]

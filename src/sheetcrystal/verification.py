@@ -151,7 +151,7 @@ def _quad_psi_squared(p: CrystalParams) -> float:
     square) differs from it in the last bit on about 0.08% of inputs
     (1 716 of 2 000 000 uniform in [0, 1), x86-64 glibc).
     """
-    beta = p.units.mass * p.alpha / p.units.hbar**2
+    beta = p.decay_rate
     reach = p.N * p.a + 40.0 / beta
     cuts = [n * p.a for n in range(-p.N, p.N + 1)]
     edges = [-reach] + cuts + [reach]

@@ -753,12 +753,12 @@ def test_sweep_is_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_halved_sweep_writes_the_rows_of_one_cell_sweeps(tmp_path, capsys):
-    # 61 crystals of up to 121 sites hold more grid cells than one search
-    # takes, so a search of the whole batch would run in halves, 30 + 31
-    # (the certificate pass takes all 61 at once); each row must have the
-    # bytes of the crystal's own one-cell sweep
-    assert 61 * (oracle.GRID + 1) * 121 > oracle._SEARCH_CELLS >= 31 * (oracle.GRID + 1) * 121
+def test_a_61_cell_sweep_writes_the_rows_of_one_cell_sweeps(tmp_path, capsys):
+    # 61 crystals of up to 121 sites: one certificate pass takes all 61, every
+    # chain padded to the longest, where a search of the whole batch would run
+    # its grid pass in several chunks; each row must have the bytes of the
+    # crystal's own one-cell sweep
+    assert 61 * (oracle.GRID + 1) * 121 > oracle._SEARCH_CELLS >= 61 * 3 * 121
     cfg = _write(tmp_path, "s.cfg", "N = 0..60\nalpha = 0.7\na = 1.3\n")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0

@@ -206,9 +206,10 @@ def test_log_normalization_constant_computed_once_per_params(monkeypatch):
     from sheetcrystal import closedform
 
     calls, rates = [], []
-    original, decay_rate = closedform.log_normalization_constant, closedform._decay_rate
+    original, rate = closedform.log_normalization_constant, CrystalParams.decay_rate.func
     monkeypatch.setattr(closedform, "log_normalization_constant", lambda p: calls.append(p) or original(p))
-    monkeypatch.setattr(closedform, "_decay_rate", lambda p: rates.append(p) or decay_rate(p))
+    # the cached property's own function, counting each time it computes the rate
+    monkeypatch.setattr(CrystalParams.decay_rate, "func", lambda p: rates.append(p) or rate(p))
     p = _params(8)
     zs = np.linspace(-12.0, 12.0, 101)
     for z in zs:

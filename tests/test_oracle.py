@@ -355,8 +355,8 @@ def test_wide_loop_pass_runs_in_chunks_with_the_same_bits(monkeypatch):
 
 
 def test_grid_pass_of_one_problem_runs_in_chunks_with_the_same_bits(monkeypatch):
-    # a single problem is never split into halves, so its grid pass runs in
-    # column chunks like every other pass, the rebuild of its states included
+    # the grid pass of one problem runs in column chunks like every other pass,
+    # the rebuild of its states included
     problem = _crystal_problem(8)
     unchunked = find_bound_states(problem)
     bound = 10 * len(problem.deltas)
@@ -726,14 +726,14 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cells, searches",
-    [(oracle._SEARCH_CELLS, [[5, 7, 9]]), (2 * (oracle.GRID + 1) * 9, [[5], [7, 9]])],
-    ids=["one-search", "halves"],
+    "cells, chunks",
+    [(oracle._SEARCH_CELLS, [12]), (5 * 9, [5, 5, 2])],
+    ids=["one-chunk", "chunks"],
 )
-def test_a_batch_search_reconstructs_every_state_in_one_call(cells, searches, monkeypatch):
+def test_a_batch_search_rebuilds_each_chunk_of_roots_in_one_call(cells, chunks, monkeypatch):
     # crystals 2, 3 and 4 in one search: the search rebuilds nothing, and
-    # reading the states makes one call that rebuilds all twelve from one
-    # pass at the roots, or one call per half when the batch is halved;
+    # reading the states makes one call per chunk of roots, one call for all
+    # twelve, or three under a bound of five columns of the 9-site chain;
     # every state's rows start at its left tail, below which the shorter
     # chains' padded rows are not its own
     problems = [_crystal_problem(n) for n in (2, 3, 4)]
@@ -743,14 +743,15 @@ def test_a_batch_search_reconstructs_every_state_in_one_call(cells, searches, mo
     real = oracle._reconstruct
 
     def counted(batch, chain, kappas, owner):
-        calls.append([len(problem.deltas) for problem in batch])
+        assert [len(problem.deltas) for problem in batch] == [5, 7, 9]
+        calls.append(len(kappas))
         return real(batch, chain, kappas, owner)
 
     monkeypatch.setattr(oracle, "_reconstruct", counted)
     found = find_bound_states(problems)
     assert calls == []
     assert [_hex_list(got) for got in found] == alone
-    assert calls == searches  # the sites of each search's crystals
+    assert calls == chunks  # the roots of each chunk
     for got, problem in zip(found, problems):
         for state in got:
             kinds, rates, c1s, c2s = state._rows()[1:]
@@ -1129,37 +1130,40 @@ def _batch_problems():
 )
 def test_batch_equals_one_search_per_problem(options, monkeypatch):
     # a state's columns meet only its own problem's arrays, so a batch gives
-    # every problem the bits its own search gives; the batch is too large
-    # for one grid pass and is searched in parts, each in as many passes as
-    # its problem that needs the most
+    # every problem the bits its own search gives.  The batch is one search
+    # over one chain, in as many count passes as its problem that needs the
+    # most; its grid pass is too wide for one chunk, and no pass holds more
+    # than _SEARCH_CELLS (region, column) cells, or more than one column
     problems = _batch_problems()
-    chains = []
-    real = oracle._transfer
+    chains, passes = [], []
+    real_transfer, real_count = oracle._transfer, oracle._tails_and_counts
 
-    def recorded(chain, kappas, which):
-        chains.append(chain)
-        return real(chain, kappas, which)
+    def transfer(chain, kappas, which):
+        chains.append((chain, len(kappas)))
+        return real_transfer(chain, kappas, which)
 
-    monkeypatch.setattr(oracle, "_transfer", recorded)
-    alone, passes = [], []
+    def count(chain, kappas, which):
+        passes.append(len(kappas))
+        return real_count(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_transfer", transfer)
+    monkeypatch.setattr(oracle, "_tails_and_counts", count)
+    alone, most = [], 0
     for problem in problems:
-        chains.clear()
+        passes.clear()
         alone.append(find_bound_states(problem, **options))
-        passes.append(len(chains))
+        most = max(most, len(passes))
     chains.clear()
+    passes.clear()
     batch = find_bound_states(problems, **options)
-    # each search lays out one chain, which every one of its passes reads
-    searches = [list(calls) for _, calls in itertools.groupby(chains, key=id)]
+    chain = chains[0][0]
+    assert all(got is chain for got, _ in chains) and len(chain.first) == len(problems)
+    assert len(problems) * (oracle.GRID + 1) * len(chain.jumps) > oracle._SEARCH_CELLS
+    assert all(columns * len(chain.jumps) <= oracle._SEARCH_CELLS or columns == 1 for _, columns in chains)
+    assert len(passes) == most
     assert isinstance(batch, list) and len(batch) == len(problems)
     for got, want in zip(batch, alone):
         assert _hex_list(got) == _hex_list(want)
-    assert len(searches) > 1 and sum(len(calls[0].first) for calls in searches) == len(problems)
-    start = 0
-    for calls in searches:
-        size, longest = len(calls[0].first), len(calls[0].jumps)
-        assert size * (oracle.GRID + 1) * longest <= oracle._SEARCH_CELLS
-        assert len(calls) == max(passes[start:start + size])
-        start += size
 
 
 def test_batch_of_none_and_of_one():
@@ -1179,7 +1183,7 @@ def test_batch_of_none_and_of_one():
 
 def test_certificate_rebuilds_the_search_state_at_its_root(monkeypatch):
     # at the search's own root the certified state is the search's, bit for bit, whatever
-    # the batch and however it is split; the few roots that do not certify are small ones,
+    # the batch and however it is chunked; the few roots that do not certify are small ones,
     # whose absolute tolerance 1e-13 is wide against the certificate's relative 1e-12
     problems = _batch_problems()
     searched = find_bound_states(problems, lowest=1)
@@ -1410,21 +1414,22 @@ def _assert_bracket_matches_reference(lo, hi, inner, third, js, one_point):
     inner_ids = [3] * oracle.MULTISECTION if one_point else list(range(3, 3 + len(inner)))
     rows, j = np.array([[1, *inner_ids, 2]] * len(js)), np.array(js)
     lower, upper, nearest = _bracket_reference(xs, tails, counts, rows, j, np.full(len(js), third_id))
-    # the same record as the search's point rows: kappa, tail, count and id (its index)
-    record = np.stack([xs, tails, counts, np.arange(len(xs))]).astype(float)
+    # the same record as the search's point rows, values alone: kappa, tail and count
+    record = np.stack([xs, tails, counts]).astype(float)
     shared = np.zeros(len(js), dtype=np.intp)  # every state reads the same record entries
-    table = np.empty((10, len(js)))
-    table[0:8:2], table[1:8:2], table[8:10] = record[:, shared + 1], record[:, shared + 2], record[:2, shared + third_id]
+    table = np.empty((8, len(js)))
+    table[0:6:2], table[1:6:2], table[6:8] = record[:, shared + 1], record[:, shared + 2], record[:2, shared + third_id]
     if one_point:
         got = oracle._step(table, record[:, shared + 3], j.astype(float))
     else:
-        third_column = np.full((4, len(js), 1), np.nan)
-        third_column[:2, :, 0] = table[8:10]
+        third_column = np.full((3, len(js), 1), np.nan)
+        third_column[:2, :, 0] = table[6:8]
         got = oracle._bracket(np.concatenate([record[:, rows], third_column], axis=2), j.astype(float))
-    assert _same_bits(got[0:8:2], record[:, lower]) and _same_bits(got[1:8:2], record[:, upper])
+    # the rule picks by value, the reference by index: the values at its indices must match
+    assert _same_bits(got[0:6:2], record[:, lower]) and _same_bits(got[1:6:2], record[:, upper])
     # a closed bracket's third point is never read
     open_ = lower != upper
-    assert _same_bits(got[8:10, open_], record[:2, nearest[open_]])
+    assert _same_bits(got[6:8, open_], record[:2, nearest[open_]])
 
 
 _KAPPAS = st.integers(0, 40).map(float)  # small integers: exact gaps, so ties happen
