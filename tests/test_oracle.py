@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import math
 import random
 import tracemalloc
