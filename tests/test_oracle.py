@@ -1365,6 +1365,48 @@ def test_crystal_search_pass_widths_are_pinned(n, widths, monkeypatch):
     assert calls == widths
 
 
+def _verify_quick_problems():
+    """The 10 problems ``verify --depth quick`` answers with one search: single
+    deltas at alpha = 0.5, 1, 2, the unit crystals N = 0..4, the two-sheet well
+    and the uneven three-sheet stack.  The crystals share their cap, so several
+    of them cut identical brackets in one pass, each in its own problem's columns."""
+    units = atomic_units()
+    arrays = [
+        *(SheetArray([(0.0, 2.0 * alpha)]) for alpha in (0.5, 1.0, 2.0)),
+        *(CrystalParams(n, 1.0, 1.0, units).to_sheet_array() for n in range(0, 5)),
+        SheetArray([(-1.0, 2.0), (1.0, 2.0)]),
+        SheetArray([(-1.7, 2.2), (-0.3, -0.8), (0.9, 1.4)]),
+    ]
+    return [to_quantum(solve_sheets(array, units), units) for array in arrays]
+
+
+@pytest.mark.parametrize(
+    "group, lowest, widths",
+    [
+        ("verify-quick", None, [650, 49, 19, 13, 13, 13, 10, 1]),
+        ("verify-quick", 1, [650, 7, 1, 1, 1, 1, 1, 1]),
+        ("high-kappa", None, [2015, 407, 499, 513, 513, 524, 535, 542, 527, 513, 519, 512, 518, 511, 504, 504, 497,
+                              490, 203, 14, 7]),
+        ("high-kappa", 1, [2015, 53, 43, 42, 42, 42, 36, 36, 36, 36, 42, 42, 42, 35, 35, 35, 35, 35]),
+    ],
+)
+def test_batch_search_pass_widths_are_pinned(group, lowest, widths, monkeypatch):
+    # the columns of every count pass of one batched search: brackets shared within
+    # a problem and not across problems, and passes that repeat a (problem, kappa)
+    # column, as the high-kappa group's do
+    problems = {"verify-quick": _verify_quick_problems, "high-kappa": _high_kappa_problems}[group]()
+    calls = []
+    real = oracle._tails_and_counts
+
+    def recorded(chain, kappas, which):
+        calls.append(len(kappas))
+        return real(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_tails_and_counts", recorded)
+    find_bound_states(problems, lowest)
+    assert calls == widths
+
+
 # ---------------------------------------------------------------------------
 # the bracket rule against the record-and-index reference
 # ---------------------------------------------------------------------------
