@@ -121,6 +121,12 @@ _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k /
 CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certificate
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
+# per kind of loop row (a step, cuts, the cuts of the row before): the columns it
+# adds to the pass, which of its points they are, and where its points lie from its start
+_WIDTHS = np.array([MULTISECTION, 0, 1])
+_EVALUATED = np.arange(MULTISECTION) < _WIDTHS[:, None]
+_OFFSETS = np.array([range(-MULTISECTION, 0), range(-MULTISECTION, 0), [-1] * MULTISECTION])
+_PAIR = np.array([0, 1])
 # no pass holds more than this many (region, column) cells, or more than one
 # column: every pass runs in column chunks under it.  A pass holds about nine float
 # arrays of that size and twelve of (classes, columns), ~18 MB here with one class
@@ -239,8 +245,8 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     # and the keys, in that order, are the class rows
     row_size = 4 * len(problems)
     keys = rows.reshape(regions, row_size).view(np.dtype((np.void, rows.itemsize * row_size))).ravel().tolist()
-    index: dict[bytes, int] = {}
-    cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    index = {key: k for k, key in enumerate(dict.fromkeys(keys))}
+    cls = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
     classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
     return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first))
 
@@ -385,16 +391,17 @@ def _sturm_count(cls: np.ndarray, path: _Pass) -> np.ndarray:
 
 def _reconstruct(
     batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray
-) -> list[tuple]:
-    """The breakpoints and coefficient columns of the state at each root (or certified kappa).
+) -> tuple[list[int], tuple]:
+    """The coefficient columns of the state at each root (or certified kappa), and where each starts.
 
     One :func:`_transfer` pass at ``kappas``, column j on problem
     ``owner[j]``, gives the rows of every root at once, one segment before
     each region of the padded chain and one after; the regime arrays are
     taken from their class rows to the regions here, and no node is
     counted.  Column j's left tail is
-    written at row ``first = chain.first[owner[j]]`` and its rows are views
-    of ``[first:, j]``.  A padded step divides out nothing, so each state has
+    written at row ``first[j] = chain.first[owner[j]]``, and its state's rows
+    are ``[first[j]:, j]`` of each array, which :class:`_Column` slices when
+    the state is read.  A padded step divides out nothing, so each state has
     the bits of its problem's own search.  Each segment's coefficients carry
     the running log of the factors the pass divided out, so deep tails
     cannot underflow; the residual growing-tail coefficient is dropped (it
@@ -429,10 +436,7 @@ def _reconstruct(
     logs = np.vstack([zero, zero, np.cumsum(steps, axis=0)[1::2]])
 
     factors = np.exp(logs - logs.max(axis=0))
-    rows = (kinds, rates, c1s * factors, c2s * factors)
-    return [
-        (batch[p].positions, *(a[f:, j] for a in rows)) for j, (p, f) in enumerate(zip(owner.tolist(), first.tolist()))
-    ]
+    return first.tolist(), (kinds, rates, c1s * factors, c2s * factors)
 
 
 def _chunks(chain: _Chain, columns: int) -> list[slice]:
@@ -457,6 +461,29 @@ def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> t
     return tails, counts
 
 
+class _Column:
+    """A state's rows, sliced from its chunk's rebuild the first time they are read.
+
+    Every state of a chunk shares ``rebuilt``, the one :func:`_reconstruct`
+    call of the chunk, made on the first read of any of them.  A state's
+    first read copies its own column of the chunk's arrays and lets go of
+    the chunk, so a state that is kept holds its own rows alone.
+    """
+
+    __slots__ = ("rebuilt", "column", "positions", "rows")
+
+    def __init__(self, rebuilt: Callable[[], tuple], column: int, positions: tuple[float, ...]):
+        self.rebuilt, self.column, self.positions = rebuilt, column, positions
+
+    def __call__(self) -> tuple:
+        if self.rebuilt is not None:
+            first, arrays = self.rebuilt()
+            j = self.column
+            self.rows = (self.positions, *(a[first[j]:, j].copy() for a in arrays))
+            self.rebuilt = None
+        return self.rows
+
+
 def _states(
     batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray
 ) -> list[BoundState]:
@@ -464,46 +491,47 @@ def _states(
 
     The roots fall into the chunks of :func:`_chunks`.  The first read of
     any state's wavefunction rebuilds its whole chunk in one
-    :func:`_reconstruct` call, kept for the chunk's other states, so a state
-    that is never read costs no pass and no pass holds more than
-    ``_SEARCH_CELLS`` cells.
+    :func:`_reconstruct` call, kept for the chunk's states not yet read
+    (see :class:`_Column`), so a state that is never read costs no pass and
+    no pass holds more than ``_SEARCH_CELLS`` cells.
     """
     half_h2_over_m, states = chain.half_h2_over_m.tolist(), []
     for c in _chunks(chain, len(kappas)):
         rebuilt = cache(lambda k=kappas[c], o=owner[c]: _reconstruct(batch, chain, k, o))
         states += [
-            BoundState(-half_h2_over_m[p] * kappa**2, kappa, lambda j=j, rebuilt=rebuilt: rebuilt()[j])
+            BoundState(-half_h2_over_m[p] * kappa**2, kappa, _Column(rebuilt, j, batch[p].positions))
             for j, (p, kappa) in enumerate(zip(owner[c].tolist(), kappas[c].tolist()))
         ]
     return states
 
 
 def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Each state's new bracket among a row of points, and its new third point.
+    """Each state's new bracket and third point among a row of points.
 
-    ``rows`` is (3, states, points): the kappa, tail and count of the points
-    state ``j[i]`` has evaluated in its bracket, in ascending kappa along
-    row i, then of its previous third point (NaN for none; its count is
-    NaN).  The count decides: lo is the last point counting more than j
-    states and hi the next one; a hi with a tail of exactly 0 that counts j
-    is an exact root, and lo moves onto it, closing the bracket (lo == hi).
-    The third point is the one nearest the bracket outside it, among the
-    row, the one below on a tie; NaN where there is none.  Returns the
-    states' columns of the search's table (see :func:`find_bound_states`).
+    ``rows`` is (3, states, width): the kappa, tail and count of the points
+    of state ``j[i]``'s row i.  Slots 1 to width - 2 hold its bracket's lo,
+    the points evaluated in it and its hi, ascending in kappa; slot 0 holds
+    its third point when it lies below lo and slot width - 1 when above hi,
+    NaN otherwise.  lo counts more than j and hi at most j, so the count
+    decides: the new lo is the last point counting more than j and the new
+    hi the next one; a hi with a tail of exactly 0 that counts j is an exact
+    root, and lo moves onto it, closing the bracket (lo == hi).  The new
+    third point is the one nearest the bracket outside it, the one below on
+    a tie, as the first of the row's slots is; NaN where there is none.
+    Returns the states' rows of the search's table (see
+    :func:`find_bound_states`).
     """
-    r = np.arange(len(j))
-    k = rows.shape[2] - np.argmax((rows[2] > j[:, None])[:, ::-1], axis=1)
-    upper = rows[:, r, k]
-    lower = np.where((upper[1] == 0.0) & (upper[2] == j), upper, rows[:, r, k - 1])
-    below = np.where(rows[0] < lower[0, :, None], rows[0], -np.inf)
-    above = np.where(rows[0] > upper[0, :, None], rows[0], np.inf)
-    nearest_below, nearest_above = below.argmax(axis=1), above.argmin(axis=1)
-    gap_below, gap_above = lower[0] - below[r, nearest_below], above[r, nearest_above] - upper[0]
-    nearest = np.where(gap_below <= gap_above, nearest_below, nearest_above)
-    table = np.empty((8, len(j)))
-    table[0:6:2], table[1:6:2] = lower, upper
-    table[6:8] = np.where(np.minimum(gap_below, gap_above) < np.inf, rows[:2, r, nearest], np.nan)
-    return table
+    kappa, states = rows[0], np.arange(len(j))[:, None]
+    lower = rows.shape[2] - 2 - (rows[2, :, -2:0:-1] > j[:, None]).argmax(axis=1)
+    ends = rows[:, states, lower[:, None] + _PAIR]
+    exact = (ends[1, :, 1] == 0.0) & (ends[2, :, 1] == j)
+    upper = lower + 1
+    lower += exact
+    np.copyto(ends[0, :, 0], ends[0, :, 1], where=exact)
+    # each point's distance out of the bracket, positive only outside it (NaN for none)
+    gaps = np.maximum(ends[0, :, :1] - kappa, kappa - ends[0, :, 1:])
+    nearest = np.where(gaps > 0.0, gaps, np.inf).argmin(axis=1)
+    return rows[:, states, np.array([lower, upper, nearest]).T]
 
 
 def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -519,16 +547,16 @@ def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     above = point[2] > j
     new = table.copy()
-    ends = new[:6].reshape(3, 2, new.shape[1])
-    np.copyto(ends[:, 0], point, where=above | ((point[1] == 0.0) & (point[2] == j)))
-    np.copyto(ends[:, 1], point, where=~above)
-    # the (kappa, tail) of the replaced end, and the gap from the kept end out to
-    # the old third, positive only when the third lies beyond it (NaN for none)
-    replaced = np.where(above, table[0:4:2], table[1:4:2])
-    gap_third = np.where(above, table[6] - table[1], table[0] - table[6])
+    np.copyto(new[:, :, 0], point, where=above | ((point[1] == 0.0) & (point[2] == j)))
+    np.copyto(new[:, :, 1], point, where=~above)
+    # the replaced end, and the gap from the kept end out to the old third, positive
+    # only when the third lies beyond it (NaN for none)
+    replaced = np.where(above, table[:, :, 0], table[:, :, 1])
+    kappa_lo, kappa_hi, third = table[0].T
+    gap_third = np.where(above, third - kappa_hi, kappa_lo - third)
     gap_end = abs(point[0] - replaced[0])
     keep = (gap_third > 0.0) & np.where(above, gap_third < gap_end, gap_third <= gap_end)
-    np.copyto(new[6:8], replaced, where=~keep)
+    np.copyto(new[:, :, 2], replaced, where=~keep)
     return new
 
 
@@ -538,8 +566,9 @@ def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
     caps = []
     for problem in batch:
         units = problem.units
-        strongest = max((2.0 * units.mass * abs(g) / units.hbar**2 for g in problem.strengths), default=0.0)
-        deepest = max((math.sqrt(2.0 * units.mass * abs(u)) / units.hbar for u in problem.region_offsets), default=0.0)
+        # each rate grows with |g| or |U|, so the largest rate is the rate of the largest
+        strongest = 2.0 * units.mass * max(map(abs, problem.strengths), default=0.0) / units.hbar**2
+        deepest = math.sqrt(2.0 * units.mass * max(map(abs, problem.region_offsets), default=0.0)) / units.hbar
         cap = 4.0 * max(strongest, deepest)
         if not math.isfinite(0.5 * units.hbar**2 / units.mass * (cap * cap)):
             raise ValueError(
@@ -653,38 +682,37 @@ def find_bound_states(
     refined = state_counts if lowest is None else [min(n, lowest) for n in state_counts]
     owner = np.repeat(np.arange(len(batch)), refined)
     j = np.array([k for n in refined for k in range(n)], dtype=float)
-    # every state is one column of an (8, states) table: row 2 * field + end holds
-    # the kappa, tail and count (fields 0..2) of its bracket's lo and hi (ends 0, 1),
-    # rows 6 and 7 the kappa and tail of its third point, NaN for none.  The grid's
-    # tol stands for 0+, where its count was taken.  A state's first bracket is
-    # picked among its problem's grid, whose row ends in a third point of NaN
-    record = np.full((3, len(batch), GRID + 2), np.nan)
-    record[:, :, :-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape), nodes
+    # every state is one row of a (3, states, 3) table: the kappa, tail and count of
+    # its bracket's lo and hi and of its third point, NaN for none.  The grid's tol
+    # stands for 0+, where its count was taken.  A state's first bracket is picked
+    # among its problem's grid, a row with no third point
+    record = np.full((3, len(batch), GRID + 3), np.nan)
+    record[:, :, 1:-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape), nodes
     table = _bracket(record[:, owner], j)
     # each state's final bracket, written as it leaves the loop; the indices of the
-    # states still refined, whose columns the table holds
+    # states still refined, whose rows the table holds
     brackets, live = np.empty(table.shape), np.arange(len(j))
+    target, which = j, owner
     while True:
         # a bracket is refined while it is wider than tol and splits in floating
         # point; the others are final
-        kappa_lo, kappa_hi = table[0], table[1]
+        kappa_lo, kappa_hi = table[0, :, 0], table[0, :, 1]
         mid = 0.5 * (kappa_lo + kappa_hi)
         active = (kappa_hi - kappa_lo > tol) & (kappa_lo < mid) & (mid < kappa_hi)
         if not active.all():
             brackets[:, live[~active]] = table[:, ~active]
-            table, live = table[:, active], live[active]
-            kappa_lo, kappa_hi = table[0], table[1]
+            table, live = table.compress(active, axis=1), live[active]
+            target, which = j[live], owner[live]
+            kappa_lo, kappa_hi = table[0, :, 0], table[0, :, 1]
         if not live.size:
             break
-        target, which = j[live], owner[live]
         # Chandrupatla's inverse-quadratic point through the ends and the third point,
         # x1 the end next to it and x2 the other, held tol/2 inside the bracket so that
         # a point landing next to the root closes it; trusted where Chandrupatla's test
         # passes and the held point is off the ends (tol/2 can be below the float spacing)
-        tail_lo, tail_hi, x3, f3 = table[2], table[3], table[6], table[7]
+        x3, f3 = table[:2, :, 2]
         near_lo = x3 < kappa_lo
-        x1, f1 = np.where(near_lo, kappa_lo, kappa_hi), np.where(near_lo, tail_lo, tail_hi)
-        x2, f2 = np.where(near_lo, kappa_hi, kappa_lo), np.where(near_lo, tail_hi, tail_lo)
+        (x1, x2), (f1, f2) = np.where(near_lo[:, None], table[:2, :, :2], table[:2, :, 1::-1]).transpose(0, 2, 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x21, f32 = x2 - x1, f3 - f2
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / f32
@@ -692,44 +720,49 @@ def find_bound_states(
             point = np.minimum(np.maximum(x1 + t * x21, kappa_lo + 0.5 * tol), kappa_hi - 0.5 * tol)
         # state j's step is taken while its ends count j + 1 and j
         step = (
-            (table[4] == target + 1.0) & (table[5] == target)
+            (table[2, :, 0] == target + 1.0) & (table[2, :, 1] == target)
             & (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
         )
-        kappas, columns, cut_size = point[step], which[step], 0
-        # every other bracket is cut at MULTISECTION evenly spaced points, computed
-        # once for a run of identical brackets (the same problem and ends)
-        cut = ~step
-        if cut.any():
-            lead = cut.copy()
-            lead[1:] &= ~(cut[:-1] & (which[1:] == which[:-1]) & (table[:2, 1:] == table[:2, :-1]).all(axis=0))
-            cuts = kappa_lo[lead, None] + (kappa_hi - kappa_lo)[lead, None] * _CUTS
-            kappas = np.concatenate([cuts.ravel(), kappas])
-            columns = np.concatenate([np.repeat(which[lead], MULTISECTION), columns])
-            cut_size = cuts.size
-        points = np.empty((3, len(kappas)))
-        points[0] = kappas
-        points[1], points[2] = _tails_and_counts(chain, kappas, columns)
-        table[:, step] = _step(table[:, step], points[:, cut_size:], target[step])
-        if cut_size:
-            # a cut bracket picks its new ends among a row: its lo, its cuts, its hi
-            # and its third point
-            sub = table[:, cut]
-            rows = np.full((3, sub.shape[1], MULTISECTION + 3), np.nan)
-            rows[:, :, 0], rows[:, :, -2], rows[:2, :, -1] = sub[0:6:2], sub[1:6:2], sub[6:8]
-            rows[:, :, 1:-2] = points[:, :cut_size].reshape(3, -1, MULTISECTION)[:, np.cumsum(lead)[cut] - 1]
-            table[:, cut] = _bracket(rows, target[cut])
+        cut = not step.all()
+        kappas, columns = point, which
+        if cut:
+            # every other bracket is cut at MULTISECTION evenly spaced points, evaluated
+            # once for a run of identical brackets (the same problem and ends), whose
+            # states cannot step; each state's row holds its cuts, or its point 7 times
+            cuts = kappa_lo[:, None] + (kappa_hi - kappa_lo)[:, None] * _CUTS
+            np.copyto(cuts, point[:, None], where=step[:, None])
+            shared = np.zeros(len(live), dtype=np.intp)
+            shared[1:] = (which[1:] == which[:-1]) & (kappa_lo[1:] == kappa_lo[:-1]) & (kappa_hi[1:] == kappa_hi[:-1])
+            kind = shared - step  # -1: a step, 0: cuts, 1: the cuts of the state before
+            width = _WIDTHS[kind]
+            kappas, columns = cuts[_EVALUATED[kind]], which.repeat(width)
+        points = np.array([kappas, *_tails_and_counts(chain, kappas, columns)])
+        if cut:
+            # a state's row: its third point if below lo, lo, its 7 points, hi, its third if above
+            third = table[:, :, 2:]
+            below = near_lo[:, None]
+            table = _bracket(np.concatenate([
+                np.where(below, third, np.nan), table[:, :, :1],
+                points[:, np.add.accumulate(width)[:, None] + _OFFSETS[kind]],
+                table[:, :, 1:2], np.where(below, np.nan, third),
+            ], axis=2), target)
+        else:
+            table = _step(table, points, target)
 
-    lo, hi = brackets[0], brackets[1]
+    lo, hi = brackets[0, :, 0], brackets[0, :, 1]
     # state j is isolated once its ends count j + 1 and j, or its bracket is closed
-    isolated = ((brackets[4] == j + 1.0) & (brackets[5] == j)) | (lo == hi)
+    isolated = ((brackets[2, :, 0] == j + 1.0) & (brackets[2, :, 1] == j)) | (lo == hi)
     states = _states(batch, chain, 0.5 * (lo + hi), owner)
-    found = []
+    # the brackets that fail the isolation test after the loop, each listed once
+    unresolved: list[set] = [set() for _ in batch]
+    stuck = ~isolated
+    for p, interval in zip(owner[stuck].tolist(), zip(lo[stuck].tolist(), hi[stuck].tolist())):
+        unresolved[p].add(interval)
     bounds = [0, *accumulate(refined)]
-    for p, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
-        # the brackets that fail the isolation test after the loop, each listed once
-        stuck = ~isolated[start:stop]
-        unresolved = sorted(set(zip(lo[start:stop][stuck].tolist(), hi[start:stop][stuck].tolist())), reverse=True)
-        found.append(BoundStateList(tuple(states[start:stop]), caps[p], state_counts[p], tuple(unresolved)))
+    found = [
+        BoundStateList(tuple(states[start:stop]), cap, count, tuple(sorted(stuck, reverse=True)))
+        for start, stop, cap, count, stuck in zip(bounds, bounds[1:], caps, state_counts, unresolved)
+    ]
     return found[0] if single else found
 
 

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -707,11 +708,12 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     owner = np.zeros(kappas.shape, dtype=np.intp)
     states = oracle._states([problem], oracle._chain([problem]), kappas, owner)
     assert len(states) == len(kappas) > 0
-    # each state's rows are views of its own column of the pass's arrays, unconverted
+    # each state's rows are its own copy of its column of the pass's arrays, unconverted,
+    # so a state that is kept holds no other state's rows
     for state in states:
         rows = state._rows()
         assert rows[0] == problem.positions
-        assert all(isinstance(column, np.ndarray) and column.base is not None for column in rows[1:])
+        assert all(isinstance(column, np.ndarray) and column.base is None for column in rows[1:])
     assert built == []
     wavefunctions = [state.wavefunction for state in states]
     assert all(state.wavefunction is wavefunction for state, wavefunction in zip(states, wavefunctions))
@@ -1062,6 +1064,26 @@ def test_a_search_and_a_read_stay_within_the_memory_bound(monkeypatch):
     assert len(found) == 51
     assert all(cells <= oracle._SEARCH_CELLS or columns == 1 for columns, cells in passes)
     assert peak < 32 * oracle._SEARCH_CELLS * 8
+
+
+def test_a_kept_state_holds_only_its_own_rows():
+    # one search of the 31 crystals N = 0..30 (alpha = 0.7, a = 1.3), every ground
+    # state read: a read state keeps its own rows and lets go of its chunk, so keeping
+    # the N = 0 ground state alone holds a few kB, not the chunk's rebuilt rows
+    problems = [_crystal_problem(n, alpha=0.7, a=1.3) for n in range(0, 31)]
+    find_bound_states(problems[:2])[1].states[0].wavefunction  # warm every cache first
+    tracemalloc.start()
+    try:
+        found = find_bound_states(problems)
+        for answer in found:
+            answer.states[0].wavefunction
+        kept = found[0].states[0]
+        del found, answer
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept.wavefunction.normalized
+    assert held < 100_000
 
 
 @pytest.mark.parametrize("n", [8, 100, 1000])
@@ -1446,7 +1468,9 @@ def _assert_bracket_matches_reference(lo, hi, inner, third, js, one_point):
     count); ``third`` is one more or None.  Every state of ``js`` shares the
     bracket and its row: lo, the inner points, hi.  With ``one_point`` the
     row is lo, the one inner point seven times and hi, stepped by
-    :func:`oracle._step`; otherwise :func:`oracle._bracket` picks among it.
+    :func:`oracle._step`; otherwise :func:`oracle._bracket` picks among it,
+    with the third point in the row's first slot when below lo and in its
+    last when above hi.
     """
     # the record: entry 0 stands for no point, then lo, hi, the inner points, the third
     kappas, tails, counts = zip((math.nan, math.nan, -1), lo, hi, *inner, *([third] if third else []))
@@ -1457,20 +1481,23 @@ def _assert_bracket_matches_reference(lo, hi, inner, third, js, one_point):
     lower, upper, nearest = _bracket_reference(xs, tails, counts, rows, j, np.full(len(js), third_id))
     # the same record as the search's point rows, values alone: kappa, tail and count
     record = np.stack([xs, tails, counts]).astype(float)
-    shared = np.zeros(len(js), dtype=np.intp)  # every state reads the same record entries
-    table = np.empty((8, len(js)))
-    table[0:6:2], table[1:6:2], table[6:8] = record[:, shared + 1], record[:, shared + 2], record[:2, shared + third_id]
     if one_point:
+        shared = np.zeros(len(js), dtype=np.intp)  # every state reads the same record entries
+        table = record[:, np.stack([shared + 1, shared + 2, shared + third_id], axis=1)]
         got = oracle._step(table, record[:, shared + 3], j.astype(float))
     else:
-        third_column = np.full((3, len(js), 1), np.nan)
-        third_column[:2, :, 0] = table[6:8]
-        got = oracle._bracket(np.concatenate([record[:, rows], third_column], axis=2), j.astype(float))
-    # the rule picks by value, the reference by index: the values at its indices must match
-    assert _same_bits(got[0:6:2], record[:, lower]) and _same_bits(got[1:6:2], record[:, upper])
+        below = bool(third) and third[0] < lo[0]
+        slots = [third_id if below else 0, 1, *inner_ids, 2, 0 if below else third_id]
+        got = oracle._bracket(record[:, np.array([slots] * len(js))], j.astype(float))
+    _assert_table_picks(got, record, lower, upper, nearest)
+
+
+def _assert_table_picks(got, record, lower, upper, nearest):
+    """The rule picks by value, the reference by index: the values at its indices must match."""
+    assert _same_bits(got[:, :, 0], record[:, lower]) and _same_bits(got[:, :, 1], record[:, upper])
     # a closed bracket's third point is never read
     open_ = lower != upper
-    assert _same_bits(got[6:8, open_], record[:2, nearest[open_]])
+    assert _same_bits(got[:2, open_, 2], record[:2, nearest[open_]])
 
 
 _KAPPAS = st.integers(0, 40).map(float)  # small integers: exact gaps, so ties happen
@@ -1527,6 +1554,48 @@ def test_bracket_matches_the_reference_on_named_cases(case):
 @given(_bracket_records(one_point=False))
 def test_bracket_matches_the_reference(record):
     _assert_bracket_matches_reference(*record, one_point=False)
+
+
+@st.composite
+def _grid_records(draw):
+    """A grid row of the search's first bracket and the states that share it.
+
+    ``GRID`` + 1 points ascending in kappa, some repeated at the start as the
+    grid's points held at tol are; the first counts more than every state
+    and the last counts none, and the counts between need not fall; some
+    tails are exactly 0, so a state can meet an exact root on a grid point.
+    """
+    n = draw(st.integers(1, 6))
+    zeros = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.integers(1, 3), min_size=oracle.GRID + 1 - zeros, max_size=oracle.GRID + 1 - zeros))
+    xs = [0.0] * zeros + [float(x) for x in accumulate(steps)]
+    inner = draw(st.lists(st.integers(0, n + 1), min_size=len(xs) - 2, max_size=len(xs) - 2))
+    counts = [n] + sorted(inner, reverse=draw(st.booleans()))[: len(xs) - 2] + [0]
+    if draw(st.booleans()):  # counts that rise again somewhere along the row
+        k = draw(st.integers(1, len(xs) - 2))
+        counts[k] = draw(st.integers(0, n + 1))
+    counts[: zeros] = [n] * zeros  # the points held at tol are one column
+    tails = [draw(st.sampled_from([0.0, -1.0, 1.0])) for _ in xs]
+    tails[: zeros] = [tails[0]] * zeros
+    return xs, tails, counts, list(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_records())
+@example(([0.0] + [float(k) for k in range(1, oracle.GRID + 1)], [1.0] * 10 + [0.0] + [-1.0] * (oracle.GRID - 10),
+          [3] * 10 + [2] + [1] * 20 + [0] * (oracle.GRID - 30), [0, 1, 2]))  # an exact root at a grid point
+def test_first_bracket_matches_the_reference_on_grid_rows(record):
+    # the first bracket of every state of a problem is picked among its one grid row,
+    # GRID + 1 points wide with no third point, as find_bound_states lays it out
+    xs, tails, counts, js = record
+    ids = np.arange(1, len(xs) + 1)
+    kappas, tails, counts = (np.array([fill, *column]) for fill, column in zip((math.nan, math.nan, -1), (xs, tails, counts)))
+    j = np.array(js)
+    rows = np.array([ids] * len(js))
+    lower, upper, nearest = _bracket_reference(kappas, tails, counts, rows, j, np.zeros(len(js), dtype=np.intp))
+    record = np.stack([kappas, tails, counts]).astype(float)
+    got = oracle._bracket(record[:, np.array([[0, *ids, 0]] * len(js))], j.astype(float))
+    _assert_table_picks(got, record, lower, upper, nearest)
 
 
 @settings(max_examples=300, deadline=None)
