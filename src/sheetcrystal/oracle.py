@@ -32,18 +32,22 @@ evenly spaced points in one pass (Barth, Martin & Wilkinson, Numer. Math. 9,
 tail coefficient (Chandrupatla, Adv. Eng. Softw. 28, 145 (1997)).  A
 state's points depend on its own bracket and problem alone, and the search
 takes at most about 20 passes whatever the number of states.  Between
-passes the search holds each state as one column of a table of values: the
-kappa, tail and count of its bracket's two ends and the kappa and tail of
-its third point, the one Chandrupatla's step reads.  A one-point step
-moves one end onto the point, as the point's count says, and the end it
-replaces becomes the third point unless the old one is nearer
-(:func:`_step`); only a bracket cut at several points picks its new ends
-among them (:func:`_bracket`), and only the states still being refined are
-carried from pass to pass.  The search makes no pass at its roots: the
+passes the search holds each state as one row of a table of values: the
+kappa, tail and count of its bracket's two ends and of its third point, the
+one Chandrupatla's step reads.  After a pass in which every state took one
+point, :func:`_step` moves one end onto each point, as the point's count
+says, and the end it replaces becomes the third point unless the old one is
+nearer.  After any other pass every state's points form one sorted row,
+its cuts or its one point seven times, between its ends and with its third
+point on its side, and :func:`_bracket` reads every state's new ends and
+third point off the rows at once, in the same few array operations however
+many states were cut.  Only the states still being refined are carried
+from pass to pass.  The search makes no pass at its roots: the
 first read of a state's wavefunction makes one pass at the roots of its
 chunk (:func:`_states`) and rebuilds every state of that chunk with its
-coefficient columns; the result is an exact piecewise closed form whose
-only approximation is the location of the root.
+coefficient columns, which each state copies out of the chunk when it is
+first read; the result is an exact piecewise closed form whose only
+approximation is the location of the root.
 Every column of a pass is computed on its own kappa alone, so a state comes
 out with the same bits whether it is refined or rebuilt alone or with the
 others.
@@ -126,7 +130,6 @@ _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (
 _WIDTHS = np.array([MULTISECTION, 0, 1])
 _EVALUATED = np.arange(MULTISECTION) < _WIDTHS[:, None]
 _OFFSETS = np.array([range(-MULTISECTION, 0), range(-MULTISECTION, 0), [-1] * MULTISECTION])
-_PAIR = np.array([0, 1])
 # no pass holds more than this many (region, column) cells, or more than one
 # column: every pass runs in column chunks under it.  A pass holds about nine float
 # arrays of that size and twelve of (classes, columns), ~18 MB here with one class
@@ -141,10 +144,12 @@ class BoundState:
 
     ``_rows`` takes no arguments and returns the state's breakpoints and
     coefficient columns (kinds, rates, c1s, c2s, one entry per segment),
-    rebuilding them on its first call (see :func:`_states`); it takes no
-    part in comparisons.  The normalized wavefunction is built from them the
-    first time it is read, and kept, so a caller that reads only the ground
-    state rebuilds only the chunk that holds it and builds only it.
+    rebuilding its chunk on the first read of any of the chunk's states and
+    copying its own columns out of it on its own first call (see
+    :func:`_states`); it takes no part in comparisons.  The normalized
+    wavefunction is built from them the first time it is read, and kept, so
+    a caller that reads only the ground state rebuilds only the chunk that
+    holds it and builds only it, and a kept state holds no other state's rows.
     """
 
     energy: float
@@ -245,8 +250,8 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     # and the keys, in that order, are the class rows
     row_size = 4 * len(problems)
     keys = rows.reshape(regions, row_size).view(np.dtype((np.void, rows.itemsize * row_size))).ravel().tolist()
-    index = {key: k for k, key in enumerate(dict.fromkeys(keys))}
-    cls = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+    index: dict[bytes, int] = {}
+    cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
     classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
     return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first))
 
@@ -400,7 +405,7 @@ def _reconstruct(
     taken from their class rows to the regions here, and no node is
     counted.  Column j's left tail is
     written at row ``first[j] = chain.first[owner[j]]``, and its state's rows
-    are ``[first[j]:, j]`` of each array, which :class:`_Column` slices when
+    are ``[first[j]:, j]`` of each array, which :func:`_column` copies when
     the state is read.  A padded step divides out nothing, so each state has
     the bits of its problem's own search.  Each segment's coefficients carry
     the running log of the factors the pass divided out, so deep tails
@@ -461,27 +466,22 @@ def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> t
     return tails, counts
 
 
-class _Column:
-    """A state's rows, sliced from its chunk's rebuild the first time they are read.
+def _column(rebuilt: Callable[[], tuple], j: int, positions: tuple[float, ...]) -> Callable[[], tuple]:
+    """A state's rows, column j of its chunk's rebuild (``rebuilt``, shared by the chunk's states).
 
-    Every state of a chunk shares ``rebuilt``, the one :func:`_reconstruct`
-    call of the chunk, made on the first read of any of them.  A state's
-    first read copies its own column of the chunk's arrays and lets go of
-    the chunk, so a state that is kept holds its own rows alone.
+    The first call copies the column out of the chunk and lets go of it, so
+    a state that is kept holds its own rows alone.
     """
+    rows = ()
 
-    __slots__ = ("rebuilt", "column", "positions", "rows")
+    def read() -> tuple:
+        nonlocal rebuilt, rows
+        if not rows:
+            first, arrays = rebuilt()
+            rows, rebuilt = (positions, *(a[first[j]:, j].copy() for a in arrays)), None
+        return rows
 
-    def __init__(self, rebuilt: Callable[[], tuple], column: int, positions: tuple[float, ...]):
-        self.rebuilt, self.column, self.positions = rebuilt, column, positions
-
-    def __call__(self) -> tuple:
-        if self.rebuilt is not None:
-            first, arrays = self.rebuilt()
-            j = self.column
-            self.rows = (self.positions, *(a[first[j]:, j].copy() for a in arrays))
-            self.rebuilt = None
-        return self.rows
+    return read
 
 
 def _states(
@@ -492,14 +492,14 @@ def _states(
     The roots fall into the chunks of :func:`_chunks`.  The first read of
     any state's wavefunction rebuilds its whole chunk in one
     :func:`_reconstruct` call, kept for the chunk's states not yet read
-    (see :class:`_Column`), so a state that is never read costs no pass and
+    (see :func:`_column`), so a state that is never read costs no pass and
     no pass holds more than ``_SEARCH_CELLS`` cells.
     """
     half_h2_over_m, states = chain.half_h2_over_m.tolist(), []
     for c in _chunks(chain, len(kappas)):
         rebuilt = cache(lambda k=kappas[c], o=owner[c]: _reconstruct(batch, chain, k, o))
         states += [
-            BoundState(-half_h2_over_m[p] * kappa**2, kappa, _Column(rebuilt, j, batch[p].positions))
+            BoundState(-half_h2_over_m[p] * kappa**2, kappa, _column(rebuilt, j, batch[p].positions))
             for j, (p, kappa) in enumerate(zip(owner[c].tolist(), kappas[c].tolist()))
         ]
     return states
@@ -522,12 +522,11 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     :func:`find_bound_states`).
     """
     kappa, states = rows[0], np.arange(len(j))[:, None]
-    lower = rows.shape[2] - 2 - (rows[2, :, -2:0:-1] > j[:, None]).argmax(axis=1)
-    ends = rows[:, states, lower[:, None] + _PAIR]
-    exact = (ends[1, :, 1] == 0.0) & (ends[2, :, 1] == j)
-    upper = lower + 1
-    lower += exact
-    np.copyto(ends[0, :, 0], ends[0, :, 1], where=exact)
+    upper = rows.shape[2] - 1 - (rows[2, :, -2:0:-1] > j[:, None]).argmax(axis=1)
+    lower = upper - 1
+    ends = rows[:, states, np.array([lower, upper]).T]
+    lower += (ends[1, :, 1] == 0.0) & (ends[2, :, 1] == j)
+    np.copyto(ends[0, :, 0], ends[0, :, 1], where=lower == upper)
     # each point's distance out of the bracket, positive only outside it (NaN for none)
     gaps = np.maximum(ends[0, :, :1] - kappa, kappa - ends[0, :, 1:])
     nearest = np.where(gaps > 0.0, gaps, np.inf).argmin(axis=1)
@@ -552,8 +551,7 @@ def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     # the replaced end, and the gap from the kept end out to the old third, positive
     # only when the third lies beyond it (NaN for none)
     replaced = np.where(above, table[:, :, 0], table[:, :, 1])
-    kappa_lo, kappa_hi, third = table[0].T
-    gap_third = np.where(above, third - kappa_hi, kappa_lo - third)
+    gap_third = np.where(above, table[0, :, 2] - table[0, :, 1], table[0, :, 0] - table[0, :, 2])
     gap_end = abs(point[0] - replaced[0])
     keep = (gap_third > 0.0) & np.where(above, gap_third < gap_end, gap_third <= gap_end)
     np.copyto(new[:, :, 2], replaced, where=~keep)
@@ -631,7 +629,10 @@ def find_bound_states(
     point counting more than j states and ``hi`` the next one.  Each state
     carries its interval's ends and its third point as values (kappa, tail
     and count), and the loop carries only the states whose interval is
-    still open.  Each pass gives a state either one point or
+    still open; a pass whose states all took one point moves an end of
+    each onto it, and any other pass picks every interval anew among its
+    state's sorted row of points, as the grid's were.  Each pass gives a
+    state either one point or
     ``MULTISECTION`` (7) evenly spaced ones.  One point is Chandrupatla's
     inverse-quadratic step of the tail through both ends and the third
     point, the evaluated point nearest the interval outside it (Adv. Eng.
@@ -723,46 +724,37 @@ def find_bound_states(
             (table[2, :, 0] == target + 1.0) & (table[2, :, 1] == target)
             & (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & (kappa_lo < point) & (point < kappa_hi)
         )
-        cut = not step.all()
-        kappas, columns = point, which
-        if cut:
-            # every other bracket is cut at MULTISECTION evenly spaced points, evaluated
-            # once for a run of identical brackets (the same problem and ends), whose
-            # states cannot step; each state's row holds its cuts, or its point 7 times
-            cuts = kappa_lo[:, None] + (kappa_hi - kappa_lo)[:, None] * _CUTS
-            np.copyto(cuts, point[:, None], where=step[:, None])
-            shared = np.zeros(len(live), dtype=np.intp)
-            shared[1:] = (which[1:] == which[:-1]) & (kappa_lo[1:] == kappa_lo[:-1]) & (kappa_hi[1:] == kappa_hi[:-1])
-            kind = shared - step  # -1: a step, 0: cuts, 1: the cuts of the state before
-            width = _WIDTHS[kind]
-            kappas, columns = cuts[_EVALUATED[kind]], which.repeat(width)
-        points = np.array([kappas, *_tails_and_counts(chain, kappas, columns)])
-        if cut:
-            # a state's row: its third point if below lo, lo, its 7 points, hi, its third if above
-            third = table[:, :, 2:]
-            below = near_lo[:, None]
-            table = _bracket(np.concatenate([
-                np.where(below, third, np.nan), table[:, :, :1],
-                points[:, np.add.accumulate(width)[:, None] + _OFFSETS[kind]],
-                table[:, :, 1:2], np.where(below, np.nan, third),
-            ], axis=2), target)
-        else:
-            table = _step(table, points, target)
+        if step.all():
+            table = _step(table, np.array([point, *_tails_and_counts(chain, point, which)]), target)
+            continue
+        # every other bracket is cut at MULTISECTION evenly spaced points, evaluated
+        # once for a run of identical brackets (the same problem and ends), whose
+        # states cannot step; each state's row holds its cuts, or its point 7 times
+        cuts = kappa_lo[:, None] + (kappa_hi - kappa_lo)[:, None] * _CUTS
+        np.copyto(cuts, point[:, None], where=step[:, None])
+        shared = np.zeros(len(live), dtype=np.intp)
+        shared[1:] = (which[1:] == which[:-1]) & (kappa_lo[1:] == kappa_lo[:-1]) & (kappa_hi[1:] == kappa_hi[:-1])
+        kind = shared - step  # -1: a step, 0: cuts, 1: the cuts of the state before
+        width = _WIDTHS[kind]
+        kappas = cuts[_EVALUATED[kind]]
+        points = np.array([kappas, *_tails_and_counts(chain, kappas, which.repeat(width))])
+        # a state's row: its third point if below lo, lo, its 7 points, hi, its third if above
+        third, below = table[:, :, 2:], near_lo[:, None]
+        table = _bracket(np.concatenate([
+            np.where(below, third, np.nan), table[:, :, :1], points[:, np.add.accumulate(width)[:, None] + _OFFSETS[kind]],
+            table[:, :, 1:2], np.where(below, np.nan, third)], axis=2), target)
 
     lo, hi = brackets[0, :, 0], brackets[0, :, 1]
     # state j is isolated once its ends count j + 1 and j, or its bracket is closed
     isolated = ((brackets[2, :, 0] == j + 1.0) & (brackets[2, :, 1] == j)) | (lo == hi)
     states = _states(batch, chain, 0.5 * (lo + hi), owner)
-    # the brackets that fail the isolation test after the loop, each listed once
-    unresolved: list[set] = [set() for _ in batch]
-    stuck = ~isolated
-    for p, interval in zip(owner[stuck].tolist(), zip(lo[stuck].tolist(), hi[stuck].tolist())):
-        unresolved[p].add(interval)
+    found = []
     bounds = [0, *accumulate(refined)]
-    found = [
-        BoundStateList(tuple(states[start:stop]), cap, count, tuple(sorted(stuck, reverse=True)))
-        for start, stop, cap, count, stuck in zip(bounds, bounds[1:], caps, state_counts, unresolved)
-    ]
+    for p, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        # the brackets that fail the isolation test after the loop, each listed once
+        stuck = ~isolated[start:stop]
+        unresolved = sorted(set(zip(lo[start:stop][stuck].tolist(), hi[start:stop][stuck].tolist())), reverse=True)
+        found.append(BoundStateList(tuple(states[start:stop]), caps[p], state_counts[p], tuple(unresolved)))
     return found[0] if single else found
 
 
