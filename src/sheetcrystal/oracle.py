@@ -125,8 +125,9 @@ _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k /
 CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certificate
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
-# per kind of loop row (a step, cuts, the cuts of the row before): the columns it
-# adds to the pass, which of its points they are, and where its points lie from its start
+# per kind of row of a pass that cuts (0: cuts, 1: the cuts of the row before, -1: a
+# step): the columns it adds to the pass, which of its points they are, and where its
+# 7 points lie from the end of its columns
 _WIDTHS = np.array([MULTISECTION, 0, 1])
 _EVALUATED = np.arange(MULTISECTION) < _WIDTHS[:, None]
 _OFFSETS = np.array([range(-MULTISECTION, 0), range(-MULTISECTION, 0), [-1] * MULTISECTION])
@@ -517,7 +518,8 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     hi the next one; a hi with a tail of exactly 0 that counts j is an exact
     root, and lo moves onto it, closing the bracket (lo == hi).  The new
     third point is the one nearest the bracket outside it, the one below on
-    a tie, as the first of the row's slots is; NaN where there is none.
+    a tie (the slots ascend, and the first of equal distances is taken);
+    NaN where there is none.
     Returns the states' rows of the search's table (see
     :func:`find_bound_states`).
     """
