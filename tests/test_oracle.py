@@ -1570,7 +1570,7 @@ def _grid_records(draw):
     steps = draw(st.lists(st.integers(1, 3), min_size=oracle.GRID + 1 - zeros, max_size=oracle.GRID + 1 - zeros))
     xs = [0.0] * zeros + [float(x) for x in accumulate(steps)]
     inner = draw(st.lists(st.integers(0, n + 1), min_size=len(xs) - 2, max_size=len(xs) - 2))
-    counts = [n] + sorted(inner, reverse=draw(st.booleans()))[: len(xs) - 2] + [0]
+    counts = [n] + sorted(inner, reverse=draw(st.booleans())) + [0]
     if draw(st.booleans()):  # counts that rise again somewhere along the row
         k = draw(st.integers(1, len(xs) - 2))
         counts[k] = draw(st.integers(0, n + 1))
