@@ -1263,6 +1263,19 @@ def test_the_map_ground_state_certifies_on_random_stacks(atomic):
     assert _counts(problems[86], [kappa * (1.0 - 1e-12), kappa * (1.0 + 1e-12)]).tolist() == [2, 0]
 
 
+def test_a_cap_beyond_the_float_range_is_refused_before_the_first_pass(atomic, monkeypatch):
+    # the search and the certificate refuse the whole batch before any pass runs,
+    # even when the refused problem follows one that would search cleanly
+    batch = [_crystal_problem(3), DeltaPotentialProblem([(0.0, -1e200)], [0.0, 0.0], atomic)]
+    passes = []
+    monkeypatch.setattr(oracle, "_transfer", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match="default search cap"):
+        find_bound_states(batch)
+    with pytest.raises(ValueError, match="default search cap"):
+        oracle.certify_ground_states(batch, [1.0, 1e200])
+    assert passes == []
+
+
 def test_certificate_runs_the_search_input_checks(atomic):
     assert oracle.certify_ground_states([], []) == []
     with pytest.raises(ValueError, match="default search cap"):
