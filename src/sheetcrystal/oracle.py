@@ -213,6 +213,10 @@ class _Chain(NamedTuple):
     an alternating crystal whose site differences round alike form one
     class (every N at a = 1; rounding splits N = 1000 at a = 1.3 into 12);
     a chain without repeats has one class per region, ``cls`` = 0, 1, 2, ...
+
+    The chain also holds what the rest of an oracle call reads of each
+    problem: its search cap and its delta positions, the breakpoints of its
+    states, so that nothing after :func:`_chain` reads the problems.
     """
 
     half_h2_over_m: np.ndarray  # (problems,)
@@ -224,26 +228,44 @@ class _Chain(NamedTuple):
     jumps: np.ndarray  # (regions + 1, problems); row i is the site left of region i
     cls: np.ndarray  # (regions,); the class of each region row
     first: tuple[int, ...]  # each problem's first real region row
+    caps: list[float]  # each problem's search cap kappa_max
+    positions: tuple[tuple[float, ...], ...]  # each problem's delta positions
 
 
 def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
+    """The chain of a batch, in one pass over its problems.
+
+    Each problem's search cap is four times its largest single-delta or
+    single-region rate; a problem whose cap stands for an energy beyond the
+    float range is refused here, before any pass.
+    """
     regions = max(len(p.deltas) for p in problems) - 1
     # each region row's offset, width, regime switch scale and renorm floor in every problem
     rows = np.empty((regions, 4, len(problems)))
     offsets, widths = rows[:, 0], rows[:, 1]
     offsets[:], widths[:] = np.inf, 0.0
     jumps = np.zeros((regions + 1, len(problems)))
-    half_h2_over_m, first = [], []
+    half_h2_over_m, first, caps, positions = [], [], [], []
     for k, problem in enumerate(problems):
         units = problem.units
         jump_scale = 2.0 * units.mass / units.hbar**2
-        start = regions + 1 - len(problem.deltas)
-        positions = np.array(problem.positions)
-        offsets[start:, k] = problem.region_offsets[1:-1]
-        widths[start:, k] = positions[1:] - positions[:-1]
-        jumps[start:, k] = [jump_scale * g for g in problem.strengths]
+        # each rate grows with |g| or |U|, so the largest rate is the rate of the largest
+        strongest = 2.0 * units.mass * max(map(abs, problem.strengths), default=0.0) / units.hbar**2
+        deepest = math.sqrt(2.0 * units.mass * max(map(abs, problem.region_offsets), default=0.0)) / units.hbar
+        cap = 4.0 * max(strongest, deepest)
         half_h2_over_m.append(0.5 * units.hbar**2 / units.mass)
+        if not math.isfinite(half_h2_over_m[-1] * (cap * cap)):
+            raise ValueError(
+                f"the default search cap kappa_max = {cap!r} stands for an energy "
+                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
+            )
+        start = regions + 1 - len(problem.deltas)
+        offsets[start:, k] = problem.region_offsets[1:-1]
+        widths[start:, k] = np.diff(problem.positions)
+        jumps[start:, k] = [jump_scale * g for g in problem.strengths]
         first.append(start)
+        caps.append(cap)
+        positions.append(problem.positions)
     np.maximum(1.0, np.abs(offsets), out=rows[:, 2])
     rows[:, 3] = np.where(widths > 0.0, 0.0, np.inf)
     # region rows whose offsets and widths (so all four) have the same bits in every problem
@@ -254,7 +276,7 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     index: dict[bytes, int] = {}
     cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
     classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
-    return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first))
+    return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first), caps, tuple(positions))
 
 
 class _Pass(NamedTuple):
@@ -395,19 +417,17 @@ def _sturm_count(cls: np.ndarray, path: _Pass) -> np.ndarray:
     return nodes.astype(np.int64)
 
 
-def _reconstruct(
-    batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray
-) -> tuple[list[int], tuple]:
-    """The coefficient columns of the state at each root (or certified kappa), and where each starts.
+def _reconstruct(chain: _Chain, kappas: np.ndarray, owner: np.ndarray) -> tuple:
+    """The coefficient columns (kinds, rates, c1s, c2s) of the state at each root (or certified kappa).
 
     One :func:`_transfer` pass at ``kappas``, column j on problem
     ``owner[j]``, gives the rows of every root at once, one segment before
     each region of the padded chain and one after; the regime arrays are
     taken from their class rows to the regions here, and no node is
-    counted.  Column j's left tail is
-    written at row ``first[j] = chain.first[owner[j]]``, and its state's rows
-    are ``[first[j]:, j]`` of each array, which :func:`_column` copies when
-    the state is read.  A padded step divides out nothing, so each state has
+    counted.  Column j's left tail is written at its problem's first row
+    ``chain.first[owner[j]]``, and its state's rows are column j of each
+    array from that row on, which :func:`_column` copies when the state is
+    read.  A padded step divides out nothing, so each state has
     the bits of its problem's own search.  Each segment's coefficients carry
     the running log of the factors the pass divided out, so deep tails
     cannot underflow; the residual growing-tail coefficient is dropped (it
@@ -442,7 +462,7 @@ def _reconstruct(
     logs = np.vstack([zero, zero, np.cumsum(steps, axis=0)[1::2]])
 
     factors = np.exp(logs - logs.max(axis=0))
-    return first.tolist(), (kinds, rates, c1s * factors, c2s * factors)
+    return kinds, rates, c1s * factors, c2s * factors
 
 
 def _chunks(chain: _Chain, columns: int) -> list[slice]:
@@ -467,8 +487,9 @@ def _tails_and_counts(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> t
     return tails, counts
 
 
-def _column(rebuilt: Callable[[], tuple], j: int, positions: tuple[float, ...]) -> Callable[[], tuple]:
-    """A state's rows, column j of its chunk's rebuild (``rebuilt``, shared by the chunk's states).
+def _column(rebuilt: Callable[[], tuple], j: int, first: int, positions: tuple[float, ...]) -> Callable[[], tuple]:
+    """A state's rows: its problem's ``positions``, then column j of its chunk's rebuild
+    (``rebuilt``, shared by the chunk's states) from its problem's ``first`` row on.
 
     The first call copies the column out of the chunk and lets go of it, so
     a state that is kept holds its own rows alone.
@@ -478,29 +499,27 @@ def _column(rebuilt: Callable[[], tuple], j: int, positions: tuple[float, ...]) 
     def read() -> tuple:
         nonlocal rebuilt, rows
         if not rows:
-            first, arrays = rebuilt()
-            rows, rebuilt = (positions, *(a[first[j]:, j].copy() for a in arrays)), None
+            rows, rebuilt = (positions, *(a[first:, j].copy() for a in rebuilt())), None
         return rows
 
     return read
 
 
-def _states(
-    batch: list[DeltaPotentialProblem], chain: _Chain, kappas: np.ndarray, owner: np.ndarray
-) -> list[BoundState]:
+def _states(chain: _Chain, kappas: np.ndarray, owner: np.ndarray) -> list[BoundState]:
     """The state at each root, column j on problem ``owner[j]``: energy and kappa now, rows when read.
 
     The roots fall into the chunks of :func:`_chunks`.  The first read of
     any state's wavefunction rebuilds its whole chunk in one
     :func:`_reconstruct` call, kept for the chunk's states not yet read
     (see :func:`_column`), so a state that is never read costs no pass and
-    no pass holds more than ``_SEARCH_CELLS`` cells.
+    no pass holds more than ``_SEARCH_CELLS`` cells.  Each state's reader
+    takes its problem's positions and first row from the chain.
     """
     half_h2_over_m, states = chain.half_h2_over_m.tolist(), []
     for c in _chunks(chain, len(kappas)):
-        rebuilt = cache(lambda k=kappas[c], o=owner[c]: _reconstruct(batch, chain, k, o))
+        rebuilt = cache(lambda k=kappas[c], o=owner[c]: _reconstruct(chain, k, o))
         states += [
-            BoundState(-half_h2_over_m[p] * kappa**2, kappa, _column(rebuilt, j, batch[p].positions))
+            BoundState(-half_h2_over_m[p] * kappa**2, kappa, _column(rebuilt, j, chain.first[p], chain.positions[p]))
             for j, (p, kappa) in enumerate(zip(owner[c].tolist(), kappas[c].tolist()))
         ]
     return states
@@ -558,25 +577,6 @@ def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     keep = (gap_third > 0.0) & np.where(above, gap_third < gap_end, gap_third <= gap_end)
     np.copyto(new[:, :, 2], replaced, where=~keep)
     return new
-
-
-def _caps(batch: list[DeltaPotentialProblem]) -> list[float]:
-    """Each problem's search cap, four times its largest single-delta or
-    single-region rate; one whose energy is beyond the float range is refused."""
-    caps = []
-    for problem in batch:
-        units = problem.units
-        # each rate grows with |g| or |U|, so the largest rate is the rate of the largest
-        strongest = 2.0 * units.mass * max(map(abs, problem.strengths), default=0.0) / units.hbar**2
-        deepest = math.sqrt(2.0 * units.mass * max(map(abs, problem.region_offsets), default=0.0)) / units.hbar
-        cap = 4.0 * max(strongest, deepest)
-        if not math.isfinite(0.5 * units.hbar**2 / units.mass * (cap * cap)):
-            raise ValueError(
-                f"the default search cap kappa_max = {cap!r} stands for an energy "
-                "-hbar^2*kappa_max^2/(2m) beyond the float range: a delta or region is too strong"
-            )
-        caps.append(cap)
-    return caps
 
 
 def find_bound_states(
@@ -664,15 +664,15 @@ def find_bound_states(
         raise ValueError(f"lowest must be an integer >= 0 or None, got {lowest!r}")
     if not batch:
         return []
-    caps, chain = _caps(batch), _chain(batch)
+    chain = _chain(batch)
     tol = DEFAULT_BISECTION_TOL
 
     # one counting pass on a grid per problem: [tol, kappa_max/GRID, ..., kappa_max],
     # held at or above tol (k = 0 gives tol)
-    grid = np.maximum(tol, np.array(caps)[:, None] * _GRID_FRACTIONS)
+    grid = np.maximum(tol, np.array(chain.caps)[:, None] * _GRID_FRACTIONS)
     grid_tails, grid_counts = _tails_and_counts(chain, grid.ravel(), np.repeat(np.arange(len(batch)), GRID + 1))
     nodes = grid_counts.reshape(grid.shape)
-    for cap, top in zip(caps, nodes[:, -1].tolist()):
+    for cap, top in zip(chain.caps, nodes[:, -1].tolist()):
         if top:
             raise ValueError(
                 f"{top} bound state(s) lie above the search cap kappa_max = {cap!r}: "
@@ -749,14 +749,14 @@ def find_bound_states(
     lo, hi = brackets[0, :, 0], brackets[0, :, 1]
     # state j is isolated once its ends count j + 1 and j, or its bracket is closed
     isolated = ((brackets[2, :, 0] == j + 1.0) & (brackets[2, :, 1] == j)) | (lo == hi)
-    states = _states(batch, chain, 0.5 * (lo + hi), owner)
+    states = _states(chain, 0.5 * (lo + hi), owner)
     found = []
     bounds = [0, *accumulate(refined)]
     for p, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         # the brackets that fail the isolation test after the loop, each listed once
         stuck = ~isolated[start:stop]
         unresolved = sorted(set(zip(lo[start:stop][stuck].tolist(), hi[start:stop][stuck].tolist())), reverse=True)
-        found.append(BoundStateList(tuple(states[start:stop]), caps[p], state_counts[p], tuple(unresolved)))
+        found.append(BoundStateList(tuple(states[start:stop]), chain.caps[p], state_counts[p], tuple(unresolved)))
     return found[0] if single else found
 
 
@@ -792,17 +792,17 @@ def certify_ground_states(
         raise ValueError(f"one kappa per problem: got {len(kappas)} kappas for {len(batch)} problems")
     if not batch:
         return []
-    caps, chain = _caps(batch), _chain(batch)
+    chain = _chain(batch)
     kappas = np.array(kappas, dtype=float)
     ends = [kappas * (1.0 - CERTIFICATE_RTOL), kappas * (1.0 + CERTIFICATE_RTOL)]
     columns = np.concatenate([*ends, np.full(len(batch), DEFAULT_BISECTION_TOL)])
     below, above, counts = _tails_and_counts(chain, columns, np.arange(columns.size) % len(batch))[1].reshape(3, -1)
-    certified = (below == 1) & (above == 0) & (counts >= 1) & (ends[1] <= caps)
+    certified = (below == 1) & (above == 0) & (counts >= 1) & (ends[1] <= chain.caps)
     kept = np.flatnonzero(certified)
-    states = iter(_states(batch, chain, kappas[kept], kept))
+    states = iter(_states(chain, kappas[kept], kept))
     return [
         BoundStateList((next(states),) if ok else (), cap, count, ())
-        for ok, cap, count in zip(certified.tolist(), caps, counts.tolist())
+        for ok, cap, count in zip(certified.tolist(), chain.caps, counts.tolist())
     ]
 
 

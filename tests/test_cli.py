@@ -413,9 +413,9 @@ def _record_oracle(monkeypatch):
         columns.append(len(kappas))
         return transfer(chain, kappas, which)
 
-    def recorded_reconstruct(batch, chain, kappas, owner):
+    def recorded_reconstruct(chain, kappas, owner):
         rebuilt.append(len(kappas))
-        return reconstruct(batch, chain, kappas, owner)
+        return reconstruct(chain, kappas, owner)
 
     monkeypatch.setattr(oracle, "find_bound_states", recorded_search)
     monkeypatch.setattr(oracle, "_transfer", recorded_transfer)

@@ -706,7 +706,7 @@ def test_reconstruct_builds_each_segment_once(name, monkeypatch):
     built.clear()
     kappas = np.array([s.kappa for s in found])
     owner = np.zeros(kappas.shape, dtype=np.intp)
-    states = oracle._states([problem], oracle._chain([problem]), kappas, owner)
+    states = oracle._states(oracle._chain([problem]), kappas, owner)
     assert len(states) == len(kappas) > 0
     # each state's rows are its own copy of its column of the pass's arrays, unconverted,
     # so a state that is kept holds no other state's rows
@@ -743,10 +743,10 @@ def test_a_batch_search_rebuilds_each_chunk_of_roots_in_one_call(cells, chunks, 
     calls = []
     real = oracle._reconstruct
 
-    def counted(batch, chain, kappas, owner):
-        assert [len(problem.deltas) for problem in batch] == [5, 7, 9]
+    def counted(chain, kappas, owner):
+        assert [len(positions) for positions in chain.positions] == [5, 7, 9]
         calls.append(len(kappas))
-        return real(batch, chain, kappas, owner)
+        return real(chain, kappas, owner)
 
     monkeypatch.setattr(oracle, "_reconstruct", counted)
     found = find_bound_states(problems)

@@ -94,9 +94,9 @@ def test_determinism_rerun_rebuilds_no_state(monkeypatch):
         searches.append(search(problems, **options))
         return searches[-1]
 
-    def recorded_reconstruct(batch, chain, kappas, owner):
+    def recorded_reconstruct(chain, kappas, owner):
         rebuilt.extend(kappas.tolist())
-        return reconstruct(batch, chain, kappas, owner)
+        return reconstruct(chain, kappas, owner)
 
     monkeypatch.setattr(oracle, "find_bound_states", recorded_search)
     monkeypatch.setattr(oracle, "_reconstruct", recorded_reconstruct)
