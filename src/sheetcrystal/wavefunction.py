@@ -16,8 +16,9 @@ All integrals (norm, per-region probability, derivative squared) come from
 antiderivatives, so nothing in the package accumulates sampling error.
 
 Validation happens once per set of columns: the public constructor
-converts every column and checks every rule (lengths, increasing
-breakpoints, known kinds, positive exp and osc rates).  The wavefunctions
+converts every column and checks every rule (lengths, finite and
+increasing breakpoints with finite gaps, known kinds, positive exp and osc
+rates).  The wavefunctions
 derived from a checked one, :meth:`PiecewiseExpWavefunction.normalized_copy`
 and the derivative behind ``derivative``, ``breakpoint_slopes`` and
 ``derivative_squared_integral``, reuse its breakpoints, kinds and rates and
@@ -143,8 +144,11 @@ class PiecewiseExpWavefunction:
             object.__setattr__(self, name, column)
         if n == 0:
             raise ValueError("a piecewise wavefunction needs at least one breakpoint")
-        if any(b >= c for b, c in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        # a finite first breakpoint and every gap positive and finite: every breakpoint is finite
+        if not math.isfinite(self.breakpoints[0]) or any(
+            not 0.0 < c - b < math.inf for b, c in zip(self.breakpoints, self.breakpoints[1:])
+        ):
+            raise ValueError("breakpoints must be finite and strictly increasing, with finite gaps")
         for kind, rate in zip(self.kinds, self.rates):
             if kind not in VALID_KINDS:
                 raise ValueError(f"unknown segment kind {kind!r}")

@@ -144,6 +144,17 @@ def test_segment_count_must_match_breakpoints():
             PiecewiseExpWavefunction(unsorted, **_VALID_COLUMNS, normalized=False)
 
 
+@pytest.mark.parametrize("breakpoints", [(0.0, math.nan), (0.0, math.inf), (-1e308, 1e308), (math.nan,)])
+def test_breakpoints_must_be_finite_with_finite_gaps(breakpoints):
+    # each used to construct, with a norm squared of nan (or 1.0 for the lone nan), where
+    # SheetArray and DeltaPotentialProblem refuse the same positions
+    n = len(breakpoints)
+    columns = {"kinds": ("exp",) * (n + 1), "rates": (1.0,) * (n + 1)}
+    columns.update(c1s=(0.0,) * n + (1.0,), c2s=(1.0,) + (0.0,) * n)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PiecewiseExpWavefunction(breakpoints, **columns, normalized=False)
+
+
 def test_segment_kind_and_rate_validation():
     with pytest.raises(ValueError, match="unknown segment kind 'wiggle'"):
         _with("kinds", ("exp", "wiggle", "exp"))
