@@ -18,8 +18,9 @@ prints the same output, its count being the search's bit for bit, and
 cells); each writes one warning line on stderr.  In map modes a count of 0
 is an error, since the two routes disagree.  In quantum mode there is no
 map, and ``solve`` asks the oracle for the ground state alone
-(``lowest=1``).  The
-normalization constant A is carried only as its natural log, which stays
+(``lowest=1``); a ground state the search did not isolate (an interval in
+its ``unresolved``, as a doublet closer than the float spacing gives) comes
+with a warning line on stderr naming the interval.  The normalization constant A is carried only as its natural log, which stays
 finite where A exceeds the float range: ``solve`` prints
 ``log_norm_constant`` in every mode, and ``sweep`` its ``log_A`` column; a
 ``log_norm_constant`` of -inf, where psi at the last site is 0, comes with a
@@ -283,6 +284,11 @@ def cmd_solve(args) -> int:
         found = oracle.find_bound_states(problem, lowest=1)
         if not found.states:
             raise SheetCrystalError("the potential binds no state; nothing to solve")
+        warning_lines += [
+            f"the oracle did not isolate the ground state: its interval kappa in [{_fmt(lo)}, {_fmt(hi)}] stopped "
+            "splitting with ends that do not count 1 and 0 states; the state printed is at its midpoint"
+            for lo, hi in found.unresolved
+        ]
         state = found.states[0]
         psi = state.wavefunction
         energy = state.energy

@@ -14,6 +14,8 @@ from sheetcrystal.duality import to_quantum
 from sheetcrystal.electrostatics import solve_sheets
 from sheetcrystal.wavefunction import PiecewiseExpWavefunction
 
+from conftest import random_stack
+
 A_N1 = 1.9906463197512672
 PSI_N1_CENTER = 0.26940468350745844
 PSI_N1_PEAK = 0.7323178556800845
@@ -343,7 +345,11 @@ def _crystal_config(mode, p):
         return f"mode = canonical\nN = {p.N}\nalpha = {p.alpha!r}\na = {p.a!r}\n"
     if mode == "sheets":
         return "mode = sheets\nsheets = " + ", ".join(f"{z!r}:{s!r}" for z, s in p.to_sheet_array().sheets) + "\n"
-    problem = to_quantum(solve_sheets(p.to_sheet_array(), p.units), p.units)
+    return _quantum_config(to_quantum(solve_sheets(p.to_sheet_array(), p.units), p.units))
+
+
+def _quantum_config(problem):
+    """The quantum-mode ``solve`` config of ``problem``, every value written in full."""
     deltas = ", ".join(f"{z!r}:{g!r}" for z, g in problem.deltas)
     return f"mode = quantum\ndeltas = {deltas}\noffsets = {', '.join(map(repr, problem.region_offsets))}\n"
 
@@ -373,6 +379,23 @@ def test_solve_quantum_prints_minus_inf_where_the_tail_value_is_zero(tmp_path, c
     captured = capsys.readouterr()
     assert "log_norm_constant: -inf\n" in captured.out
     assert captured.err == "warning: psi is 0 at the last site z_last = 1; log_norm_constant is -inf\n"
+
+
+def test_solve_quantum_warns_where_the_ground_state_did_not_isolate(tmp_path, capsys, atomic):
+    # the dual problem of random stack 86: its ground state is half of a doublet far inside
+    # the float spacing (see test_oracle.py), so the search cannot split its interval and
+    # returns the state at the midpoint; the summary and the exit code stand, stderr says so
+    problem = to_quantum(solve_sheets(random_stack(86, fewest=1), atomic), atomic)
+    assert len(problem.deltas) == 23
+    cfg = _write(tmp_path, "q.cfg", _quantum_config(problem))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "energy: -1.2125227681677726\n" in captured.out and captured.out.endswith("bound_state_count: 5\n")
+    assert captured.err == (
+        "warning: the oracle did not isolate the ground state: its interval kappa in "
+        "[1.5572557710072688, 1.5572557710073347] stopped splitting with ends that do not count 1 and 0 states; "
+        "the state printed is at its midpoint\n"
+    )
 
 
 _MAP_MODES = {

@@ -29,6 +29,8 @@ from sheetcrystal import (
 from sheetcrystal import oracle
 from sheetcrystal.wavefunction import PiecewiseExpWavefunction
 
+from conftest import random_stack
+
 
 def _crystal_problem(n, alpha=1.0, a=1.0):
     units = atomic_units()
@@ -453,21 +455,9 @@ def _transfer_reference(problem, kappas):
     return tail, nodes.astype(np.int64), regions, psi, dpsi
 
 
-def _random_stack(seed, fewest=2):
-    """A seeded normalizable stack: fewest..24 sheets, gaps U(0.2, 2), densities U(-3, 3), positive total."""
-    rng = np.random.default_rng(seed)
-    k = int(rng.integers(fewest, 25))
-    positions = np.cumsum(rng.uniform(0.2, 2.0, k))
-    while True:
-        densities = rng.uniform(-3.0, 3.0, k)
-        if densities.sum() > 0.0:
-            break
-    return SheetArray(list(zip(positions.tolist(), densities.tolist())))
-
-
 def _random_stack_problem(seed):
     units = atomic_units()
-    return to_quantum(solve_sheets(_random_stack(seed), units), units)
+    return to_quantum(solve_sheets(random_stack(seed), units), units)
 
 
 _RTOL = oracle.REGIME_SWITCH_RTOL
@@ -1244,7 +1234,7 @@ def test_the_map_ground_state_certifies_on_random_stacks(atomic):
     # the exponential map's ground state on 200 seeded random stacks of 1..24 sheets:
     # the oracle certifies its decay rate, counts at 0+ what its search counts, and
     # its search's ground energy is the map's to 1e-9 relative
-    sols = [solve_sheets(_random_stack(seed, fewest=1), atomic) for seed in range(200)]
+    sols = [solve_sheets(random_stack(seed, fewest=1), atomic) for seed in range(200)]
     problems = [to_quantum(sol, atomic) for sol in sols]
     energies = [ground_state_from_electrostatics(sol, atomic).energy for sol in sols]
     kappas = [math.sqrt(-2.0 * atomic.mass * energy) / atomic.hbar for energy in energies]
