@@ -20,7 +20,8 @@ is an error, since the two routes disagree.  In quantum mode there is no
 map, and ``solve`` asks the oracle for the ground state alone
 (``lowest=1``); a ground state the search did not isolate (an interval in
 its ``unresolved``, as a doublet closer than the float spacing gives) comes
-with a warning line on stderr naming the interval.  The normalization constant A is carried only as its natural log, which stays
+with a warning line on stderr naming the interval.  The normalization
+constant A is carried only as its natural log, which stays
 finite where A exceeds the float range: ``solve`` prints
 ``log_norm_constant`` in every mode, and ``sweep`` its ``log_A`` column; a
 ``log_norm_constant`` of -inf, where psi at the last site is 0, comes with a

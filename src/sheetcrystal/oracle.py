@@ -228,7 +228,7 @@ class _Chain(NamedTuple):
     jumps: np.ndarray  # (regions + 1, problems); row i is the site left of region i
     cls: np.ndarray  # (regions,); the class of each region row
     first: tuple[int, ...]  # each problem's first real region row
-    caps: list[float]  # each problem's search cap kappa_max
+    caps: tuple[float, ...]  # each problem's search cap kappa_max
     positions: tuple[tuple[float, ...], ...]  # each problem's delta positions
 
 
@@ -276,7 +276,7 @@ def _chain(problems: list[DeltaPotentialProblem]) -> _Chain:
     index: dict[bytes, int] = {}
     cls = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
     classes = np.frombuffer(b"".join(index)).reshape(len(index), 4, len(problems)).transpose(1, 0, 2)
-    return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first), caps, tuple(positions))
+    return _Chain(np.array(half_h2_over_m), classes, jumps, cls, tuple(first), tuple(caps), tuple(positions))
 
 
 class _Pass(NamedTuple):

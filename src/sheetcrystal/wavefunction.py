@@ -18,11 +18,11 @@ antiderivatives, so nothing in the package accumulates sampling error.
 Validation happens once per set of columns: the public constructor
 converts every column and checks every rule (lengths, finite and
 increasing breakpoints with finite gaps, known kinds, positive exp and osc
-rates).  The wavefunctions
-derived from a checked one, :meth:`PiecewiseExpWavefunction.normalized_copy`
-and the derivative behind ``derivative``, ``breakpoint_slopes`` and
-``derivative_squared_integral``, reuse its breakpoints, kinds and rates and
-set only their new coefficients, unchecked.
+rates).  The wavefunctions derived from a checked one,
+:meth:`PiecewiseExpWavefunction.normalized_copy` and the derivative behind
+``derivative``, ``breakpoint_slopes`` and ``derivative_squared_integral``,
+reuse its breakpoints, kinds and rates and set only their new
+coefficients, unchecked.
 
 Point values have one evaluator, :func:`_evaluate`: the numpy forms at arrays
 of (segment index, z) pairs give the reference bits for every point value.
