@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import random
 
@@ -292,3 +294,66 @@ def test_potential_at_points_has_the_bits_of_the_scalar_call(atomic):
     assert got.shape == zs.shape
     expected = np.array([potential_at(sol, z) for z in zs.ravel().tolist()]).reshape(zs.shape)
     assert got.tobytes() == expected.tobytes()
+
+
+def _reference_solve(array, eps0):
+    """``solve_sheets`` as a per-region loop: the fields from one prefix sum and
+    the total, the gauge sum at the first sheet, then V_k = V_{k-1} - E_k * (z_k - z_{k-1})
+    appended region by region."""
+    positions = tuple(z for z, _ in array.sheets)
+    densities = tuple(s for _, s in array.sheets)
+    total = math.fsum(densities)
+    lefts = [*itertools.accumulate(densities[:-1], initial=0.0), total]
+    fields = [(2.0 * left - total) / (2.0 * eps0) for left in lefts]
+    z0 = positions[0]
+    potential = [-0.5 / eps0 * math.fsum(s * abs(z0 - zn) for zn, s in array.sheets)]
+    for k in range(1, len(positions)):
+        potential.append(potential[-1] - fields[k] * (positions[k] - positions[k - 1]))
+    return positions, tuple(fields), tuple(potential), abs(fields[-1])
+
+
+def _reference_potential_at(positions, fields, potential, z):
+    idx = bisect.bisect_right(positions, z)
+    anchor = idx - 1 if idx > 0 else 0
+    return potential[anchor] - fields[idx] * (z - positions[anchor])
+
+
+def _wide_random_stack(k, seed):
+    """k sheets with densities of either sign and magnitude 1e-9..1e9 and gaps 1e-6..1e6 (log-uniform)."""
+    rng = random.Random(seed)
+    z, sheets = -rng.uniform(0.0, 1e6), []
+    for _ in range(k):
+        sheets.append((z, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, 9.0)))
+        z += 10.0 ** rng.uniform(-6.0, 6.0)
+    return SheetArray(sheets)
+
+
+_SI_LIKE = UnitSystem(
+    hbar=1.054571817e-34,
+    mass=9.1093837015e-31,
+    eps0=8.8541878128e-12,
+    V0=math.sqrt(1.054571817e-34**2 / 9.1093837015e-31 / (8.8541878128e-12 * 5.29177210903e-11**3)),
+    a0=5.29177210903e-11,
+)
+
+
+@pytest.mark.parametrize("units", [atomic_units(), _SI_LIKE], ids=["atomic", "si-like"])
+@pytest.mark.parametrize("k", [1, 2, 24, 201, 2001])
+def test_solve_sheets_has_the_bits_of_the_per_region_loop(k, units):
+    array = _wide_random_stack(k, seed=1000 + k)
+    sol = solve_sheets(array, units)
+    positions, fields, potential, e_inf = _reference_solve(array, units.eps0)
+    assert sol.breakpoints == positions
+    assert [x.hex() for x in sol.region_fields] == [x.hex() for x in fields]
+    assert [x.hex() for x in sol.potential_values] == [x.hex() for x in potential]
+    assert sol.E_inf.hex() == e_inf.hex()
+    # every breakpoint, its float neighbours and points on both sides of the stack
+    span = positions[-1] - positions[0] + 1.0
+    zs = [
+        *positions,
+        *(math.nextafter(z, -math.inf) for z in positions),
+        *(math.nextafter(z, math.inf) for z in positions),
+        positions[0] - span, positions[0] - 1e-3, positions[-1] + 1e-3, positions[-1] + span,
+    ]
+    got = [potential_at(sol, z).hex() for z in zs]
+    assert got == [_reference_potential_at(positions, fields, potential, z).hex() for z in zs]
