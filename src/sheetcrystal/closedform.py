@@ -12,8 +12,10 @@ returning both sides, so the test suite owns the tolerance policy.
 The exponent sum itself collapses by the site identity (see
 :func:`identity_abs_sum`): it is a*(N + [n+N odd]) at site n*a, linear with
 slope +-1 between sites and |z| outside the crystal, so :func:`psi` costs
-O(1) per point at any N.  It also takes a whole array of points, with the
-bits of the scalar expression at every point.
+O(1) per point at any N.  What it reads at every point (N, a, N*a, log A
+and m*alpha/hbar^2) is taken once per :class:`CrystalParams` and unpacked
+once per call.  It also takes a whole array of points, with the bits of the
+scalar expression at every point.
 
 Exponent bookkeeping is done in log space throughout, so large
 N * m*alpha*a/hbar^2 products cannot overflow before the final exp.
@@ -73,8 +75,13 @@ class CrystalParams:
 
     @cached_property
     def decay_rate(self) -> float:
-        """m*alpha/hbar^2, the rate of the outer tails and the ground state's kappa; psi reads it at every point."""
+        """m*alpha/hbar^2, the rate of the outer tails and the ground state's kappa."""
         return self.units.mass * self.alpha / self.units.hbar**2
+
+    @cached_property
+    def _psi_terms(self) -> tuple[int, float, float, float, float]:
+        """(N, a, N*a, log A, m*alpha/hbar^2): what psi reads at every point, taken once per params."""
+        return self.N, self.a, self.N * self.a, self._log_norm_constant, self.decay_rate
 
 
 def _half_cell_weight(x: float) -> float:
@@ -123,7 +130,8 @@ def psi(p: CrystalParams, z: float | np.ndarray) -> float | np.ndarray:
     site identity instead of the 2N+1 terms: S(n*a) = a*(N + [n+N odd]),
     S is linear with slope +-1 between neighbouring sites, and S = |z| for
     |z| >= N*a.  It is evaluated on u = |z|, so psi is exactly even, and
-    costs O(1) at any N.
+    costs O(1) at any N.  Its terms N, a, N*a, log A and m*alpha/hbar^2 are
+    computed once per params (``p._psi_terms``) and unpacked once per call.
 
     ``z`` may be a float or an ``np.ndarray`` of any shape; an array gives an
     array of the same shape whose every value has the bits of the scalar
@@ -135,21 +143,23 @@ def psi(p: CrystalParams, z: float | np.ndarray) -> float | np.ndarray:
     (numpy 2.4, x86-64).
     """
     if isinstance(z, np.ndarray):
+        N, a, half_width, log_norm, rate = p._psi_terms
         u = np.abs(z)
-        inside = u < p.N * p.a
-        k = np.where(inside, u, 0.0) // p.a
-        odd = k % 2.0 != p.N % 2
-        within = np.where(odd, float(p.N + 1), float(p.N)) * p.a + np.where(odd, -1.0, 1.0) * (u - k * p.a)
-        exponents = p._log_norm_constant - p.decay_rate * np.where(inside, within, u)
+        inside = u < half_width
+        k = np.where(inside, u, 0.0) // a
+        odd = k % 2.0 != N % 2
+        within = np.where(odd, float(N + 1), float(N)) * a + np.where(odd, -1.0, 1.0) * (u - k * a)
+        exponents = log_norm - rate * np.where(inside, within, u)
         return np.array(list(map(math.exp, exponents.ravel().tolist()))).reshape(u.shape)
     u = abs(float(z))  # a numpy scalar point runs in Python floats, with the bits of a float point
-    if u < p.N * p.a:
-        k = int(u // p.a)
-        odd = (k + p.N) % 2
-        exponent_sum = p.a * (p.N + odd) + (1 - 2 * odd) * (u - k * p.a)
+    N, a, half_width, log_norm, rate = p._psi_terms
+    if u < half_width:
+        k = int(u // a)
+        odd = (k + N) % 2
+        exponent_sum = a * (N + odd) + (1 - 2 * odd) * (u - k * a)
     else:
         exponent_sum = u
-    return math.exp(p._log_norm_constant - p.decay_rate * exponent_sum)
+    return math.exp(log_norm - rate * exponent_sum)
 
 
 def expectation_potential(p: CrystalParams) -> float:

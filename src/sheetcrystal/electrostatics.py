@@ -9,16 +9,20 @@ potential is piecewise linear and continuous, and the gauge is fixed to
 
 so that downstream wavefunction formulas come out without stray constants.
 The potential's slope in region k is -region_fields[k]; the solution stores
-the fields only.  The alternating crystal's stack comes from
-``closedform.CrystalParams.to_sheet_array``.
+the fields only.  A :class:`SheetArray` keeps its position and density
+columns from construction, and :func:`solve_sheets` runs in Python floats:
+one exactly rounded sum for the gauge and one running subtraction across
+the regions, with no per-region bookkeeping.  The alternating crystal's
+stack comes from ``closedform.CrystalParams.to_sheet_array``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +36,13 @@ class SheetArray:
 
     ``sheets`` is a sequence of ``(position, surface_density)`` pairs.
     Coincident positions are rejected; merge densities upstream if needed.
+    ``positions`` and ``densities`` are the two columns of ``sheets``, kept
+    as tuples from construction, so reading them costs no copy.
     """
 
     sheets: tuple[tuple[float, float], ...]
+    positions: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    densities: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, sheets: Sequence[tuple[float, float]]) -> None:
         cleaned = tuple((float(z), float(s)) for z, s in sheets)
@@ -52,14 +60,9 @@ class SheetArray:
             if not math.isfinite(z1 - z0):
                 raise ValueError(f"the gap between sheet positions {z0!r} and {z1!r} exceeds the float range")
         object.__setattr__(self, "sheets", cleaned)
-
-    @property
-    def positions(self) -> tuple[float, ...]:
-        return tuple(z for z, _ in self.sheets)
-
-    @property
-    def densities(self) -> tuple[float, ...]:
-        return tuple(s for _, s in self.sheets)
+        positions, densities = zip(*cleaned)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "densities", densities)
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,11 @@ def solve_sheets(array: SheetArray, units: UnitSystem) -> ElectrostaticSolution:
     The field in region k is half the difference of the side sums,
     (left_k - right_k)/(2*eps0) = (2*left_k - total)/(2*eps0), taken from
     one running prefix sum and the total.  The potential is evaluated in the
-    fixed gauge once, at the first sheet, and continued across each region
-    by slope times width, V_k = V_{k-1} - E_k * (z_k - z_{k-1}): the same
-    piecewise-linear continuity that :func:`potential_at` assumes.  Both
-    passes are O(N).
+    fixed gauge once, at the first sheet, as one ``math.fsum`` of
+    sigma_n * (z_n - z_0), and continued across each region by slope times
+    width, V_k = V_{k-1} - E_k * (z_k - z_{k-1}), as one running subtraction
+    (``itertools.accumulate``): the same piecewise-linear continuity that
+    :func:`potential_at` assumes.  Both passes are O(N) in Python floats.
     """
     eps0 = units.eps0
     positions = array.positions
@@ -97,28 +101,28 @@ def solve_sheets(array: SheetArray, units: UnitSystem) -> ElectrostaticSolution:
     # The last prefix is the total itself, so the end fields are exactly +-total/(2*eps0).
     total = math.fsum(densities)
     lefts = [*accumulate(densities[:-1], initial=0.0), total]
-    fields = [(2.0 * left - total) / (2.0 * eps0) for left in lefts]
+    fields = tuple([(2.0 * left - total) / (2.0 * eps0) for left in lefts])
 
+    # every |z_0 - z_n| is z_n - z_0 at the leftmost sheet, with the same bits
     z0 = positions[0]
-    potential = [-0.5 / eps0 * math.fsum(s * abs(z0 - zn) for zn, s in array.sheets)]
-    for k in range(1, len(positions)):
-        potential.append(potential[-1] - fields[k] * (positions[k] - positions[k - 1]))
+    v0 = -0.5 / eps0 * math.fsum(map(mul, densities, map(sub, positions, repeat(z0))))
+    steps = map(mul, fields[1:-1], map(sub, positions[1:], positions))
 
     return ElectrostaticSolution(
         breakpoints=positions,
         densities=densities,
-        region_fields=tuple(fields),
-        potential_values=tuple(potential),
+        region_fields=fields,
+        potential_values=tuple(accumulate(steps, sub, initial=v0)),
         E_inf=abs(fields[-1]),
     )
 
 
 def potential_at(sol: ElectrostaticSolution, z: float) -> float:
     """Evaluate the continuous piecewise-linear potential at ``z``."""
-    z = float(z)
-    idx = bisect_right(sol.breakpoints, z)
+    z, breakpoints = float(z), sol.breakpoints
+    idx = bisect_right(breakpoints, z)
     anchor = idx - 1 if idx > 0 else 0
-    return sol.potential_values[anchor] - sol.region_fields[idx] * (z - sol.breakpoints[anchor])
+    return sol.potential_values[anchor] - sol.region_fields[idx] * (z - breakpoints[anchor])
 
 
 def potential_at_points(sol: ElectrostaticSolution, zs: np.ndarray) -> np.ndarray:
