@@ -777,7 +777,11 @@ def certify_ground_states(
     *The Algebraic Eigenvalue Problem*, 1965; Barth, Martin & Wilkinson,
     Numer. Math. 9, 386 (1967)); the certificate also asks for a count of at
     least 1 at 0+ and for kappa*(1 + delta) within the cap, so that a
-    certified problem is one the search would answer without error.
+    certified problem is one the search would answer without error.  The two
+    end columns are counted only where kappa*(1 - delta) > 0 and kappa*(1 +
+    delta) is within the cap: any other kappa (NaN, not positive, past the
+    cap or past the float range) cannot certify, is answered uncertified
+    and runs no column but its 0+ one.
 
     Each answer is a :class:`BoundStateList` with the search's cap and its
     count at 0+, no ``unresolved`` intervals and, when certified, the one
@@ -794,10 +798,15 @@ def certify_ground_states(
         return []
     chain = _chain(batch)
     kappas = np.array(kappas, dtype=float)
-    ends = [kappas * (1.0 - CERTIFICATE_RTOL), kappas * (1.0 + CERTIFICATE_RTOL)]
-    columns = np.concatenate([*ends, np.full(len(batch), DEFAULT_BISECTION_TOL)])
-    below, above, counts = _tails_and_counts(chain, columns, np.arange(columns.size) % len(batch))[1].reshape(3, -1)
-    certified = (below == 1) & (above == 0) & (counts >= 1) & (ends[1] <= chain.caps)
+    with np.errstate(over="ignore"):  # an end past the float range lies beyond every cap
+        lo, hi = kappas * (1.0 - CERTIFICATE_RTOL), kappas * (1.0 + CERTIFICATE_RTOL)
+    # only a kappa whose ends lie in (0, cap] can certify, and only its ends are counted
+    fit = np.flatnonzero((lo > 0.0) & (hi <= chain.caps))
+    columns = np.concatenate([lo[fit], hi[fit], np.full(len(batch), DEFAULT_BISECTION_TOL)])
+    which = np.concatenate([fit, fit, np.arange(len(batch))])
+    below, above, counts = np.split(_tails_and_counts(chain, columns, which)[1], [fit.size, 2 * fit.size])
+    certified = np.zeros(len(batch), dtype=bool)
+    certified[fit] = (below == 1) & (above == 0) & (counts[fit] >= 1)
     kept = np.flatnonzero(certified)
     states = iter(_states(chain, kappas[kept], kept))
     return [

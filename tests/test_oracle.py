@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 import tracemalloc
 from itertools import accumulate
 
@@ -1282,6 +1283,31 @@ def test_certificate_runs_the_search_input_checks(atomic):
     assert _counts(cluster, [lo * (1.0 - 1e-12), lo * (1.0 + 1e-12)]).tolist() == [1, 0]
     (answer,) = oracle.certify_ground_states([cluster], [lo])
     assert answer.states == () and answer.state_count == 1 and answer.kappa_max == 8.0
+
+
+@pytest.mark.parametrize("kappa", [1e200, 1e308, sys.float_info.max, math.inf, math.nan, -1.0, 0.0])
+def test_a_kappa_that_cannot_certify_runs_no_end_columns(kappa, atomic, monkeypatch):
+    # kappa*(1 + 1e-12) past the cap 8 (or past the float range), or kappa*(1 - 1e-12) not
+    # above 0, cannot certify: the answer is uncertified, with the 0+ count, and no column
+    # runs at those ends (squaring 1e200 or 1e308 in a pass overflows); beside it, the
+    # crystal certifies at its own kappa with the bits it has alone
+    single = DeltaPotentialProblem([(0.0, -1.0)], [0.0, 0.0], atomic)
+    crystal = _crystal_problem(3)
+    (alone,) = oracle.certify_ground_states([crystal], [1.0])
+    columns = []
+    real = oracle._transfer
+
+    def recorded(chain, kappas, which):
+        columns.extend(np.asarray(kappas).tolist())
+        return real(chain, kappas, which)
+
+    monkeypatch.setattr(oracle, "_transfer", recorded)
+    (answer,) = oracle.certify_ground_states([single], [kappa])
+    assert answer.states == () and answer.state_count == 1 and answer.kappa_max == 8.0
+    assert columns == [oracle.DEFAULT_BISECTION_TOL]
+    beside, answer = oracle.certify_ground_states([crystal, single], [1.0, kappa])
+    assert answer.states == () and answer.state_count == 1
+    assert _hex_list(beside) == _hex_list(alone) and len(beside.states) == 1
 
 
 @pytest.mark.xfail(
