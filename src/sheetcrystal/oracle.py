@@ -125,6 +125,7 @@ _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k /
 CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certificate
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
+_AROUND = np.arange(-2, 2)  # the slots of a first bracket's row from below its lo to above its hi
 # per kind of row of a pass that cuts (0: cuts, 1: the cuts of the row before, -1: a
 # step): the columns it adds to the pass, which of its points they are, and where its
 # 7 points lie from the end of its columns
@@ -554,6 +555,47 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     return rows[:, states, np.array([lower, upper, nearest]).T]
 
 
+def _first_brackets(record: np.ndarray, owner: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Each state's first bracket and third point among its problem's grid row, as :func:`_bracket` picks them.
+
+    ``record`` is (3, problems, width): the kappa, tail and count of each
+    problem's grid points, ascending in kappa and strictly so past its first
+    points (one column repeated, the points held at tol), between a NaN slot
+    at each end of the row; state i is state ``j[i]`` of problem
+    ``owner[i]``.  The states of a problem share its row, so the counts are
+    compared once per problem: the largest count at or after each point
+    falls along the row, and lo, the last point counting more than j, is the
+    last point where that largest count is above j.  One ``searchsorted``
+    over every row, each row's keys offset past the one before, finds it for
+    every state.  hi is the next point, and a hi with a tail of exactly 0
+    that counts j is an exact root, which lo moves onto.  The third point is
+    the nearer of the two points next to the bracket outside it, the one
+    below on a tie, NaN where there is none; the row rises strictly past its
+    repeated first points, so no other point is nearer.  Only each state's
+    four points around its bracket are gathered.
+    """
+    problems, width = record.shape[1:]
+    kappa, tail, count = flat = record.reshape(3, -1)
+    # the largest count at or after each point of a row (its NaN slots left out), and
+    # each row's keys, which rise along it, offset past the row before
+    reach = np.maximum.accumulate(record[2, :, -2:0:-1], axis=1)[:, ::-1]
+    offset = reach[:, 0].max() + 1.0  # above every count
+    keys = (np.arange(problems)[:, None] * offset - reach).ravel()
+    # the points counting more than j are the ones whose keys lie below the state's
+    # query; hi is the next, in the flat record, past the NaN slots of the rows
+    hi = np.searchsorted(keys, owner * offset - j) + (2 * owner + 1)
+    closed = (tail[hi] == 0.0) & (count[hi] == j)
+    # below lo, lo, hi and above hi, lo moved onto an exact root at hi
+    around = hi[:, None] + _AROUND
+    around[:, :2] += closed[:, None]
+    ends = kappa[around]
+    gaps = ends[:, 1::2] - ends[:, ::2]  # lo - below and above - hi, positive only outside
+    gaps[~(gaps > 0.0)] = np.inf
+    nearer = np.where(gaps[:, 0] < np.inf, around[:, 0], 0)  # slot 0, a NaN, for no point
+    around[:, 3] = np.where(gaps[:, 0] <= gaps[:, 1], nearer, around[:, 3])
+    return flat[:, around[:, 1:]]
+
+
 def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Each bracket of ``table`` after one point strictly inside it, as :func:`_bracket` would give it.
 
@@ -691,7 +733,7 @@ def find_bound_states(
     # among its problem's grid, a row with no third point
     record = np.full((3, len(batch), GRID + 3), np.nan)
     record[:, :, 1:-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape), nodes
-    table = _bracket(record[:, owner], j)
+    table = _first_brackets(record, owner, j)
     # each state's final bracket, written as it leaves the loop; the indices of the
     # states still refined, whose rows the table holds
     brackets, live = np.empty(table.shape), np.arange(len(j))

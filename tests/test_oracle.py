@@ -1627,6 +1627,20 @@ def test_first_bracket_matches_the_reference_on_grid_rows(record):
     _assert_table_picks(got, record, lower, upper, nearest)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_grid_records(), min_size=1, max_size=4))
+@example([([0.0] + [float(k) for k in range(1, oracle.GRID + 1)], [1.0] * 10 + [0.0] + [-1.0] * (oracle.GRID - 10),
+           [3] * 10 + [2] + [1] * 20 + [0] * (oracle.GRID - 30), [0, 1, 2])] * 2)  # an exact root at a grid point
+def test_first_brackets_have_the_bits_of_the_bracket_on_each_grid_row(records):
+    # the search's first brackets, taken once per problem's grid row, against _bracket on
+    # every state's gathered row (NaN, the grid row, NaN); closed brackets' third points too
+    owner = np.repeat(np.arange(len(records)), [len(js) for *_, js in records])
+    j = np.concatenate([js for *_, js in records]).astype(float)
+    rows = np.full((3, len(records), oracle.GRID + 3), np.nan)
+    rows[:, :, 1:-1] = np.array([[xs, tails, counts] for xs, tails, counts, _ in records]).transpose(1, 0, 2)
+    assert _same_bits(oracle._first_brackets(rows, owner, j), oracle._bracket(rows[:, owner], j))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_bracket_records(one_point=True))
 @example(((0.0, 1.0, 1), (8.0, -1.0, 0), [(3.0, 0.0, 0)], None, [0]))  # an exact root
