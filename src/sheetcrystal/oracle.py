@@ -556,23 +556,20 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _first_brackets(record: np.ndarray, owner: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Each state's first bracket and third point among its problem's grid row, as :func:`_bracket` picks them.
+    """Each state's first bracket and third point on its problem's grid row, with the bits of :func:`_bracket`.
 
-    ``record`` is (3, problems, width): the kappa, tail and count of each
-    problem's grid points, ascending in kappa and strictly so past its first
-    points (one column repeated, the points held at tol), between a NaN slot
-    at each end of the row; state i is state ``j[i]`` of problem
-    ``owner[i]``.  The states of a problem share its row, so the counts are
-    compared once per problem: the largest count at or after each point
-    falls along the row, and lo, the last point counting more than j, is the
-    last point where that largest count is above j.  One ``searchsorted``
-    over every row, each row's keys offset past the one before, finds it for
-    every state.  hi is the next point, and a hi with a tail of exactly 0
-    that counts j is an exact root, which lo moves onto.  The third point is
-    the nearer of the two points next to the bracket outside it, the one
-    below on a tie, NaN where there is none; the row rises strictly past its
-    repeated first points, so no other point is nearer.  Only each state's
-    four points around its bracket are gathered.
+    ``record`` is (3, problems, width): each problem's grid points (kappa,
+    tail, count), ascending in kappa and strictly so past the repeated
+    column of points held at tol, with a NaN slot at each end of the row;
+    state i is state ``j[i]`` of problem ``owner[i]``.  The counts are
+    compared once per problem, not per state: lo, the last point counting
+    more than j, is the last point whose largest count at or after it is
+    above j, and one ``searchsorted`` over the rows' keys, each row offset
+    past the one before, finds it for every state.  hi is the next point; a
+    hi with a tail of exactly 0 that counts j is an exact root, and lo moves
+    onto it.  The third point is the nearer of the two points next to the
+    bracket outside it, the one below on a tie, NaN for none.  Only these
+    four points of each state are gathered.
     """
     problems, width = record.shape[1:]
     kappa, tail, count = flat = record.reshape(3, -1)
