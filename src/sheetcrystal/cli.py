@@ -514,6 +514,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow: {exc} (a result exceeds the float range)", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # list(range(...)) raises one with no message
+        print(f"error: out of memory: {str(exc) or 'a request is too large to allocate'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

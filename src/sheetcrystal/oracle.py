@@ -19,7 +19,9 @@ when read; every step is the same vectorised pass over an array of kappas.
 A pass costs about the same at one kappa as at a hundred, so the first one
 runs on a grid of :data:`GRID` cells from kappa = 0+ to the search cap: its
 count at 0+ gives the number of states, and the counts at the grid points
-hand each state the cell that holds it.  The cap is four times the largest single-delta or
+hand each state the cell that holds it, its first bracket, which
+:func:`_bracket` reads off its problem's grid row as it reads every later
+row of points.  The cap is four times the largest single-delta or
 single-region rate of the problem, and a state above it is an error; every
 root is located to :data:`DEFAULT_BISECTION_TOL` = 1e-13 in kappa, which
 also stands for 0+.  The search's one setting, ``lowest``, is how many of the
@@ -125,7 +127,6 @@ _GRID_FRACTIONS = np.arange(GRID + 1) / GRID  # grid point k is kappa_max * (k /
 CERTIFICATE_RTOL = 1e-12  # relative half-width in kappa of a ground-state certificate
 MULTISECTION = 7  # evenly spaced interior points that cut an uncertain bracket
 _CUTS = np.arange(1, MULTISECTION + 1) / (MULTISECTION + 1)  # point k is lo + (hi - lo) * (k / (MULTISECTION + 1))
-_AROUND = np.arange(-2, 2)  # the slots of a first bracket's row from below its lo to above its hi
 # per kind of row of a pass that cuts (0: cuts, 1: the cuts of the row before, -1: a
 # step): the columns it adds to the pass, which of its points they are, and where its
 # 7 points lie from the end of its columns
@@ -533,15 +534,17 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     of state ``j[i]``'s row i.  Slots 1 to width - 2 hold its bracket's lo,
     the points evaluated in it and its hi, ascending in kappa; slot 0 holds
     its third point when it lies below lo and slot width - 1 when above hi,
-    NaN otherwise.  lo counts more than j and hi at most j, so the count
-    decides: the new lo is the last point counting more than j and the new
-    hi the next one; a hi with a tail of exactly 0 that counts j is an exact
-    root, and lo moves onto it, closing the bracket (lo == hi).  The new
-    third point is the one nearest the bracket outside it, the one below on
-    a tie (the slots ascend, and the first of equal distances is taken);
-    NaN where there is none.
-    Returns the states' rows of the search's table (see
-    :func:`find_bound_states`).
+    NaN otherwise.  The search's first brackets are read off the grid's
+    rows, which have no third point: each state's row is its problem's grid
+    with both end slots NaN, from the points at 0+, which count every
+    state, to the cap, which counts none.  lo counts more than j and hi at
+    most j, so the count decides: the new lo is the last point counting
+    more than j and the new hi the next one; a hi with a tail of exactly 0
+    that counts j is an exact root, and lo moves onto it, closing the
+    bracket (lo == hi).  The new third point is the one nearest the bracket
+    outside it, the one below on a tie (the slots ascend, and the first of
+    equal distances is taken); NaN where there is none.  Returns the states'
+    rows of the search's table (see :func:`find_bound_states`).
     """
     kappa, states = rows[0], np.arange(len(j))[:, None]
     upper = rows.shape[2] - 1 - (rows[2, :, -2:0:-1] > j[:, None]).argmax(axis=1)
@@ -553,44 +556,6 @@ def _bracket(rows: np.ndarray, j: np.ndarray) -> np.ndarray:
     gaps = np.maximum(ends[0, :, :1] - kappa, kappa - ends[0, :, 1:])
     nearest = np.where(gaps > 0.0, gaps, np.inf).argmin(axis=1)
     return rows[:, states, np.array([lower, upper, nearest]).T]
-
-
-def _first_brackets(record: np.ndarray, owner: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Each state's first bracket and third point on its problem's grid row, with the bits of :func:`_bracket`.
-
-    ``record`` is (3, problems, width): each problem's grid points (kappa,
-    tail, count), ascending in kappa and strictly so past the repeated
-    column of points held at tol, with a NaN slot at each end of the row;
-    state i is state ``j[i]`` of problem ``owner[i]``.  The counts are
-    compared once per problem, not per state: lo, the last point counting
-    more than j, is the last point whose largest count at or after it is
-    above j, and one ``searchsorted`` over the rows' keys, each row offset
-    past the one before, finds it for every state.  hi is the next point; a
-    hi with a tail of exactly 0 that counts j is an exact root, and lo moves
-    onto it.  The third point is the nearer of the two points next to the
-    bracket outside it, the one below on a tie, NaN for none.  Only these
-    four points of each state are gathered.
-    """
-    problems, width = record.shape[1:]
-    kappa, tail, count = flat = record.reshape(3, -1)
-    # the largest count at or after each point of a row (its NaN slots left out), and
-    # each row's keys, which rise along it, offset past the row before
-    reach = np.maximum.accumulate(record[2, :, -2:0:-1], axis=1)[:, ::-1]
-    offset = reach[:, 0].max() + 1.0  # above every count
-    keys = (np.arange(problems)[:, None] * offset - reach).ravel()
-    # the points counting more than j are the ones whose keys lie below the state's
-    # query; hi is the next, in the flat record, past the NaN slots of the rows
-    hi = np.searchsorted(keys, owner * offset - j) + (2 * owner + 1)
-    closed = (tail[hi] == 0.0) & (count[hi] == j)
-    # below lo, lo, hi and above hi, lo moved onto an exact root at hi
-    around = hi[:, None] + _AROUND
-    around[:, :2] += closed[:, None]
-    ends = kappa[around]
-    gaps = ends[:, 1::2] - ends[:, ::2]  # lo - below and above - hi, positive only outside
-    gaps[~(gaps > 0.0)] = np.inf
-    nearer = np.where(gaps[:, 0] < np.inf, around[:, 0], 0)  # slot 0, a NaN, for no point
-    around[:, 3] = np.where(gaps[:, 0] <= gaps[:, 1], nearer, around[:, 3])
-    return flat[:, around[:, 1:]]
 
 
 def _step(table: np.ndarray, point: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -672,10 +637,10 @@ def find_bound_states(
     and count), and the loop carries only the states whose interval is
     still open; a pass whose states all took one point moves an end of
     each onto it, and any other pass picks every interval anew among its
-    state's sorted row of points, as the grid's were.  Each pass gives a
-    state either one point or
-    ``MULTISECTION`` (7) evenly spaced ones.  One point is Chandrupatla's
-    inverse-quadratic step of the tail through both ends and the third
+    state's sorted row of points, by the rule (:func:`_bracket`) that
+    picked the first intervals on the grid.  Each pass gives a state either
+    one point or ``MULTISECTION`` (7) evenly spaced ones.  One point is
+    Chandrupatla's inverse-quadratic step of the tail through both ends and the third
     point, the evaluated point nearest the interval outside it (Adv. Eng.
     Softw. 28, 145 (1997)); the tail is the true coefficient divided by
     positive factors continuous in kappa, so it serves as it is.  The point is kept ``tol``/2 inside the interval, so
@@ -727,10 +692,10 @@ def find_bound_states(
     # every state is one row of a (3, states, 3) table: the kappa, tail and count of
     # its bracket's lo and hi and of its third point, NaN for none.  The grid's tol
     # stands for 0+, where its count was taken.  A state's first bracket is picked
-    # among its problem's grid, a row with no third point
+    # among its problem's grid, a row with no third point (a NaN slot at each end)
     record = np.full((3, len(batch), GRID + 3), np.nan)
     record[:, :, 1:-1] = np.where(grid == tol, 0.0, grid), grid_tails.reshape(grid.shape), nodes
-    table = _first_brackets(record, owner, j)
+    table = _bracket(record[:, owner], j)
     # each state's final bracket, written as it leaves the loop; the indices of the
     # states still refined, whose rows the table holds
     brackets, live = np.empty(table.shape), np.arange(len(j))

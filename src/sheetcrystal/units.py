@@ -44,8 +44,9 @@ class UnitSystem:
     ValueError
         If any constant is non-positive or non-finite, if either side of
         ``V0**2 * eps0 * a0**3 == hbar**2 / mass`` is not a finite normal
-        float, or if the tuple violates that requirement beyond a relative
-        tolerance of 1e-12.
+        float, if the tuple violates that requirement beyond a relative
+        tolerance of 1e-12, or if the sheet-to-delta scale ``V0*a0**3`` is
+        not a finite normal float.
     """
 
     hbar: float
@@ -76,6 +77,10 @@ class UnitSystem:
                 "inconsistent constants: V0^2*eps0*a0^3 = "
                 f"{lhs!r} but hbar^2/mass = {rhs!r}"
             )
+        # alpha_from_sigma multiplies by this scale and sigma_from_alpha divides by it
+        scale = self.V0 * self.a0**3
+        if not sys.float_info.min <= scale < math.inf:
+            raise ValueError(f"the sheet-to-delta scale V0*a0^3 = {scale!r} must be a finite normal float")
 
 
 def atomic_units() -> UnitSystem:

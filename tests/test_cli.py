@@ -558,7 +558,19 @@ def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
             assert captured.err == err
 
 
-@pytest.mark.parametrize("scale", ["1e-200", "1e200"], ids=["underflow", "overflow"])
+_UNITS_OUTSIDE_THE_FLOAT_RANGE = {
+    # consistent on paper, but V0^2*eps0*a0^3 and hbar^2/mass are 1e-400 or 1e400, outside the float range
+    "underflow": ("hbar = 1e-200\nmass = 1\neps0 = 1\nV0 = 1e-200\na0 = 1\n", "V0^2*eps0*a0^3"),
+    "overflow": ("hbar = 1e200\nmass = 1\neps0 = 1\nV0 = 1e200\na0 = 1\n", "V0^2*eps0*a0^3"),
+    # consistent with both sides normal floats, but the sheet-to-delta scale V0*a0^3 is not
+    "scale-underflow": ("hbar = 1e-150\nmass = 1\neps0 = 1e60\nV0 = 1e-30\na0 = 1e-100\n",
+                        "the sheet-to-delta scale V0*a0^3 = 0.0 must be a finite normal float\n"),
+    "scale-overflow": ("hbar = 1e90\nmass = 1\neps0 = 1e-300\nV0 = 1e150\na0 = 1e60\n",
+                       "the sheet-to-delta scale V0*a0^3 = inf must be a finite normal float\n"),
+}
+
+
+@pytest.mark.parametrize("case", _UNITS_OUTSIDE_THE_FLOAT_RANGE)
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -569,14 +581,39 @@ def test_extreme_config_is_one_error_line(command, text, tmp_path, capsys):
     ],
     ids=["canonical", "sheets", "quantum", "sweep"],
 )
-def test_units_outside_the_float_range_are_one_error_line(command, text, scale, tmp_path, capsys):
-    # consistent on paper, but V0^2*eps0*a0^3 and hbar^2/mass are scale**2, outside the float range
-    units = _write(tmp_path, "u.cfg", f"hbar = {scale}\nmass = 1\neps0 = 1\nV0 = {scale}\na0 = 1\n")
-    assert main([command, "--config", _write(tmp_path, "c.cfg", text), "--units", units]) == 1
+def test_units_outside_the_float_range_are_one_error_line(command, text, case, tmp_path, capsys):
+    units, message = _UNITS_OUTSIDE_THE_FLOAT_RANGE[case]
+    argv = [command, "--config", _write(tmp_path, "c.cfg", text), "--units", _write(tmp_path, "u.cfg", units)]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 1
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: units file: V0^2*eps0*a0^3")
+    assert captured.err.startswith(f"error: units file: {message}")
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,config,flags",
+    [
+        ("figure", None, ["--points", str(10**17)]),
+        ("solve", "mode = canonical\nN = 1\nalpha = 1\na = 1\n", ["--points", str(10**17)]),
+        ("sweep", f"N = 0..{10**17}\nalpha = 1\na = 1\n", []),
+    ],
+    ids=["figure", "solve", "sweep"],
+)
+def test_a_request_too_large_to_allocate_is_one_error_line(command, config, flags, tmp_path, capsys):
+    # 10**17 points or cells is 711 PiB of float64, past any x86-64 address space, so the
+    # allocation fails at once and touches no memory; sweep's list of N raises a bare MemoryError
+    out = tmp_path / "out"
+    argv = [command, *flags, "--out", str(out)]
+    if config is not None:
+        argv += ["--config", _write(tmp_path, "c.cfg", config)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: out of memory: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_is_input_error(capsys):

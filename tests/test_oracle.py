@@ -1628,35 +1628,24 @@ def _grid_records(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_grid_records())
-@example(([0.0] + [float(k) for k in range(1, oracle.GRID + 1)], [1.0] * 10 + [0.0] + [-1.0] * (oracle.GRID - 10),
-          [3] * 10 + [2] + [1] * 20 + [0] * (oracle.GRID - 30), [0, 1, 2]))  # an exact root at a grid point
-def test_first_bracket_matches_the_reference_on_grid_rows(record):
-    # the first bracket of every state of a problem is picked among its one grid row,
-    # GRID + 1 points wide with no third point, as find_bound_states lays it out
-    xs, tails, counts, js = record
-    ids = np.arange(1, len(xs) + 1)
-    kappas, tails, counts = (np.array([fill, *column]) for fill, column in zip((math.nan, math.nan, -1), (xs, tails, counts)))
-    j = np.array(js)
-    rows = np.array([ids] * len(js))
-    lower, upper, nearest = _bracket_reference(kappas, tails, counts, rows, j, np.zeros(len(js), dtype=np.intp))
-    record = np.stack([kappas, tails, counts]).astype(float)
-    got = oracle._bracket(record[:, np.array([[0, *ids, 0]] * len(js))], j.astype(float))
-    _assert_table_picks(got, record, lower, upper, nearest)
-
-
-@settings(max_examples=200, deadline=None)
 @given(st.lists(_grid_records(), min_size=1, max_size=4))
 @example([([0.0] + [float(k) for k in range(1, oracle.GRID + 1)], [1.0] * 10 + [0.0] + [-1.0] * (oracle.GRID - 10),
            [3] * 10 + [2] + [1] * 20 + [0] * (oracle.GRID - 30), [0, 1, 2])] * 2)  # an exact root at a grid point
-def test_first_brackets_have_the_bits_of_the_bracket_on_each_grid_row(records):
-    # the search's first brackets, taken once per problem's grid row, against _bracket on
-    # every state's gathered row (NaN, the grid row, NaN); closed brackets' third points too
+def test_first_bracket_matches_the_reference_on_grid_rows(records):
+    # the first bracket of every state is picked among its problem's one grid row, GRID + 1
+    # points wide with no third point, laid out as find_bound_states lays it out: one row
+    # per problem (NaN, the grid row, NaN), gathered by each state's problem
     owner = np.repeat(np.arange(len(records)), [len(js) for *_, js in records])
-    j = np.concatenate([js for *_, js in records]).astype(float)
-    rows = np.full((3, len(records), oracle.GRID + 3), np.nan)
-    rows[:, :, 1:-1] = np.array([[xs, tails, counts] for xs, tails, counts, _ in records]).transpose(1, 0, 2)
-    assert _same_bits(oracle._first_brackets(rows, owner, j), oracle._bracket(rows[:, owner], j))
+    j = np.concatenate([js for *_, js in records])
+    points = np.array([[xs, tails, counts] for xs, tails, counts, _ in records], dtype=float).transpose(1, 0, 2)
+    grid = np.full((3, len(records), oracle.GRID + 3), np.nan)
+    grid[:, :, 1:-1] = points
+    got = oracle._bracket(grid[:, owner], j.astype(float))
+    # the reference's record: entry 0 stands for no point, then each problem's grid points in turn
+    record = np.column_stack([[math.nan, math.nan, -1.0], points.reshape(3, -1)])
+    rows = 1 + (oracle.GRID + 1) * owner[:, None] + np.arange(oracle.GRID + 1)
+    lower, upper, nearest = _bracket_reference(*record, rows, j, np.zeros(len(j), dtype=np.intp))
+    _assert_table_picks(got, record, lower, upper, nearest)
 
 
 @settings(max_examples=300, deadline=None)

@@ -53,6 +53,20 @@ def test_consistency_products_near_the_float_range_accepted():
     assert UnitSystem(hbar=1e150, mass=1.0, eps0=1.0, V0=1e150, a0=1.0).V0 == 1e150
 
 
+@pytest.mark.parametrize(
+    "values,scale",
+    [
+        (dict(hbar=1e-150, mass=1.0, eps0=1e60, V0=1e-30, a0=1e-100), "0.0"),
+        (dict(hbar=1e90, mass=1.0, eps0=1e-300, V0=1e150, a0=1e60), "inf"),
+    ],
+    ids=["underflow", "overflow"],
+)
+def test_sheet_to_delta_scale_outside_the_float_range_rejected(values, scale):
+    # consistent, with both sides 1e-300 or 1e180, but V0*a0^3 underflows to 0.0 or overflows to inf
+    with pytest.raises(ValueError, match=rf"^the sheet-to-delta scale V0\*a0\^3 = {scale} must be a finite normal float$"):
+        UnitSystem(**values)
+
+
 def test_unit_system_is_immutable(atomic):
     with pytest.raises(dataclasses.FrozenInstanceError):
         atomic.hbar = 2.0
