@@ -1,8 +1,9 @@
 """Command-line interface: solve, figure, verify, sweep.
 
 Exit codes: 0 success, 1 input/validation problem, 2 verification failure.
-CSV output uses 17 significant digits, '.' decimals, and '\\n' line endings,
-and is byte-identical across runs for identical inputs.
+Each CSV cell is exactly ``'%.17g' % x`` (printf's %.17g: 17 significant
+digits, '.' decimals), cells are joined by ',' and lines end in '\\n', so the
+output is byte-identical across runs for identical inputs.
 
 ``solve``'s ``bound_state_count`` and ``sweep``'s ``count`` are the
 oracle's count of every state in its search range (``state_count``).  Where
@@ -47,7 +48,6 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +231,193 @@ def _load_units(path) -> UnitSystem:
 
 
 # --------------------------------------------------------------------------
+# CSV output
+# --------------------------------------------------------------------------
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two halves
+_GROUP_BASE = np.array([[0], [10000], [20000], [30000]], dtype=np.int32)  # the q-th group's keys
+_ROW = np.arange(18, dtype=np.int16)[:, None]  # a cell's rows of digits and point
+_BLOCK_CELLS = 2**15  # cells per block of _csv_cells: ~5 MB of working arrays
+
+
+@functools.cache  # built by the first CSV, so importing the module builds no table
+def _cell_tables() -> tuple:
+    """The tables of :func:`_csv_cells`, indexed by decimal exponent or digit group.
+
+    ``scale`` holds 10**k for k = -300..300 as rows (hi, hi's head, hi's
+    tail, lo): hi + lo is 10**k to ~2**-106 relative, from exact integer
+    arithmetic, and head + tail is hi split in two 26-bit halves.  The group
+    tables take the key g + 10000*q of the q-th 4-digit group g after a
+    cell's first digit: ``groups`` holds g's 4 chars as one uint32, and
+    ``places`` the place among the 17 digits of g's last nonzero digit, 0
+    where g is 0 (1 for q = 0, the first digit's place).  For e = -300..300,
+    ``prefix`` holds %g's "0." and zeros before the digits of a fixed-notation
+    cell below 1 and ``suffix`` the "e+dd" after those of an
+    exponent-notation cell, NUL-padded to 5 chars, one row per char; ``lead``
+    holds the digits before the point, 0 below 1.
+    """
+    scale = []
+    for k in range(-300, 301):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int / int is correctly rounded
+        hi_num, hi_den = hi.as_integer_ratio()
+        scale.append((hi, (num * hi_den - hi_num * den) / (den * hi_den)))
+    hi, lo = np.array(scale).T
+    head = _SPLIT * hi
+    head -= head - hi
+    group, q = np.arange(10000), np.arange(4)[:, None]
+    chars = (group[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)  # '0000'..'9999'
+    groups = np.tile(chars.view(np.uint32).ravel(), 4)
+    zeros = sum(group % 10**i == 0 for i in (1, 2, 3))  # a nonzero group's trailing zeros
+    places = np.where(group > 0, 5 + 4 * q - zeros, q == 0).astype(np.uint8).ravel()
+    exponents = range(-300, 301)
+    prefix, suffix = (
+        np.frombuffer(b"".join(s.ljust(5, b"\0") for s in affix), dtype=np.uint8).reshape(-1, 5).T.copy()
+        for affix in ([b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in exponents],
+                      [b"" if -4 <= e < 17 else b"e%+03d" % e for e in exponents])
+    )
+    lead = np.array([e + 1 if 0 <= e < 17 else int(not -4 <= e < 0) for e in exponents], dtype=np.int16)
+    tables = np.stack([hi, head, hi - head, lo]), groups, places, prefix, suffix, lead
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """The 17 digits D and exponent e of each cell, |x| ~ D * 10**(e - 16), and its fallback mask.
+
+    D and e are 0 at zeros; the mask marks the nonzero cells whose D is not
+    proved to be %'s (see :func:`_csv_cells`), where D may be anything.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-250) & (a <= 1e250)
+    log = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(log, out=log), out=log).astype(np.int16)
+    a[~fast] = 0.0
+    hi, head, tail, lo = _cell_tables()[0].take(316 - e, axis=1)  # 10**(16 - e)
+    # Dekker: a = a_head + a_tail by Veltkamp's split, and a * hi = p + err exactly
+    split = _SPLIT * a
+    a_head = split - (split - a)
+    a_tail = a - a_head
+    p = a * hi
+    residual = (((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail) + a * lo
+    rounded = np.rint(residual)
+    digits = p.astype(np.int64) + rounded.astype(np.int64)
+    slow = ~fast | (np.abs(residual - rounded) > 0.5 - 1e-6)
+    slow |= digits >= 10**17
+    slow |= (p - 1e16) + residual < -0.05 + 1e-6  # p and 1e16 are integers, and p - 1e16 is exact
+    slow &= x != 0.0
+    return digits, e, slow
+
+
+def _csv_cells(table) -> str:
+    """The CSV lines of a 2-D table: each cell as ``'%.17g' % x``, joined by ',' and '\\n'.
+
+    One vectorised pass, byte for byte the per-cell ``%``.  Each cell's 17
+    digits D and decimal exponent e, |x| ~ D * 10**(e - 16), come from
+    e = floor(log10|x|) and the exact-scaling core of float printing:
+    |x| * 10**(16 - e) with 10**k held as hi + lo (``_cell_tables``), the
+    product |x| * hi taken exactly as p + err by Dekker's two-product
+    (Numer. Math. 18, 224 (1971)), and D rounded from p and the residual
+    err + |x| * lo, which is good to ~1e-14.  A cell falls back to
+    ``'%.17g' % x`` where the vector path cannot prove its digits: within
+    1e-6 of a rounding tie (%'s round-half-even decides, as in 1 + 2**-17 ->
+    1.0000076293945312; p being even, an exact tie would round right here
+    too, but a near tie at a scale 10**k that is not a double might not),
+    D >= 10**17, or D = 10**16 rounded up from more than 0.05 below it
+    (log10 rounded e up, so the digits are one place short; from within
+    0.05 the 17 digits at e - 1 round up to 10**17, which is the same
+    output), and every NaN, +-inf and |x| outside [1e-250, 1e250].  So the
+    output does not depend on how log10 rounds.  Zeros stay on the vector
+    path, as D = 0 and e = 0.
+
+    Layout: %g's rules, fixed notation for -4 <= e < 17 and else an exponent
+    of at least 2 digits, with no trailing zeros or bare point and a sign on
+    -0.  Each cell is one column of a char-major uint8 template of 30 rows:
+    the sign, 5 rows of "0.000" prefix, 18 rows of digits with the point
+    after digit ``lead - 1``, 5 rows of "e+dd" suffix and the separator.  The
+    digits come four at a time from the '0000'..'9999' table and the count
+    kept from the place of the last nonzero one; unused chars are NUL, and
+    one transpose and ``bytes.translate`` delete them.  The rows go in blocks
+    of ``_BLOCK_CELLS`` cells, which bounds the working memory whatever the
+    table's size (a million-point ``solve`` peaks at ~250 MB, ~380 MB with
+    per-cell ``%``, ~730 MB in one block); at their default sizes the CSVs of
+    ``solve``, ``figure`` and ``sweep`` are one block each.
+    """
+    cells = np.asarray(table, dtype=float)
+    rows = max(1, _BLOCK_CELLS // cells.shape[1])
+    return "".join(_csv_block(cells[start:start + rows]) for start in range(0, len(cells), rows))
+
+
+def _csv_block(cells: np.ndarray) -> str:
+    """The CSV lines of one block of rows of :func:`_csv_cells`."""
+    width = cells.shape[1]
+    x = cells.ravel()
+    digits, e, slow = _decimal(x)
+    _, groups, places, prefix, suffix, lead_of = _cell_tables()
+
+    # D = top * 10**16 + four 4-digit groups, each keyed for the group tables
+    high = digits // 10**8
+    top = high // 10**8
+    halves = np.empty((2, x.size), dtype=np.int32)
+    np.subtract(high, top * 10**8, out=halves[0], casting="unsafe")
+    np.subtract(digits, high * 10**8, out=halves[1], casting="unsafe")
+    keys = np.empty((4, x.size), dtype=np.int32)
+    np.floor_divide(halves, 10**4, out=keys[0::2])
+    np.subtract(halves, keys[0::2] * 10**4, out=keys[1::2])
+    keys += _GROUP_BASE
+    chars = np.zeros((19, x.size), dtype=np.uint8)  # NUL, D's 17 digits, NUL
+    np.add(top, 48, out=chars[1], casting="unsafe")
+    chars[2:18].reshape(4, 4, -1)[...] = groups.take(keys).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
+    here, before = chars[1:], chars[:-1]
+
+    exponent = e + 300
+    lead = lead_of.take(exponent)
+    shown = np.maximum(places.take(keys).max(axis=0), lead)
+    point = (shown > lead) & (lead > 0)
+    at = np.where(point, lead, 18)
+
+    template = np.empty((30, x.size), dtype=np.uint8)
+    np.multiply(np.signbit(x), np.uint8(45), out=template[0])
+    prefix.take(exponent, axis=1, out=template[1:6], mode="clip")
+    body = template[6:24]  # digit j above the point's row, digit j - 1 below it
+    np.subtract(here, before, out=body)
+    body *= _ROW < at
+    body += before
+    body *= _ROW < shown + point
+    template[6 + at, np.arange(x.size)] = 46  # a cell with no point puts it in the suffix's first row
+    suffix.take(exponent, axis=1, out=template[24:29], mode="clip")
+    template[29] = 44
+    template[29, width - 1 :: width] = 10
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % x[i]
+        template[: len(text), i] = np.frombuffer(text, dtype=np.uint8)
+        template[len(text) : 29, i] = 0
+    return template.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _emit_csv(header: str, table, out: Path | None, stream) -> None:
+    """Write ``header`` and one CSV line per row of ``table`` to ``out``, or to ``stream`` without one.
+
+    ``table`` is a 2-D array or a list of equal-length rows.  Every cell is
+    exactly ``'%.17g' % x``, formatted as one array by :func:`_csv_cells`,
+    whose docstring gives the cells that fall back to ``%`` (near a rounding
+    tie, at the 10**16 and 10**17 boundaries, NaN, +-inf and |x| outside
+    [1e-250, 1e250]) and the layout (a char-major template of NUL-padded
+    cells, compacted by one transpose and ``bytes.translate``).
+    """
+    payload = header + "\n" + _csv_cells(table)
+    if out is None:
+        stream.write(payload)
+        stream.write("\n")
+    else:
+        try:
+            out.write_text(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from exc
+
+
+# --------------------------------------------------------------------------
 # solve
 # --------------------------------------------------------------------------
 
@@ -248,22 +435,6 @@ def _parse_mode(key: str, value: str | None) -> str:
 
 
 _SOLVE_FIELDS = {"mode": _parse_mode, "out": _parse_path, "window": _parse_window, "points": _parse_points}
-
-
-def _emit_csv(header: str, rows, out: Path | None, stream) -> None:
-    # one %-format over every cell; "%.17g" % x is format(float(x), ".17g"); callers
-    # zip ndarray.tolist() columns, so the cells are Python numbers, not numpy scalars
-    width = header.count(",") + 1
-    values = tuple(chain.from_iterable(rows))
-    payload = header + "\n" + ((",".join(["%.17g"] * width) + "\n") * (len(values) // width)) % values
-    if out is None:
-        stream.write(payload)
-        stream.write("\n")
-    else:
-        try:
-            out.write_text(payload)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 def _region_offset_at(problem: DeltaPotentialProblem, zs: np.ndarray) -> np.ndarray:
@@ -343,7 +514,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"sampling window {_fmt(lo)},{_fmt(hi)}: its width overflows the float range")
     zs = np.linspace(lo, hi, config.get("points", 2001))
     columns = [zs, potential_at_points(sol, zs), psi.values(zs), _region_offset_at(problem, zs)]
-    _emit_csv("z,V,psi,U_region", zip(*(c.tolist() for c in columns)), config.get("out"), sys.stdout)
+    _emit_csv("z,V,psi,U_region", np.column_stack(columns), config.get("out"), sys.stdout)
 
     print(f"energy: {_fmt(energy)}")
     print(f"log_norm_constant: {_fmt(log_norm_constant)}")
@@ -380,7 +551,7 @@ def cmd_figure(args) -> int:
 
     for n, (zs, vals) in zip(n_values, samples):
         target = out_dir / f"crystal_psi_N{n}.csv"
-        _emit_csv("z,psi", zip(zs.tolist(), vals.tolist()), target, sys.stdout)
+        _emit_csv("z,psi", np.column_stack((zs, vals)), target, sys.stdout)
         print(f"wrote {target}")
     return 0
 
@@ -458,7 +629,8 @@ def cmd_sweep(args) -> int:
             found[k] = answer
     rows = list(map(_sweep_row, params, starts, problems, found))
 
-    _emit_csv("N,alpha,a,E,log_A,U_exp,T_exp,count,closed_vs_oracle_resid", rows, config.get("out"), sys.stdout)
+    _emit_csv("N,alpha,a,E,log_A,U_exp,T_exp,count,closed_vs_oracle_resid", np.array(rows, dtype=float),
+              config.get("out"), sys.stdout)
     _warn([
         *(f"{_sweep_cell_name(*cells[k])}: the oracle does not certify the closed form's ground state at "
           f"kappa = {_fmt(params[k].decay_rate)}; its row is the search's" for k in searched),

@@ -360,28 +360,35 @@ def _transfer(chain: _Chain, kappas: np.ndarray, which: np.ndarray) -> _Pass:
     down *= rate
 
     # row i of psi_rows/dpsi_rows is the pair just right of site i, the last
-    # row the pair after the last site; every row is written through out=,
-    # never into an array the same call reads, which numpy does more slowly.
-    # psi_end is psi before the division: dividing could flush a tiny
-    # negative value to -0.0 and hide the sign change the count looks for
+    # row the pair after the last site; every ufunc of the loop writes into a
+    # stored row or one of the pass's buffers (two products, psi' before and
+    # after the division, the factor and its mask), so the loop allocates
+    # nothing, and never into an array the same call reads, which numpy does
+    # more slowly on one column.  The outputs go in positionally, which numpy
+    # parses faster than out=, except np.maximum's, whose positional out takes
+    # a ~1.7 us path (numpy 2.4).  psi_end is psi before the division:
+    # dividing could flush a tiny negative value to -0.0 and hide the sign
+    # change the count looks for
     cls = chain.cls
     psi_rows, dpsi_rows, psi_end, renorm_at = np.empty((4, len(cls) + 1, len(kappas)))
     psi_end, renorm_at = psi_end[:-1], renorm_at[:-1]
     renorm_at[...] = 1.0
     psi_rows[0] = 1.0
-    dpsi = kappas
+    first, second, carry, dpsi, renorm = np.empty((5, len(kappas)))
+    above = np.empty(len(kappas), dtype=bool)
+    dpsi[...] = kappas
     steps = list(zip(diag, up, down, floor))
     for psi, psi_next, dpsi_row, end_row, renorm_row, jump, (diag_row, up_row, down_row, floor_row) in zip(
         psi_rows, psi_rows[1:], dpsi_rows, psi_end, renorm_at, jumps, [steps[c] for c in cls.tolist()]
     ):
-        np.add(dpsi, jump * psi, out=dpsi_row)
-        np.add(diag_row * psi, up_row * dpsi_row, out=end_row)
-        dpsi = down_row * psi + diag_row * dpsi_row
-        renorm = np.maximum(abs(end_row), abs(dpsi))
-        np.copyto(renorm_row, renorm, where=renorm > floor_row)
-        np.divide(end_row, renorm_row, out=psi_next)
-        dpsi = dpsi / renorm_row
-    np.add(dpsi, jumps[-1] * psi_rows[-1], out=dpsi_rows[-1])
+        np.add(dpsi, np.multiply(jump, psi, first), dpsi_row)
+        np.add(np.multiply(diag_row, psi, first), np.multiply(up_row, dpsi_row, second), end_row)
+        np.add(np.multiply(down_row, psi, first), np.multiply(diag_row, dpsi_row, second), carry)
+        np.maximum(np.absolute(end_row, first), np.absolute(carry, second), out=renorm)
+        np.copyto(renorm_row, renorm, where=np.greater(renorm, floor_row, above))
+        np.divide(end_row, renorm_row, psi_next)
+        np.divide(carry, renorm_row, dpsi)
+    np.add(dpsi, np.multiply(jumps[-1], psi_rows[-1], first), dpsi_rows[-1])
     tail = dpsi_rows[-1] + kappas * psi_rows[-1]
     return _Pass(tail, exp_mask, osc_mask, rate, phase, psi_rows, dpsi_rows, psi_end, renorm_at)
 

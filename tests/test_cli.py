@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,54 @@ def test_csv_cells_are_formatted_like_the_summary_lines(tmp_path):
     cli._emit_csv("a,b,c", rows, out, None)
     expected = ["a,b,c", *(",".join(cli._fmt(v) for v in row) for row in rows)]
     assert out.read_text() == "\n".join(expected) + "\n"
+
+
+def _exact_ties():
+    # doubles c * 2**-n (c odd) whose decimal expansion c * 5**n * 10**-n has 18 digits,
+    # the last a 5: halfway between two 17-digit neighbours, to be rounded half-even;
+    # the 5 lowest and 5 highest c of each n, every n (1..25, e = 16..-8) that has one
+    odd = [range(-(-10**17 // 5**n) | 1, min(-(-10**18 // 5**n), 2**53), 2) for n in range(1, 26)]
+    return [c * 2.0**-n for n, cs in enumerate(odd, start=1) for c in sorted({*cs[:5], *cs[-5:]})]
+
+
+# doubles within 1e-15 of a 17-digit rounding tie, at scales 10**(16 - e) that are not
+# doubles, so the residual (good to ~1e-15) may round them the wrong way: found by
+# searching m in [2**52, 2**53) for m * 2**q * 10**(16 - e) mod 1 near 1/2
+_NEAR_TIES = [float.fromhex(h) for h in (
+    "0x1.7d3ce71c22b6bp-830", "0x1.0a75f770bc557p-829", "0x1.253f459dd26e3p-497", "0x1.427b56243374dp-497",
+    "0x1.5ccd13b5b008dp-264", "0x1.2db8d6c3e00b2p-132", "0x1.60024fe485625p-131", "0x1.1fb41fc9b4745p-65",
+    "0x1.ed11480eb4de0p+265", "0x1.5c328473e0d23p+498",
+)]
+
+
+def test_near_ties_are_within_1e_15_of_a_tie():
+    for x in _NEAR_TIES:
+        scaled = Fraction(x) * Fraction(10) ** (16 - math.floor(math.log10(x)))
+        assert 10**16 <= scaled < 10**17
+        assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < Fraction(1, 10**15), x.hex()
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 9])
+def test_csv_cells_are_percent_17g_byte_for_byte(width):
+    # the vector path and its fallback against per-cell "%.17g" % x on values that
+    # reach each rule: random bit patterns (NaN, +-inf, subnormals and +-0 among
+    # them), normals over 1e-300..1e300, integers, every power of ten with both
+    # float neighbours (log10 rounds e up or down next to them), exact ties at the
+    # 17th digit, (2j+1) * 2**-17 + 1 among them, near ties, and a column of zeros
+    rng = np.random.default_rng(width)
+    bits = rng.integers(0, 2**64, size=8000, dtype=np.uint64).view(np.float64)
+    bits[:9] = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310, np.finfo(float).max]
+    normals = rng.standard_normal(8000) * 10.0 ** rng.uniform(-300, 300, 8000)
+    integers = rng.integers(-10**17, 10**17, 2000).astype(float)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ties = np.array([*_exact_ties(), *((2 * np.arange(500) + 1) * 2.0**-17 + 1), *_NEAR_TIES])
+    values = np.concatenate([bits, normals, integers, powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf), ties, -ties])
+    table = np.resize(values, (-(-values.size // width), width))
+    table[::3, -1] = 0.0  # a zero column, as in solve's U_region, on every third row
+    table[1::3, -1] = -0.0
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    assert cli._csv_cells(table) == expected
 
 
 # ---------------------------------------------------------------------------
