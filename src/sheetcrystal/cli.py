@@ -26,7 +26,8 @@ constant A is carried only as its natural log, which stays
 finite where A exceeds the float range: ``solve`` prints
 ``log_norm_constant`` in every mode, and ``sweep`` its ``log_A`` column; a
 ``log_norm_constant`` of -inf, where psi at the last site is 0, comes with a
-warning line on stderr, and so does each ``sweep`` row whose
+warning line on stderr (a negative psi there is an error: the oracle's state
+changes sign, so it is not a ground state), and so does each ``sweep`` row whose
 ``closed_vs_oracle_resid`` exceeds 1e-9 or is NaN.  Warnings are written
 once the command has succeeded, so a command that fails writes only its
 ``error:`` line.
@@ -122,26 +123,26 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"field {key!r}: not an integer: {value!r}") from exc
 
 
+def _parse_items(key: str, value: str, what: str = "value") -> list[str]:
+    """The stripped, non-empty items of a comma list; an empty list is refused, naming ``what``."""
+    items = [chunk.strip() for chunk in value.split(",") if chunk.strip()]
+    if not items:
+        raise ConfigError(f"field {key!r}: needs at least one {what}")
+    return items
+
+
 def _parse_pairs(key: str, value: str) -> list[tuple[float, float]]:
     pairs = []
-    for chunk in value.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _parse_items(key, value, "'position:value' pair"):
         if ":" not in chunk:
             raise ConfigError(f"field {key!r}: expected 'position:value', got {chunk!r}")
         left, right = chunk.split(":", 1)
         pairs.append((_parse_float(key, left.strip()), _parse_float(key, right.strip())))
-    if not pairs:
-        raise ConfigError(f"field {key!r}: needs at least one 'position:value' pair")
     return pairs
 
 
 def _parse_float_list(key: str, value: str) -> list[float]:
-    items = [chunk.strip() for chunk in value.split(",") if chunk.strip()]
-    if not items:
-        raise ConfigError(f"field {key!r}: needs at least one value")
-    return [_parse_float(key, item) for item in items]
+    return [_parse_float(key, item) for item in _parse_items(key, value)]
 
 
 def _parse_int_list(key: str, value: str) -> list[int]:
@@ -152,10 +153,7 @@ def _parse_int_list(key: str, value: str) -> list[int]:
         if hi < lo:
             raise ConfigError(f"field {key!r}: empty range {value!r}")
         return list(range(lo, hi + 1))
-    items = [chunk.strip() for chunk in value.split(",") if chunk.strip()]
-    if not items:
-        raise ConfigError(f"field {key!r}: needs at least one value")
-    return [_parse_int(key, item) for item in items]
+    return [_parse_int(key, item) for item in _parse_items(key, value)]
 
 
 def _parse_path(key: str, value: str) -> Path | None:
@@ -471,6 +469,11 @@ def cmd_solve(args) -> int:
         z_last = sol.breakpoints[-1]
         # log A = log psi(z_last) - V(z_last)/V0, -inf where psi(z_last) underflowed to 0
         tail = psi.value(z_last)
+        if tail < 0.0:  # the state is positive at the left end, so it has a node
+            raise SheetCrystalError(
+                f"the oracle's rebuilt ground state is {_fmt(tail)} at the last site z_last = {_fmt(z_last)}: "
+                "it changes sign, so it is not a ground state"
+            )
         log_norm_constant = (math.log(tail) if tail else -math.inf) - potential_at(sol, z_last) / units.V0
     else:
         if mode == "canonical":

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-from .electrostatics import ElectrostaticSolution
+from .electrostatics import ElectrostaticSolution, _ordered_pairs
 from .errors import (
     AsymmetricAsymptoticFieldError,
     BreakpointMismatchError,
@@ -46,6 +45,8 @@ class DeltaPotentialProblem:
     The potential is sum_n strength_n * delta(z - z_n) plus offset_k in
     region k; negative strengths are attractive.  Offsets are measured
     relative to the potential at infinity, so both end entries must be zero.
+    ``positions`` and ``strengths``, the two columns of ``deltas``, are
+    plain tuple attributes set at construction, outside the fields.
     """
 
     deltas: tuple[tuple[float, float], ...]
@@ -58,23 +59,11 @@ class DeltaPotentialProblem:
         region_offsets: Sequence[float],
         units: UnitSystem,
     ) -> None:
-        cleaned = tuple((float(z), float(g)) for z, g in deltas)
         offsets = tuple(float(u) for u in region_offsets)
-        if not cleaned:
-            raise ValueError("a DeltaPotentialProblem needs at least one delta")
-        for z, g in cleaned:
-            if not (math.isfinite(z) and math.isfinite(g)):
-                raise ValueError(f"positions and strengths must be finite, got ({z!r}, {g!r})")
-        for (z0, _), (z1, _) in zip(cleaned, cleaned[1:]):
-            if not z1 > z0:
-                raise ValueError("delta positions must be strictly increasing")
-            if not math.isfinite(z1 - z0):
-                raise ValueError(f"the gap between delta positions {z0!r} and {z1!r} exceeds the float range")
-        if len(offsets) != len(cleaned) + 1:
-            raise ValueError(
-                f"{len(cleaned)} deltas need {len(cleaned) + 1} region offsets, "
-                f"got {len(offsets)}"
-            )
+        columns = _ordered_pairs(deltas, "DeltaPotentialProblem", "delta", "strengths")
+        count = len(columns[0])
+        if len(offsets) != count + 1:
+            raise ValueError(f"{count} deltas need {count + 1} region offsets, got {len(offsets)}")
         if any(not math.isfinite(u) for u in offsets):
             raise ValueError("region offsets must be finite")
         if offsets[0] != 0.0 or offsets[-1] != 0.0:
@@ -82,19 +71,12 @@ class DeltaPotentialProblem:
                 "offsets in the two unbounded end regions must be exactly zero "
                 "(the potential is measured relative to its asymptotic value)"
             )
-        object.__setattr__(self, "deltas", cleaned)
+        # positions and strengths are not fields, so equality, hashing and
+        # repr still see the deltas, offsets and units alone
+        for name, column in zip(("deltas", "positions", "strengths"), columns):
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "region_offsets", offsets)
         object.__setattr__(self, "units", units)
-
-    # computed once per problem, so its states share one tuple; not fields,
-    # so equality and hashing still see the deltas, offsets and units alone
-    @cached_property
-    def positions(self) -> tuple[float, ...]:
-        return tuple(z for z, _ in self.deltas)
-
-    @cached_property
-    def strengths(self) -> tuple[float, ...]:
-        return tuple(g for _, g in self.deltas)
 
     def check_breakpoints(self, psi: PiecewiseExpWavefunction) -> None:
         """Raise BreakpointMismatchError unless ``psi`` breaks exactly at the delta positions."""

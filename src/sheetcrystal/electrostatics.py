@@ -9,7 +9,9 @@ potential is piecewise linear and continuous, and the gauge is fixed to
 
 so that downstream wavefunction formulas come out without stray constants.
 The potential's slope in region k is -region_fields[k]; the solution stores
-the fields only.  A :class:`SheetArray` keeps its position and density
+the fields only.  A sheet stack and a delta problem are the same ordered
+stack of (position, value) pairs, so one helper checks both and splits them
+into columns.  A :class:`SheetArray` keeps its position and density
 columns from construction, and :func:`solve_sheets` runs in Python floats:
 one exactly rounded sum for the gauge and one running subtraction across
 the regions, with no per-region bookkeeping.  The alternating crystal's
@@ -30,6 +32,33 @@ import numpy as np
 from .units import UnitSystem
 
 
+def _ordered_pairs(pairs: Sequence[tuple[float, float]], owner: str, item: str, values: str) -> tuple:
+    """``pairs`` as float tuples, checked as one ordered stack, with its two columns.
+
+    The one rule for a sheet stack and for a delta problem, which the map
+    turns into each other pair by pair: at least one pair, finite entries,
+    strictly increasing positions and gaps inside the float range, checked
+    in that order.  ``owner``, ``item`` and ``values`` name the type, one
+    pair and the second column in the messages.  Returns the pairs, the
+    positions and the values, each a tuple.
+    """
+    cleaned = tuple((float(z), float(v)) for z, v in pairs)
+    if not cleaned:
+        raise ValueError(f"a {owner} needs at least one {item}")
+    for z, v in cleaned:
+        if not (math.isfinite(z) and math.isfinite(v)):
+            raise ValueError(f"positions and {values} must be finite, got ({z!r}, {v!r})")
+    for (z0, _), (z1, _) in zip(cleaned, cleaned[1:]):
+        if not z1 > z0:
+            raise ValueError(
+                f"{item} positions must be strictly increasing; "
+                f"got {z0!r} followed by {z1!r} (merge coincident {item}s upstream)"
+            )
+        if not math.isfinite(z1 - z0):
+            raise ValueError(f"the gap between {item} positions {z0!r} and {z1!r} exceeds the float range")
+    return (cleaned, *zip(*cleaned))
+
+
 @dataclass(frozen=True)
 class SheetArray:
     """Finite stack of infinite charged sheets at strictly increasing positions.
@@ -45,24 +74,9 @@ class SheetArray:
     densities: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, sheets: Sequence[tuple[float, float]]) -> None:
-        cleaned = tuple((float(z), float(s)) for z, s in sheets)
-        if not cleaned:
-            raise ValueError("a SheetArray needs at least one sheet")
-        for z, s in cleaned:
-            if not (math.isfinite(z) and math.isfinite(s)):
-                raise ValueError(f"positions and densities must be finite, got ({z!r}, {s!r})")
-        for (z0, _), (z1, _) in zip(cleaned, cleaned[1:]):
-            if not z1 > z0:
-                raise ValueError(
-                    "sheet positions must be strictly increasing; "
-                    f"got {z0!r} followed by {z1!r} (merge coincident sheets upstream)"
-                )
-            if not math.isfinite(z1 - z0):
-                raise ValueError(f"the gap between sheet positions {z0!r} and {z1!r} exceeds the float range")
-        object.__setattr__(self, "sheets", cleaned)
-        positions, densities = zip(*cleaned)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "densities", densities)
+        columns = _ordered_pairs(sheets, "SheetArray", "sheet", "densities")
+        for name, column in zip(("sheets", "positions", "densities"), columns):
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)

@@ -430,6 +430,24 @@ def test_solve_quantum_prints_minus_inf_where_the_tail_value_is_zero(tmp_path, c
     assert captured.err == "warning: psi is 0 at the last site z_last = 1; log_norm_constant is -inf\n"
 
 
+@pytest.mark.parametrize("deltas", ["-9:-1, 9:-0.9", "-10:-1, 10:-0.5", "-20:-1, 20:-0.1"])
+def test_solve_quantum_refuses_a_rebuilt_state_with_a_negative_tail(deltas, tmp_path, capsys):
+    # wide doublets with a shallow middle offset: the oracle's rebuilt state is
+    # positive at the left delta and negative at the right one (psi(9) = -1.0e-8,
+    # psi(10) = -2.9e-7, psi(20) = -0.18), so it has a node and log psi(z_last)
+    # has no value; one error line names the site, and nothing is written
+    cfg = _write(tmp_path, "q.cfg", f"mode = quantum\ndeltas = {deltas}\noffsets = 0, -0.1, 0\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 1
+    captured = capsys.readouterr()
+    z_last = deltas.split(", ")[1].split(":")[0]
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith("error: the oracle's rebuilt ground state is -")
+    assert f" at the last site z_last = {z_last}: it changes sign" in captured.err
+    assert "math domain" not in captured.err
+    assert not (tmp_path / "q.csv").exists()
+
+
 def test_solve_quantum_warns_where_the_ground_state_did_not_isolate(tmp_path, capsys, atomic):
     # the dual problem of random stack 86: its ground state is half of a doublet far inside
     # the float spacing (see test_oracle.py), so the search cannot split its interval and
