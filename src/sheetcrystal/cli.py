@@ -55,7 +55,7 @@ import numpy as np
 
 from . import closedform, oracle
 from .closedform import CrystalParams
-from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, nan_max, to_quantum
+from .duality import DeltaPotentialProblem, ground_state_from_electrostatics, nan_max, schrodinger_residuals, to_quantum
 from .electrostatics import SheetArray, potential_at, potential_at_points, solve_sheets
 from .errors import NoBoundStatesError, SheetCrystalError
 from .units import UnitSystem, atomic_units, sigma_from_alpha
@@ -394,8 +394,8 @@ def _csv_block(cells: np.ndarray) -> str:
     return template.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _emit_csv(header: str, table, out: Path | None, stream) -> None:
-    """Write ``header`` and one CSV line per row of ``table`` to ``out``, or to ``stream`` without one.
+def _emit_csv(header: str, table, out: Path | None) -> None:
+    """Write ``header`` and one CSV line per row of ``table`` to ``out``, or to stdout without one.
 
     ``table`` is a 2-D array or a list of equal-length rows.  Every cell is
     exactly ``'%.17g' % x``, formatted as one array by :func:`_csv_cells`,
@@ -406,8 +406,8 @@ def _emit_csv(header: str, table, out: Path | None, stream) -> None:
     """
     payload = header + "\n" + _csv_cells(table)
     if out is None:
-        stream.write(payload)
-        stream.write("\n")
+        sys.stdout.write(payload)
+        sys.stdout.write("\n")
     else:
         try:
             out.write_text(payload)
@@ -474,6 +474,10 @@ def cmd_solve(args) -> int:
                 f"the oracle's rebuilt ground state is {_fmt(tail)} at the last site z_last = {_fmt(z_last)}: "
                 "it changes sign, so it is not a ground state"
             )
+        residual = schrodinger_residuals(problem, psi, energy).max_residual()
+        if not residual <= SWEEP_RESIDUAL_MAX:  # the summary stands, and stderr says so
+            warning_lines.append(f"the oracle's ground state misses the Schrodinger equation: its residual "
+                                 f"{_fmt(residual)} is not within {SWEEP_RESIDUAL_MAX:g}")
         log_norm_constant = (math.log(tail) if tail else -math.inf) - potential_at(sol, z_last) / units.V0
     else:
         if mode == "canonical":
@@ -517,7 +521,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"sampling window {_fmt(lo)},{_fmt(hi)}: its width overflows the float range")
     zs = np.linspace(lo, hi, config.get("points", 2001))
     columns = [zs, potential_at_points(sol, zs), psi.values(zs), _region_offset_at(problem, zs)]
-    _emit_csv("z,V,psi,U_region", np.column_stack(columns), config.get("out"), sys.stdout)
+    _emit_csv("z,V,psi,U_region", np.column_stack(columns), config.get("out"))
 
     print(f"energy: {_fmt(energy)}")
     print(f"log_norm_constant: {_fmt(log_norm_constant)}")
@@ -554,7 +558,7 @@ def cmd_figure(args) -> int:
 
     for n, (zs, vals) in zip(n_values, samples):
         target = out_dir / f"crystal_psi_N{n}.csv"
-        _emit_csv("z,psi", np.column_stack((zs, vals)), target, sys.stdout)
+        _emit_csv("z,psi", np.column_stack((zs, vals)), target)
         print(f"wrote {target}")
     return 0
 
@@ -611,7 +615,7 @@ def _sweep_row(p: CrystalParams, start: tuple, problem: DeltaPotentialProblem, f
     return (*start, found.state_count, resid)
 
 
-SWEEP_RESIDUAL_MAX = 1e-9  # a larger (or NaN) closed_vs_oracle_resid is a warning line on stderr
+SWEEP_RESIDUAL_MAX = 1e-9  # a larger (or NaN) closed_vs_oracle_resid, or quantum-mode solve residual, is a warning line
 _SWEEP_FIELDS = {"N": _parse_int_list, "alpha": _parse_float_list, "a": _parse_float_list, "out": _parse_path}
 
 
@@ -633,7 +637,7 @@ def cmd_sweep(args) -> int:
     rows = list(map(_sweep_row, params, starts, problems, found))
 
     _emit_csv("N,alpha,a,E,log_A,U_exp,T_exp,count,closed_vs_oracle_resid", np.array(rows, dtype=float),
-              config.get("out"), sys.stdout)
+              config.get("out"))
     _warn([
         *(f"{_sweep_cell_name(*cells[k])}: the oracle does not certify the closed form's ground state at "
           f"kappa = {_fmt(params[k].decay_rate)}; its row is the search's" for k in searched),

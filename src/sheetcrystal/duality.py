@@ -22,7 +22,7 @@ from .errors import (
     BreakpointMismatchError,
     NotNormalizableError,
 )
-from .units import UnitSystem
+from .units import UnitSystem, alpha_from_sigma
 from .wavefunction import PiecewiseExpWavefunction
 
 ASYMPTOTIC_FIELD_RTOL = 1e-12
@@ -145,9 +145,10 @@ def _squared_end_field(sol: ElectrostaticSolution) -> float:
 def to_quantum(sol: ElectrostaticSolution, units: UnitSystem) -> DeltaPotentialProblem:
     """Map an electrostatic solution to its dual delta-potential problem.
 
-    Sheets of density sigma become deltas of strength -sigma*V0*a0^3/2, and
-    interior regions acquire offsets (eps0/2)*(E_k^2 - E_inf^2)*a0^3.  The
-    end offsets are zero by construction.
+    Sheets of density sigma become deltas of strength
+    -alpha_from_sigma(sigma) = -sigma*V0*a0^3/2, and interior regions
+    acquire offsets (eps0/2)*(E_k^2 - E_inf^2)*a0^3.  The end offsets are
+    zero by construction.
 
     Raises
     ------
@@ -155,8 +156,7 @@ def to_quantum(sol: ElectrostaticSolution, units: UnitSystem) -> DeltaPotentialP
         If the two end regions disagree on |field| (rel. tol. 1e-12).
     """
     _check_end_fields(sol)
-    scale = units.V0 * units.a0**3
-    deltas = [(z, -0.5 * s * scale) for z, s in zip(sol.breakpoints, sol.densities)]
+    deltas = [(z, -alpha_from_sigma(s, units)) for z, s in zip(sol.breakpoints, sol.densities)]
     e_inf_sq = _squared_end_field(sol)
     offsets = [0.0]
     for field in sol.region_fields[1:-1]:

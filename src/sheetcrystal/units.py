@@ -99,9 +99,11 @@ def alpha_from_sigma(sigma: float, units: UnitSystem) -> float:
     (whose delta term enters the quantum potential with a minus sign, i.e.
     attractively).  The a0^3 factor keeps the strength consistent with the
     curvature and cusp relations in every valid unit system; in atomic
-    units it reduces to sigma*V0/2.
+    units it reduces to sigma*V0/2.  It multiplies by the one product
+    ``V0*a0**3`` that :class:`UnitSystem` checks, as
+    :func:`sigma_from_alpha` divides by it.
     """
-    return 0.5 * sigma * units.V0 * units.a0**3
+    return 0.5 * sigma * (units.V0 * units.a0**3)
 
 
 def sigma_from_alpha(alpha: float, units: UnitSystem) -> float:

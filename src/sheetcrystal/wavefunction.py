@@ -88,22 +88,17 @@ def _square_integral_finite(kind: str, r: float, c1: float, c2: float, width: fl
     )
 
 
-def _square_integral_left_tail(kind: str, r: float, c1: float, c2: float) -> float:
-    """Exact integral of psi(z)^2 over (-inf, x0]; the region must decay."""
-    if kind != "exp" or c1 != 0.0:
-        raise DivergentTailError(
-            "left end segment must be a pure exponential decaying toward -inf"
-        )
-    return c2 * c2 / (2.0 * r)
+def _square_integral_tail(kind: str, r: float, growing: float, decaying: float, side: str) -> float:
+    """Exact integral of psi(z)^2 over the end segment on ``side``, (-inf, x0] or [x0, inf).
 
-
-def _square_integral_right_tail(kind: str, r: float, c1: float, c2: float) -> float:
-    """Exact integral of psi(z)^2 over [x0, inf); the region must decay."""
-    if kind != "exp" or c2 != 0.0:
-        raise DivergentTailError(
-            "right end segment must be a pure exponential decaying toward +inf"
-        )
-    return c1 * c1 / (2.0 * r)
+    ``growing`` and ``decaying`` are the coefficients of the exponentials
+    that grow and decay toward that end: c1 and c2 on the left, c2 and c1
+    on the right.  The segment must decay.
+    """
+    if kind != "exp" or growing != 0.0:
+        toward = "-inf" if side == "left" else "+inf"
+        raise DivergentTailError(f"{side} end segment must be a pure exponential decaying toward {toward}")
+    return decaying * decaying / (2.0 * r)
 
 
 def _derivative_row(kind: str, r: float, c1: float, c2: float) -> tuple[float, float]:
@@ -221,11 +216,12 @@ class PiecewiseExpWavefunction:
     def segment_probability_integrals(self) -> tuple[float, ...]:
         """Exact integral of psi^2 over each region, ends included."""
         rows = list(zip(self.kinds, self.rates, self.c1s, self.c2s))
-        parts = [_square_integral_left_tail(*rows[0])]
+        parts = [_square_integral_tail(*rows[0], "left")]
         for i in range(1, len(rows) - 1):
             width = self.breakpoints[i] - self.breakpoints[i - 1]
             parts.append(_square_integral_finite(*rows[i], width))
-        parts.append(_square_integral_right_tail(*rows[-1]))
+        kind, r, c1, c2 = rows[-1]
+        parts.append(_square_integral_tail(kind, r, c2, c1, "right"))
         return tuple(parts)
 
     def norm_squared(self) -> float:

@@ -53,7 +53,7 @@ def test_csv_cells_are_formatted_like_the_summary_lines(tmp_path):
     values = [*specials, np.float64(-1.5), np.int64(12), np.int32(-3), *rng.normal(scale=1e3, size=40)]
     rows = [values[i:i + 3] for i in range(0, len(values) - len(values) % 3, 3)]
     out = tmp_path / "cells.csv"
-    cli._emit_csv("a,b,c", rows, out, None)
+    cli._emit_csv("a,b,c", rows, out)
     expected = ["a,b,c", *(",".join(cli._fmt(v) for v in row) for row in rows)]
     assert out.read_text() == "\n".join(expected) + "\n"
 
@@ -102,6 +102,22 @@ def test_csv_cells_are_percent_17g_byte_for_byte(width):
     table = np.resize(values, (-(-values.size // width), width))
     table[::3, -1] = 0.0  # a zero column, as in solve's U_region, on every third row
     table[1::3, -1] = -0.0
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    assert cli._csv_cells(table) == expected
+
+
+@pytest.mark.parametrize("width", [1, 9])
+def test_csv_cells_are_percent_17g_across_blocks(width):
+    # _csv_cells formats _BLOCK_CELLS cells at a time; random bit patterns, every
+    # power of ten with its neighbours and the ties, tiled over three whole blocks
+    # and a partial fourth, must still read as per-cell "%.17g" % x
+    rng = np.random.default_rng(100 + width)
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ties = np.array([*_exact_ties(), *_NEAR_TIES])
+    values = np.concatenate([bits, powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), ties, -ties])
+    rows_per_block = cli._BLOCK_CELLS // width
+    table = np.resize(values, (3 * rows_per_block + rows_per_block // 3, width))
     expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
     assert cli._csv_cells(table) == expected
 
@@ -214,6 +230,23 @@ def test_solve_rejects_bad_window(tmp_path, capsys):
     cfg = _write(tmp_path, "c.cfg", "mode = canonical\nN = 1\nalpha = 1\na = 1\nwindow = 3,-3\n")
     assert main(["solve", "--config", cfg]) == 1
     assert "window" in capsys.readouterr().err
+
+
+def test_solve_refuses_a_default_window_without_a_decay_length(tmp_path, capsys):
+    # a subnormal strength in units with hbar = 1e-150 binds a state at energy -0, whose
+    # decay rate is 0: the default window has no width to take, so solve asks for one
+    units = _write(tmp_path, "u.cfg", "hbar = 1e-150\nmass = 1\neps0 = 1\nV0 = 1e-150\na0 = 1\n")
+    cfg = _write(tmp_path, "q.cfg", "mode = quantum\ndeltas = 0:-1e-312\noffsets = 0, 0\n")
+    out = tmp_path / "q.csv"
+    assert main(["solve", "--config", cfg, "--units", units, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: ground energy -0 gives no decay length for the default window; pass --window=lo,hi\n"
+    )
+    assert not out.exists()
+    assert main(["solve", "--config", cfg, "--units", units, "--out", str(out), "--window=-1,1"]) == 0
+    assert "energy: -0\n" in capsys.readouterr().out
+    assert out.exists()
 
 
 def test_solve_rejects_missing_mode_field(tmp_path, capsys):
@@ -463,6 +496,34 @@ def test_solve_quantum_warns_where_the_ground_state_did_not_isolate(tmp_path, ca
         "[1.5572557710072688, 1.5572557710073347] stopped splitting with ends that do not count 1 and 0 states; "
         "the state printed is at its midpoint\n"
     )
+
+
+@pytest.mark.parametrize(
+    "deltas, offsets, warned",
+    [
+        ("-20:-1, 20:-0.5", "0, 0.05, 0", True),  # residual 1.30
+        ("-8:-1, 8:-0.9", "0, -0.3, 0", True),  # residual 1.24e-9
+        ("-20:-1, 20:-0.1", "0, 0.05, 0", True),  # residual 1.55
+        ("-6:-1, 6:-2", "0, 0, 0", False),  # residual 0.0
+    ],
+)
+def test_solve_quantum_warns_where_the_state_misses_the_schrodinger_equation(
+    deltas, offsets, warned, tmp_path, capsys
+):
+    # wide doublets whose rebuilt state is positive at both ends but misses the
+    # equation: the summary, the CSV and exit 0 stand, and one warning line names
+    # the residual against SWEEP_RESIDUAL_MAX
+    cfg = _write(tmp_path, "q.cfg", f"mode = quantum\ndeltas = {deltas}\noffsets = {offsets}\npoints = 5\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "q.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("energy: ") and (tmp_path / "q.csv").exists()
+    if not warned:
+        assert captured.err == ""
+        return
+    prefix = "warning: the oracle's ground state misses the Schrodinger equation: its residual "
+    assert captured.err.startswith(prefix) and captured.err.endswith(" is not within 1e-09\n")
+    assert captured.err.count("\n") == 1
+    assert float(captured.err[len(prefix):].split(" ")[0]) > cli.SWEEP_RESIDUAL_MAX
 
 
 _MAP_MODES = {

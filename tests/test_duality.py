@@ -15,11 +15,13 @@ from sheetcrystal import (
     NotNormalizableError,
     SheetArray,
     UnitSystem,
+    alpha_from_sigma,
     atomic_units,
     check_normalizable,
     ground_state_from_electrostatics,
     potential_at,
     schrodinger_residuals,
+    sigma_from_alpha,
     solve_sheets,
     to_quantum,
 )
@@ -55,6 +57,22 @@ def test_crystal_map_strength_pattern(atomic):
     assert prob.positions == (-2.0, -1.0, 0.0, 1.0, 2.0)
     assert prob.strengths == (-1.0, 1.0, -1.0, 1.0, -1.0)
     assert prob.region_offsets == (0.0,) * 6
+
+
+def test_map_strengths_are_the_dictionary_bit_for_bit():
+    # one sheet-to-delta dictionary: over consistent unit systems with constants spread
+    # over 1e-3..1e3, every strength of the map is -alpha_from_sigma of its sheet's density
+    rng = np.random.default_rng(1112)
+    for _ in range(201):
+        hbar, mass, v0, a0 = 10.0 ** rng.uniform(-3.0, 3.0, 4)
+        units = UnitSystem(hbar=hbar, mass=mass, eps0=hbar**2 / mass / (v0**2 * a0**3), V0=v0, a0=a0)
+        sheets = list(zip(np.cumsum(rng.uniform(0.2, 2.0, 5)).tolist(), rng.uniform(0.1, 3.0, 5).tolist()))
+        prob = to_quantum(solve_sheets(SheetArray(sheets), units), units)
+        assert prob.strengths == tuple(-alpha_from_sigma(sigma, units) for _, sigma in sheets)
+    # V0 = 1e150 times a0^3 = 1e-150 is exactly 1, the scale UnitSystem checks
+    units = UnitSystem(hbar=1.0, mass=1.0, eps0=1e-150, V0=1e150, a0=1e-50)
+    assert alpha_from_sigma(1e200, units) == 5e199
+    assert sigma_from_alpha(5e199, units) == 1e200
 
 
 def test_problem_accessors_are_computed_once(atomic):

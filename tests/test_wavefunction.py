@@ -105,6 +105,22 @@ def test_linear_end_segment_is_divergent():
         psi.norm_squared()
 
 
+@pytest.mark.parametrize(
+    "c1s, c2s, message",
+    [
+        ((0.5, 1.0), (1.0, 0.0), "left end segment must be a pure exponential decaying toward -inf"),
+        ((0.0, 1.0), (1.0, 1e-30), "right end segment must be a pure exponential decaying toward +inf"),
+    ],
+    ids=["left", "right"],
+)
+def test_divergent_tail_names_its_side(c1s, c2s, message):
+    # one tail integral serves both ends; its refusal names the end that grows
+    psi = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (1.0, 1.0), c1s, c2s, normalized=False)
+    with pytest.raises(DivergentTailError) as caught:
+        psi.norm_squared()
+    assert str(caught.value) == message
+
+
 def test_normalized_copy_has_unit_norm():
     raw = PiecewiseExpWavefunction((0.0,), ("exp", "exp"), (2.0, 2.0), (0.0, 3.0), (3.0, 0.0), normalized=False)
     psi = raw.normalized_copy()
